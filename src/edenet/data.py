@@ -192,7 +192,9 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
     require_labels: None loads labels whenever the schema declares a label
     column and the file carries it; True insists on them; False skips them
     even when present. With has_header=False the columns are taken in
-    schema declaration order with the label column (if any) last.
+    schema declaration order with the label column (if any) last. A numeric
+    field that is not a finite float (nan, inf, 1e400) raises CsvParseError
+    with its line and column.
     """
     path = Path(path)
     if require_labels and schema.label_column is None:
@@ -248,11 +250,13 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
 
         buf = np.zeros((1024, width))
         labels: list[int] = []
+        lines: list[int] = []
         n = 0
         for row in reader:
             line += 1
             if not row:
                 continue
+            lines.append(line)
             if len(row) != n_cols:
                 raise CsvParseError(
                     f"expected {n_cols} fields, found {len(row)}", line)
@@ -276,8 +280,19 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
                 labels.append(schema.label_of(row[label_pos].strip()))
             n += 1
 
+    # float() accepts nan, inf and overflowing literals; one pass over the
+    # parsed matrix rejects them (one-hot slots are always 0 or 1)
+    features = buf[:n]
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row_idx, off = bad[0]
+        src = next(src for src, start, _, _ in reversed(plan) if start <= off)
+        raise CsvParseError(
+            f"non-finite value {float(features[row_idx, off])!r} in column "
+            f"{header[src]!r}", lines[row_idx])
+
     return Dataset(
-        features=buf[:n],
+        features=features,
         labels=np.array(labels, dtype=np.int8) if want_labels else None,
         column_meta=expanded_meta(schema),
     )

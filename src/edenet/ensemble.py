@@ -105,12 +105,18 @@ class TrainConfig:
         return cls(**known)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleWeights:
     """Per-sample sampling distribution; entries are nonnegative and sum
-    to 1."""
+    to 1.
+
+    cdf is their normalized running sum, built once here so that every
+    draw under the same weights costs O(B log N) instead of O(N). Frozen,
+    so values and cdf cannot drift apart.
+    """
 
     values: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -120,7 +126,11 @@ class SampleWeights:
             raise ValueError("weights must be finite and nonnegative")
         if abs(v.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        self.values = v
+        object.__setattr__(self, "values", v)
+        # the same two steps Generator.choice takes on p, so draws match it
+        cdf = v.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     @classmethod
     def uniform(cls, n: int) -> "SampleWeights":
@@ -182,8 +192,16 @@ def training_streams(seed: int) -> tuple[np.random.Generator, np.random.Generato
 def draw_batch_indices(rng: np.random.Generator, n: int, batch_size: int,
                        weights: SampleWeights) -> np.ndarray:
     """One minibatch of row indices, sampled with replacement under the
-    current weights."""
-    return rng.choice(n, size=batch_size, replace=True, p=weights.values)
+    current weights.
+
+    Inverse-CDF sampling over weights.cdf: each of batch_size uniforms
+    picks the first row whose cumulative weight exceeds it. This is what
+    Generator.choice(n, size=batch_size, p=weights.values) computes, draw
+    for draw, without rebuilding the CDF on every call.
+    """
+    if n != len(weights.values):
+        raise ShapeError(f"n={n} rows but {len(weights.values)} weights")
+    return weights.cdf.searchsorted(rng.random(batch_size), side="right")
 
 
 def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
@@ -205,8 +223,9 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
 
     member_rng, batch_rng = training_streams(cfg.seed)
     iters = cfg.resolved_iters(n, ensemble.size)
+    # one state per member over its flat vector: same bits as per-array steps
     optim = [
-        make_optimizer(cfg.optimizer, m.params(), lr=cfg.lr, beta1=cfg.beta1,
+        make_optimizer(cfg.optimizer, [m.flat], lr=cfg.lr, beta1=cfg.beta1,
                        beta2=cfg.beta2, eps=cfg.eps)
         for m in ensemble.members
     ]
@@ -231,7 +250,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
             if not math.isfinite(combined):
                 raise TrainingDivergedError(epoch, it, combined)
             state, step = optim[member_idx]
-            step(state, member.params(), grads)
+            step(state, [member.flat], [np.concatenate([g.ravel() for g in grads])])
             sum_lr += mean_lr
             sum_le += mean_le
             sum_combined += combined

@@ -74,34 +74,42 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input has shape {x.shape}, layer expects (*, {layer.in_dim})"
         )
-    pre = x @ layer.weights + layer.bias
+    # in place: one (B, out_dim) temporary instead of three
+    pre = x @ layer.weights
+    pre += layer.bias
     if layer.activation == "tanh":
-        return np.tanh(pre)
+        np.tanh(pre, out=pre)
     return pre
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   grad_out: np.ndarray):
+                   cached_output: np.ndarray, grad_out: np.ndarray):
     """Gradients for one dense layer.
 
-    cached_input is the forward input; the pre-activation is recomputed
-    here rather than cached. Returns (grad_input, grad_weights, grad_bias).
+    cached_input and cached_output are the forward call's input and
+    result; a tanh layer takes its derivative from the output, so nothing
+    is recomputed. Returns (grad_input, grad_weights, grad_bias).
     """
     if cached_input.shape[1] != layer.in_dim:
         raise ShapeError(f"cached input shape {cached_input.shape} mismatches layer")
-    if grad_out.shape != (cached_input.shape[0], layer.out_dim):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != ({cached_input.shape[0]}, {layer.out_dim})"
-        )
+    expect = (cached_input.shape[0], layer.out_dim)
+    if cached_output.shape != expect:
+        raise ShapeError(f"cached output shape {cached_output.shape} != {expect}")
+    if grad_out.shape != expect:
+        raise ShapeError(f"grad_out shape {grad_out.shape} != {expect}")
     if layer.activation == "tanh":
-        out = np.tanh(cached_input @ layer.weights + layer.bias)
-        grad_pre = grad_out * (1.0 - out * out)
+        grad_pre = grad_out * (1.0 - cached_output * cached_output)
     else:
         grad_pre = grad_out
     grad_w = cached_input.T @ grad_pre
     grad_b = grad_pre.sum(axis=0)
     grad_in = grad_pre @ layer.weights.T
     return grad_in, grad_w, grad_b
+
+
+def unit_params(units) -> list[np.ndarray]:
+    """[weights, bias] of each unit, flattened into one list."""
+    return [p for u in units for p in (u.weights, u.bias)]
 
 
 class DenseStack:
@@ -124,27 +132,31 @@ class DenseStack:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray):
-        cache = []
+        """Returns (output, cache); cache[k] is layer k's input and
+        cache[k + 1] its output."""
+        cache = [x]
         for layer in self.layers:
-            cache.append(x)
             x = dense_forward(layer, x)
+            cache.append(x)
         return x, cache
 
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray):
         """Returns (grad_input, grads) with grads aligned to params()."""
         grads: list[np.ndarray | None] = [None] * (2 * len(self.layers))
         for k in range(len(self.layers) - 1, -1, -1):
-            grad_out, gw, gb = dense_backward(self.layers[k], cache[k], grad_out)
+            grad_out, gw, gb = dense_backward(self.layers[k], cache[k], cache[k + 1],
+                                              grad_out)
             grads[2 * k] = gw
             grads[2 * k + 1] = gb
         return grad_out, grads
 
+    def units(self) -> list[DenseLayer]:
+        """The objects holding this stack's (weights, bias) pairs, in
+        params() order."""
+        return list(self.layers)
+
     def params(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
+        return unit_params(self.units())
 
     def param_names(self) -> list[str]:
         out = []

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,18 @@ def _as_labels(labels, n: int, name: str) -> np.ndarray:
     return lab.astype(np.int8)
 
 
+def _top_q_count(q: float, n: int) -> int:
+    """ceil(q*n), computed exactly with q read as the decimal it prints as.
+
+    In floating point 0.28*25 is 7.000000000000001, whose ceiling would
+    flag 8 of 25 samples instead of 7.
+    """
+    return math.ceil(Fraction(str(q)) * n)
+
+
 def threshold_top_q(scores, q: float) -> np.ndarray:
-    """Flag exactly ceil(q*n) highest-scoring samples as anomalies.
+    """Flag exactly ceil(q*n) highest-scoring samples as anomalies, with
+    q*n computed exactly (see _top_q_count).
 
     Ties at the cut go to the earlier index.
     """
@@ -43,7 +54,7 @@ def threshold_top_q(scores, q: float) -> np.ndarray:
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     n = s.size
-    k = math.ceil(q * n)
+    k = _top_q_count(q, n)
     order = np.argsort(-s, kind="stable")
     pred = np.full(n, NORMAL, dtype=np.int8)
     pred[order[:k]] = ANOMALY
@@ -132,7 +143,7 @@ def evaluate(scores, truth, q: float = 0.2) -> EvalReport:
     s = _as_scores(scores)
     pred = threshold_top_q(s, q)
     report = confusion_metrics(pred, truth)
-    k = math.ceil(q * s.size)
+    k = _top_q_count(q, s.size)
     report.threshold_used = float(np.sort(s)[::-1][k - 1])
     try:
         report.auroc = auroc(s, truth)

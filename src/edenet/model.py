@@ -14,6 +14,7 @@ feature row into a short sequence of equal chunks.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +30,7 @@ from .layers import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    unit_params,
 )
 
 ENCODER_KINDS = ("feedforward", "lstm")
@@ -187,12 +189,12 @@ class LstmEncoder:
         grads.extend([g_proj_w, g_proj_b])
         return grad_x, grads
 
+    def units(self) -> list:
+        """The objects holding (weights, bias) pairs, in params() order."""
+        return [*self.cells, self.proj]
+
     def params(self) -> list[np.ndarray]:
-        out = []
-        for cell in self.cells:
-            out.extend([cell.weights, cell.bias])
-        out.extend([self.proj.weights, self.proj.bias])
-        return out
+        return unit_params(self.units())
 
     def param_names(self) -> list[str]:
         out = []
@@ -251,12 +253,12 @@ class LstmDecoder:
         grads.extend([g_out_w, g_out_b])
         return grad_z, grads
 
+    def units(self) -> list:
+        """The objects holding (weights, bias) pairs, in params() order."""
+        return [*self.cells, self.out]
+
     def params(self) -> list[np.ndarray]:
-        out = []
-        for cell in self.cells:
-            out.extend([cell.weights, cell.bias])
-        out.extend([self.out.weights, self.out.bias])
-        return out
+        return unit_params(self.units())
 
     def param_names(self) -> list[str]:
         out = []
@@ -304,7 +306,9 @@ class EdeNet:
     """One encoder-decoder-encoder learner.
 
     The second encoder shares the first encoder's structure but never its
-    parameter arrays.
+    parameter arrays. All parameters live in one contiguous float64 vector,
+    flat: every array params() returns is a view into it, laid out in
+    params() order, so an optimizer can update the whole net in one pass.
     """
 
     def __init__(self, spec: ArchSpec, e1, dec, e2):
@@ -315,6 +319,24 @@ class EdeNet:
         for a, b in zip(self.e1.params(), self.e2.params()):
             if a is b:
                 raise ValueError("e1 and e2 must not alias parameters")
+        units = e1.units() + dec.units() + e2.units()
+        self.flat = np.empty(sum(p.size for p in unit_params(units)))
+        offset = 0
+        for unit in units:
+            for attr in ("weights", "bias"):
+                arr = getattr(unit, attr)
+                view = self.flat[offset:offset + arr.size].reshape(arr.shape)
+                view[...] = arr
+                setattr(unit, attr, view)
+                offset += arr.size
+
+    def __deepcopy__(self, memo):
+        # the default deepcopy would copy each view into an array of its
+        # own, leaving flat and params() apart; rebuilding rebinds them
+        new = EdeNet(self.spec, copy.deepcopy(self.e1, memo),
+                     copy.deepcopy(self.dec, memo), copy.deepcopy(self.e2, memo))
+        memo[id(self)] = new
+        return new
 
     @classmethod
     def initialize(cls, spec: ArchSpec, rng: np.random.Generator) -> "EdeNet":

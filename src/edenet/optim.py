@@ -1,8 +1,11 @@
 """Optimizers for the training loop: Adam (default) and plain SGD.
 
 Both mutate the parameter arrays in place so that model objects keep
-their identity through training. One state object serves one parameter
-bundle (list of tensors in a fixed order).
+their identity through training. One state object serves one fixed list
+of arrays. Training passes a one-element list, the member's flat
+parameter vector (EdeNet.flat), so each step is one vectorized update;
+the updates are elementwise, so stepping the per-layer arrays one by one
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .errors import ShapeError
 
 @dataclass
 class AdamState:
-    """Per-bundle Adam accumulators with bias correction."""
+    """Adam accumulators for one list of arrays, with bias correction."""
 
     lr: float = 1e-3
     beta1: float = 0.9

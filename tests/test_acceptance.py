@@ -11,6 +11,7 @@ meta-selection loop.
 import copy
 import math
 import os
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,13 @@ def test_criterion_4_ensemble_score_is_member_mean():
 # 5. metric oracles
 
 
+def _oracle_top_q_count(q: float, n: int) -> int:
+    """Smallest k with k >= q*n, in decimal arithmetic with q read as the
+    decimal it prints as (float q*n can overshoot: 0.28*25 > 7)."""
+    qd = Decimal(repr(q))
+    return next(k for k in range(n + 1) if k >= qd * n)
+
+
 def _oracle_topk(scores: np.ndarray, k: int) -> set[int]:
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
     return set(order[:k])
@@ -272,7 +280,7 @@ def test_criterion_5_metrics_match_independent_oracles():
         q = float(rng.uniform(0.05, 0.95))
 
         pred = threshold_top_q(scores, q)
-        k = math.ceil(q * n)
+        k = _oracle_top_q_count(q, n)
         if int(pred.sum()) != k or set(np.flatnonzero(pred == 1)) != \
                 _oracle_topk(scores, k):
             counter_mismatches += 1

@@ -168,6 +168,18 @@ def test_non_numeric_value_reports_line_and_column(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_value_reports_line_and_column(tmp_path, text):
+    schema = Schema((
+        SchemaColumn("color", "categorical", ("red", "blue")),
+        SchemaColumn("size", "numeric"),
+    ))
+    p = write(tmp_path, f"color,size\nred,1\n\nblue,{text}\nred,2\n")
+    with pytest.raises(CsvParseError, match="non-finite value .* 'size'") as exc:
+        load_csv(p, schema)
+    assert exc.value.line == 4
+
+
 def test_empty_file_rejected(tmp_path):
     p = write(tmp_path, "")
     with pytest.raises(CsvParseError):

@@ -23,6 +23,7 @@ from edenet.optim import make_optimizer
 from edenet.rng import make_rng
 
 SMALL = {"hidden_sizes": (8, 5), "latent_dim": 2}
+LSTM_SMALL = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2}
 
 
 def small_ensemble(n_members=2, seed=0, d=6):
@@ -109,6 +110,26 @@ def test_update_sample_weights_properties(scores, eps):
                 assert w[i] > w[j]
             elif raw[i] == raw[j]:
                 assert w[i] == w[j]
+
+
+@pytest.mark.parametrize("n", [2000, 100_000])
+def test_draw_matches_generator_choice(n):
+    """draw_batch_indices reimplements Generator.choice(n, p=w) over a CDF
+    built once; pin it to numpy so a change in choice shows up here."""
+    weights = update_sample_weights(make_rng(n).gamma(0.5, size=n))
+    assert weights.values.max() > 5 * weights.values.min()  # far from uniform
+    ours, ref = make_rng(8), make_rng(8)
+    for batch_size in (64, 64, 1, 257, 64):
+        got = draw_batch_indices(ours, n, batch_size, weights)
+        want = ref.choice(n, size=batch_size, replace=True, p=weights.values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_draw_rejects_row_count_mismatch():
+    with pytest.raises(ShapeError):
+        draw_batch_indices(make_rng(0), 5, 3, SampleWeights.uniform(4))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +257,10 @@ def reference_single_net_training(initial: EdeNet, x: np.ndarray,
     n = x.shape[0]
     iters = cfg.resolved_iters(n, 1)
     weights = SampleWeights.uniform(n)
+    alone = EnsembleModel(initial.spec, [net])
     for _ in range(cfg.epochs):
         if reweight:
-            weights = update_sample_weights(anomaly_score(net, x),
+            weights = update_sample_weights(ensemble_score(alone, x),
                                             cfg.reweight_eps)
         for _ in range(iters):
             idx = draw_batch_indices(batch_rng, n, cfg.batch_size, weights)
@@ -258,6 +280,23 @@ def test_single_member_ensemble_matches_direct_loop(reweight):
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.max(np.abs(pa - pb)) <= 1e-12
     assert np.max(np.abs(ensemble_score(ens, x) - anomaly_score(oracle, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL], ids=["ff", "lstm"])
+def test_flat_training_is_bit_exact_against_per_array_loop(arch, optimizer):
+    """train_ensemble steps one flat vector per member; the oracle steps
+    each parameter array on its own. The update is elementwise, so the two
+    must agree to the last bit."""
+    x = make_rng(32).standard_normal((60, 6))
+    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=5,
+                      optimizer=optimizer, lr=0.01, reweight=True, seed=33)
+    ens = init_ensemble(make_arch(6, arch), 1, seed=cfg.seed)
+    oracle = reference_single_net_training(ens.members[0], x, cfg, reweight=True)
+    train_ensemble(ens, x, cfg)
+    assert np.array_equal(ens.members[0].flat, oracle.flat)
+    for pa, pb in zip(ens.members[0].params(), oracle.params()):
+        assert np.array_equal(pa, pb)
 
 
 def test_trace_csv_round_trips_floats(tmp_path):

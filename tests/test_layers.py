@@ -91,7 +91,7 @@ def test_dense_backward_matches_finite_differences(activation):
         return float(np.sum(dense_forward(layer, x) * r))
 
     out = dense_forward(layer, x)
-    grad_in, grad_w, grad_b = dense_backward(layer, x, r)
+    grad_in, grad_w, grad_b = dense_backward(layer, x, out, r)
 
     for arr, grad in [(layer.weights, grad_w), (layer.bias, grad_b)]:
         it = np.nditer(arr, flags=["multi_index"])

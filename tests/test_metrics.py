@@ -1,4 +1,4 @@
-import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -39,10 +39,27 @@ def test_threshold_count_is_ceiling():
     assert pred[9] == 1 and pred[8] == 1
 
 
+def exact_top_q_count(q: float, n: int) -> int:
+    """Oracle: the smallest k with k >= q*n, in decimal arithmetic with q
+    read as the decimal it prints as."""
+    qd = Decimal(repr(q))
+    return next(k for k in range(n + 1) if k >= qd * n)
+
+
+def test_threshold_count_is_exact_where_float_product_overshoots():
+    # 0.28 * 25 is 7.000000000000001 in floating point
+    s = np.arange(25, dtype=float)
+    assert exact_top_q_count(0.28, 25) == 7
+    assert int(threshold_top_q(s, 0.28).sum()) == 7
+    report = evaluate(s, (s >= 18).astype(int), q=0.28)
+    assert (report.tp, report.fp) == (7, 0)
+    assert report.threshold_used == 18.0
+
+
 @given(score_lists, st.floats(0.01, 0.99))
 def test_threshold_always_flags_ceil_qn(scores, q):
     pred = threshold_top_q(scores, q)
-    assert int(pred.sum()) == math.ceil(q * len(scores))
+    assert int(pred.sum()) == exact_top_q_count(q, len(scores))
 
 
 @given(score_lists, st.floats(0.01, 0.99))

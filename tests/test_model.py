@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edenet.ensemble import init_ensemble
 from edenet.errors import DegenerateWeightsError, FormatError, ShapeError
 from edenet.model import (
     ArchSpec,
@@ -108,6 +110,37 @@ def test_e1_and_e2_never_share_arrays():
     net = small_net("ff")
     ids_e1 = {id(p) for p in net.e1.params()}
     assert ids_e1.isdisjoint({id(p) for p in net.e2.params()})
+
+
+def assert_params_tile_flat(net):
+    """Every params() array is a C-contiguous view into net.flat, laid
+    out back to back in params() order."""
+    base = net.flat.__array_interface__["data"][0]
+    offset = 0
+    for p in net.params():
+        assert np.shares_memory(p, net.flat)
+        assert p.flags.c_contiguous
+        assert p.__array_interface__["data"][0] == base + offset * p.itemsize
+        offset += p.size
+    assert offset == net.flat.size
+
+
+@pytest.mark.parametrize("kind", ["ff", "lstm"])
+def test_params_are_views_into_flat(kind):
+    spec = small_net(kind).spec
+    member = init_ensemble(spec, 2, seed=3).members[1]
+    loaded = net_from_payload(spec, net_to_payload(member))
+    dup = copy.deepcopy(member)
+    for net in (member, loaded, dup):
+        assert_params_tile_flat(net)
+        assert np.array_equal(net.flat, member.flat)
+
+    x = make_rng(4).standard_normal((5, spec.input_dim))
+    before = anomaly_score(member, x)
+    dup.flat *= 0.5  # a write to the copy's flat reaches its forward pass
+    assert not np.array_equal(anomaly_score(dup, x), before)
+    assert np.array_equal(anomaly_score(member, x), before)
+    assert np.array_equal(dup.flat, member.flat * 0.5)
 
 
 def test_initialize_is_seed_deterministic():
