@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import (
     NORMAL,
     Dataset,
@@ -31,6 +32,7 @@ from .data import (
     load_csv,
     load_schema,
     numeric_schema_for,
+    read_csv_columns,
     save_schema,
     scaling_from_dict,
     scaling_to_dict,
@@ -169,10 +171,7 @@ def _normal_rows(ds: Dataset) -> Dataset:
     keep = np.flatnonzero(ds.labels == NORMAL)
     if keep.size == 0:
         raise ValueError("no normal rows to train on")
-    picked = ds.take(keep)
-    return Dataset(features=picked.features, labels=None,
-                   column_meta=picked.column_meta,
-                   scaling_stats=picked.scaling_stats)
+    return ds.take(keep).without_labels()
 
 
 def _derive(seed: int, tag: int) -> int:
@@ -193,9 +192,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     if cfg.scale:
         train_ds = fit_scale(train_ds)
-        (out / "scaling.json").write_text(
-            json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n",
-            encoding="utf-8")
+        with atomic_open(out / "scaling.json") as fh:
+            fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
 
     tc = TrainConfig.from_dict(cfg.train)
     spec = make_arch(train_ds.n_features, cfg.arch)
@@ -228,11 +226,12 @@ def _score_with(obj, features: np.ndarray) -> np.ndarray:
 
 
 def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "raw_score", "normalized_score"])
-        for i, (r, s) in enumerate(zip(raw, norm)):
-            writer.writerow([i, repr(float(r)), repr(float(s))])
+    """Write the bytes csv.writer writes for these rows, body in one call."""
+    body = "".join(f"{i},{r!r},{s!r}\r\n"
+                   for i, (r, s) in enumerate(zip(raw.tolist(), norm.tolist())))
+    with atomic_open(path) as fh:
+        csv.writer(fh).writerow(["row_index", "raw_score", "normalized_score"])
+        fh.write(body)
 
 
 def cmd_score(cfg: RunConfig) -> int:
@@ -259,16 +258,18 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    raw, norm = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = {"row_index", "raw_score", "normalized_score"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
+    """Raw and normalized scores from a score CSV. Every row must carry as
+    many fields as the header, and both score fields must be finite
+    numbers (load_csv's grammar); otherwise CsvParseError names the line."""
+    need = ("row_index", "raw_score", "normalized_score")
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or not set(need) <= set(header):
             raise ValueError(f"score CSV must carry columns {sorted(need)}")
-        for row in reader:
-            raw.append(float(row["raw_score"]))
-            norm.append(float(row["normalized_score"]))
-    return np.array(raw), np.array(norm)
+        scores = [header.index("raw_score"), header.index("normalized_score")]
+        columns = read_csv_columns(fh, header, scores, has_header=True)
+    raw, norm = (np.ascontiguousarray(columns[i]) for i in scores)
+    return raw, norm
 
 
 # ---------------------------------------------------------------------------

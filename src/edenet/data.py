@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import CsvParseError, NotFittedError, SchemaError, ShapeError
 from .rng import make_rng
 
@@ -160,6 +164,12 @@ class Dataset:
             scaling_stats=self.scaling_stats,
         )
 
+    def without_labels(self) -> "Dataset":
+        """The same rows with the labels dropped."""
+        return Dataset(features=self.features, labels=None,
+                       column_meta=self.column_meta,
+                       scaling_stats=self.scaling_stats)
+
 
 def expanded_meta(schema: Schema) -> list[ColumnMeta]:
     meta: list[ColumnMeta] = []
@@ -176,15 +186,6 @@ def expanded_meta(schema: Schema) -> list[ColumnMeta]:
 # CSV ingestion
 
 
-def _grow(buf: np.ndarray, need: int) -> np.ndarray:
-    cap = buf.shape[0]
-    if need <= cap:
-        return buf
-    new = np.empty((max(need, 2 * cap), buf.shape[1]))
-    new[:cap] = buf
-    return new
-
-
 def load_csv(path, schema: Schema, require_labels: bool | None = None,
              has_header: bool = True) -> Dataset:
     """Parse a CSV file into an expanded numeric Dataset.
@@ -192,24 +193,33 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
     require_labels: None loads labels whenever the schema declares a label
     column and the file carries it; True insists on them; False skips them
     even when present. With has_header=False the columns are taken in
-    schema declaration order with the label column (if any) last. A numeric
-    field that is not a finite float (nan, inf, 1e400) raises CsvParseError
-    with its line and column.
+    schema declaration order with the label column (if any) last.
+
+    Accepted grammar: fields are separated by commas and rows by \\n, \\r\\n
+    or \\r; blank lines are skipped and every other row carries exactly as
+    many fields as the header. Double quotes work as in the csv module's
+    default dialect: a field that starts with one may hold commas and line
+    breaks (read as \\n) up to the closing quote, and "" inside it is a
+    literal quote. Categorical and label fields are compared after
+    stripping surrounding whitespace. A numeric field, stripped likewise,
+    is an ASCII decimal or exponent literal as Python's float() reads it,
+    but without float()'s underscores (1_000) and non-ASCII digits, and
+    its value must be finite (nan, inf and 1e400 are rejected). Line
+    numbers count CSV records from 1 for the header, so a quoted line
+    break does not advance them. A malformed row raises CsvParseError with
+    its line and, for a bad value, its column.
     """
     path = Path(path)
     if require_labels and schema.label_column is None:
         raise SchemaError("labels requested but the schema has no label column")
     want_labels = require_labels is not False and schema.label_column is not None
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        line = 0
+    with open(path, encoding="utf-8") as fh:
         if has_header:
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise CsvParseError("file is empty", 1) from None
-            line = 1
             header = [h.strip() for h in header]
         else:
             header = [c.name for c in schema.columns]
@@ -227,91 +237,135 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
         if unknown:
             raise SchemaError(f"CSV columns not covered by the schema: {unknown}")
 
-        label_pos = None
-        if want_labels:
-            if schema.label_column not in pos:
-                if require_labels:
-                    raise SchemaError(
-                        f"label column {schema.label_column!r} missing from CSV"
-                    )
-                want_labels = False
-            else:
-                label_pos = pos[schema.label_column]
+        if want_labels and schema.label_column not in pos:
+            if require_labels:
+                raise SchemaError(
+                    f"label column {schema.label_column!r} missing from CSV")
+            want_labels = False
 
-        # (source position, output offset, kind, value->slot) per column
-        plan = []
-        offset = 0
-        for col in schema.columns:
-            slots = {v: i for i, v in enumerate(col.values)} if col.kind == "categorical" else None
-            plan.append((pos[col.name], offset, col.kind, slots))
-            offset += col.width
-        width = offset
-        n_cols = len(header)
+        numeric = [pos[c.name] for c in schema.columns if c.kind == "numeric"]
+        columns = read_csv_columns(fh, header, numeric, has_header)
 
-        buf = np.zeros((1024, width))
-        labels: list[int] = []
-        lines: list[int] = []
-        n = 0
+    features = np.zeros((len(columns[0]), schema.feature_width))
+    offset = 0
+    for col in schema.columns:
+        values = columns[pos[col.name]]
+        if col.kind == "numeric":
+            features[:, offset] = values
+        else:
+            slots = {v: i for i, v in enumerate(col.values)}
+            slot = _encode(values, lambda v: slots.get(v, -1))
+            hit = np.flatnonzero(slot >= 0)
+            features[hit, offset + slot[hit]] = 1.0
+        offset += col.width
+
+    labels = None
+    if want_labels:
+        labels = _encode(columns[pos[schema.label_column]], schema.label_of)
+    return Dataset(features=features, labels=labels,
+                   column_meta=expanded_meta(schema))
+
+
+def _encode(values: np.ndarray, code) -> np.ndarray:
+    """code(v.strip()) for each str in `values`, evaluated once per
+    distinct value."""
+    raw = values.tolist()
+    codes = {v: code(v.strip()) for v in dict.fromkeys(raw)}
+    return np.fromiter(map(codes.__getitem__, raw), dtype=np.intp, count=len(raw))
+
+
+def read_csv_columns(fh, header: list[str], numeric: list[int],
+                     has_header: bool) -> list[np.ndarray]:
+    """Read the rows left in `fh` with numpy's C reader, in load_csv's
+    grammar, and return one array per header column: float64 for the
+    positions in `numeric`, the raw field text (str objects) elsewhere.
+
+    `fh` is a text handle opened with universal newlines (the default),
+    since numpy's reader takes \\n and \\r\\n but not a lone \\r as a line
+    end, and positioned after the header row when has_header. On a
+    malformed row or a non-finite number the file is re-scanned to raise
+    the CsvParseError that names the fault.
+    """
+    dtype = np.dtype([(f"c{i}", np.float64 if i in numeric else object)
+                      for i in range(len(header))])
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is 0 rows, not a problem worth a warning
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1)
+    except ValueError as exc:
+        _raise_fault(fh.name, header, numeric, has_header, exc)
+    columns = [table[name] for name in dtype.names]
+    if not all(np.isfinite(columns[i]).all() for i in numeric):
+        _raise_fault(fh.name, header, numeric, has_header, None)
+    return columns
+
+
+def _number(text: str) -> float | None:
+    """float(text) restricted to the grammar numpy's reader accepts."""
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _raise_fault(path, header: list[str], numeric: list[int],
+                 has_header: bool, cause: ValueError | None) -> NoReturn:
+    """Raise the CsvParseError for the first fault of a rejected file.
+
+    Rows are checked in file order, a row's numeric fields in the order of
+    `numeric`: the first row with the wrong field count or a non-number
+    wins. Failing both, the first non-finite number is reported.
+    """
+    n_cols = len(header)
+    nonfinite = None
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        line = 0
+        if has_header:
+            next(reader)
+            line = 1
         for row in reader:
             line += 1
             if not row:
                 continue
-            lines.append(line)
             if len(row) != n_cols:
                 raise CsvParseError(
                     f"expected {n_cols} fields, found {len(row)}", line)
-            buf = _grow(buf, n + 1)
-            out = buf[n]
-            out[:] = 0.0
-            for src, off, kind, slots in plan:
+            for src in numeric:
                 text = row[src].strip()
-                if kind == "numeric":
-                    try:
-                        out[off] = float(text)
-                    except ValueError:
-                        raise CsvParseError(
-                            f"non-numeric value {text!r} in column "
-                            f"{header[src]!r}", line) from None
-                else:
-                    slot = slots.get(text)
-                    if slot is not None:
-                        out[off + slot] = 1.0
-            if want_labels:
-                labels.append(schema.label_of(row[label_pos].strip()))
-            n += 1
-
-    # float() accepts nan, inf and overflowing literals; one pass over the
-    # parsed matrix rejects them (one-hot slots are always 0 or 1)
-    features = buf[:n]
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        row_idx, off = bad[0]
-        src = next(src for src, start, _, _ in reversed(plan) if start <= off)
-        raise CsvParseError(
-            f"non-finite value {float(features[row_idx, off])!r} in column "
-            f"{header[src]!r}", lines[row_idx])
-
-    return Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int8) if want_labels else None,
-        column_meta=expanded_meta(schema),
-    )
+                value = _number(text)
+                if value is None:
+                    raise CsvParseError(
+                        f"non-numeric value {text!r} in column "
+                        f"{header[src]!r}", line)
+                if nonfinite is None and not math.isfinite(value):
+                    nonfinite = CsvParseError(
+                        f"non-finite value {value!r} in column "
+                        f"{header[src]!r}", line)
+    if nonfinite is not None:
+        raise nonfinite
+    # not reached while both readers agree on the grammar and the file
+    # stays unchanged between the two reads
+    raise ValueError(f"cannot parse {path}: {cause}")
 
 
 def write_csv(path, data: Dataset) -> None:
     """Write the expanded numeric matrix (plus labels when present) with a
-    header row; floats use shortest-roundtrip repr so a reload is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = data.feature_names()
-        if data.labels is not None:
-            header = header + ["label"]
-        writer.writerow(header)
-        for i in range(data.n_rows):
-            row = [repr(float(v)) for v in data.features[i]]
-            if data.labels is not None:
-                row.append(str(int(data.labels[i])))
-            writer.writerow(row)
+    header row; floats use shortest-roundtrip repr so a reload is exact.
+    The bytes are those csv.writer writes for the same rows."""
+    header = data.feature_names()
+    rows = [",".join(map(repr, r)) for r in data.features.tolist()]
+    if data.labels is not None:
+        header = header + ["label"]
+        rows = [f"{r},{y}" for r, y in zip(rows, data.labels.tolist())]
+    with atomic_open(path) as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(r + "\r\n" for r in rows))
 
 
 def numeric_schema_for(data: Dataset) -> Schema:
@@ -398,10 +452,7 @@ def split_normal_train(data: Dataset, train_fraction: float, seed: int = 0
     pushed_back = chosen[data.labels[chosen] == ANOMALY]
     test_idx = np.sort(np.concatenate([rest, pushed_back]))
 
-    train = data.take(np.sort(chosen_normal))
-    train = Dataset(features=train.features, labels=None,
-                    column_meta=train.column_meta,
-                    scaling_stats=train.scaling_stats)
+    train = data.take(np.sort(chosen_normal)).without_labels()
     return train, data.take(test_idx)
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import Dataset
 from .ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
@@ -210,7 +211,7 @@ META_CSV_FIELDS = ["n_instances", "n_sparse", "n_pos_skew", "n_neg_skew",
 
 
 def save_meta_csv(records: list[MetaRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(META_CSV_FIELDS)
         for r in records:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .atomic import atomic_open
 from .errors import FormatError
 from .ensemble import EnsembleModel
 from .model import ArchSpec, EdeNet, net_from_payload, net_to_payload
@@ -38,7 +39,9 @@ def save_model(obj: EdeNet | EnsembleModel, path) -> None:
         }
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    text = json.dumps(doc)
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def load_model(path) -> EdeNet | EnsembleModel:

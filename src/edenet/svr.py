@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FitError, FormatError, NotFittedError, ShapeError
 
 SVR_KIND = "svr"
@@ -189,7 +190,9 @@ def svr_from_dict(doc: dict) -> SvrModel:
 
 
 def save_svr(model: SvrModel, path) -> None:
-    Path(path).write_text(json.dumps(svr_to_dict(model)), encoding="utf-8")
+    text = json.dumps(svr_to_dict(model))
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def load_svr(path) -> SvrModel:

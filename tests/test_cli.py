@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from edenet.cli import main, read_scores_csv
+from edenet.cli import _write_scores, main, read_scores_csv
 from edenet.data import load_csv, load_schema
 from edenet.metrics import load_report_json
 
@@ -134,6 +136,44 @@ def test_empty_input_yields_header_only_scores(workspace, tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "scores.csv").read_text().strip() == \
         "row_index,raw_score,normalized_score"
+
+
+def test_score_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(2)
+    raw = rng.standard_normal(30) * 10.0 ** rng.integers(-9, 9, 30)
+    raw[:3] = [0.0, -0.0, 5e-324]
+    norm = rng.random(30)
+    path = tmp_path / "scores.csv"
+    _write_scores(path, raw, norm)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["row_index", "raw_score", "normalized_score"])
+    for i, (r, s) in enumerate(zip(raw, norm)):
+        writer.writerow([i, repr(float(r)), repr(float(s))])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    back_raw, back_norm = read_scores_csv(path)
+    assert back_raw.tobytes() == raw.tobytes()
+    assert back_norm.tobytes() == norm.tobytes()
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("1,0.7", "line 3: expected 3 fields, found 2"),
+    ("1,0.7,0.5,9", "line 3: expected 3 fields, found 4"),
+    ("1,high,0.5", "line 3: non-numeric value 'high' in column 'raw_score'"),
+    ("1,0.7,nan", "line 3: non-finite value nan in column 'normalized_score'"),
+])
+def test_eval_malformed_score_row_is_exit_2(workspace, tmp_path, capsys,
+                                             bad_row, message):
+    lines = (workspace / "score" / "scores.csv").read_text().splitlines()
+    lines[2] = bad_row
+    scores = tmp_path / "scores.csv"
+    scores.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--scores", str(scores),
+               "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", str(workspace / "synth" / "schema.json"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_default_output_root_comes_from_env(tmp_path, monkeypatch):

@@ -1,3 +1,7 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +9,7 @@ from hypothesis import given, strategies as st
 from edenet.data import (
     ANOMALY,
     NORMAL,
+    ColumnMeta,
     Dataset,
     Schema,
     SchemaColumn,
@@ -191,6 +196,119 @@ def test_blank_lines_skipped(tmp_path):
     assert load_csv(p, NUM2).n_rows == 2
 
 
+def test_quoted_categorical_value_may_hold_a_comma(tmp_path):
+    schema = Schema((
+        SchemaColumn("size", "numeric"),
+        SchemaColumn("city", "categorical", ("Paris, TX", "Paris")),
+    ))
+    p = write(tmp_path, 'size,city\n1,"Paris, TX"\n2, Paris \n')
+    assert np.array_equal(load_csv(p, schema).features, [[1, 1, 0], [2, 0, 1]])
+
+
+def test_crlf_line_endings(tmp_path):
+    p = tmp_path / "crlf.csv"
+    p.write_bytes(b"v,status\r\n1.5,ok\r\n\r\n2,fail\r\n")
+    ds = load_csv(p, LABELED)
+    assert np.array_equal(ds.features, [[1.5], [2]])
+    assert np.array_equal(ds.labels, [NORMAL, ANOMALY])
+
+
+def test_header_only_file_is_zero_rows_without_warning(tmp_path):
+    p = write(tmp_path, "size,color\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_csv(p, MIXED)
+    assert ds.features.shape == (0, 4)
+
+
+@pytest.mark.parametrize("row, found", [("1,2,3", 3), ("4", 1)])
+def test_long_and_short_rows_report_line(tmp_path, row, found):
+    p = write(tmp_path, f"a,b\n1,2\n5,6\n{row}\n7,8\n")
+    with pytest.raises(CsvParseError, match=f"expected 2 fields, found {found}") as exc:
+        load_csv(p, NUM2)
+    assert exc.value.line == 4
+
+
+def test_bad_value_after_blank_lines_reports_its_line(tmp_path):
+    p = write(tmp_path, "a,b\n1,2\n\n\n3,4\n\n5,x\n")
+    with pytest.raises(CsvParseError, match="non-numeric value 'x' in column 'b'") as exc:
+        load_csv(p, NUM2)
+    assert exc.value.line == 7
+
+
+def test_non_numeric_value_in_a_later_column(tmp_path):
+    schema = Schema(tuple(SchemaColumn(f"x{i}", "numeric") for i in range(5)))
+    p = write(tmp_path, "x0,x1,x2,x3,x4\n1,2,3,4,5\n1,2,3,4,five\n")
+    with pytest.raises(CsvParseError, match="'five' in column 'x4'") as exc:
+        load_csv(p, schema)
+    assert exc.value.line == 3
+
+
+def test_parse_error_beats_an_earlier_non_finite_value(tmp_path):
+    p = write(tmp_path, "a,b\n1,inf\n2,3\nx,4\n")
+    with pytest.raises(CsvParseError, match="non-numeric value 'x'") as exc:
+        load_csv(p, NUM2)
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("text", ["1_000", "\u0661", "1\u0662", "\uff15"])
+def test_underscores_and_non_ascii_digits_are_rejected(tmp_path, text):
+    # float() accepts all of these; the CSV grammar does not
+    float(text)
+    p = write(tmp_path, f"a,b\n1,2\n3,{text}\n", name="narrow.csv")
+    with pytest.raises(CsvParseError, match=f"non-numeric value {text!r} in column 'b'") as exc:
+        load_csv(p, NUM2)
+    assert exc.value.line == 3
+
+
+def _literals():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        finite.map(repr),
+        finite.map(lambda v: "%.17g" % v),
+        finite.map(lambda v: "%e" % v),
+        st.integers(-10**300, 10**300).map(str),
+    )
+
+
+@given(st.lists(st.tuples(_literals(), st.sampled_from(["", " ", "  ", "\t"]),
+                          st.sampled_from(["", " ", "\t "])),
+                min_size=1, max_size=8))
+def test_numeric_fields_parse_exactly_like_float(tmp_path_factory, cells):
+    texts = [lead + lit + trail for lit, lead, trail in cells]
+    p = tmp_path_factory.mktemp("prop") / "vals.csv"
+    p.write_text("v\n" + "".join(f"{t}\n" for t in texts))
+    got = load_csv(p, Schema((SchemaColumn("v", "numeric"),))).features[:, 0]
+    want = np.array([float(t) for t in texts])
+    assert got.tobytes() == want.tobytes()
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_write_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((25, 3)) * 10.0 ** rng.integers(-8, 8, (25, 3))
+    x[0] = [0.0, -0.0, 1e300]
+    meta = [ColumnMeta('odd "name", quoted', "numeric", "a"),
+            ColumnMeta("b", "numeric", "b"), ColumnMeta("c", "numeric", "c")]
+    for labels in (None, rng.integers(0, 2, 25)):
+        ds = Dataset(features=x, labels=labels, column_meta=meta)
+        p = tmp_path / "out.csv"
+        write_csv(p, ds)
+        rows = [[repr(float(v)) for v in row] for row in x]
+        header = ds.feature_names()
+        if labels is not None:
+            rows = [r + [str(int(y))] for r, y in zip(rows, labels)]
+            header = header + ["label"]
+        assert p.read_bytes() == _csv_writer_bytes(header, rows)
+
+
 def test_write_then_load_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(0)
     ds = Dataset(features=rng.standard_normal((20, 3)) * 1e3,
@@ -302,6 +420,18 @@ def test_split_pushes_sampled_anomalies_to_test():
     assert train.n_rows <= 80
     assert test.n_rows == 100 - train.n_rows
     assert int(test.labels.sum()) == 20
+
+
+def test_without_labels_keeps_rows_and_metadata():
+    data = Dataset(features=np.arange(6.0).reshape(3, 2), labels=[0, 1, 0],
+                   column_meta=[ColumnMeta("p", "numeric", "p"),
+                                ColumnMeta("q", "numeric", "q")])
+    data = fit_scale(data)
+    plain = data.without_labels()
+    assert plain.labels is None
+    assert plain.features.tobytes() == data.features.tobytes()
+    assert plain.column_meta == data.column_meta
+    assert plain.scaling_stats is data.scaling_stats
 
 
 def test_split_same_seed_reproduces():
