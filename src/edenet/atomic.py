@@ -10,6 +10,7 @@ this protects against the process dying, not against power loss.
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from contextlib import contextmanager
@@ -32,3 +33,9 @@ def atomic_open(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_json(path, doc, sort_keys: bool = False) -> None:
+    """Write doc as JSON indented by 2 with a final newline."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")

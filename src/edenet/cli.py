@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, atomic_write_json
 from .data import (
     NORMAL,
     Dataset,
@@ -65,7 +65,8 @@ from .metalearn import (
 from .metrics import evaluate, save_report_csv, save_report_json
 from .model import EdeNet, anomaly_score, make_arch, normalize_scores
 from .modelfile import load_model, save_model
-from .svr import load_svr, save_svr
+from .rng import derived_seed
+from .svr import SvrModel
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 10, 15)
 OUTPUT_ROOT_ENV = "EDENET_OUTPUT_ROOT"
@@ -153,8 +154,7 @@ def _out_dir(cfg: RunConfig, command: str) -> Path:
 
 def _echo_config(out: Path, command: str, cfg: RunConfig) -> None:
     doc = {"command": command, **asdict(cfg), "out": str(out)}
-    (out / "effective_config.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    atomic_write_json(out / "effective_config.json", doc, sort_keys=True)
 
 
 def _int_list(text: str) -> list[int]:
@@ -172,10 +172,6 @@ def _normal_rows(ds: Dataset) -> Dataset:
     if keep.size == 0:
         raise ValueError("no normal rows to train on")
     return ds.take(keep).without_labels()
-
-
-def _derive(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence((int(seed), int(tag))).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +213,6 @@ def cmd_train(cfg: RunConfig) -> int:
 # score
 
 
-def _score_with(obj, features: np.ndarray) -> np.ndarray:
-    if isinstance(obj, EnsembleModel):
-        return ensemble_score(obj, features)
-    if isinstance(obj, EdeNet):
-        return anomaly_score(obj, features)
-    raise ConfigError("model file does not hold a scoring model")
-
-
 def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
     """Write the bytes csv.writer writes for these rows, body in one call."""
     body = "".join(f"{i},{r!r},{s!r}\r\n"
@@ -237,6 +225,8 @@ def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
 def cmd_score(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "score")
     obj = load_model(_require(cfg.model, "model path"))
+    if not isinstance(obj, (EdeNet, EnsembleModel)):
+        raise ConfigError("model file does not hold a net or an ensemble")
     schema = load_schema(_require(cfg.schema, "schema path"))
     ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     if cfg.scaling is not None:
@@ -249,7 +239,8 @@ def cmd_score(cfg: RunConfig) -> int:
         _write_scores(path, np.empty(0), np.empty(0))
         print(f"scored 0 rows; wrote {path}")
     else:
-        raw = _score_with(obj, ds.features)
+        score = ensemble_score if isinstance(obj, EnsembleModel) else anomaly_score
+        raw = score(obj, ds.features)
         norm = normalize_scores(raw)
         _write_scores(path, raw, norm)
         print(f"scored {ds.n_rows} rows; wrote {path}")
@@ -350,7 +341,7 @@ def cmd_meta_fit(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown svr settings: {sorted(unknown)}")
     model = svr_fit(records, **cfg.svr)
     path = out / "meta_model.json"
-    save_svr(model, path)
+    save_model(model, path)
     _echo_config(out, "meta-fit", cfg)
     print(f"fitted meta-learner on {len(records)} records "
           f"(gamma={model.gamma:.6g}, C={model.C:g}, epsilon={model.epsilon:g})")
@@ -362,7 +353,9 @@ def cmd_meta_select(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "meta")
     if not cfg.candidates:
         raise ConfigError("candidate list is empty")
-    model = load_svr(_require(cfg.model, "meta model path"))
+    model = load_model(_require(cfg.model, "meta model path"))
+    if not isinstance(model, SvrModel):
+        raise ConfigError("meta model file does not hold a meta-learner")
     schema = load_schema(_require(cfg.schema, "schema path"))
     ds = _normal_rows(load_csv(_require(cfg.data, "task data path"), schema))
 
@@ -376,10 +369,10 @@ def cmd_meta_select(cfg: RunConfig) -> int:
     for cand, pred in scored:
         marker = "  <- chosen" if cand == chosen else ""
         print(f"I={cand}: predicted score {pred:.6f}{marker}")
-    (out / "selection.json").write_text(json.dumps({
+    atomic_write_json(out / "selection.json", {
         "chosen": chosen,
         "predictions": {str(c): p for c, p in scored},
-    }, indent=2) + "\n", encoding="utf-8")
+    })
     _echo_config(out, "meta-select", cfg)
     return 0
 
@@ -412,10 +405,10 @@ def _bench_task(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
         d = int(spec.get("d", 10))
         shift = float(spec.get("shift", 4.0))
         train = generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
-                                   seed=_derive(seed, 0))
+                                   seed=derived_seed(seed, 0))
         test = generate_synthetic(d, int(spec.get("n_test_normal", 400)),
                                   int(spec.get("n_test_anomaly", 100)), shift,
-                                  seed=_derive(seed, 1))
+                                  seed=derived_seed(seed, 1))
     else:
         schema = load_schema(_require(cfg.schema, "schema path"))
         train = load_csv(_require(cfg.data, "training data path"), schema)
@@ -502,14 +495,14 @@ def cmd_bench(cfg: RunConfig) -> int:
     return 0
 
 
-def _fmt(value: float | None, std: bool = False) -> str:
+def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     return repr(value)
 
 
 def _write_bench_table(path, table: BenchmarkTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         header = ["method"]
         for name in METRIC_NAMES:
@@ -523,7 +516,7 @@ def _write_bench_table(path, table: BenchmarkTable) -> None:
 
 
 def _write_plot_data(path, table: BenchmarkTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "metric", "mean", "stddev"])
         for row in table.rows:

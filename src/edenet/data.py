@@ -14,14 +14,14 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .atomic import atomic_open
-from .errors import CsvParseError, NotFittedError, SchemaError, ShapeError
+from .atomic import atomic_open, atomic_write_json
+from .errors import CsvParseError, FormatError, NotFittedError, SchemaError, ShapeError
 from .rng import make_rng
 
 NORMAL = 0
@@ -421,7 +421,18 @@ def scaling_to_dict(stats: ScalingStats) -> dict:
 
 
 def scaling_from_dict(d: dict) -> ScalingStats:
-    return ScalingStats(np.asarray(d["col_min"]), np.asarray(d["col_max"]))
+    """Stats from a scaling.json document; FormatError names what is wrong."""
+    if not isinstance(d, dict):
+        raise FormatError("scaling file must hold a JSON object")
+    try:
+        cols = [np.asarray(d[key]) for key in ("col_min", "col_max")]
+        if not all(c.dtype.kind in "iuf" and np.isfinite(c).all() for c in cols):
+            raise ValueError("col_min and col_max must hold finite numbers")
+        return ScalingStats(*cols)
+    except KeyError as exc:
+        raise FormatError(f"scaling file lacks field {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"bad scaling file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -526,5 +537,4 @@ def load_schema(path) -> Schema:
 
 
 def save_schema(schema: Schema, path) -> None:
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2) + "\n",
-                          encoding="utf-8")
+    atomic_write_json(path, schema_to_dict(schema))

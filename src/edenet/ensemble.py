@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .layers import as_matrix
 from .model import ArchSpec, EdeNet, anomaly_score, loss_and_grads, normalize_scores
@@ -265,7 +266,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
 
 
 def write_trace_csv(path, trace: list[EpochTrace]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_Lr", "mean_Le", "combined"])
         for row in trace:

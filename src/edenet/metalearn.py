@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
 from .metrics import auroc
 from .model import make_arch
+from .rng import derived_seed
 from .svr import DEFAULT_C, DEFAULT_EPSILON, SvrModel, fit_svr, predict_svr
 
 META_INPUT_DIM = 5  # four meta-features plus the candidate I
@@ -116,12 +116,6 @@ class MetaTask:
             raise ValueError("train/test feature widths differ")
 
 
-def task_seed(base_seed: int, task_index: int, candidate: int) -> int:
-    """Stable per-(task, candidate) seed derived from the base seed."""
-    ss = np.random.SeedSequence((base_seed, task_index, candidate))
-    return int(ss.generate_state(1)[0])
-
-
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
                        cfg: TrainConfig, arch_template: dict | None = None
                        ) -> list[MetaRecord]:
@@ -140,7 +134,7 @@ def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
         feats = extract_meta_features(task.train)
         spec = make_arch(task.train.n_features, arch_template)
         for cand in candidates:
-            seed = task_seed(cfg.seed, t_idx, cand)
+            seed = derived_seed(cfg.seed, t_idx, cand)
             ens = init_ensemble(spec, cand, seed=seed)
             train_ensemble(ens, task.train.features, replace(cfg, seed=seed))
             scores = ensemble_score(ens, task.test.features)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
+from .atomic import atomic_open, atomic_write_json
 from .data import ANOMALY, NORMAL
 from .errors import ShapeError, UndefinedAurocError
 
@@ -157,8 +158,7 @@ REPORT_FIELDS = ["precision", "recall", "f1", "accuracy", "auroc",
 
 
 def save_report_json(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                          encoding="utf-8")
+    atomic_write_json(path, report.to_dict())
 
 
 def load_report_json(path) -> EvalReport:
@@ -168,7 +168,7 @@ def load_report_json(path) -> EvalReport:
 def save_report_csv(report: EvalReport, path) -> None:
     """One-row CSV for table assembly; undefined auroc becomes an empty
     field."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_FIELDS)
         row = []

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightsError, ShapeError
+from .errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
 from .layers import (
     DenseLayer,
     DenseStack,
@@ -478,17 +478,6 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-@dataclass
-class ScoreVector:
-    """Raw anomaly scores with an optional normalized companion."""
-
-    raw: np.ndarray
-    normalized: np.ndarray | None = None
-
-    def with_normalized(self) -> "ScoreVector":
-        return replace(self, normalized=normalize_scores(self.raw))
-
-
 # ---------------------------------------------------------------------------
 # payload helpers used by the model-file reader/writer
 
@@ -500,8 +489,6 @@ def net_to_payload(net: EdeNet) -> dict:
 
 
 def net_from_payload(spec: ArchSpec, payload: dict) -> EdeNet:
-    from .errors import FormatError
-
     net = EdeNet.initialize(spec, np.random.default_rng(0))
     names = net.param_names()
     if set(payload) != set(names):
@@ -515,5 +502,7 @@ def net_from_payload(spec: ArchSpec, payload: dict) -> EdeNet:
             raise FormatError(
                 f"parameter {name} has shape {arr.shape}, expected {param.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise FormatError(f"parameter {name} holds a non-finite value")
         param[...] = arr
     return net

@@ -1,8 +1,10 @@
-"""Model persistence.
+"""Model persistence: the one reader and writer of every model file.
 
-One JSON format covers single nets and ensembles, distinguished by a
-"kind" field. Floats go through Python's shortest-roundtrip repr, so a
-save/load/save cycle is byte-identical and parameters reload bit-exact.
+One tagged-JSON format covers single nets, ensembles and the Phase II
+kernel regressor (the meta-learner). A document is the header
+{"format", "format_version", "kind"} followed by that kind's payload.
+Floats go through Python's shortest-roundtrip repr, so a save/load/save
+cycle is byte-identical and parameters reload bit-exact.
 """
 
 from __future__ import annotations
@@ -11,40 +13,59 @@ import json
 from pathlib import Path
 
 from .atomic import atomic_open
-from .errors import FormatError
 from .ensemble import EnsembleModel
+from .errors import FormatError
 from .model import ArchSpec, EdeNet, net_from_payload, net_to_payload
+from .svr import SvrModel, svr_from_dict, svr_to_dict
 
 FORMAT_MARKER = "edenet-model"
 FORMAT_VERSION = 1
 
 
-def save_model(obj: EdeNet | EnsembleModel, path) -> None:
-    if isinstance(obj, EdeNet):
-        doc = {
-            "format": FORMAT_MARKER,
-            "format_version": FORMAT_VERSION,
-            "kind": "ede",
-            "arch": obj.spec.to_dict(),
-            "params": net_to_payload(obj),
-        }
-    elif isinstance(obj, EnsembleModel):
-        doc = {
-            "format": FORMAT_MARKER,
-            "format_version": FORMAT_VERSION,
-            "kind": "ensemble",
-            "seed": obj.seed,
-            "arch": obj.spec.to_dict(),
-            "members": [net_to_payload(m) for m in obj.members],
-        }
+def _ede_to_dict(net: EdeNet) -> dict:
+    return {"arch": net.spec.to_dict(), "params": net_to_payload(net)}
+
+
+def _ede_from_dict(doc: dict) -> EdeNet:
+    return net_from_payload(ArchSpec.from_dict(doc["arch"]), doc["params"])
+
+
+def _ensemble_to_dict(ens: EnsembleModel) -> dict:
+    return {"seed": ens.seed, "arch": ens.spec.to_dict(),
+            "members": [net_to_payload(m) for m in ens.members]}
+
+
+def _ensemble_from_dict(doc: dict) -> EnsembleModel:
+    spec = ArchSpec.from_dict(doc["arch"])
+    return EnsembleModel(spec=spec,
+                         members=[net_from_payload(spec, p) for p in doc["members"]],
+                         seed=int(doc.get("seed", 0)))
+
+
+# kind -> (class, payload encoder, payload decoder)
+_KINDS = {
+    "ede": (EdeNet, _ede_to_dict, _ede_from_dict),
+    "ensemble": (EnsembleModel, _ensemble_to_dict, _ensemble_from_dict),
+    "svr": (SvrModel, svr_to_dict, svr_from_dict),
+}
+
+
+def save_model(obj: EdeNet | EnsembleModel | SvrModel, path) -> None:
+    for kind, (cls, to_dict, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            break
     else:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
+    doc = {"format": FORMAT_MARKER, "format_version": FORMAT_VERSION,
+           "kind": kind, **to_dict(obj)}
     text = json.dumps(doc)
     with atomic_open(path) as fh:
         fh.write(text)
 
 
-def load_model(path) -> EdeNet | EnsembleModel:
+def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
+    """Whichever model the file holds. Anything malformed, from the JSON
+    syntax to a single parameter's shape, raises FormatError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -55,38 +76,12 @@ def load_model(path) -> EdeNet | EnsembleModel:
         raise FormatError(f"unrecognized format marker {doc.get('format')!r}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {doc.get('format_version')!r}")
-
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FormatError(f"unknown model kind {kind!r}")
     try:
-        spec = ArchSpec.from_dict(doc["arch"])
+        return _KINDS[kind][2](doc)
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad arch block: {exc}") from exc
-
-    kind = doc.get("kind")
-    if kind == "ede":
-        if "params" not in doc:
-            raise FormatError("missing field 'params'")
-        return net_from_payload(spec, doc["params"])
-    if kind == "ensemble":
-        if "members" not in doc or not doc["members"]:
-            raise FormatError("ensemble file needs a nonempty 'members' list")
-        members = [net_from_payload(spec, p) for p in doc["members"]]
-        return EnsembleModel(spec=spec, members=members,
-                             seed=int(doc.get("seed", 0)))
-    raise FormatError(f"unknown model kind {kind!r}")
-
-
-def load_any(path):
-    """Load whichever model kind the file holds, regressors included."""
-    import json as _json
-
-    from .svr import SVR_KIND, load_svr
-
-    try:
-        doc = _json.loads(Path(path).read_text(encoding="utf-8"))
-    except _json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and doc.get("kind") == SVR_KIND:
-        return load_svr(path)
-    return load_model(path)
+        raise FormatError(f"bad {kind} model file: {exc}") from exc

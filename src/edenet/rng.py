@@ -33,6 +33,8 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     return _as_seed_seq(seed).spawn(n)
 
 
-def derived_seed(*entropy: int) -> np.random.SeedSequence:
-    """Deterministic seed sequence keyed by a tuple of integers."""
-    return np.random.SeedSequence(tuple(int(e) for e in entropy))
+def derived_seed(*entropy: int) -> int:
+    """Deterministic integer seed keyed by a tuple of integers (e.g. a base
+    seed and a task index), different for every distinct tuple."""
+    return int(np.random.SeedSequence(tuple(int(e) for e in entropy))
+               .generate_state(1)[0])

@@ -8,20 +8,19 @@ with statistics kept on the model; constant columns are zeroed.
 
 Fine for the meta-datasets this serves (tens to hundreds of rows); no
 attempt at working-set tricks for large problems.
+
+svr_to_dict/svr_from_dict are the model's payload in the shared model
+file format; modelfile.save_model/load_model write and read the files.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
-from .errors import FitError, FormatError, NotFittedError, ShapeError
+from .errors import FitError, NotFittedError, ShapeError
 
-SVR_KIND = "svr"
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.01
 
@@ -41,8 +40,15 @@ class SvrModel:
     def __post_init__(self):
         if self.kernel != "rbf":
             raise ValueError(f"unsupported kernel {self.kernel!r}")
+        if not all(np.isfinite(v).all() for v in (
+                self.train_x, self.beta, self.bias, self.gamma, self.C,
+                self.epsilon, self.x_mean, self.x_std)):
+            raise ValueError("model values must be finite")
         if self.gamma <= 0 or self.C <= 0 or self.epsilon < 0:
             raise ValueError("need gamma > 0, C > 0, epsilon >= 0")
+        if (self.train_x.ndim != 2
+                or not self.x_mean.shape == self.x_std.shape == (self.n_inputs,)):
+            raise ShapeError("train_x must be (m, p) with length-p x_mean, x_std")
         if self.beta.shape != (self.train_x.shape[0],):
             raise ShapeError("one dual coefficient per training row required")
         if np.any(np.abs(self.beta) > self.C + 1e-9):
@@ -146,16 +152,12 @@ def predict_svr(model: SvrModel, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# persistence (same file family as the net models)
+# payload codec; modelfile adds the file header and turns decoding errors
+# into FormatError
 
 
 def svr_to_dict(model: SvrModel) -> dict:
-    from .modelfile import FORMAT_MARKER, FORMAT_VERSION
-
     return {
-        "format": FORMAT_MARKER,
-        "format_version": FORMAT_VERSION,
-        "kind": SVR_KIND,
         "kernel": model.kernel,
         "gamma": model.gamma,
         "C": model.C,
@@ -169,41 +171,14 @@ def svr_to_dict(model: SvrModel) -> dict:
 
 
 def svr_from_dict(doc: dict) -> SvrModel:
-    if doc.get("kind") != SVR_KIND:
-        raise FormatError(f"expected an svr model file, found kind {doc.get('kind')!r}")
-    try:
-        return SvrModel(
-            train_x=np.asarray(doc["train_x"], dtype=np.float64),
-            beta=np.asarray(doc["beta"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            gamma=float(doc["gamma"]),
-            C=float(doc["C"]),
-            epsilon=float(doc["epsilon"]),
-            x_mean=np.asarray(doc["x_mean"], dtype=np.float64),
-            x_std=np.asarray(doc["x_std"], dtype=np.float64),
-            kernel=str(doc.get("kernel", "rbf")),
-        )
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc}") from exc
-    except (TypeError, ValueError, ShapeError) as exc:
-        raise FormatError(f"bad svr model file: {exc}") from exc
-
-
-def save_svr(model: SvrModel, path) -> None:
-    text = json.dumps(svr_to_dict(model))
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
-def load_svr(path) -> SvrModel:
-    from .modelfile import FORMAT_MARKER, FORMAT_VERSION
-
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_MARKER:
-        raise FormatError("unrecognized model file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {doc.get('format_version')!r}")
-    return svr_from_dict(doc)
+    return SvrModel(
+        train_x=np.asarray(doc["train_x"], dtype=np.float64),
+        beta=np.asarray(doc["beta"], dtype=np.float64),
+        bias=float(doc["bias"]),
+        gamma=float(doc["gamma"]),
+        C=float(doc["C"]),
+        epsilon=float(doc["epsilon"]),
+        x_mean=np.asarray(doc["x_mean"], dtype=np.float64),
+        x_std=np.asarray(doc["x_std"], dtype=np.float64),
+        kernel=str(doc.get("kernel", "rbf")),
+    )

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 import edenet.atomic
-from edenet.atomic import atomic_open
-from edenet.cli import _write_scores, main
-from edenet.ensemble import init_ensemble
+from edenet.atomic import atomic_open, atomic_write_json
+from edenet.cli import (
+    BenchmarkTable,
+    BenchRow,
+    RunConfig,
+    _echo_config,
+    _write_bench_table,
+    _write_plot_data,
+    _write_scores,
+    main,
+)
+from edenet.data import generate_synthetic, numeric_schema_for, save_schema
+from edenet.ensemble import EpochTrace, init_ensemble, write_trace_csv
 from edenet.metalearn import MetaFeatures, MetaRecord, save_meta_csv
+from edenet.metrics import evaluate, save_report_csv, save_report_json
 from edenet.model import make_arch
 from edenet.modelfile import save_model
-from edenet.svr import fit_svr, save_svr
+from edenet.svr import fit_svr
 
 
 def test_completed_write_replaces_the_file(tmp_path):
@@ -68,12 +79,34 @@ def _svr(scale):
     return fit_svr(x, scale * np.sin(x[:, 0]))
 
 
+def _report(k):
+    return evaluate(np.arange(6.0) + k, np.array([0, 0, 0, 0, 1, 1]), q=0.3)
+
+
+def _table(k):
+    means = {name: 0.5 + k / 10 for name in ("precision", "recall", "f1",
+                                             "accuracy", "auroc")}
+    return BenchmarkTable(rows=[BenchRow("m", means, dict.fromkeys(means))],
+                          n_seeds=1)
+
+
 WRITERS = {
     "model.json": lambda path, k: save_model(_model(k), path),
-    "meta_model.json": lambda path, k: save_svr(_svr(k + 1.0), path),
+    "meta_model.json": lambda path, k: save_model(_svr(k + 1.0), path),
     "meta.csv": lambda path, k: save_meta_csv(_meta_records(0.5 + k / 10), path),
     "scores.csv": lambda path, k: _write_scores(path, np.arange(5.0) + k,
                                                 np.linspace(0, 1, 5)),
+    "report.json": lambda path, k: save_report_json(_report(k), path),
+    "report.csv": lambda path, k: save_report_csv(_report(k), path),
+    "trace.csv": lambda path, k: write_trace_csv(
+        path, [EpochTrace(epoch=0, mean_lr=k, mean_le=1.0, combined=2.0)]),
+    "effective_config.json": lambda path, k: _echo_config(
+        path.parent, "train", RunConfig(n_members=k + 1)),
+    "selection.json": lambda path, k: atomic_write_json(path, {"chosen": k}),
+    "bench_table.csv": lambda path, k: _write_bench_table(path, _table(k)),
+    "plot_data.csv": lambda path, k: _write_plot_data(path, _table(k)),
+    "schema.json": lambda path, k: save_schema(
+        numeric_schema_for(generate_synthetic(k + 1, 2, 0, 1.0)), path),
 }
 
 

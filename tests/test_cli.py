@@ -8,6 +8,8 @@ import pytest
 from edenet.cli import _write_scores, main, read_scores_csv
 from edenet.data import load_csv, load_schema
 from edenet.metrics import load_report_json
+from edenet.modelfile import save_model
+from edenet.svr import fit_svr
 
 SMALL_CFG = {
     "arch": {"hidden_sizes": [8, 5], "latent_dim": 2},
@@ -350,6 +352,54 @@ def test_score_width_mismatch_is_exit_2(tmp_path, workspace):
                "--schema", str(other / "schema.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def _score(workspace, tmp_path, model, scaling=None):
+    args = ["score", "--model", str(model),
+            "--data", str(workspace / "synth" / "data.csv"),
+            "--schema", str(workspace / "synth" / "schema.json"),
+            "--out", str(tmp_path / "out")]
+    return main(args + (["--scaling", str(scaling)] if scaling else []))
+
+
+def test_score_rejects_a_meta_model_with_exit_2(tmp_path, workspace, capsys):
+    meta_model = tmp_path / "meta_model.json"
+    x = np.arange(12.0).reshape(6, 2)
+    save_model(fit_svr(x, np.sin(x[:, 0])), meta_model)
+    assert _score(workspace, tmp_path, meta_model) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_meta_select_rejects_an_ensemble_with_exit_2(tmp_path, workspace, capsys):
+    rc = main(["meta", "select",
+               "--model", str(workspace / "train" / "model.json"),
+               "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", str(workspace / "synth" / "schema.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [
+    {"members": 5},
+    {"members": [3]},
+    {"kind": "ede", "params": 3},
+])
+def test_malformed_model_file_is_exit_2(tmp_path, workspace, capsys, changes):
+    doc = json.loads((workspace / "train" / "model.json").read_text())
+    doc.update(changes)
+    model = write_json(tmp_path / "model.json", doc)
+    assert _score(workspace, tmp_path, model) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{}, [], {"col_min": ["a"], "col_max": [1]}])
+def test_malformed_scaling_file_is_exit_2(tmp_path, workspace, capsys, doc):
+    scaling = write_json(tmp_path / "scaling.json", doc)
+    assert _score(workspace, tmp_path, workspace / "train" / "model.json",
+                  scaling) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_row_count_mismatch_is_exit_2(tmp_path, workspace):

@@ -374,9 +374,9 @@ def test_apply_scale_clips_out_of_range_values():
     assert np.allclose(test.features[:, 0], [-0.5, 0.5, 1.5], atol=1e-12)
 
 
-@given(st.lists(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=5),
-                min_size=2, max_size=20).filter(
-                    lambda rows: len({len(r) for r in rows}) == 1))
+@given(st.integers(2, 5).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+    min_size=2, max_size=20)))
 def test_fit_scale_output_always_in_unit_interval(rows):
     ds = fit_scale(Dataset(features=np.array(rows)))
     assert ds.features.min() >= -1e-12

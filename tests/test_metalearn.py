@@ -18,9 +18,8 @@ from edenet.metalearn import (
     save_meta_csv,
     select_hyperparams,
     svr_fit,
-    task_seed,
 )
-from edenet.rng import make_rng
+from edenet.rng import derived_seed, make_rng
 
 TINY_TRAIN = TrainConfig(epochs=1, batch_size=8, iters_per_epoch=2, seed=5)
 TINY_ARCH = {"hidden_sizes": (8, 5), "latent_dim": 2}
@@ -138,8 +137,8 @@ def test_meta_record_validation():
 
 
 def test_task_seed_is_stable_and_pair_specific():
-    assert task_seed(0, 1, 3) == task_seed(0, 1, 3)
-    seeds = {task_seed(0, t, c) for t in range(4) for c in (1, 3, 5)}
+    assert derived_seed(0, 1, 3) == derived_seed(0, 1, 3)
+    seeds = {derived_seed(0, t, c) for t in range(4) for c in (1, 3, 5)}
     assert len(seeds) == 12
 
 

@@ -20,10 +20,10 @@ from edenet.model import (
     net_to_payload,
     normalize_scores,
     reconstruction_loss,
-    ScoreVector,
 )
 from edenet.modelfile import load_model, save_model
 from edenet.rng import make_rng
+from edenet.svr import fit_svr
 
 FF = {"hidden_sizes": (10, 6), "latent_dim": 3}
 LSTM = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 5, "seq_len": 2}
@@ -306,11 +306,6 @@ def test_normalize_scores_range_and_order(values):
     assert np.all(np.diff(out[order]) >= -1e-12)
 
 
-def test_score_vector_normalization_companion():
-    sv = ScoreVector(raw=np.array([1.0, 3.0])).with_normalized()
-    assert np.allclose(sv.normalized, [0.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -359,12 +354,70 @@ def test_load_model_rejects_truncated_json(tmp_path):
         load_model(path)
 
 
+HEADER = ["format", "format_version", "kind"]
+
+
+def saved_kinds():
+    x = np.arange(12.0).reshape(6, 2)
+    return {
+        "ede": (small_net("ff"), ["arch", "params"]),
+        "ensemble": (init_ensemble(make_arch(7, FF), 2, seed=3),
+                     ["seed", "arch", "members"]),
+        "svr": (fit_svr(x, np.sin(x[:, 0])),
+                ["kernel", "gamma", "C", "epsilon", "bias", "beta", "x_mean",
+                 "x_std", "train_x"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ede", "ensemble", "svr"])
+def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
+    obj, payload_keys = saved_kinds()[kind]
+    path = tmp_path / "m.json"
+    save_model(obj, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == HEADER + payload_keys
+    assert doc["kind"] == kind
+    assert type(load_model(path)) is type(obj)
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("ensemble", {"members": 5}),
+    ("ensemble", {"members": [3]}),
+    ("ensemble", {"members": []}),
+    ("ensemble", {"seed": [1]}),
+    ("ede", {"params": 3}),
+    ("ede", {"params": {"enc1.w": 3}}),
+    ("ede", {"arch": 3}),
+    ("ede", {"arch": {"latent_dim": 3}}),
+    ("ede", {"kind": ["ede"]}),
+    ("ede", {"kind": "svr"}),
+])
+def test_load_model_turns_malformed_payload_into_format_error(tmp_path, kind,
+                                                              changes):
+    path = tmp_path / "m.json"
+    save_model(saved_kinds()[kind][0], path)
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
 def test_payload_shape_mismatch_rejected():
     net = small_net("ff")
     payload = net_to_payload(net)
     name = next(iter(payload))
     payload[name] = [[0.0]]
     with pytest.raises(FormatError):
+        net_from_payload(net.spec, payload)
+
+
+def test_payload_non_finite_value_rejected():
+    net = small_net("ff")
+    payload = net_to_payload(net)
+    name = next(iter(payload))
+    payload[name][0][0] = float("nan")
+    with pytest.raises(FormatError, match="non-finite"):
         net_from_payload(net.spec, payload)
 
 

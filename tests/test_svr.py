@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from edenet.errors import FitError, FormatError, NotFittedError
+from edenet.modelfile import load_model, save_model
 from edenet.svr import (
     SvrModel,
     fit_svr,
-    load_svr,
     predict_svr,
-    save_svr,
     svr_from_dict,
     svr_to_dict,
 )
@@ -127,8 +126,8 @@ def fitted_example():
 def test_save_load_round_trip_is_exact(tmp_path):
     model, probe = fitted_example()
     p = tmp_path / "svr.json"
-    save_svr(model, p)
-    back = load_svr(p)
+    save_model(model, p)
+    back = load_model(p)
     assert isinstance(back, SvrModel)
     assert np.array_equal(predict_svr(back, probe), predict_svr(model, probe))
 
@@ -136,8 +135,8 @@ def test_save_load_round_trip_is_exact(tmp_path):
 def test_resave_is_byte_identical(tmp_path):
     model, _ = fitted_example()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_svr(model, p1)
-    save_svr(load_svr(p1), p2)
+    save_model(model, p1)
+    save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -149,27 +148,55 @@ def test_dict_round_trip_preserves_fields():
     assert np.array_equal(back.beta, model.beta)
 
 
-def test_wrong_kind_rejected():
+def rewrite(path, **changes):
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
+def test_wrong_kind_rejected(tmp_path):
     model, _ = fitted_example()
-    doc = svr_to_dict(model)
-    doc["kind"] = "ede"
+    p = tmp_path / "svr.json"
+    save_model(model, p)
+    rewrite(p, kind="ede")
     with pytest.raises(FormatError):
-        svr_from_dict(doc)
+        load_model(p)
 
 
 def test_corrupt_file_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{truncated")
     with pytest.raises(FormatError):
-        load_svr(p)
+        load_model(p)
     p.write_text(json.dumps({"format": "other", "version": 1}))
     with pytest.raises(FormatError):
-        load_svr(p)
+        load_model(p)
 
 
-def test_missing_field_rejected():
+def test_missing_field_rejected(tmp_path):
     model, _ = fitted_example()
-    doc = svr_to_dict(model)
+    p = tmp_path / "svr.json"
+    save_model(model, p)
+    doc = json.loads(p.read_text())
     del doc["bias"]
+    p.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
-        svr_from_dict(doc)
+        load_model(p)
+
+
+@pytest.mark.parametrize("changes", [
+    {"beta": "x"},
+    {"train_x": 3},
+    {"x_mean": [0.0]},
+    {"gamma": None},
+    {"gamma": float("nan")},
+    {"beta": [float("nan")] * 12},
+    {"beta": [[1.0]]},
+])
+def test_malformed_payload_rejected(tmp_path, changes):
+    model, _ = fitted_example()
+    p = tmp_path / "svr.json"
+    save_model(model, p)
+    rewrite(p, **changes)
+    with pytest.raises(FormatError):
+        load_model(p)
