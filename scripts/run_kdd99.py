@@ -13,13 +13,13 @@ held-out remainder.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from edenet.atomic import atomic_write_json
 from edenet.data import apply_scale, fit_scale, load_csv, load_schema, split_normal_train
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from edenet.metrics import evaluate, save_report_json
@@ -83,7 +83,7 @@ def main() -> int:
 
     summary = {"mean_auroc": float(np.mean(aurocs)),
                "per_seed_auroc": aurocs}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    atomic_write_json(out / "summary.json", summary)
     print(f"mean AUROC over {len(aurocs)} seeds: {summary['mean_auroc']:.4f}")
     return 0
 

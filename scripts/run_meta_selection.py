@@ -13,10 +13,10 @@ With the defaults this takes a couple of minutes on a laptop; shrink
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from edenet.atomic import atomic_write_json
 from edenet.cli import main as edenet_main
 
 
@@ -60,13 +60,13 @@ def main() -> int:
                       "name": f"n{n}"})
 
     build_cfg = out / "build_config.json"
-    build_cfg.write_text(json.dumps({
+    atomic_write_json(build_cfg, {
         "schema": str(out / "task0_train" / "schema.json"),
         "tasks": tasks,
         "candidates": [int(v) for v in args.candidates.split(",") if v.strip()],
         "train": {"epochs": args.epochs, "batch_size": 64, "seed": args.seed},
         "out": str(out / "build"),
-    }, indent=2) + "\n")
+    })
     rc = edenet_main(["meta", "build", "--config", str(build_cfg)])
     if rc != 0:
         return rc

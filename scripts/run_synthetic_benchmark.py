@@ -8,11 +8,10 @@ directory for rerunning by hand.
 """
 
 import argparse
-import json
 import sys
-import tempfile
 from pathlib import Path
 
+from edenet.atomic import atomic_write_json
 from edenet.cli import main as edenet_main
 
 
@@ -46,7 +45,7 @@ def main() -> int:
     }
     Path(args.out).mkdir(parents=True, exist_ok=True)
     cfg_path = Path(args.out) / "benchmark_config.json"
-    cfg_path.write_text(json.dumps(config, indent=2) + "\n")
+    atomic_write_json(cfg_path, config)
     return edenet_main(["bench", "--config", str(cfg_path)])
 
 

@@ -24,10 +24,8 @@ import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
 from .data import (
-    NORMAL,
     Dataset,
     apply_scale,
-    fit_scale,
     generate_synthetic,
     load_csv,
     load_schema,
@@ -36,6 +34,7 @@ from .data import (
     save_schema,
     scaling_from_dict,
     scaling_to_dict,
+    training_split,
     write_csv,
 )
 from .ensemble import (
@@ -164,16 +163,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _normal_rows(ds: Dataset) -> Dataset:
-    """Training data must be normal-only; labeled inputs are filtered."""
-    if ds.labels is None:
-        return ds
-    keep = np.flatnonzero(ds.labels == NORMAL)
-    if keep.size == 0:
-        raise ValueError("no normal rows to train on")
-    return ds.take(keep).without_labels()
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -181,13 +170,9 @@ def _normal_rows(ds: Dataset) -> Dataset:
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "train")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    ds = load_csv(_require(cfg.data, "training data path"), schema)
-    train_ds = _normal_rows(ds)
-    if train_ds.n_rows == 0:
-        raise ValueError("training data has no rows")
-
+    train_ds = training_split(load_csv(_require(cfg.data, "training data path"), schema),
+                              cfg.scale)
     if cfg.scale:
-        train_ds = fit_scale(train_ds)
         with atomic_open(out / "scaling.json") as fh:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
 
@@ -305,11 +290,11 @@ def _load_task(entry: dict, cfg: RunConfig, index: int) -> MetaTask:
         raise ConfigError(f"task {index} has unknown keys: {sorted(unknown)}")
     schema_path = entry.get("schema", cfg.schema)
     schema = load_schema(_require(schema_path, f"task {index} schema path"))
-    train_ds = _normal_rows(load_csv(_require(entry["train"], f"task {index} train path"), schema))
+    train_ds = training_split(
+        load_csv(_require(entry["train"], f"task {index} train path"), schema), cfg.scale)
     test_ds = load_csv(_require(entry["test"], f"task {index} test path"), schema,
                        require_labels=True)
     if cfg.scale:
-        train_ds = fit_scale(train_ds)
         test_ds = apply_scale(test_ds, train_ds.scaling_stats)
     return MetaTask(train=train_ds, test=test_ds,
                     name=entry.get("name", f"task{index}"))
@@ -357,7 +342,8 @@ def cmd_meta_select(cfg: RunConfig) -> int:
     if not isinstance(model, SvrModel):
         raise ConfigError("meta model file does not hold a meta-learner")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    ds = _normal_rows(load_csv(_require(cfg.data, "task data path"), schema))
+    # the rows meta build described for its tasks: normal, scaled like training
+    ds = training_split(load_csv(_require(cfg.data, "task data path"), schema), cfg.scale)
 
     feats = extract_meta_features(ds)
     scored = predict_candidates(model, feats, list(cfg.candidates))
@@ -414,15 +400,14 @@ def _bench_task(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
         train = load_csv(_require(cfg.data, "training data path"), schema)
         test = load_csv(_require(cfg.test_data, "test data path"), schema,
                         require_labels=True)
-    train = _normal_rows(train)
+    train = training_split(train, cfg.scale)
     if cfg.scale:
-        train = fit_scale(train)
         test = apply_scale(test, train.scaling_stats)
     return train, test
 
 
-def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, cell_dir: Path):
-    train, test = _bench_task(cfg, seed)
+def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, train: Dataset,
+                    test: Dataset, cell_dir: Path):
     arch_overrides = {**cfg.arch, **method.get("arch", {})}
     train_overrides = {**cfg.train, **method.get("train", {}), "seed": seed}
     tc = TrainConfig.from_dict(train_overrides)
@@ -468,24 +453,26 @@ def cmd_bench(cfg: RunConfig) -> int:
     if len(set(names)) != len(names):
         raise ConfigError("bench method names must be unique")
 
-    rows: list[BenchRow] = []
     for method in cfg.methods:
-        name = method["name"]
         unknown = set(method) - {"name", "n_members", "arch", "train"}
         if unknown:
-            raise ConfigError(f"method {name!r} has unknown keys: {sorted(unknown)}")
-        reports = []
-        for seed in cfg.seeds:
-            cell_dir = out / name / f"seed{seed}"
+            raise ConfigError(f"method {method['name']!r} has unknown keys: "
+                              f"{sorted(unknown)}")
+
+    reports: dict[str, list] = {name: [] for name in names}
+    for seed in cfg.seeds:
+        train, test = _bench_task(cfg, seed)  # shared by every method
+        for method in cfg.methods:
+            name = method["name"]
             try:
-                reports.append(_run_bench_cell(cfg, method, seed, cell_dir))
+                reports[name].append(_run_bench_cell(cfg, method, seed, train, test,
+                                                     out / name / f"seed{seed}"))
             except Exception:
                 print(f"bench aborted: method {name!r} failed on seed {seed}",
                       file=sys.stderr)
                 raise
-        means, stds = _aggregate(reports)
-        rows.append(BenchRow(method=name, means=means, stds=stds))
 
+    rows = [BenchRow(name, *_aggregate(reports[name])) for name in names]
     table = BenchmarkTable(rows=rows, n_seeds=len(cfg.seeds))
     _write_bench_table(out / "bench_table.csv", table)
     _write_plot_data(out / "plot_data.csv", table)
@@ -493,12 +480,6 @@ def cmd_bench(cfg: RunConfig) -> int:
     _print_bench_table(table)
     print(f"wrote {out / 'bench_table.csv'} and {out / 'plot_data.csv'}")
     return 0
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
 
 
 def _write_bench_table(path, table: BenchmarkTable) -> None:
@@ -511,7 +492,7 @@ def _write_bench_table(path, table: BenchmarkTable) -> None:
         for row in table.rows:
             out = [row.method]
             for name in METRIC_NAMES:
-                out += [_fmt(row.means[name]), _fmt(row.stds[name])]
+                out += [row.means[name], row.stds[name]]
             writer.writerow(out)
 
 
@@ -521,8 +502,7 @@ def _write_plot_data(path, table: BenchmarkTable) -> None:
         writer.writerow(["method", "metric", "mean", "stddev"])
         for row in table.rows:
             for name in METRIC_NAMES:
-                writer.writerow([row.method, name, _fmt(row.means[name]),
-                                 _fmt(row.stds[name])])
+                writer.writerow([row.method, name, row.means[name], row.stds[name]])
 
 
 def _print_bench_table(table: BenchmarkTable) -> None:

@@ -439,6 +439,18 @@ def scaling_from_dict(d: dict) -> ScalingStats:
 # splits and synthetic data
 
 
+def training_split(data: Dataset, scale: bool) -> Dataset:
+    """The rows a model trains on and meta-features describe: the normal
+    rows with the labels dropped (all rows of an unlabeled file), min-max
+    scaled by fit_scale when `scale` is set. An empty result raises
+    ValueError."""
+    if data.labels is not None:
+        data = data.take(np.flatnonzero(data.labels == NORMAL)).without_labels()
+    if data.n_rows == 0:
+        raise ValueError("no normal rows to train on")
+    return fit_scale(data) if scale else data
+
+
 def split_normal_train(data: Dataset, train_fraction: float, seed: int = 0
                        ) -> tuple[Dataset, Dataset]:
     """Seeded split into a normal-only training set and a labeled test set.
@@ -457,13 +469,9 @@ def split_normal_train(data: Dataset, train_fraction: float, seed: int = 0
     chosen = perm[:n_train]
     rest = perm[n_train:]
 
-    chosen_normal = chosen[data.labels[chosen] == NORMAL]
-    if chosen_normal.size == 0:
-        raise ValueError("no normal rows available for the training split")
+    train = training_split(data.take(np.sort(chosen)), scale=False)
     pushed_back = chosen[data.labels[chosen] == ANOMALY]
     test_idx = np.sort(np.concatenate([rest, pushed_back]))
-
-    train = data.take(np.sort(chosen_normal)).without_labels()
     return train, data.take(test_idx)
 
 

@@ -270,5 +270,4 @@ def write_trace_csv(path, trace: list[EpochTrace]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_Lr", "mean_Le", "combined"])
         for row in trace:
-            writer.writerow([row.epoch, repr(row.mean_lr), repr(row.mean_le),
-                             repr(row.combined)])
+            writer.writerow([row.epoch, row.mean_lr, row.mean_le, row.combined])

@@ -107,12 +107,30 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
     return grad_in, grad_w, grad_b
 
 
-def unit_params(units) -> list[np.ndarray]:
-    """[weights, bias] of each unit, flattened into one list."""
-    return [p for u in units for p in (u.weights, u.bias)]
+class Stack:
+    """Parameter listing shared by the encoder and decoder stacks.
+
+    A subclass names its (weights, bias) holders once, in named_units();
+    units(), params() and param_names() all follow that one list, so the
+    parameter order and the model-file keys cannot drift apart.
+    """
+
+    def named_units(self) -> list[tuple[str, object]]:
+        raise NotImplementedError
+
+    def units(self) -> list:
+        """The objects holding (weights, bias) pairs, in params() order."""
+        return [unit for _, unit in self.named_units()]
+
+    def params(self) -> list[np.ndarray]:
+        return [p for unit in self.units() for p in (unit.weights, unit.bias)]
+
+    def param_names(self) -> list[str]:
+        return [f"{prefix}.{suffix}" for prefix, _ in self.named_units()
+                for suffix in ("w", "b")]
 
 
-class DenseStack:
+class DenseStack(Stack):
     """A sequence of dense layers applied in order."""
 
     def __init__(self, layers: list[DenseLayer]):
@@ -122,14 +140,6 @@ class DenseStack:
                     f"layer widths do not chain: {a.out_dim} -> {b.in_dim}"
                 )
         self.layers = layers
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray):
         """Returns (output, cache); cache[k] is layer k's input and
@@ -142,28 +152,15 @@ class DenseStack:
 
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray):
         """Returns (grad_input, grads) with grads aligned to params()."""
-        grads: list[np.ndarray | None] = [None] * (2 * len(self.layers))
+        grads: list[np.ndarray] = []
         for k in range(len(self.layers) - 1, -1, -1):
             grad_out, gw, gb = dense_backward(self.layers[k], cache[k], cache[k + 1],
                                               grad_out)
-            grads[2 * k] = gw
-            grads[2 * k + 1] = gb
+            grads[:0] = [gw, gb]
         return grad_out, grads
 
-    def units(self) -> list[DenseLayer]:
-        """The objects holding this stack's (weights, bias) pairs, in
-        params() order."""
-        return list(self.layers)
-
-    def params(self) -> list[np.ndarray]:
-        return unit_params(self.units())
-
-    def param_names(self) -> list[str]:
-        out = []
-        for k in range(len(self.layers)):
-            out.append(f"layer{k}.w")
-            out.append(f"layer{k}.b")
-        return out
+    def named_units(self) -> list[tuple[str, DenseLayer]]:
+        return [(f"layer{k}", layer) for k, layer in enumerate(self.layers)]
 
 
 @dataclass

@@ -212,7 +212,7 @@ def save_meta_csv(records: list[MetaRecord], path) -> None:
             writer.writerow([
                 r.features.n_instances, r.features.n_sparse,
                 r.features.n_pos_skew, r.features.n_neg_skew,
-                r.n_members, repr(r.performance),
+                r.n_members, r.performance,
             ])
 
 

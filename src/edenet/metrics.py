@@ -166,13 +166,9 @@ def load_report_json(path) -> EvalReport:
 
 
 def save_report_csv(report: EvalReport, path) -> None:
-    """One-row CSV for table assembly; undefined auroc becomes an empty
-    field."""
+    """One-row CSV for table assembly; csv.writer writes floats as repr and
+    an undefined auroc as an empty field."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_FIELDS)
-        row = []
-        for field in REPORT_FIELDS:
-            value = getattr(report, field)
-            row.append("" if value is None else repr(value) if isinstance(value, float) else value)
-        writer.writerow(row)
+        writer.writerow([getattr(report, field) for field in REPORT_FIELDS])

@@ -25,12 +25,12 @@ from .layers import (
     DenseLayer,
     DenseStack,
     LstmCell,
+    Stack,
     as_matrix,
     init_dense,
     init_lstm,
     lstm_backward,
     lstm_forward,
-    unit_params,
 )
 
 ENCODER_KINDS = ("feedforward", "lstm")
@@ -142,7 +142,28 @@ def _sequence_to_row(seq: np.ndarray, d: int) -> np.ndarray:
     return seq.transpose(1, 0, 2).reshape(B, T * chunk)[:, :d]
 
 
-class LstmEncoder:
+def _cells_forward(cells: list[LstmCell], seq: np.ndarray):
+    """Run the stacked cells over a (T, B, *) sequence, each from zero
+    states. Returns the top cell's hidden states and one cache per cell."""
+    caches = []
+    for cell in cells:
+        zeros = np.zeros((seq.shape[1], cell.hidden_dim))
+        seq, cache = lstm_forward(cell, seq, zeros, zeros)
+        caches.append(cache)
+    return seq, caches
+
+
+def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray):
+    """Backprop the gradient on the top cell's hidden states down the
+    stack. Returns (grad on the input sequence, [w0, b0, w1, b1, ...])."""
+    grads: list[np.ndarray] = []
+    for cell, cache in zip(reversed(cells), reversed(caches)):
+        dh, gw, gb, _, _ = lstm_backward(cell, cache, dh)
+        grads[:0] = [gw, gb]
+    return dh, grads
+
+
+class LstmEncoder(Stack):
     """Stacked LSTM over the chunk sequence; latent is a linear map of the
     final hidden state of the top layer."""
 
@@ -155,56 +176,25 @@ class LstmEncoder:
         self.chunk = cells[0].input_dim
 
     def forward(self, x: np.ndarray):
-        seq = _row_to_sequence(x, self.seq_len, self.chunk)
-        B = x.shape[0]
-        caches = []
-        for cell in self.cells:
-            zeros = np.zeros((B, cell.hidden_dim))
-            seq, cache = lstm_forward(cell, seq, zeros, zeros)
-            caches.append(cache)
-        top_last = seq[-1]
+        hidden, caches = _cells_forward(
+            self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
+        top_last = hidden[-1]
         z = top_last @ self.proj.weights + self.proj.bias
-        return z, {"cell_caches": caches, "top_last": top_last, "batch": B}
+        return z, {"cell_caches": caches, "top_last": top_last}
 
     def backward(self, cache: dict, grad_out: np.ndarray):
-        B = cache["batch"]
         g_proj_w = cache["top_last"].T @ grad_out
         g_proj_b = grad_out.sum(axis=0)
-
-        T = self.seq_len
-        H = self.cells[-1].hidden_dim
-        dh = np.zeros((T, B, H))
+        dh = np.zeros((self.seq_len, grad_out.shape[0], self.cells[-1].hidden_dim))
         dh[-1] = grad_out @ self.proj.weights.T
+        dx_seq, grads = _cells_backward(self.cells, cache["cell_caches"], dh)
+        return _sequence_to_row(dx_seq, self.input_dim), grads + [g_proj_w, g_proj_b]
 
-        cell_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.cells)
-        for k in range(len(self.cells) - 1, -1, -1):
-            dx_seq, gw, gb, _, _ = lstm_backward(self.cells[k], cache["cell_caches"][k], dh)
-            cell_grads[k] = (gw, gb)
-            dh = dx_seq
-
-        grad_x = _sequence_to_row(dh, self.input_dim)
-        grads: list[np.ndarray] = []
-        for gw, gb in cell_grads:
-            grads.extend([gw, gb])
-        grads.extend([g_proj_w, g_proj_b])
-        return grad_x, grads
-
-    def units(self) -> list:
-        """The objects holding (weights, bias) pairs, in params() order."""
-        return [*self.cells, self.proj]
-
-    def params(self) -> list[np.ndarray]:
-        return unit_params(self.units())
-
-    def param_names(self) -> list[str]:
-        out = []
-        for k in range(len(self.cells)):
-            out.extend([f"cell{k}.w", f"cell{k}.b"])
-        out.extend(["proj.w", "proj.b"])
-        return out
+    def named_units(self) -> list[tuple[str, object]]:
+        return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("proj", self.proj)]
 
 
-class LstmDecoder:
+class LstmDecoder(Stack):
     """Feeds the latent vector as input at every timestep and linearly
     projects each hidden state back to one feature chunk."""
 
@@ -217,72 +207,47 @@ class LstmDecoder:
         self.chunk = out.out_dim
 
     def forward(self, z: np.ndarray):
-        B = z.shape[0]
-        seq = np.repeat(z[None, :, :], self.seq_len, axis=0)
-        caches = []
-        for cell in self.cells:
-            zeros = np.zeros((B, cell.hidden_dim))
-            seq, cache = lstm_forward(cell, seq, zeros, zeros)
-            caches.append(cache)
-        chunks = seq @ self.out.weights + self.out.bias  # (T, B, chunk)
+        hidden, caches = _cells_forward(
+            self.cells, np.repeat(z[None, :, :], self.seq_len, axis=0))
+        chunks = hidden @ self.out.weights + self.out.bias  # (T, B, chunk)
         x_recon = _sequence_to_row(chunks, self.output_dim)
-        return x_recon, {"cell_caches": caches, "top_hidden": seq, "batch": B}
+        return x_recon, {"cell_caches": caches, "top_hidden": hidden}
 
     def backward(self, cache: dict, grad_out: np.ndarray):
-        B = cache["batch"]
-        T, chunk = self.seq_len, self.chunk
-        padded = np.zeros((B, T * chunk))
-        padded[:, :self.output_dim] = grad_out
-        dchunks = padded.reshape(B, T, chunk).transpose(1, 0, 2)
-
-        top_hidden = cache["top_hidden"]
-        g_out_w = np.einsum("tbh,tbk->hk", top_hidden, dchunks)
+        dchunks = _row_to_sequence(grad_out, self.seq_len, self.chunk)
+        g_out_w = np.einsum("tbh,tbk->hk", cache["top_hidden"], dchunks)
         g_out_b = dchunks.sum(axis=(0, 1))
         dh = dchunks @ self.out.weights.T
+        dz_seq, grads = _cells_backward(self.cells, cache["cell_caches"], dh)
+        grad_z = dz_seq.sum(axis=0)  # same latent fed at every step
+        return grad_z, grads + [g_out_w, g_out_b]
 
-        cell_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.cells)
-        for k in range(len(self.cells) - 1, -1, -1):
-            dx_seq, gw, gb, _, _ = lstm_backward(self.cells[k], cache["cell_caches"][k], dh)
-            cell_grads[k] = (gw, gb)
-            dh = dx_seq
-
-        grad_z = dh.sum(axis=0)  # same latent fed at every step
-        grads: list[np.ndarray] = []
-        for gw, gb in cell_grads:
-            grads.extend([gw, gb])
-        grads.extend([g_out_w, g_out_b])
-        return grad_z, grads
-
-    def units(self) -> list:
-        """The objects holding (weights, bias) pairs, in params() order."""
-        return [*self.cells, self.out]
-
-    def params(self) -> list[np.ndarray]:
-        return unit_params(self.units())
-
-    def param_names(self) -> list[str]:
-        out = []
-        for k in range(len(self.cells)):
-            out.extend([f"cell{k}.w", f"cell{k}.b"])
-        out.extend(["out.w", "out.b"])
-        return out
+    def named_units(self) -> list[tuple[str, object]]:
+        return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("out", self.out)]
 
 
 # ---------------------------------------------------------------------------
 # the EDE net
 
 
+def _dense_stack(rng: np.random.Generator, widths: list[int]) -> DenseStack:
+    """Tanh layers between consecutive widths, the last one identity."""
+    last = len(widths) - 2
+    return DenseStack([init_dense(rng, a, b, "identity" if k == last else "tanh")
+                       for k, (a, b) in enumerate(zip(widths, widths[1:]))])
+
+
+def _lstm_cells(rng: np.random.Generator, spec: ArchSpec, input_dim: int) -> list[LstmCell]:
+    """spec.recurrent_layers stacked cells; the first reads input_dim."""
+    return [init_lstm(rng, input_dim if k == 0 else spec.hidden_dim, spec.hidden_dim)
+            for k in range(spec.recurrent_layers)]
+
+
 def _build_encoder(spec: ArchSpec, rng: np.random.Generator):
     if spec.encoder_kind == "feedforward":
         h1, h2 = spec.hidden_sizes
-        return DenseStack([
-            init_dense(rng, spec.input_dim, h1, "tanh"),
-            init_dense(rng, h1, h2, "tanh"),
-            init_dense(rng, h2, spec.latent_dim, "identity"),
-        ])
-    cells = [init_lstm(rng, spec.chunk_size, spec.hidden_dim)]
-    for _ in range(spec.recurrent_layers - 1):
-        cells.append(init_lstm(rng, spec.hidden_dim, spec.hidden_dim))
+        return _dense_stack(rng, [spec.input_dim, h1, h2, spec.latent_dim])
+    cells = _lstm_cells(rng, spec, spec.chunk_size)
     proj = init_dense(rng, spec.hidden_dim, spec.latent_dim, "identity")
     return LstmEncoder(cells, proj, spec.input_dim, spec.seq_len)
 
@@ -290,25 +255,20 @@ def _build_encoder(spec: ArchSpec, rng: np.random.Generator):
 def _build_decoder(spec: ArchSpec, rng: np.random.Generator):
     if spec.encoder_kind == "feedforward":
         h1, h2 = spec.hidden_sizes
-        return DenseStack([
-            init_dense(rng, spec.latent_dim, h2, "tanh"),
-            init_dense(rng, h2, h1, "tanh"),
-            init_dense(rng, h1, spec.input_dim, "identity"),
-        ])
-    cells = [init_lstm(rng, spec.latent_dim, spec.hidden_dim)]
-    for _ in range(spec.recurrent_layers - 1):
-        cells.append(init_lstm(rng, spec.hidden_dim, spec.hidden_dim))
+        return _dense_stack(rng, [spec.latent_dim, h2, h1, spec.input_dim])
+    cells = _lstm_cells(rng, spec, spec.latent_dim)
     out = init_dense(rng, spec.hidden_dim, spec.chunk_size, "identity")
     return LstmDecoder(cells, out, spec.input_dim, spec.seq_len)
 
 
-class EdeNet:
+class EdeNet(Stack):
     """One encoder-decoder-encoder learner.
 
     The second encoder shares the first encoder's structure but never its
     parameter arrays. All parameters live in one contiguous float64 vector,
     flat: every array params() returns is a view into it, laid out in
     params() order, so an optimizer can update the whole net in one pass.
+    Parameter names carry the part's prefix: e1.*, dec.*, e2.*.
     """
 
     def __init__(self, spec: ArchSpec, e1, dec, e2):
@@ -319,10 +279,9 @@ class EdeNet:
         for a, b in zip(self.e1.params(), self.e2.params()):
             if a is b:
                 raise ValueError("e1 and e2 must not alias parameters")
-        units = e1.units() + dec.units() + e2.units()
-        self.flat = np.empty(sum(p.size for p in unit_params(units)))
+        self.flat = np.empty(sum(p.size for p in self.params()))
         offset = 0
-        for unit in units:
+        for unit in self.units():
             for attr in ("weights", "bias"):
                 arr = getattr(unit, attr)
                 view = self.flat[offset:offset + arr.size].reshape(arr.shape)
@@ -343,23 +302,37 @@ class EdeNet:
         return cls(spec, _build_encoder(spec, rng), _build_decoder(spec, rng),
                    _build_encoder(spec, rng))
 
-    def forward(self, x: np.ndarray):
-        """Returns (z, x_recon, z_prime) for a (B, input_dim) batch."""
+    def named_units(self) -> list[tuple[str, object]]:
+        return [(f"{part}.{prefix}", unit)
+                for part, stack in (("e1", self.e1), ("dec", self.dec), ("e2", self.e2))
+                for prefix, unit in stack.named_units()]
+
+    def _check_input(self, x) -> np.ndarray:
+        """x as a (B, input_dim) float64 matrix; as_matrix rejects
+        non-finite entries, a wrong width raises ShapeError."""
         x = as_matrix(x)
         if x.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
             )
-        z, _ = self.e1.forward(x)
-        x_recon, _ = self.dec.forward(z)
-        z_prime, _ = self.e2.forward(x_recon)
-        return z, x_recon, z_prime
+        return x
 
-    def _forward_cached(self, x: np.ndarray):
-        z, c1 = self.e1.forward(x)
-        x_recon, cd = self.dec.forward(z)
-        z_prime, c2 = self.e2.forward(x_recon)
-        return z, x_recon, z_prime, (c1, cd, c2)
+    def forward(self, x: np.ndarray):
+        """Returns (z, x_recon, z_prime) for a (B, input_dim) batch."""
+        return self._forward_cached(self._check_input(x), keep_caches=False)[:3]
+
+    def _forward_cached(self, x: np.ndarray, keep_caches: bool = True):
+        """(z, x_recon, z_prime, caches) through e1, dec, e2. Without
+        keep_caches, caches stays empty and each stack's cache is freed once
+        the next stack has run: a forward pass over a whole dataset would
+        otherwise hold all three at its peak."""
+        outputs, caches = [], []
+        for stack in (self.e1, self.dec, self.e2):
+            x, cache = stack.forward(x)
+            outputs.append(x)
+            if keep_caches:
+                caches.append(cache)
+        return (*outputs, caches)
 
     def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp):
         """Chain rule over the full composition.
@@ -373,16 +346,6 @@ class EdeNet:
         grad_z_from_dec, g_dec = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct)
         _, g_e1 = self.e1.backward(c1, grad_z_from_dec + grad_z_direct)
         return g_e1 + g_dec + g_e2
-
-    def params(self) -> list[np.ndarray]:
-        return self.e1.params() + self.dec.params() + self.e2.params()
-
-    def param_names(self) -> list[str]:
-        return (
-            [f"e1.{n}" for n in self.e1.param_names()]
-            + [f"dec.{n}" for n in self.dec.param_names()]
-            + [f"e2.{n}" for n in self.e2.param_names()]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +395,7 @@ def loss_and_grads(net: EdeNet, x: np.ndarray, weights=None, need_grads=True):
     combined == alpha*mean_lr + beta*mean_le always holds. The Euclidean
     norm's gradient is taken as 0 at exactly-zero error.
     """
-    x = as_matrix(x)
-    if x.shape[1] != net.spec.input_dim:
-        raise ShapeError(
-            f"input has {x.shape[1]} columns, model expects {net.spec.input_dim}"
-        )
+    x = net._check_input(x)
     alpha, beta = net.spec.alpha, net.spec.beta
     coeff = _sample_coefficients(x.shape[0], weights)
 

@@ -74,8 +74,10 @@ def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
         raise FormatError("model file must hold a JSON object")
     if doc.get("format") != FORMAT_MARKER:
         raise FormatError(f"unrecognized format marker {doc.get('format')!r}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    # type first: true and 1.0 compare equal to 1 but are not version 1
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise FormatError(f"unknown model kind {kind!r}")

@@ -238,6 +238,52 @@ def test_meta_build_fit_select_chain(tmp_path):
     assert set(choice["predictions"]) == {"1", "2"}
 
 
+def write_abc_csv(path, n_normal, n_anomaly, seed):
+    """Numeric columns a, b, c plus a label; a is 5.0 on two rows in
+    three and 7.0 otherwise, so it has no exact zeros until min-max
+    scaling maps 5.0 to 0."""
+    rng = np.random.default_rng(seed)
+    rows = ["a,b,c,label"]
+    for i in range(n_normal + n_anomaly):
+        label = int(i >= n_normal)
+        b, c = (rng.standard_normal(2) + 3.0 * label).tolist()
+        rows.append(f"{7.0 if i % 3 == 0 else 5.0},{b!r},{c!r},{label}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_meta_select_describes_the_rows_meta_build_described(tmp_path, capsys):
+    schema = write_json(tmp_path / "schema.json", {
+        "columns": [{"name": n, "type": "numeric"} for n in "abc"],
+        "label_column": "label", "normal_value": "0"})
+    train = write_abc_csv(tmp_path / "train.csv", 15, 3, seed=4)
+    cfg = write_json(tmp_path / "meta_cfg.json", {
+        "schema": schema,
+        "tasks": [{"train": train,
+                   "test": write_abc_csv(tmp_path / "test.csv", 12, 6, seed=5)}],
+        "candidates": [1, 2],
+        "arch": SMALL_CFG["arch"],
+        "train": {"epochs": 1, "batch_size": 8, "seed": 5},
+    })
+    assert main(["meta", "build", "--config", cfg,
+                 "--out", str(tmp_path / "build")]) == 0
+    assert main(["meta", "fit", "--meta", str(tmp_path / "build" / "meta.csv"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    capsys.readouterr()
+    assert main(["meta", "select",
+                 "--model", str(tmp_path / "fit" / "meta_model.json"),
+                 "--data", train, "--schema", schema, "--candidates", "1,2",
+                 "--out", str(tmp_path / "select")]) == 0
+
+    # oracle: the meta-features meta build recorded for the same file
+    with open(tmp_path / "build" / "meta.csv", newline="") as fh:
+        built = next(csv.DictReader(fh))
+    names = ("n_instances", "n_sparse", "n_pos_skew", "n_neg_skew")
+    expected = "meta-features: " + " ".join(f"{n}={built[n]}" for n in names)
+    assert built["n_sparse"] == "1"
+    assert expected in capsys.readouterr().out.splitlines()
+
+
 def test_meta_fit_degenerate_records_exit_3(tmp_path, capsys):
     meta_csv = tmp_path / "meta.csv"
     rows = ["n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc"]
@@ -392,6 +438,15 @@ def test_malformed_model_file_is_exit_2(tmp_path, workspace, capsys, changes):
     model = write_json(tmp_path / "model.json", doc)
     assert _score(workspace, tmp_path, model) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_non_int_format_version_is_exit_2(tmp_path, workspace, capsys, version):
+    doc = json.loads((workspace / "train" / "model.json").read_text())
+    doc["format_version"] = version
+    model = write_json(tmp_path / "model.json", doc)
+    assert _score(workspace, tmp_path, model) == 2
+    assert "error: unsupported format version" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [{}, [], {"col_min": ["a"], "col_max": [1]}])

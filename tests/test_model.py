@@ -347,6 +347,32 @@ def test_load_model_rejects_bad_version(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_model_rejects_non_int_version(tmp_path, version):
+    # both compare equal to 1 in Python but are not the integer version
+    path = tmp_path / "net.json"
+    save_model(small_net("ff"), path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="format version"):
+        load_model(path)
+
+
+def test_lstm_param_names_are_pinned():
+    # these names are the keys of model.json
+    spec = make_arch(7, {**LSTM, "recurrent_layers": 2})
+    net = EdeNet.initialize(spec, make_rng(0))
+    assert net.param_names() == [
+        "e1.cell0.w", "e1.cell0.b", "e1.cell1.w", "e1.cell1.b",
+        "e1.proj.w", "e1.proj.b",
+        "dec.cell0.w", "dec.cell0.b", "dec.cell1.w", "dec.cell1.b",
+        "dec.out.w", "dec.out.b",
+        "e2.cell0.w", "e2.cell0.b", "e2.cell1.w", "e2.cell1.b",
+        "e2.proj.w", "e2.proj.b",
+    ]
+
+
 def test_load_model_rejects_truncated_json(tmp_path):
     path = tmp_path / "net.json"
     path.write_text('{"format": "edenet-model", "format_ver')
