@@ -50,6 +50,7 @@ from .errors import (
     FitError,
     NotFittedError,
     TrainingDivergedError,
+    expect_type,
 )
 from .metalearn import (
     MetaTask,
@@ -105,6 +106,8 @@ class RunConfig:
     synthetic: dict | None = None
 
     def __post_init__(self):
+        expect_type("q", self.q, int, float)
+        expect_type("n_members", self.n_members, int)
         if not 0 < self.q < 1:
             raise ConfigError("q must lie in (0, 1)")
         if self.n_members < 1:
@@ -412,7 +415,7 @@ def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, train: Dataset,
     train_overrides = {**cfg.train, **method.get("train", {}), "seed": seed}
     tc = TrainConfig.from_dict(train_overrides)
     spec = make_arch(train.n_features, arch_overrides)
-    n_members = int(method.get("n_members", cfg.n_members))
+    n_members = method.get("n_members", cfg.n_members)
 
     ens = init_ensemble(spec, n_members, seed=seed)
     ens, trace = train_ensemble(ens, train.features, tc)
@@ -458,6 +461,8 @@ def cmd_bench(cfg: RunConfig) -> int:
         if unknown:
             raise ConfigError(f"method {method['name']!r} has unknown keys: "
                               f"{sorted(unknown)}")
+        if "n_members" in method:
+            expect_type(f"method {method['name']!r} n_members", method["n_members"], int)
 
     reports: dict[str, list] = {name: [] for name in names}
     for seed in cfg.seeds:

@@ -102,6 +102,22 @@ class ColumnMeta:
     value: str | None = None
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place; for arrays this module just built."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _read_only(given, dtype) -> np.ndarray:
+    """given as a read-only dtype array. Writeable memory that the caller
+    passed in is copied first; a fresh conversion or an array that is
+    already read-only is not."""
+    arr = np.asarray(given, dtype=dtype)
+    if arr.flags.writeable and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    return _frozen(arr)
+
+
 @dataclass
 class ScalingStats:
     col_min: np.ndarray
@@ -120,25 +136,30 @@ class ScalingStats:
 
 @dataclass
 class Dataset:
+    """Feature matrix with optional labels, both read-only.
+
+    A writeable array the caller passes in is copied, so the caller cannot
+    change the dataset through it. A read-only one is kept as it is: the
+    module freezes the arrays it builds itself (_frozen) instead of paying
+    for a copy.
+    """
+
     features: np.ndarray
     labels: np.ndarray | None = None
     column_meta: list[ColumnMeta] | None = None
     scaling_stats: ScalingStats | None = None
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
+        f = _read_only(self.features, np.float64)
         if f.ndim != 2:
             raise ShapeError(f"features must be 2-D, got shape {f.shape}")
-        f = f.copy()
-        f.flags.writeable = False
         self.features = f
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int8)
+            lab = _read_only(self.labels, np.int8)
             if lab.shape != (f.shape[0],):
                 raise ShapeError("labels length must match the row count")
             if lab.size and not np.isin(lab, (NORMAL, ANOMALY)).all():
                 raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
-            lab.flags.writeable = False
             self.labels = lab
         if self.column_meta is not None and len(self.column_meta) != f.shape[1]:
             raise ShapeError("column_meta length must match the feature width")
@@ -158,8 +179,8 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
-            features=self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
+            features=_frozen(self.features[idx]),
+            labels=None if self.labels is None else _frozen(self.labels[idx]),
             column_meta=self.column_meta,
             scaling_stats=self.scaling_stats,
         )
@@ -261,17 +282,18 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
 
     labels = None
     if want_labels:
-        labels = _encode(columns[pos[schema.label_column]], schema.label_of)
-    return Dataset(features=features, labels=labels,
+        labels = _frozen(_encode(columns[pos[schema.label_column]], schema.label_of,
+                                 np.int8))
+    return Dataset(features=_frozen(features), labels=labels,
                    column_meta=expanded_meta(schema))
 
 
-def _encode(values: np.ndarray, code) -> np.ndarray:
-    """code(v.strip()) for each str in `values`, evaluated once per
-    distinct value."""
+def _encode(values: np.ndarray, code, dtype=np.intp) -> np.ndarray:
+    """code(v.strip()) for each str in `values` as a dtype array,
+    evaluated once per distinct value."""
     raw = values.tolist()
     codes = {v: code(v.strip()) for v in dict.fromkeys(raw)}
-    return np.fromiter(map(codes.__getitem__, raw), dtype=np.intp, count=len(raw))
+    return np.fromiter(map(codes.__getitem__, raw), dtype=dtype, count=len(raw))
 
 
 def read_csv_columns(fh, header: list[str], numeric: list[int],
@@ -412,7 +434,7 @@ def _scale_with(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
     scaled[:, span == 0] = 0.0
     if clip:
         scaled = np.clip(scaled, CLIP_LO, CLIP_HI)
-    return Dataset(features=scaled, labels=data.labels,
+    return Dataset(features=_frozen(scaled), labels=data.labels,
                    column_meta=data.column_meta, scaling_stats=stats)
 
 
@@ -492,7 +514,7 @@ def generate_synthetic(d: int, n_normal: int, n_anomaly: int,
         np.full(n_anomaly, ANOMALY, dtype=np.int8),
     ])
     meta = [ColumnMeta(f"x{i}", "numeric", f"x{i}") for i in range(d)]
-    return Dataset(features=features, labels=labels, column_meta=meta)
+    return Dataset(features=_frozen(features), labels=_frozen(labels), column_meta=meta)
 
 
 # ---------------------------------------------------------------------------

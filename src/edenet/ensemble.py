@@ -6,6 +6,14 @@ sampling weights, so samples the ensemble already finds surprising are
 seen more often. Every iteration picks one member uniformly at random,
 draws one weighted minibatch (with replacement), and updates only that
 member.
+
+The members run in lockstep. Within an epoch the weights are fixed and
+the draws read no parameter, so the epoch's whole schedule (each
+iteration's member and batch) is drawn first, from the same streams in
+the same order. A member's update reads only its own parameters and its
+own batch, so its k-th step of the epoch gives the same bits whether the
+other members have stepped or not: round k runs every member's k-th
+step at once, on one (I, P) parameter block.
 """
 
 from __future__ import annotations
@@ -17,9 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ShapeError, TrainingDivergedError, expect_type
 from .layers import as_matrix
-from .model import ArchSpec, EdeNet, anomaly_score, loss_and_grads, normalize_scores
+from .model import (
+    ArchSpec,
+    EdeNet,
+    anomaly_score,
+    normalize_scores,
+    sample_coefficients,
+    stacked_loss_and_grads,
+)
 from .optim import make_optimizer
 from .rng import make_rng, spawn_seeds
 
@@ -64,6 +79,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            expect_type(name, getattr(self, name), int)
+        if self.iters_per_epoch is not None:
+            expect_type("iters_per_epoch", self.iters_per_epoch, int)
+        for name in ("lr", "beta1", "beta2", "eps", "reweight_eps"):
+            expect_type(name, getattr(self, name), int, float)
+        expect_type("reweight", self.reweight, bool)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -205,12 +227,42 @@ def draw_batch_indices(rng: np.random.Generator, n: int, batch_size: int,
     return weights.cdf.searchsorted(rng.random(batch_size), side="right")
 
 
+def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Generator,
+                    n_members: int, iters: int, n: int, batch_size: int,
+                    weights: SampleWeights) -> tuple[np.ndarray, np.ndarray]:
+    """(member index, batch row indices) of every iteration of one epoch:
+    shapes (iters,) and (iters, batch_size).
+
+    The draws come from the two streams in the one-iteration-at-a-time
+    order. Member picks are drawn one call at a time: a single call for
+    all of them would use the stream's bits differently. The uniforms
+    behind the batches are one double each, so one call for the epoch
+    gives the same rows.
+    """
+    who = np.array([member_rng.integers(n_members) for _ in range(iters)], dtype=np.int64)
+    rows = draw_batch_indices(batch_rng, n, iters * batch_size, weights)
+    return who, rows.reshape(iters, batch_size)
+
+
 def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
     """Train the ensemble in place; returns it with one trace row per epoch.
 
     Trace rows hold the mean over the epoch's minibatch losses. A
     non-finite loss aborts with the failing epoch and iteration attached.
+
+    Each epoch draws its schedule first, then runs in rounds: round k
+    takes the k-th step of every member that has one, as one member
+    stack (model.stacked_loss_and_grads) over the rows of one (I, P)
+    parameter block, and one optimizer step over those rows. The rows are
+    sorted by step count at each epoch start, so a round's members are a
+    leading run of rows. Each member sees the batches and steps of the
+    one-iteration-at-a-time loop in the same order, so every bit matches
+    that loop: the per-iteration losses are summed in iteration order,
+    and divergence reports the first failing iteration of that order.
+    The members' flat vectors are written back before each reweight pass
+    and at return; after a TrainingDivergedError they hold the last
+    written-back values.
     """
     x_train = as_matrix(x_train)
     if x_train.shape[1] != ensemble.spec.input_dim:
@@ -222,19 +274,27 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     if n == 0:
         raise ValueError("training set is empty")
 
+    size = ensemble.size
     member_rng, batch_rng = training_streams(cfg.seed)
-    iters = cfg.resolved_iters(n, ensemble.size)
-    # one state per member over its flat vector: same bits as per-array steps
-    optim = [
-        make_optimizer(cfg.optimizer, [m.flat], lr=cfg.lr, beta1=cfg.beta1,
-                       beta2=cfg.beta2, eps=cfg.eps)
-        for m in ensemble.members
-    ]
+    iters = cfg.resolved_iters(n, size)
+    coeff = sample_coefficients(cfg.batch_size, None)
+    # row r of block holds member row_member[r]'s flat vector
+    row_member = np.arange(size)
+    block = np.stack([m.flat for m in ensemble.members])
+    grad_block = np.empty_like(block)
+    state, step = make_optimizer(cfg.optimizer, [block], lr=cfg.lr, beta1=cfg.beta1,
+                                 beta2=cfg.beta2, eps=cfg.eps, per_row=True)
+    stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
+
+    def write_back():
+        for r, member in enumerate(row_member):
+            ensemble.members[member].flat[...] = block[r]
 
     weights = SampleWeights.uniform(n)
     trace: list[EpochTrace] = []
     for epoch in range(cfg.epochs):
         if cfg.reweight:
+            write_back()
             scores = ensemble_score(ensemble, x_train)
             if not np.isfinite(scores).all():
                 # per-sample scores are encoding losses, so treat this as
@@ -242,26 +302,54 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
                 raise TrainingDivergedError(epoch, 0, float(np.mean(scores)))
             weights = update_sample_weights(scores, cfg.reweight_eps)
 
+        who, batches = _epoch_schedule(member_rng, batch_rng, size, iters, n,
+                                       cfg.batch_size, weights)
+        counts = np.bincount(who, minlength=size)
+        # most steps first: round k then runs rows [0, active[k])
+        order = np.argsort(-counts, kind="stable")
+        moved = np.argsort(row_member)[order]
+        block[...] = block[moved]
+        state.reorder_rows(moved)
+        row_member = order
+        # sched[r, k]: the iteration of row r's k-th step
+        sched = np.zeros((size, counts.max()), dtype=np.int64)
+        for r, member in enumerate(row_member):
+            sched[r, :counts[member]] = np.flatnonzero(who == member)
+        active = [int((counts > k).sum()) for k in range(counts.max())]
+
+        per_iter = np.empty((iters, 3))  # combined, mean_lr, mean_le
+        first_bad = None
+        for k, a in enumerate(active):
+            if a not in stacks:
+                member0 = ensemble.members[0]
+                stacks[a] = (member0.bind(block[:a]), member0.bind(grad_block[:a]))
+            nets, grads = stacks[a]
+            its = sched[:a, k]
+            combined, mean_lr, mean_le = stacked_loss_and_grads(
+                nets, x_train[batches[its]], coeff, grads)
+            per_iter[its] = np.column_stack([combined, mean_lr, mean_le])
+            for it, c in zip(its.tolist(), combined):
+                if not math.isfinite(c) and (first_bad is None or it < first_bad):
+                    first_bad = it
+            if first_bad is not None:
+                # stop once no later round holds an earlier iteration
+                if k + 1 == len(active) or sched[:active[k + 1], k + 1].min() > first_bad:
+                    raise TrainingDivergedError(epoch, first_bad,
+                                                float(per_iter[first_bad, 0]))
+            step(state, [block[:a]], [grad_block[:a]])
+
         sum_lr = sum_le = sum_combined = 0.0
-        for it in range(iters):
-            member_idx = int(member_rng.integers(ensemble.size))
-            idx = draw_batch_indices(batch_rng, n, cfg.batch_size, weights)
-            member = ensemble.members[member_idx]
-            combined, mean_lr, mean_le, grads = loss_and_grads(member, x_train[idx])
-            if not math.isfinite(combined):
-                raise TrainingDivergedError(epoch, it, combined)
-            state, step = optim[member_idx]
-            step(state, [member.flat], [np.concatenate([g.ravel() for g in grads])])
+        for combined, mean_lr, mean_le in per_iter.tolist():  # iteration order
             sum_lr += mean_lr
             sum_le += mean_le
             sum_combined += combined
-
         trace.append(EpochTrace(
             epoch=epoch,
             mean_lr=sum_lr / iters,
             mean_le=sum_le / iters,
             combined=sum_combined / iters,
         ))
+    write_back()
     return ensemble, trace
 
 

@@ -14,6 +14,16 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def expect_type(name: str, value, *types: type):
+    """value itself when it is an instance of one of types, else a
+    ConfigError: a config value is checked, never coerced. A bool passes
+    only where bool is listed, though Python counts it as an int."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        kinds = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{name} must be {kinds}, got {value!r}")
+    return value
+
+
 class SchemaError(ConfigError):
     """Dataset schema missing, inconsistent, or not matching the CSV."""
 

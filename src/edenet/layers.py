@@ -4,6 +4,13 @@ All math is float64 numpy. Forward passes are pure functions of
 (parameters, input); backward passes consume the explicit caches returned
 by the forward calls, never hidden state. Gradients are verified against
 central finite differences in the test suite.
+
+Every function also takes a stack of I independent nets at once: a
+layer's weights are then (I, in_dim, out_dim), its bias (I, out_dim), and
+every activation carries the member axis first, (I, B, width). np.matmul
+runs one product per member, the same BLAS call a lone net makes, so a
+member's results are bit-identical either way. A backward pass can write
+its parameter gradients into given arrays (out=) instead of fresh ones.
 """
 
 from __future__ import annotations
@@ -53,11 +60,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
@@ -70,29 +77,32 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
+    if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"input has shape {x.shape}, layer expects (*, {layer.in_dim})"
         )
     # in place: one (B, out_dim) temporary instead of three
     pre = x @ layer.weights
-    pre += layer.bias
+    pre += layer.bias[..., None, :]
     if layer.activation == "tanh":
         np.tanh(pre, out=pre)
     return pre
 
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
-                   cached_output: np.ndarray, grad_out: np.ndarray):
+                   cached_output: np.ndarray, grad_out: np.ndarray,
+                   out: DenseLayer | None = None):
     """Gradients for one dense layer.
 
     cached_input and cached_output are the forward call's input and
     result; a tanh layer takes its derivative from the output, so nothing
-    is recomputed. Returns (grad_input, grad_weights, grad_bias).
+    is recomputed. Returns (grad_input, grad_weights, grad_bias); when out
+    is given, the two parameter gradients are written into out.weights and
+    out.bias and returned.
     """
-    if cached_input.shape[1] != layer.in_dim:
+    if cached_input.shape[-1] != layer.in_dim:
         raise ShapeError(f"cached input shape {cached_input.shape} mismatches layer")
-    expect = (cached_input.shape[0], layer.out_dim)
+    expect = cached_input.shape[:-1] + (layer.out_dim,)
     if cached_output.shape != expect:
         raise ShapeError(f"cached output shape {cached_output.shape} != {expect}")
     if grad_out.shape != expect:
@@ -101,9 +111,10 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         grad_pre = grad_out * (1.0 - cached_output * cached_output)
     else:
         grad_pre = grad_out
-    grad_w = cached_input.T @ grad_pre
-    grad_b = grad_pre.sum(axis=0)
-    grad_in = grad_pre @ layer.weights.T
+    grad_w = np.matmul(cached_input.swapaxes(-1, -2), grad_pre,
+                       out=None if out is None else out.weights)
+    grad_b = np.sum(grad_pre, axis=-2, out=None if out is None else out.bias)
+    grad_in = grad_pre @ layer.weights.swapaxes(-1, -2)
     return grad_in, grad_w, grad_b
 
 
@@ -150,12 +161,14 @@ class DenseStack(Stack):
             cache.append(x)
         return x, cache
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray):
-        """Returns (grad_input, grads) with grads aligned to params()."""
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out=None):
+        """Returns (grad_input, grads) with grads aligned to params(). out,
+        a stack of the same layout (see model.EdeNet.bind), receives the
+        gradients in place when given."""
         grads: list[np.ndarray] = []
         for k in range(len(self.layers) - 1, -1, -1):
             grad_out, gw, gb = dense_backward(self.layers[k], cache[k], cache[k + 1],
-                                              grad_out)
+                                              grad_out, None if out is None else out.layers[k])
             grads[:0] = [gw, gb]
         return grad_out, grads
 
@@ -200,93 +213,105 @@ def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarr
     """Run the cell over a (T, B, input_dim) sequence.
 
     Returns (hidden_states, cache) where hidden_states is (T, B, hidden_dim)
-    and cache feeds lstm_backward.
+    and cache feeds lstm_backward. A member stack carries its axis first:
+    x_seq (I, T, B, input_dim), h0 and c0 (I, B, hidden_dim).
     """
-    if x_seq.ndim != 3 or x_seq.shape[2] != cell.input_dim:
+    if x_seq.ndim < 3 or x_seq.shape[-1] != cell.input_dim:
         raise ShapeError(
             f"sequence shape {x_seq.shape} incompatible with input_dim {cell.input_dim}"
         )
-    T, B, _ = x_seq.shape
+    lead, (T, B, _) = x_seq.shape[:-3], x_seq.shape[-3:]
     if T == 0:
         raise ValueError("empty sequence")
     H = cell.hidden_dim
-    if h0.shape != (B, H) or c0.shape != (B, H):
+    if h0.shape != lead + (B, H) or c0.shape != lead + (B, H):
         raise ShapeError("h0/c0 must have shape (batch, hidden_dim)")
 
-    hs = np.empty((T + 1, B, H))
-    cs = np.empty((T + 1, B, H))
-    hs[0], cs[0] = h0, c0
-    gates = np.empty((T, B, 4 * H))
-    tanh_c = np.empty((T, B, H))
+    hs = np.empty(lead + (T + 1, B, H))
+    cs = np.empty(lead + (T + 1, B, H))
+    hs[..., 0, :, :], cs[..., 0, :, :] = h0, c0
+    gates = np.empty(lead + (T, B, 4 * H))
+    tanh_c = np.empty(lead + (T, B, H))
+    bias = cell.bias[..., None, :]
 
     for t in range(T):
-        concat = np.concatenate([x_seq[t], hs[t]], axis=1)
-        pre = concat @ cell.weights + cell.bias
-        i = expit(pre[:, :H])
-        f = expit(pre[:, H:2 * H])
-        g = np.tanh(pre[:, 2 * H:3 * H])
-        o = expit(pre[:, 3 * H:])
-        cs[t + 1] = f * cs[t] + i * g
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = o * tanh_c[t]
-        gates[t, :, :H] = i
-        gates[t, :, H:2 * H] = f
-        gates[t, :, 2 * H:3 * H] = g
-        gates[t, :, 3 * H:] = o
+        concat = np.concatenate([x_seq[..., t, :, :], hs[..., t, :, :]], axis=-1)
+        pre = concat @ cell.weights
+        pre += bias
+        # activations straight into the cache: input and forget gates
+        # share one sigmoid call
+        gate = gates[..., t, :, :]
+        expit(pre[..., :2 * H], out=gate[..., :2 * H])
+        np.tanh(pre[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])
+        expit(pre[..., 3 * H:], out=gate[..., 3 * H:])
+        i, f = gate[..., :H], gate[..., H:2 * H]
+        g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
+        c = cs[..., t + 1, :, :]
+        np.multiply(f, cs[..., t, :, :], out=c)
+        c += i * g
+        np.tanh(c, out=tanh_c[..., t, :, :])
+        np.multiply(o, tanh_c[..., t, :, :], out=hs[..., t + 1, :, :])
 
     cache = {"x_seq": x_seq, "hs": hs, "cs": cs, "gates": gates, "tanh_c": tanh_c,
              "shape": (T, B, H, cell.input_dim)}
-    return hs[1:], cache
+    return hs[..., 1:, :, :], cache
 
 
-def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray):
+def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
+                  out: LstmCell | None = None):
     """Backprop through time for one cell.
 
     grad_hidden holds the upstream gradient on every hidden state,
     shape (T, B, hidden_dim); steps without upstream signal carry zeros.
-    Returns (grad_x_seq, grad_weights, grad_bias, grad_h0, grad_c0).
+    Returns (grad_x_seq, grad_weights, grad_bias, grad_h0, grad_c0); when
+    out is given, the parameter gradients are accumulated in out.weights
+    and out.bias, which are zeroed first.
     """
     T, B, H, D = cache["shape"]
     if cell.input_dim != D or cell.hidden_dim != H:
         raise ValueError("cache does not belong to this cell")
-    if grad_hidden.shape != (T, B, H):
-        raise ShapeError(f"grad_hidden shape {grad_hidden.shape} != {(T, B, H)}")
-
     x_seq, hs, cs = cache["x_seq"], cache["hs"], cache["cs"]
     gates, tanh_c = cache["gates"], cache["tanh_c"]
+    lead = x_seq.shape[:-3]
+    if grad_hidden.shape != lead + (T, B, H):
+        raise ShapeError(f"grad_hidden shape {grad_hidden.shape} != {lead + (T, B, H)}")
 
-    grad_w = np.zeros_like(cell.weights)
-    grad_b = np.zeros_like(cell.bias)
+    if out is None:
+        grad_w, grad_b = np.zeros_like(cell.weights), np.zeros_like(cell.bias)
+    else:
+        grad_w, grad_b = out.weights, out.bias
+        grad_w[...] = 0.0
+        grad_b[...] = 0.0
+    w_t = cell.weights.swapaxes(-1, -2)
     grad_x = np.zeros_like(x_seq)
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    dh_next = np.zeros(lead + (B, H))
+    dc_next = np.zeros(lead + (B, H))
 
     for t in range(T - 1, -1, -1):
-        i = gates[t, :, :H]
-        f = gates[t, :, H:2 * H]
-        g = gates[t, :, 2 * H:3 * H]
-        o = gates[t, :, 3 * H:]
-        tc = tanh_c[t]
+        gate = gates[..., t, :, :]
+        i, f = gate[..., :H], gate[..., H:2 * H]
+        g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
+        tc = tanh_c[..., t, :, :]
 
-        dh = grad_hidden[t] + dh_next
+        dh = grad_hidden[..., t, :, :] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
         di = dc * g
-        df = dc * cs[t]
+        df = dc * cs[..., t, :, :]
         dg = dc * i
         dc_next = dc * f
 
-        dpre = np.empty((B, 4 * H))
-        dpre[:, :H] = di * i * (1.0 - i)
-        dpre[:, H:2 * H] = df * f * (1.0 - f)
-        dpre[:, 2 * H:3 * H] = dg * (1.0 - g * g)
-        dpre[:, 3 * H:] = do * o * (1.0 - o)
+        dpre = np.empty(lead + (B, 4 * H))
+        dpre[..., :H] = di * i * (1.0 - i)
+        dpre[..., H:2 * H] = df * f * (1.0 - f)
+        dpre[..., 2 * H:3 * H] = dg * (1.0 - g * g)
+        dpre[..., 3 * H:] = do * o * (1.0 - o)
 
-        concat = np.concatenate([x_seq[t], hs[t]], axis=1)
-        grad_w += concat.T @ dpre
-        grad_b += dpre.sum(axis=0)
-        dconcat = dpre @ cell.weights.T
-        grad_x[t] = dconcat[:, :D]
-        dh_next = dconcat[:, D:]
+        concat = np.concatenate([x_seq[..., t, :, :], hs[..., t, :, :]], axis=-1)
+        grad_w += concat.swapaxes(-1, -2) @ dpre
+        grad_b += dpre.sum(axis=-2)
+        dconcat = dpre @ w_t
+        grad_x[..., t, :, :] = dconcat[..., :D]
+        dh_next = dconcat[..., D:]
 
     return grad_x, grad_w, grad_b, dh_next, dc_next

@@ -129,38 +129,39 @@ class ArchSpec:
 
 
 def _row_to_sequence(x: np.ndarray, seq_len: int, chunk: int) -> np.ndarray:
-    """(B, d) -> (T, B, chunk), zero-padding the tail chunk."""
-    B, d = x.shape
-    padded = np.zeros((B, seq_len * chunk))
-    padded[:, :d] = x
-    return padded.reshape(B, seq_len, chunk).transpose(1, 0, 2)
+    """(..., B, d) -> (..., T, B, chunk), zero-padding the tail chunk."""
+    *lead, B, d = x.shape
+    padded = np.zeros((*lead, B, seq_len * chunk))
+    padded[..., :d] = x
+    return padded.reshape(*lead, B, seq_len, chunk).swapaxes(-2, -3)
 
 
 def _sequence_to_row(seq: np.ndarray, d: int) -> np.ndarray:
-    """(T, B, chunk) -> (B, d), dropping pad columns."""
-    T, B, chunk = seq.shape
-    return seq.transpose(1, 0, 2).reshape(B, T * chunk)[:, :d]
+    """(..., T, B, chunk) -> (..., B, d), dropping pad columns."""
+    *lead, T, B, chunk = seq.shape
+    return seq.swapaxes(-2, -3).reshape(*lead, B, T * chunk)[..., :d]
 
 
 def _cells_forward(cells: list[LstmCell], seq: np.ndarray):
-    """Run the stacked cells over a (T, B, *) sequence, each from zero
-    states. Returns the top cell's hidden states and one cache per cell."""
+    """Run the stacked cells over a (..., T, B, *) sequence, each from
+    zero states. Returns the top cell's hidden states and one cache per
+    cell."""
     caches = []
     for cell in cells:
-        zeros = np.zeros((seq.shape[1], cell.hidden_dim))
+        zeros = np.zeros(seq.shape[:-3] + (seq.shape[-2], cell.hidden_dim))
         seq, cache = lstm_forward(cell, seq, zeros, zeros)
         caches.append(cache)
     return seq, caches
 
 
-def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray):
+def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray,
+                    out: list[LstmCell]) -> np.ndarray:
     """Backprop the gradient on the top cell's hidden states down the
-    stack. Returns (grad on the input sequence, [w0, b0, w1, b1, ...])."""
-    grads: list[np.ndarray] = []
-    for cell, cache in zip(reversed(cells), reversed(caches)):
-        dh, gw, gb, _, _ = lstm_backward(cell, cache, dh)
-        grads[:0] = [gw, gb]
-    return dh, grads
+    stack, writing cell k's gradients into out[k]. Returns the gradient on
+    the input sequence."""
+    for k in range(len(cells) - 1, -1, -1):
+        dh = lstm_backward(cells[k], caches[k], dh, out[k])[0]
+    return dh
 
 
 class LstmEncoder(Stack):
@@ -178,17 +179,21 @@ class LstmEncoder(Stack):
     def forward(self, x: np.ndarray):
         hidden, caches = _cells_forward(
             self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
-        top_last = hidden[-1]
-        z = top_last @ self.proj.weights + self.proj.bias
+        top_last = hidden[..., -1, :, :]
+        z = top_last @ self.proj.weights + self.proj.bias[..., None, :]
         return z, {"cell_caches": caches, "top_last": top_last}
 
-    def backward(self, cache: dict, grad_out: np.ndarray):
-        g_proj_w = cache["top_last"].T @ grad_out
-        g_proj_b = grad_out.sum(axis=0)
-        dh = np.zeros((self.seq_len, grad_out.shape[0], self.cells[-1].hidden_dim))
-        dh[-1] = grad_out @ self.proj.weights.T
-        dx_seq, grads = _cells_backward(self.cells, cache["cell_caches"], dh)
-        return _sequence_to_row(dx_seq, self.input_dim), grads + [g_proj_w, g_proj_b]
+    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder"):
+        """Writes the gradients into out, a stack of the same layout, and
+        returns (grad_input, out.params()), the pair DenseStack.backward
+        returns."""
+        np.matmul(cache["top_last"].swapaxes(-1, -2), grad_out, out=out.proj.weights)
+        np.sum(grad_out, axis=-2, out=out.proj.bias)
+        *lead, B, _ = grad_out.shape
+        dh = np.zeros((*lead, self.seq_len, B, self.cells[-1].hidden_dim))
+        dh[..., -1, :, :] = grad_out @ self.proj.weights.swapaxes(-1, -2)
+        dx_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells)
+        return _sequence_to_row(dx_seq, self.input_dim), out.params()
 
     def named_units(self) -> list[tuple[str, object]]:
         return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("proj", self.proj)]
@@ -208,19 +213,26 @@ class LstmDecoder(Stack):
 
     def forward(self, z: np.ndarray):
         hidden, caches = _cells_forward(
-            self.cells, np.repeat(z[None, :, :], self.seq_len, axis=0))
-        chunks = hidden @ self.out.weights + self.out.bias  # (T, B, chunk)
+            self.cells, np.repeat(z[..., None, :, :], self.seq_len, axis=-3))
+        # (..., T, B, chunk): one product per step, and per member
+        chunks = hidden @ self.out.weights[..., None, :, :] + self.out.bias[..., None, None, :]
         x_recon = _sequence_to_row(chunks, self.output_dim)
         return x_recon, {"cell_caches": caches, "top_hidden": hidden}
 
-    def backward(self, cache: dict, grad_out: np.ndarray):
+    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmDecoder"):
+        """Writes the gradients into out, a stack of the same layout, and
+        returns (grad_input, out.params()), the pair DenseStack.backward
+        returns."""
         dchunks = _row_to_sequence(grad_out, self.seq_len, self.chunk)
-        g_out_w = np.einsum("tbh,tbk->hk", cache["top_hidden"], dchunks)
-        g_out_b = dchunks.sum(axis=(0, 1))
-        dh = dchunks @ self.out.weights.T
-        dz_seq, grads = _cells_backward(self.cells, cache["cell_caches"], dh)
-        grad_z = dz_seq.sum(axis=0)  # same latent fed at every step
-        return grad_z, grads + [g_out_w, g_out_b]
+        hidden = cache["top_hidden"]
+        # one einsum per member: einsum over a member axis sums in another order
+        for m in np.ndindex(hidden.shape[:-3]):
+            out.out.weights[m] = np.einsum("tbh,tbk->hk", hidden[m], dchunks[m])
+            out.out.bias[m] = dchunks[m].sum(axis=(0, 1))
+        dh = dchunks @ self.out.weights[..., None, :, :].swapaxes(-1, -2)
+        dz_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells)
+        grad_z = dz_seq.sum(axis=-3)  # same latent fed at every step
+        return grad_z, out.params()
 
     def named_units(self) -> list[tuple[str, object]]:
         return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("out", self.out)]
@@ -261,6 +273,19 @@ def _build_decoder(spec: ArchSpec, rng: np.random.Generator):
     return LstmDecoder(cells, out, spec.input_dim, spec.seq_len)
 
 
+def _point_at(units: list, flat: np.ndarray) -> None:
+    """Rebind each unit's (weights, bias) to a view of flat of the same
+    shape: consecutive slices of flat's last axis, in params() order. Any
+    leading axes of flat lead every view too."""
+    lead, offset = flat.shape[:-1], 0
+    for unit in units:
+        for attr in ("weights", "bias"):
+            arr = getattr(unit, attr)
+            view = flat[..., offset:offset + arr.size].reshape(lead + arr.shape)
+            setattr(unit, attr, view)
+            offset += arr.size
+
+
 class EdeNet(Stack):
     """One encoder-decoder-encoder learner.
 
@@ -269,6 +294,10 @@ class EdeNet(Stack):
     flat: every array params() returns is a view into it, laid out in
     params() order, so an optimizer can update the whole net in one pass.
     Parameter names carry the part's prefix: e1.*, dec.*, e2.*.
+
+    bind() lays the same structure over another buffer. Over an (I, P)
+    block it makes a member stack: I nets that run as one, with row i of
+    the block as member i's flat vector.
     """
 
     def __init__(self, spec: ArchSpec, e1, dec, e2):
@@ -279,15 +308,8 @@ class EdeNet(Stack):
         for a, b in zip(self.e1.params(), self.e2.params()):
             if a is b:
                 raise ValueError("e1 and e2 must not alias parameters")
-        self.flat = np.empty(sum(p.size for p in self.params()))
-        offset = 0
-        for unit in self.units():
-            for attr in ("weights", "bias"):
-                arr = getattr(unit, attr)
-                view = self.flat[offset:offset + arr.size].reshape(arr.shape)
-                view[...] = arr
-                setattr(unit, attr, view)
-                offset += arr.size
+        self.flat = np.concatenate([p.ravel() for p in self.params()])
+        _point_at(self.units(), self.flat)
 
     def __deepcopy__(self, memo):
         # the default deepcopy would copy each view into an array of its
@@ -295,6 +317,17 @@ class EdeNet(Stack):
         new = EdeNet(self.spec, copy.deepcopy(self.e1, memo),
                      copy.deepcopy(self.dec, memo), copy.deepcopy(self.e2, memo))
         memo[id(self)] = new
+        return new
+
+    def bind(self, flat: np.ndarray) -> "EdeNet":
+        """A copy of this net whose parameters are views of flat.
+
+        flat is (P,) for one net or (I, P) for a member stack. Values are
+        not copied: the result reads and writes flat.
+        """
+        new = copy.deepcopy(self)
+        _point_at(new.units(), flat)
+        new.flat = flat
         return new
 
     @classmethod
@@ -334,18 +367,18 @@ class EdeNet(Stack):
                 caches.append(cache)
         return (*outputs, caches)
 
-    def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp):
-        """Chain rule over the full composition.
+    def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp, out: "EdeNet"):
+        """Chain rule over the full composition, writing the gradients
+        into out, a net of the same layout bound to the gradient buffer.
 
         The second encoder only ever sees grad_zp; the decoder and first
         encoder accumulate both the reconstruction-path and the
         encoding-path contributions.
         """
         c1, cd, c2 = caches
-        grad_xr_from_e2, g_e2 = self.e2.backward(c2, grad_zp)
-        grad_z_from_dec, g_dec = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct)
-        _, g_e1 = self.e1.backward(c1, grad_z_from_dec + grad_z_direct)
-        return g_e1 + g_dec + g_e2
+        grad_xr_from_e2, _ = self.e2.backward(c2, grad_zp, out.e2)
+        grad_z_from_dec, _ = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec)
+        self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +389,17 @@ def reconstruction_loss(x: np.ndarray, x_recon: np.ndarray) -> np.ndarray:
     """Per-sample Euclidean distance between input and reconstruction."""
     if x.shape != x_recon.shape:
         raise ShapeError(f"shape mismatch {x.shape} vs {x_recon.shape}")
-    return np.linalg.norm(x - x_recon, axis=1)
+    return np.linalg.norm(x - x_recon, axis=-1)
 
 
 def encoding_loss(z: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
     """Per-sample Euclidean distance between the two latent encodings."""
     if z.shape != z_prime.shape:
         raise ShapeError(f"shape mismatch {z.shape} vs {z_prime.shape}")
-    return np.linalg.norm(z - z_prime, axis=1)
+    return np.linalg.norm(z - z_prime, axis=-1)
 
 
-def _sample_coefficients(n: int, weights) -> np.ndarray:
+def sample_coefficients(n: int, weights) -> np.ndarray:
     """Per-sample mixing coefficients; uniform weights give the batch mean."""
     if weights is None:
         return np.full(n, 1.0 / n)
@@ -392,31 +425,51 @@ def loss_and_grads(net: EdeNet, x: np.ndarray, weights=None, need_grads=True):
 
     Returns (combined, mean_lr, mean_le, grads); mean_lr / mean_le are the
     same per-sample mixes used in the combined value, so
-    combined == alpha*mean_lr + beta*mean_le always holds. The Euclidean
-    norm's gradient is taken as 0 at exactly-zero error.
+    combined == alpha*mean_lr + beta*mean_le always holds. grads is
+    aligned to net.params(). The Euclidean norm's gradient is taken as 0
+    at exactly-zero error. Runs stacked_loss_and_grads on a stack of one.
     """
     x = net._check_input(x)
-    alpha, beta = net.spec.alpha, net.spec.beta
-    coeff = _sample_coefficients(x.shape[0], weights)
+    coeff = sample_coefficients(x.shape[0], weights)
+    out = net.bind(np.empty((1, net.flat.size))) if need_grads else None
+    # net's parameters broadcast over the member axis of length one
+    combined, mean_lr, mean_le = stacked_loss_and_grads(net, x[None], coeff, out)
+    grads = [g[0] for g in out.params()] if need_grads else None
+    return combined[0], mean_lr[0], mean_le[0], grads
 
-    z, x_recon, z_prime, caches = net._forward_cached(x)
+
+def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
+                           out: EdeNet | None = None):
+    """loss_and_grads for I members at once.
+
+    nets is a member stack (EdeNet.bind over an (I, P) block), or one net
+    when I=1, and x holds one (B, d) batch per member, (I, B, d); coeff
+    mixes the B per-sample losses. Returns (combined, mean_lr, mean_le) as
+    lists of I floats. out, when given, is a stack bound to an (I, P)
+    gradient buffer and receives each member's gradients in its row.
+    Every member's numbers are bit-identical to a run on that member
+    alone.
+    """
+    alpha, beta = nets.spec.alpha, nets.spec.beta
+    z, x_recon, z_prime, caches = nets._forward_cached(x, keep_caches=out is not None)
     lr = reconstruction_loss(x, x_recon)
     le = encoding_loss(z, z_prime)
-    mean_lr = float(coeff @ lr)
-    mean_le = float(coeff @ le)
-    combined = alpha * mean_lr + beta * mean_le
-    if not need_grads:
-        return combined, mean_lr, mean_le, None
+    # one dot product per member, as a lone net sums them
+    mean_lr = [float(coeff @ row) for row in lr]
+    mean_le = [float(coeff @ row) for row in le]
+    combined = [alpha * a + beta * b for a, b in zip(mean_lr, mean_le)]
+    if out is None:
+        return combined, mean_lr, mean_le
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        unit_r = np.where(lr[:, None] > 0, (x_recon - x) / lr[:, None], 0.0)
-        unit_e = np.where(le[:, None] > 0, (z_prime - z) / le[:, None], 0.0)
+        unit_r = np.where(lr[..., None] > 0, (x_recon - x) / lr[..., None], 0.0)
+        unit_e = np.where(le[..., None] > 0, (z_prime - z) / le[..., None], 0.0)
     grad_xr_direct = alpha * coeff[:, None] * unit_r
     grad_zp = beta * coeff[:, None] * unit_e
     grad_z_direct = -grad_zp
 
-    grads = net._backward(caches, grad_z_direct, grad_xr_direct, grad_zp)
-    return combined, mean_lr, mean_le, grads
+    nets._backward(caches, grad_z_direct, grad_xr_direct, grad_zp, out)
+    return combined, mean_lr, mean_le
 
 
 def anomaly_score(net: EdeNet, x: np.ndarray) -> np.ndarray:

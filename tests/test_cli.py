@@ -388,6 +388,41 @@ def test_unknown_optimizer_is_exit_2(tmp_path, workspace):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"train": {"epochs": "3"}},
+    {"train": {"lr": "0.01"}},
+    {"train": {"batch_size": "64"}},
+    {"train": {"iters_per_epoch": 2.5}},
+    {"n_members": "2"},
+    {"train": {"reweight": "no"}},
+    {"train": {"epochs": True}},
+    {"q": "0.2"},
+    {"q": True},
+], ids=["epochs-str", "lr-str", "batch_size-str", "iters-float", "n_members-str",
+        "reweight-str", "epochs-bool", "q-str", "q-bool"])
+def test_mistyped_config_value_is_exit_2(tmp_path, workspace, capsys, doc):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    rc = main(["train", "--config", cfg,
+               "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", str(workspace / "synth" / "schema.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True])
+def test_mistyped_bench_method_members_is_exit_2(tmp_path, capsys, value):
+    cfg = write_json(tmp_path / "bench.json", {
+        "synthetic": {"d": 3, "n_train": 50, "n_test_normal": 20,
+                      "n_test_anomaly": 8, "shift": 3.0},
+        "methods": [{"name": "only", "n_members": value}],
+        "train": {"epochs": 1, "batch_size": 16},
+    })
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_score_width_mismatch_is_exit_2(tmp_path, workspace):
     # model expects 4 features, this file carries 3
     other = tmp_path / "three"

@@ -509,3 +509,38 @@ def test_scaling_dict_round_trip():
     back = scaling_from_dict(scaling_to_dict(stats))
     assert np.array_equal(back.col_min, stats.col_min)
     assert np.array_equal(back.col_max, stats.col_max)
+
+
+def test_dataset_copies_a_writeable_caller_array():
+    given = np.zeros((3, 2))
+    ds = Dataset(features=given)
+    assert not np.shares_memory(ds.features, given)
+    given[0, 0] = 5.0  # the caller's array stays its own
+    assert given.flags.writeable and ds.features[0, 0] == 0.0
+
+
+def test_dataset_keeps_a_read_only_array_without_copying():
+    ds = Dataset(features=np.arange(6.0).reshape(3, 2), labels=np.array([0, 1, 0]))
+    bare = ds.without_labels()
+    assert np.shares_memory(bare.features, ds.features)
+    assert bare.labels is None
+    assert not bare.features.flags.writeable
+
+
+def test_arrays_the_module_builds_are_frozen_without_copying(tmp_path, monkeypatch):
+    import edenet.data as data_mod
+
+    original, passed = data_mod._read_only, []
+
+    def recording(given, dtype):
+        arr = original(given, dtype)
+        passed.append((given, arr))
+        return arr
+
+    monkeypatch.setattr(data_mod, "_read_only", recording)
+    ds = load_csv(write(tmp_path, "v,status\n1,ok\n2,fail\n3,ok\n"), LABELED)
+    ds.take(np.array([2, 0]))
+    generate_synthetic(2, 3, 1, 4.0)
+    assert len(passed) == 6  # features and labels of each of the three
+    for given, arr in passed:
+        assert arr is given and not arr.flags.writeable

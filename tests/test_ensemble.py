@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -247,26 +248,40 @@ def test_training_rejects_width_mismatch_and_empty_data():
         train_ensemble(ens, np.zeros((0, 6)), TrainConfig(epochs=1))
 
 
-def reference_single_net_training(initial: EdeNet, x: np.ndarray,
-                                  cfg: TrainConfig, reweight: bool):
-    """Plain one-net loop used as an oracle for the I=1 ensemble."""
-    net = copy.deepcopy(initial)
-    _, batch_rng = training_streams(cfg.seed)
-    state, step = make_optimizer(cfg.optimizer, net.params(), lr=cfg.lr,
-                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
+    """One iteration at a time, as a plain oracle for train_ensemble: each
+    iteration picks a member from training_streams, draws its batch, runs
+    one loss_and_grads and steps that member's own optimizer state, array
+    by array. Works on copies; returns (members, trace, picks), picks[e]
+    being epoch e's member index per iteration."""
+    members = [copy.deepcopy(m) for m in ens.members]
+    alone = EnsembleModel(ens.spec, members)
+    member_rng, batch_rng = training_streams(cfg.seed)
+    optim = [make_optimizer(cfg.optimizer, m.params(), lr=cfg.lr, beta1=cfg.beta1,
+                            beta2=cfg.beta2, eps=cfg.eps) for m in members]
     n = x.shape[0]
-    iters = cfg.resolved_iters(n, 1)
+    iters = cfg.resolved_iters(n, len(members))
     weights = SampleWeights.uniform(n)
-    alone = EnsembleModel(initial.spec, [net])
-    for _ in range(cfg.epochs):
-        if reweight:
-            weights = update_sample_weights(ensemble_score(alone, x),
-                                            cfg.reweight_eps)
-        for _ in range(iters):
+    trace, picks = [], []
+    for epoch in range(cfg.epochs):
+        if cfg.reweight:
+            weights = update_sample_weights(ensemble_score(alone, x), cfg.reweight_eps)
+        sum_lr = sum_le = sum_combined = 0.0
+        picks.append([])
+        for it in range(iters):
+            j = int(member_rng.integers(len(members)))
             idx = draw_batch_indices(batch_rng, n, cfg.batch_size, weights)
-            _, _, _, grads = loss_and_grads(net, x[idx])
-            step(state, net.params(), grads)
-    return net
+            combined, mean_lr, mean_le, grads = loss_and_grads(members[j], x[idx])
+            if not math.isfinite(combined):
+                raise TrainingDivergedError(epoch, it, combined)
+            state, step = optim[j]
+            step(state, members[j].params(), grads)
+            picks[-1].append(j)
+            sum_lr += mean_lr
+            sum_le += mean_le
+            sum_combined += combined
+        trace.append(EpochTrace(epoch, sum_lr / iters, sum_le / iters, sum_combined / iters))
+    return members, trace, picks
 
 
 @pytest.mark.parametrize("reweight", [False, True])
@@ -275,7 +290,7 @@ def test_single_member_ensemble_matches_direct_loop(reweight):
     cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=5,
                       reweight=reweight, seed=31)
     ens = init_ensemble(make_arch(6, SMALL), 1, seed=cfg.seed)
-    oracle = reference_single_net_training(ens.members[0], x, cfg, reweight)
+    [oracle], _, _ = reference_training(ens, x, cfg)
     train_ensemble(ens, x, cfg)
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.max(np.abs(pa - pb)) <= 1e-12
@@ -292,11 +307,86 @@ def test_flat_training_is_bit_exact_against_per_array_loop(arch, optimizer):
     cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=5,
                       optimizer=optimizer, lr=0.01, reweight=True, seed=33)
     ens = init_ensemble(make_arch(6, arch), 1, seed=cfg.seed)
-    oracle = reference_single_net_training(ens.members[0], x, cfg, reweight=True)
+    [oracle], _, _ = reference_training(ens, x, cfg)
     train_ensemble(ens, x, cfg)
     assert np.array_equal(ens.members[0].flat, oracle.flat)
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.array_equal(pa, pb)
+
+
+LSTM_TWO_LAYERS = {**LSTM_SMALL, "recurrent_layers": 2}
+
+
+@pytest.mark.parametrize("reweight", [False, True], ids=["plain", "reweight"])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL, LSTM_TWO_LAYERS],
+                         ids=["ff", "lstm1", "lstm2"])
+@pytest.mark.parametrize("n_members", [2, 3, 5])
+def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch,
+                                                               optimizer, reweight):
+    """The members step in lockstep rounds; the oracle steps one member per
+    iteration. Every member's parameters and every trace row must agree to
+    the last bit, also when the members take uneven numbers of steps."""
+    x = make_rng(34).standard_normal((40, 6))
+    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=7, optimizer=optimizer,
+                      lr=0.01, reweight=reweight, seed=35 + n_members)
+    ens = init_ensemble(make_arch(6, arch), n_members, seed=cfg.seed)
+    oracle, oracle_trace, picks = reference_training(ens, x, cfg)
+    _, trace = train_ensemble(ens, x, cfg)
+    # 7 iterations over 2, 3 or 5 members: some member steps more often
+    for epoch_picks in picks:
+        counts = np.bincount(epoch_picks, minlength=n_members)
+        assert counts.max() > counts.min()
+    for member, expected in zip(ens.members, oracle):
+        assert np.array_equal(member.flat, expected.flat)
+    assert trace == oracle_trace
+
+
+def test_divergence_reports_the_first_iteration_in_iteration_order():
+    """Every member diverges at its first step. The first pick of seed 4
+    is member 2, so a loop reporting in member or round order would name
+    a later iteration."""
+    cfg = TrainConfig(epochs=1, batch_size=4, iters_per_epoch=9, reweight=False, seed=4)
+    member_rng, _ = training_streams(cfg.seed)
+    assert int(member_rng.integers(3)) != 0
+    ens = small_ensemble(3, seed=cfg.seed)
+    for member in ens.members:
+        member.flat[...] = np.nan
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_ensemble(ens, make_rng(16).standard_normal((20, 6)), cfg)
+    assert exc.value.epoch == 0 and exc.value.iteration == 0
+
+
+@pytest.mark.parametrize("bad_member", [0, 1, 2])
+def test_one_diverging_member_fails_where_the_direct_loop_fails(bad_member):
+    """Only one member diverges. Its first step may run in an earlier
+    round than other members' earlier iterations; the error must still
+    name the iteration the one-at-a-time loop stops at."""
+    x = make_rng(17).standard_normal((20, 6))
+    cfg = TrainConfig(epochs=2, batch_size=4, iters_per_epoch=9, reweight=False, seed=4)
+    ens = small_ensemble(3, seed=cfg.seed)
+    ens.members[bad_member].flat[...] = np.nan
+    with pytest.raises(TrainingDivergedError) as expected:
+        reference_training(ens, x, cfg)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_ensemble(ens, x, cfg)
+    assert (exc.value.epoch, exc.value.iteration) == (expected.value.epoch,
+                                                      expected.value.iteration)
+
+
+def test_divergence_in_a_later_round_can_come_first():
+    """Member 0 is NaN from the start; its first step is iteration 2. An
+    SGD step of lr 1e300 overflows the other members, so member 2, picked
+    at iterations 0 and 1, diverges at its second step: round 1, but
+    iteration 1. The error must name iteration 1."""
+    x = make_rng(17).standard_normal((20, 6))
+    cfg = TrainConfig(epochs=1, batch_size=4, iters_per_epoch=9, optimizer="sgd",
+                      lr=1e300, reweight=False, seed=4)
+    ens = small_ensemble(3, seed=cfg.seed)
+    ens.members[0].flat[...] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
+        train_ensemble(ens, x, cfg)
+    assert exc.value.iteration == 1
 
 
 def test_trace_csv_round_trips_floats(tmp_path):

@@ -66,3 +66,33 @@ def test_adam_deterministic_across_runs():
         return w
 
     assert np.array_equal(run(), run())
+
+
+def test_per_row_adam_matches_one_state_per_row():
+    """A per-row state over a block steps each row as its own Adam would,
+    also when a step covers only the leading rows and after the rows are
+    reordered."""
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((3, 4))
+    rows = [block[r].copy() for r in range(3)]
+    state = AdamState.for_params([block], lr=0.1, per_row=True)
+    alone = [AdamState.for_params([row], lr=0.1) for row in rows]
+
+    def step(n):
+        g = rng.standard_normal((3, 4))
+        adam_step(state, [block[:n]], [g[:n]])
+        for r in range(n):
+            adam_step(alone[r], [rows[r]], [g[r]])
+
+    for n in (3, 3, 2, 1):
+        step(n)
+    assert state.step == [4, 3, 2]
+    order = np.array([2, 0, 1])
+    block[...] = block[order]
+    state.reorder_rows(order)
+    rows, alone = [rows[r] for r in order], [alone[r] for r in order]
+    for n in (3, 1):
+        step(n)
+    assert state.step == [4, 5, 4]
+    for r in range(3):
+        assert np.array_equal(block[r], rows[r])
