@@ -5,6 +5,10 @@ All math is float64 numpy. Forward passes are pure functions of
 by the forward calls, never hidden state. Gradients are verified against
 central finite differences in the test suite.
 
+Scoring needs no backward pass, so it runs forward-only: DenseStack.infer
+and lstm_infer return what forward and lstm_forward return, bit for bit,
+but keep no cache (the LSTM paths share one per-step helper, lstm_step).
+
 Every function also takes a stack of I independent nets at once: a
 layer's weights are then (I, in_dim, out_dim), its bias (I, out_dim), and
 every activation carries the member axis first, (I, B, width). np.matmul
@@ -161,6 +165,13 @@ class DenseStack(Stack):
             cache.append(x)
         return x, cache
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """forward's output alone; each layer's output is freed once the
+        next layer has run."""
+        for layer in self.layers:
+            x = dense_forward(layer, x)
+        return x
+
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out=None):
         """Returns (grad_input, grads) with grads aligned to params(). out,
         a stack of the same layout (see model.EdeNet.bind), receives the
@@ -209,6 +220,39 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden_dim: int) -> Lstm
     return LstmCell(input_dim, hidden_dim, w, b)
 
 
+def _check_sequence(cell: LstmCell, x_seq: np.ndarray) -> None:
+    if x_seq.ndim < 3 or x_seq.shape[-1] != cell.input_dim:
+        raise ShapeError(
+            f"sequence shape {x_seq.shape} incompatible with input_dim {cell.input_dim}"
+        )
+    if x_seq.shape[-3] == 0:
+        raise ValueError("empty sequence")
+
+
+def lstm_step(cell: LstmCell, x_t: np.ndarray, h: np.ndarray, c: np.ndarray,
+              gate: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
+              h_new: np.ndarray) -> None:
+    """One timestep from states (h, c) on input x_t, all (..., B, *).
+
+    Writes the activated gates (..., B, 4*hidden_dim), the new cell state,
+    its tanh and the new hidden state into the given arrays. c_new may be
+    c and h_new may be h: each is read before it is written.
+    """
+    H = cell.hidden_dim
+    pre = np.concatenate([x_t, h], axis=-1) @ cell.weights
+    pre += cell.bias[..., None, :]
+    # input and forget gates share one sigmoid call
+    expit(pre[..., :2 * H], out=gate[..., :2 * H])
+    np.tanh(pre[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])
+    expit(pre[..., 3 * H:], out=gate[..., 3 * H:])
+    i, f = gate[..., :H], gate[..., H:2 * H]
+    g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
+    np.multiply(f, c, out=c_new)
+    c_new += i * g
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_new)
+
+
 def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarray):
     """Run the cell over a (T, B, input_dim) sequence.
 
@@ -216,13 +260,8 @@ def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarr
     and cache feeds lstm_backward. A member stack carries its axis first:
     x_seq (I, T, B, input_dim), h0 and c0 (I, B, hidden_dim).
     """
-    if x_seq.ndim < 3 or x_seq.shape[-1] != cell.input_dim:
-        raise ShapeError(
-            f"sequence shape {x_seq.shape} incompatible with input_dim {cell.input_dim}"
-        )
+    _check_sequence(cell, x_seq)
     lead, (T, B, _) = x_seq.shape[:-3], x_seq.shape[-3:]
-    if T == 0:
-        raise ValueError("empty sequence")
     H = cell.hidden_dim
     if h0.shape != lead + (B, H) or c0.shape != lead + (B, H):
         raise ShapeError("h0/c0 must have shape (batch, hidden_dim)")
@@ -232,29 +271,32 @@ def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarr
     hs[..., 0, :, :], cs[..., 0, :, :] = h0, c0
     gates = np.empty(lead + (T, B, 4 * H))
     tanh_c = np.empty(lead + (T, B, H))
-    bias = cell.bias[..., None, :]
-
     for t in range(T):
-        concat = np.concatenate([x_seq[..., t, :, :], hs[..., t, :, :]], axis=-1)
-        pre = concat @ cell.weights
-        pre += bias
-        # activations straight into the cache: input and forget gates
-        # share one sigmoid call
-        gate = gates[..., t, :, :]
-        expit(pre[..., :2 * H], out=gate[..., :2 * H])
-        np.tanh(pre[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])
-        expit(pre[..., 3 * H:], out=gate[..., 3 * H:])
-        i, f = gate[..., :H], gate[..., H:2 * H]
-        g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
-        c = cs[..., t + 1, :, :]
-        np.multiply(f, cs[..., t, :, :], out=c)
-        c += i * g
-        np.tanh(c, out=tanh_c[..., t, :, :])
-        np.multiply(o, tanh_c[..., t, :, :], out=hs[..., t + 1, :, :])
+        # activations straight into the cache
+        lstm_step(cell, x_seq[..., t, :, :], hs[..., t, :, :], cs[..., t, :, :],
+                  gates[..., t, :, :], cs[..., t + 1, :, :], tanh_c[..., t, :, :],
+                  hs[..., t + 1, :, :])
 
     cache = {"x_seq": x_seq, "hs": hs, "cs": cs, "gates": gates, "tanh_c": tanh_c,
              "shape": (T, B, H, cell.input_dim)}
     return hs[..., 1:, :, :], cache
+
+
+def lstm_infer(cell: LstmCell, x_seq: np.ndarray) -> np.ndarray:
+    """lstm_forward's hidden states from zero states, without the cache:
+    the same lstm_step math, with one step's gates and cell state kept at
+    a time."""
+    _check_sequence(cell, x_seq)
+    lead, (T, B, _) = x_seq.shape[:-3], x_seq.shape[-3:]
+    H = cell.hidden_dim
+    hs = np.empty(lead + (T, B, H))
+    h, c = np.zeros(lead + (B, H)), np.zeros(lead + (B, H))
+    gate = np.empty(lead + (B, 4 * H))
+    tanh_c = np.empty(lead + (B, H))
+    for t in range(T):
+        lstm_step(cell, x_seq[..., t, :, :], h, c, gate, c, tanh_c, hs[..., t, :, :])
+        h = hs[..., t, :, :]
+    return hs
 
 
 def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,

@@ -31,6 +31,7 @@ from .layers import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    lstm_infer,
 )
 
 ENCODER_KINDS = ("feedforward", "lstm")
@@ -154,6 +155,13 @@ def _cells_forward(cells: list[LstmCell], seq: np.ndarray):
     return seq, caches
 
 
+def _cells_infer(cells: list[LstmCell], seq: np.ndarray) -> np.ndarray:
+    """_cells_forward's top hidden states, keeping no cache."""
+    for cell in cells:
+        seq = lstm_infer(cell, seq)
+    return seq
+
+
 def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray,
                     out: list[LstmCell]) -> np.ndarray:
     """Backprop the gradient on the top cell's hidden states down the
@@ -180,8 +188,14 @@ class LstmEncoder(Stack):
         hidden, caches = _cells_forward(
             self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
         top_last = hidden[..., -1, :, :]
-        z = top_last @ self.proj.weights + self.proj.bias[..., None, :]
-        return z, {"cell_caches": caches, "top_last": top_last}
+        return self._project(top_last), {"cell_caches": caches, "top_last": top_last}
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        hidden = _cells_infer(self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
+        return self._project(hidden[..., -1, :, :])
+
+    def _project(self, top_last: np.ndarray) -> np.ndarray:
+        return top_last @ self.proj.weights + self.proj.bias[..., None, :]
 
     def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder"):
         """Writes the gradients into out, a stack of the same layout, and
@@ -212,12 +226,19 @@ class LstmDecoder(Stack):
         self.chunk = out.out_dim
 
     def forward(self, z: np.ndarray):
-        hidden, caches = _cells_forward(
-            self.cells, np.repeat(z[..., None, :, :], self.seq_len, axis=-3))
+        hidden, caches = _cells_forward(self.cells, self._sequence(z))
+        return self._unchunk(hidden), {"cell_caches": caches, "top_hidden": hidden}
+
+    def infer(self, z: np.ndarray) -> np.ndarray:
+        return self._unchunk(_cells_infer(self.cells, self._sequence(z)))
+
+    def _sequence(self, z: np.ndarray) -> np.ndarray:
+        return np.repeat(z[..., None, :, :], self.seq_len, axis=-3)
+
+    def _unchunk(self, hidden: np.ndarray) -> np.ndarray:
         # (..., T, B, chunk): one product per step, and per member
         chunks = hidden @ self.out.weights[..., None, :, :] + self.out.bias[..., None, None, :]
-        x_recon = _sequence_to_row(chunks, self.output_dim)
-        return x_recon, {"cell_caches": caches, "top_hidden": hidden}
+        return _sequence_to_row(chunks, self.output_dim)
 
     def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmDecoder"):
         """Writes the gradients into out, a stack of the same layout, and
@@ -351,20 +372,25 @@ class EdeNet(Stack):
         return x
 
     def forward(self, x: np.ndarray):
-        """Returns (z, x_recon, z_prime) for a (B, input_dim) batch."""
-        return self._forward_cached(self._check_input(x), keep_caches=False)[:3]
+        """Returns (z, x_recon, z_prime) for a (B, input_dim) batch,
+        forward-only: no stack keeps a cache for a backward pass."""
+        return self.infer(self._check_input(x))
 
-    def _forward_cached(self, x: np.ndarray, keep_caches: bool = True):
-        """(z, x_recon, z_prime, caches) through e1, dec, e2. Without
-        keep_caches, caches stays empty and each stack's cache is freed once
-        the next stack has run: a forward pass over a whole dataset would
-        otherwise hold all three at its peak."""
+    def infer(self, x: np.ndarray):
+        """forward without the input check. Each stack's infer gives its
+        forward's output bit for bit."""
+        z = self.e1.infer(x)
+        x_recon = self.dec.infer(z)
+        return z, x_recon, self.e2.infer(x_recon)
+
+    def _forward_cached(self, x: np.ndarray):
+        """(z, x_recon, z_prime, caches) through e1, dec, e2, with each
+        stack's cache for _backward."""
         outputs, caches = [], []
         for stack in (self.e1, self.dec, self.e2):
             x, cache = stack.forward(x)
             outputs.append(x)
-            if keep_caches:
-                caches.append(cache)
+            caches.append(cache)
         return (*outputs, caches)
 
     def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp, out: "EdeNet"):
@@ -451,7 +477,7 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     alone.
     """
     alpha, beta = nets.spec.alpha, nets.spec.beta
-    z, x_recon, z_prime, caches = nets._forward_cached(x, keep_caches=out is not None)
+    z, x_recon, z_prime, caches = nets._forward_cached(x)
     lr = reconstruction_loss(x, x_recon)
     le = encoding_loss(z, z_prime)
     # one dot product per member, as a lone net sums them

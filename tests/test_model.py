@@ -106,6 +106,34 @@ def test_forward_rejects_wrong_width():
         net.forward(np.zeros((2, 6)))
 
 
+INFER_ARCHS = {
+    "ff": {"hidden_sizes": (10, 6), "latent_dim": 3},
+    "lstm-1": {"encoder_kind": "lstm", "latent_dim": 3, "hidden_dim": 5, "seq_len": 3},
+    "lstm-2": {"encoder_kind": "lstm", "latent_dim": 3, "hidden_dim": 5, "seq_len": 3,
+               "recurrent_layers": 2},
+}
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("arch", sorted(INFER_ARCHS))
+def test_infer_matches_training_forward_bit_for_bit(arch, members):
+    """Each stack's cache-free infer gives its forward's output exactly,
+    on a lone net and on a member stack over an (I, P) block."""
+    spec = make_arch(8, INFER_ARCHS[arch])
+    nets = init_ensemble(spec, members or 1, seed=7).members
+    if members is None:
+        net, lead = nets[0], ()
+    else:
+        net, lead = nets[0].bind(np.stack([m.flat for m in nets])), (members,)
+    x = make_rng(8).standard_normal(lead + (11, 8))
+    for stack in (net.e1, net.dec, net.e2):
+        expect = stack.forward(x)[0]
+        got = stack.infer(x)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+        x = expect
+
+
 def test_e1_and_e2_never_share_arrays():
     net = small_net("ff")
     ids_e1 = {id(p) for p in net.e1.params()}
