@@ -32,6 +32,7 @@ from .model import (
     EdeNet,
     anomaly_score,
     normalize_scores,
+    row_chunks,
     sample_coefficients,
     stacked_loss_and_grads,
 )
@@ -180,11 +181,20 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
 
 
 def ensemble_score(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
-    """Mean of member anomaly scores, one value per row of x."""
-    x = as_matrix(x)
+    """Mean of member anomaly scores, one value per row of x.
+
+    x is checked once, then scored forward-only in the blocks of rows
+    anomaly_score uses (model.row_chunks): every member scores a block,
+    in member order, before the next block starts. Each row's sum adds
+    the members in member order, as a whole-matrix pass would; a row's
+    score can still differ in the last bits from a whole-matrix forward
+    (see anomaly_score).
+    """
+    x = ensemble.members[0].check_input(x)
     total = np.zeros(x.shape[0])
-    for member in ensemble.members:
-        total += anomaly_score(member, x)
+    for rows in row_chunks(x.shape[0]):
+        for member in ensemble.members:
+            total[rows] += anomaly_score(member, x[rows])
     return total / ensemble.size
 
 

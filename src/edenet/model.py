@@ -361,7 +361,7 @@ class EdeNet(Stack):
                 for part, stack in (("e1", self.e1), ("dec", self.dec), ("e2", self.e2))
                 for prefix, unit in stack.named_units()]
 
-    def _check_input(self, x) -> np.ndarray:
+    def check_input(self, x) -> np.ndarray:
         """x as a (B, input_dim) float64 matrix; as_matrix rejects
         non-finite entries, a wrong width raises ShapeError."""
         x = as_matrix(x)
@@ -373,8 +373,12 @@ class EdeNet(Stack):
 
     def forward(self, x: np.ndarray):
         """Returns (z, x_recon, z_prime) for a (B, input_dim) batch,
-        forward-only: no stack keeps a cache for a backward pass."""
-        return self.infer(self._check_input(x))
+        forward-only: no stack keeps a cache for a backward pass. The batch
+        runs as one block; anomaly_score runs blocks of SCORE_CHUNK_ROWS
+        rows, so its scores can differ in the last bits from
+        encoding_loss on this call's outputs for a batch larger than
+        one block."""
+        return self.infer(self.check_input(x))
 
     def infer(self, x: np.ndarray):
         """forward without the input check. Each stack's infer gives its
@@ -455,7 +459,7 @@ def loss_and_grads(net: EdeNet, x: np.ndarray, weights=None, need_grads=True):
     aligned to net.params(). The Euclidean norm's gradient is taken as 0
     at exactly-zero error. Runs stacked_loss_and_grads on a stack of one.
     """
-    x = net._check_input(x)
+    x = net.check_input(x)
     coeff = sample_coefficients(x.shape[0], weights)
     out = net.bind(np.empty((1, net.flat.size))) if need_grads else None
     # net's parameters broadcast over the member axis of length one
@@ -498,11 +502,33 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     return combined, mean_lr, mean_le
 
 
+# Rows per block when scoring. On the score-100k input, 256 to 1024 rows
+# scored in 0.85-0.97 s, whole 100k-row matrices in 1.55-1.67 s and
+# 2048-row blocks in 1.13 s.
+SCORE_CHUNK_ROWS = 1024
+
+
+def row_chunks(n_rows: int) -> list[slice]:
+    """Consecutive SCORE_CHUNK_ROWS-row slices covering n_rows rows."""
+    return [slice(lo, lo + SCORE_CHUNK_ROWS) for lo in range(0, n_rows, SCORE_CHUNK_ROWS)]
+
+
 def anomaly_score(net: EdeNet, x: np.ndarray) -> np.ndarray:
-    """Latent-gap score per sample; identical to encoding_loss on forward
-    outputs."""
-    z, _, z_prime = net.forward(x)
-    return encoding_loss(z, z_prime)
+    """Latent-gap score per sample: encoding_loss on forward's outputs.
+
+    x is checked once, then scored forward-only in blocks of
+    SCORE_CHUNK_ROWS rows, so memory does not grow with the row count
+    beyond the input and the scores. BLAS may sum a block's products in
+    another order than the same rows' inside a larger matrix, so a row's
+    score can differ in the last bits from one computed by a whole-matrix
+    forward, such as training's.
+    """
+    x = net.check_input(x)
+    scores = np.empty(x.shape[0])
+    for rows in row_chunks(x.shape[0]):
+        z, _, z_prime = net.infer(x[rows])
+        scores[rows] = encoding_loss(z, z_prime)
+    return scores
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:

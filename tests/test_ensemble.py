@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from edenet.ensemble import (
     write_trace_csv,
 )
 from edenet.errors import ConfigError, ShapeError, TrainingDivergedError
-from edenet.model import EdeNet, anomaly_score, loss_and_grads, make_arch
+from edenet.model import (
+    SCORE_CHUNK_ROWS as CHUNK,
+    EdeNet,
+    anomaly_score,
+    encoding_loss,
+    loss_and_grads,
+    make_arch,
+)
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
 
@@ -178,6 +186,56 @@ def test_ensemble_score_member_permutation_invariant():
     base = ensemble_score(ens, x)
     perm = EnsembleModel(spec=ens.spec, members=ens.members[::-1], seed=ens.seed)
     assert np.allclose(ensemble_score(perm, x), base, atol=1e-12)
+
+
+# default widths: at these, a product over more than CHUNK rows differs in
+# the last bits from the same rows' block products, so scoring that skips
+# the block split fails the test below
+@pytest.mark.parametrize("arch", [{}, {"encoder_kind": "lstm", "seq_len": 2}],
+                         ids=["ff", "lstm"])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_scores_are_training_forward_per_block(n, arch):
+    """Around the block edges, a member's scores are the encoding losses
+    of training's cached forward run on each CHUNK-row slice, and the
+    ensemble score is their mean summed in member order."""
+    ens = init_ensemble(make_arch(10, arch), 3, seed=4)
+    x = make_rng(5).standard_normal((n, 10))
+    total = np.zeros(n)
+    for member in ens.members:
+        expect = np.empty(n)
+        lo = 0
+        while lo < n:
+            hi = min(lo + CHUNK, n)
+            z, _, z_prime, _ = member._forward_cached(x[lo:hi])
+            expect[lo:hi] = encoding_loss(z, z_prime)
+            lo = hi
+        assert np.array_equal(anomaly_score(member, x), expect)
+        total += expect
+    assert np.array_equal(ensemble_score(ens, x), total / 3)
+
+
+@pytest.mark.parametrize("arch,widest", [
+    ({}, 64),
+    ({"encoder_kind": "lstm", "recurrent_layers": 2, "seq_len": 3}, 4 * 32),
+], ids=["ff", "lstm"])
+def test_ensemble_score_memory_is_bounded_by_the_block(arch, widest):
+    """The traced peak of scoring 50k rows holds the scores and one
+    block's activations, not a whole-matrix forward: a whole-matrix
+    forward with its caches peaked at 97 MB (ff) and 1305 MB (lstm)."""
+    n = 50_000
+    ens = init_ensemble(make_arch(40, arch), 3, seed=1)
+    x = make_rng(2).standard_normal((n, 40))
+    # the running sum and its mean, plus at most 16 floats per row for
+    # each unit of the widest layer (default hidden sizes: 64 wide for ff,
+    # four 32-wide gates for lstm)
+    bound = 2 * n * 8 + 16 * CHUNK * widest * 8
+    tracemalloc.start()
+    try:
+        ensemble_score(ens, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training bytes pinned across commits.
+"""Training and scoring bytes pinned across commits.
 
 A repeated run only shows that training reproduces itself; these hashes
 show that it still writes the bytes it wrote when they were recorded.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from edenet.cli import main
+from edenet.model import SCORE_CHUNK_ROWS
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = ("scipy-openblas", "0.3.31.188.0")
@@ -36,6 +37,15 @@ RUNS = {
 }
 
 
+# d=10 at the default widths: there, products over more rows than a
+# block differ in the last bits from the block's own, so the hash pins the
+# block split too (at d=7 they happen to agree)
+SCORE_D = 10
+SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members": 3}
+SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
+SCORE_SHA = "780a5b27bed04cf2f804f8d3818801af00c975f59c9fa467c1f0693f81a28e24"
+
+
 def _blas() -> tuple[str, str]:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return blas.get("name", "?"), blas.get("version", "?")
@@ -45,26 +55,43 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def synth_data(tmp_path_factory):
+def _synth(out, d: int, n_normal: int, n_anomaly: int, seed: int):
     if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
         pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} with "
                     f"{' '.join(RECORDED_BLAS)}; this is numpy {np.__version__} "
                     f"with {' '.join(_blas())}")
-    out = tmp_path_factory.mktemp("golden")
-    assert main(["synth", "--out", str(out), "--d", "7", "--n-normal", "90",
-                 "--n-anomaly", "0", "--shift", "3.0", "--seed", "2"]) == 0
+    assert main(["synth", "--out", str(out), "--d", str(d), "--n-normal", str(n_normal),
+                 "--n-anomaly", str(n_anomaly), "--shift", "3.0",
+                 "--seed", str(seed)]) == 0
     return out
+
+
+def _train(doc: dict, data, out) -> None:
+    cfg = out.parent / f"{out.name}-cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg), "--data", str(data / "data.csv"),
+                 "--schema", str(data / "schema.json"), "--out", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def synth_data(tmp_path_factory):
+    return _synth(tmp_path_factory.mktemp("golden"), 7, 90, 0, seed=2)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_train_bytes_match_recorded_hashes(name, synth_data, tmp_path):
     doc, model_sha, trace_sha = RUNS[name]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(cfg),
-                 "--data", str(synth_data / "data.csv"),
-                 "--schema", str(synth_data / "schema.json"),
-                 "--out", str(tmp_path / "run")]) == 0
+    _train(doc, synth_data, tmp_path / "run")
     assert _sha256(tmp_path / "run" / "model.json") == model_sha
     assert _sha256(tmp_path / "run" / "trace.csv") == trace_sha
+
+
+def test_score_bytes_match_recorded_hash(tmp_path):
+    """edenet score over more than two blocks of rows."""
+    train = _synth(tmp_path / "train", SCORE_D, 90, 0, seed=2)
+    _train(SCORE_MODEL, train, tmp_path / "run")
+    rows = _synth(tmp_path / "rows", SCORE_D, SCORE_ROWS - 100, 100, seed=3)
+    assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
+                 "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
+                 "--out", str(tmp_path / "score")]) == 0
+    assert _sha256(tmp_path / "score" / "scores.csv") == SCORE_SHA
