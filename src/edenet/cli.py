@@ -246,7 +246,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if header is None or not set(need) <= set(header):
             raise ValueError(f"score CSV must carry columns {sorted(need)}")
         scores = [header.index("raw_score"), header.index("normalized_score")]
-        columns = read_csv_columns(fh, header, scores, has_header=True)
+        columns = read_csv_columns(fh, header, scores, [], has_header=True)
     raw, norm = (np.ascontiguousarray(columns[i]) for i in scores)
     return raw, norm
 

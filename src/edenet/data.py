@@ -265,9 +265,13 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
             want_labels = False
 
         numeric = [pos[c.name] for c in schema.columns if c.kind == "numeric"]
-        columns = read_csv_columns(fh, header, numeric, has_header)
+        text = [pos[c.name] for c in schema.columns if c.kind != "numeric"]
+        if want_labels:
+            text.append(pos[schema.label_column])
+        columns = read_csv_columns(fh, header, numeric, text, has_header)
 
-    features = np.zeros((len(columns[0]), schema.feature_width))
+    n_rows = len(columns[pos[schema.columns[0].name]])
+    features = np.zeros((n_rows, schema.feature_width))
     offset = 0
     for col in schema.columns:
         values = columns[pos[col.name]]
@@ -296,11 +300,15 @@ def _encode(values: np.ndarray, code, dtype=np.intp) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, raw), dtype=dtype, count=len(raw))
 
 
-def read_csv_columns(fh, header: list[str], numeric: list[int],
-                     has_header: bool) -> list[np.ndarray]:
+def read_csv_columns(fh, header: list[str], numeric: list[int], text: list[int],
+                     has_header: bool) -> list[np.ndarray | None]:
     """Read the rows left in `fh` with numpy's C reader, in load_csv's
-    grammar, and return one array per header column: float64 for the
-    positions in `numeric`, the raw field text (str objects) elsewhere.
+    grammar, and return one entry per header column: a float64 array for
+    the positions in `numeric`, the raw field text (str objects) for those
+    in `text`, and None for a column nobody reads. An unread column is
+    still parsed, so every row must carry all the header's fields, but
+    only as a one-character unicode field (U1: no Python str per row, and
+    non-ASCII text is accepted as in any other column).
 
     `fh` is a text handle opened with universal newlines (the default),
     since numpy's reader takes \\n and \\r\\n but not a lone \\r as a line
@@ -308,8 +316,10 @@ def read_csv_columns(fh, header: list[str], numeric: list[int],
     malformed row or a non-finite number the file is re-scanned to raise
     the CsvParseError that names the fault.
     """
-    dtype = np.dtype([(f"c{i}", np.float64 if i in numeric else object)
-                      for i in range(len(header))])
+    def kind(i):
+        return np.float64 if i in numeric else object if i in text else "U1"
+
+    dtype = np.dtype([(f"c{i}", kind(i)) for i in range(len(header))])
     try:
         with warnings.catch_warnings():
             # a header-only file is 0 rows, not a problem worth a warning
@@ -319,7 +329,8 @@ def read_csv_columns(fh, header: list[str], numeric: list[int],
                                comments=None, ndmin=1)
     except ValueError as exc:
         _raise_fault(fh.name, header, numeric, has_header, exc)
-    columns = [table[name] for name in dtype.names]
+    columns = [table[f"c{i}"] if i in numeric or i in text else None
+               for i in range(len(header))]
     if not all(np.isfinite(columns[i]).all() for i in numeric):
         _raise_fault(fh.name, header, numeric, has_header, None)
     return columns

@@ -20,6 +20,7 @@ from edenet.data import (
     load_csv,
     load_schema,
     numeric_schema_for,
+    read_csv_columns,
     save_schema,
     scaling_from_dict,
     scaling_to_dict,
@@ -129,6 +130,37 @@ def test_labels_parsed_from_label_column(tmp_path):
 def test_require_labels_false_drops_them(tmp_path):
     p = write(tmp_path, "v,status\n1,ok\n")
     assert load_csv(p, LABELED, require_labels=False).labels is None
+
+
+MIXED_LABELED = Schema(MIXED.columns, label_column="status", normal_value="ok")
+
+
+def test_unread_label_column_leaves_features_unchanged(tmp_path):
+    p = write(tmp_path, 'size,status,color\n1.5,ok,red\n2,"x,\ny",blue\n'
+                        '-3e2,ünknown,green\n4,日本,teal\n5,,red\n')
+    with_labels = load_csv(p, MIXED_LABELED)
+    without = load_csv(p, MIXED_LABELED, require_labels=False)
+    assert without.labels is None
+    assert np.array_equal(without.features, with_labels.features)
+    assert np.array_equal(with_labels.labels, [NORMAL, ANOMALY, ANOMALY, ANOMALY, ANOMALY])
+
+
+@pytest.mark.parametrize("row, found", [("1,ok,red,4", 4), ("1,ok", 2)])
+def test_unread_label_column_still_counts_fields(tmp_path, row, found):
+    p = write(tmp_path, f"size,status,color\n1,ok,red\n{row}\n2,ok,blue\n")
+    with pytest.raises(CsvParseError, match=f"expected 3 fields, found {found}") as exc:
+        load_csv(p, MIXED_LABELED, require_labels=False)
+    assert exc.value.line == 3
+
+
+def test_unread_columns_come_back_as_none(tmp_path):
+    p = write(tmp_path, "i,s,t\n0,0.5,é\n1,0.25,b\n")
+    with open(p, encoding="utf-8") as fh:
+        next(fh)
+        columns = read_csv_columns(fh, ["i", "s", "t"], [1], [2], has_header=True)
+    assert columns[0] is None
+    assert columns[1].tolist() == [0.5, 0.25]
+    assert columns[2].tolist() == ["é", "b"]
 
 
 def test_require_labels_errors(tmp_path):
