@@ -502,9 +502,10 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     return combined, mean_lr, mean_le
 
 
-# Rows per block when scoring. On the score-100k input, 256 to 1024 rows
-# scored in 0.85-0.97 s, whole 100k-row matrices in 1.55-1.67 s and
-# 2048-row blocks in 1.13 s.
+# Rows per block when scoring. Scoring the 100k-row perfbench score-100k
+# input (I=5, d=10, one OpenBLAS thread) took a median 0.90 s in 1024-row
+# blocks, 0.91-0.93 s in 256- or 512-row blocks, 0.96-1.00 s in 2048- or
+# 4096-row blocks, 1.07 s in 128-row blocks and 1.75 s as one matrix.
 SCORE_CHUNK_ROWS = 1024
 
 

@@ -221,7 +221,7 @@ def test_scores_are_training_forward_per_block(n, arch):
 def test_ensemble_score_memory_is_bounded_by_the_block(arch, widest):
     """The traced peak of scoring 50k rows holds the scores and one
     block's activations, not a whole-matrix forward: a whole-matrix
-    forward with its caches peaked at 97 MB (ff) and 1305 MB (lstm)."""
+    forward with its caches peaked at 101 MB (ff) and 1368 MB (lstm)."""
     n = 50_000
     ens = init_ensemble(make_arch(40, arch), 3, seed=1)
     x = make_rng(2).standard_normal((n, 40))
