@@ -26,7 +26,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import ConfigError, ShapeError, TrainingDivergedError, expect_type
-from .layers import as_matrix
+from .layers import Workspace, as_matrix
 from .model import (
     ArchSpec,
     EdeNet,
@@ -188,13 +188,15 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
     in member order, before the next block starts. Each row's sum adds
     the members in member order, as a whole-matrix pass would; a row's
     score can still differ in the last bits from a whole-matrix forward
-    (see anomaly_score).
+    (see anomaly_score). One workspace serves every block and member of
+    the call, so the LSTM layers write each block into the same pages.
     """
     x = ensemble.members[0].check_input(x)
+    work = Workspace()
     total = np.zeros(x.shape[0])
     for rows in row_chunks(x.shape[0]):
         for member in ensemble.members:
-            total[rows] += anomaly_score(member, x[rows])
+            total[rows] += anomaly_score(member, x[rows], work)
     return total / ensemble.size
 
 
@@ -270,9 +272,11 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     one-iteration-at-a-time loop in the same order, so every bit matches
     that loop: the per-iteration losses are summed in iteration order,
     and divergence reports the first failing iteration of that order.
-    The members' flat vectors are written back before each reweight pass
-    and at return; after a TrainingDivergedError they hold the last
-    written-back values.
+    One workspace holds every round's LSTM caches and temporaries: a
+    round over a rows writes into the leading part of the buffers that
+    the widest round sized. The members' flat vectors are written back
+    before each reweight pass and at return; after a TrainingDivergedError
+    they hold the last written-back values.
     """
     x_train = as_matrix(x_train)
     if x_train.shape[1] != ensemble.spec.input_dim:
@@ -295,6 +299,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     state, step = make_optimizer(cfg.optimizer, [block], lr=cfg.lr, beta1=cfg.beta1,
                                  beta2=cfg.beta2, eps=cfg.eps, per_row=True)
     stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
+    work = Workspace()
 
     def write_back():
         for r, member in enumerate(row_member):
@@ -336,7 +341,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
             nets, grads = stacks[a]
             its = sched[:a, k]
             combined, mean_lr, mean_le = stacked_loss_and_grads(
-                nets, x_train[batches[its]], coeff, grads)
+                nets, x_train[batches[its]], coeff, work, grads)
             per_iter[its] = np.column_stack([combined, mean_lr, mean_le])
             for it, c in zip(its.tolist(), combined):
                 if not math.isfinite(c) and (first_bad is None or it < first_bad):

@@ -20,10 +20,24 @@ every activation carries the member axis first, (I, B, width). np.matmul
 runs one product per member, the same BLAS call a lone net makes, so a
 member's results are bit-identical either way. A backward pass can write
 its parameter gradients into given arrays (out=) instead of fresh ones.
+
+The LSTM functions write their working arrays into the buffers of a given
+Workspace rather than into fresh arrays: lstm_forward its cache (hidden
+and cell states, gates, tanh of the cell state, each step's [x_t, h]
+input), lstm_backward its temporaries and input gradient, lstm_infer its
+block's states and gates. A fresh array of a few hundred KB gets fresh
+pages from the allocator, and in LSTM training faulting those pages in
+cost more than the math. A caller that keeps one Workspace across calls
+(training across its rounds, ensemble_score across its blocks) writes into
+the same pages every time. Each product and elementwise step runs in the
+same order on the same values as it would into a fresh array, so no number
+changes. What these functions return may be a view of the workspace,
+valid until the workspace is written again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +49,34 @@ ACTIVATIONS = ("tanh", "identity")
 
 # gate order within concatenated LSTM weight blocks
 _GATES = ("input", "forget", "cell", "output")
+
+
+class Workspace:
+    """Float64 buffers that outlive one call, looked up by name.
+
+    take(name, shape) returns a C-contiguous view of name's buffer, which
+    grows when shape needs more room than it has; a smaller shape is a
+    prefix of the same memory, so a round over the leading a of I members,
+    or a block shorter than the last, reuses the pages of the largest.
+    Nothing is cleared: the caller writes every element it reads. Two takes
+    of one name share memory, so arrays that are live at once need
+    different names; scope(*names) gives a workspace over the same buffers
+    whose names carry that prefix.
+    """
+
+    def __init__(self, buffers: dict | None = None, prefix: tuple = ()):
+        self._buffers = {} if buffers is None else buffers
+        self._prefix = prefix
+
+    def scope(self, *names) -> "Workspace":
+        return Workspace(self._buffers, self._prefix + names)
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        key, size = self._prefix + (name,), math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
 
 
 def as_matrix(x, name: str = "input") -> np.ndarray:
@@ -161,26 +203,28 @@ class DenseStack(Stack):
                 )
         self.layers = layers
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, work: Workspace | None = None):
         """Returns (output, cache); cache[k] is layer k's input and
-        cache[k + 1] its output."""
+        cache[k + 1] its output. Each output is a fresh array, so work,
+        there for the LSTM stacks' signature, goes unused."""
         cache = [x]
         for layer in self.layers:
             x = dense_forward(layer, x)
             cache.append(x)
         return x, cache
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
         """forward's output alone; each layer's output is freed once the
-        next layer has run."""
+        next layer has run. work goes unused, as in forward."""
         for layer in self.layers:
             x = dense_forward(layer, x)
         return x
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out=None):
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out=None,
+                 work: Workspace | None = None):
         """Returns (grad_input, grads) with grads aligned to params(). out,
         a stack of the same layout (see model.EdeNet.bind), receives the
-        gradients in place when given."""
+        gradients in place when given. work goes unused, as in forward."""
         grads: list[np.ndarray] = []
         for k in range(len(self.layers) - 1, -1, -1):
             grad_out, gw, gb = dense_backward(self.layers[k], cache[k], cache[k + 1],
@@ -235,91 +279,106 @@ def _check_sequence(cell: LstmCell, x_seq: np.ndarray) -> None:
 
 
 def lstm_step(cell: LstmCell, x_t: np.ndarray, h: np.ndarray, c: np.ndarray,
-              gate: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
+              xh: np.ndarray, gate: np.ndarray, c_new: np.ndarray, tanh_c: np.ndarray,
               h_new: np.ndarray) -> None:
     """One timestep from states (h, c) on input x_t, all (..., B, *).
 
-    Writes the activated gates (..., B, 4*hidden_dim), the new cell state,
-    its tanh and the new hidden state into the given arrays. c_new may be
-    c and h_new may be h: each is read before it is written.
+    Writes [x_t, h] into xh (..., B, input_dim + hidden_dim), the
+    activated gates (..., B, 4*hidden_dim) into gate, and the new cell
+    state, its tanh and the new hidden state into the given arrays. c_new
+    may be c and h_new may be h: each is read before it is written.
     """
-    H = cell.hidden_dim
-    pre = np.concatenate([x_t, h], axis=-1) @ cell.weights
-    pre += cell.bias[..., None, :]
+    H, D = cell.hidden_dim, cell.input_dim
+    xh[..., :D] = x_t
+    xh[..., D:] = h
+    # the pre-activations go straight into gate and are activated in place
+    np.matmul(xh, cell.weights, out=gate)
+    gate += cell.bias[..., None, :]
     # input and forget gates share one sigmoid call
-    expit(pre[..., :2 * H], out=gate[..., :2 * H])
-    np.tanh(pre[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])
-    expit(pre[..., 3 * H:], out=gate[..., 3 * H:])
+    expit(gate[..., :2 * H], out=gate[..., :2 * H])
+    np.tanh(gate[..., 2 * H:3 * H], out=gate[..., 2 * H:3 * H])
+    expit(gate[..., 3 * H:], out=gate[..., 3 * H:])
     i, f = gate[..., :H], gate[..., H:2 * H]
     g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
+    np.multiply(i, g, out=tanh_c)  # i * g, before tanh_c holds its own value
     np.multiply(f, c, out=c_new)
-    c_new += i * g
+    c_new += tanh_c
     np.tanh(c_new, out=tanh_c)
     np.multiply(o, tanh_c, out=h_new)
 
 
-def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarray):
+def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarray,
+                 work: Workspace):
     """Run the cell over a (T, B, input_dim) sequence.
 
     Returns (hidden_states, cache) where hidden_states is (T, B, hidden_dim)
     and cache feeds lstm_backward. A member stack carries its axis first:
-    x_seq (I, T, B, input_dim), h0 and c0 (I, B, hidden_dim).
+    x_seq (I, T, B, input_dim), h0 and c0 (I, B, hidden_dim). The states,
+    gates and step inputs are written into work's buffers, so the hidden
+    states and the cache are views of work, valid until work's buffers are
+    written again.
     """
     _check_sequence(cell, x_seq)
-    lead, (T, B, _) = x_seq.shape[:-3], x_seq.shape[-3:]
+    lead, (T, B, D) = x_seq.shape[:-3], x_seq.shape[-3:]
     H = cell.hidden_dim
     if h0.shape != lead + (B, H) or c0.shape != lead + (B, H):
-        raise ShapeError("h0/c0 must have shape (batch, hidden_dim)")
+        raise ShapeError(f"h0 and c0 must have shape {lead + (B, H)} (the sequence's "
+                         f"leading axes, batch, hidden_dim), got {h0.shape} and {c0.shape}")
 
-    hs = np.empty(lead + (T + 1, B, H))
-    cs = np.empty(lead + (T + 1, B, H))
+    hs = work.take("hs", lead + (T + 1, B, H))
+    cs = work.take("cs", lead + (T + 1, B, H))
     hs[..., 0, :, :], cs[..., 0, :, :] = h0, c0
-    gates = np.empty(lead + (T, B, 4 * H))
-    tanh_c = np.empty(lead + (T, B, H))
+    xh = work.take("xh", lead + (T, B, D + H))
+    gates = work.take("gates", lead + (T, B, 4 * H))
+    tanh_c = work.take("tanh_c", lead + (T, B, H))
     for t in range(T):
         # activations straight into the cache
         lstm_step(cell, x_seq[..., t, :, :], hs[..., t, :, :], cs[..., t, :, :],
-                  gates[..., t, :, :], cs[..., t + 1, :, :], tanh_c[..., t, :, :],
-                  hs[..., t + 1, :, :])
+                  xh[..., t, :, :], gates[..., t, :, :], cs[..., t + 1, :, :],
+                  tanh_c[..., t, :, :], hs[..., t + 1, :, :])
 
-    cache = {"x_seq": x_seq, "hs": hs, "cs": cs, "gates": gates, "tanh_c": tanh_c,
-             "shape": (T, B, H, cell.input_dim)}
+    cache = {"xh": xh, "cs": cs, "gates": gates, "tanh_c": tanh_c, "shape": (T, B, H, D)}
     return hs[..., 1:, :, :], cache
 
 
-def lstm_infer(cell: LstmCell, x_seq: np.ndarray) -> np.ndarray:
+def lstm_infer(cell: LstmCell, x_seq: np.ndarray, work: Workspace) -> np.ndarray:
     """lstm_forward's hidden states from zero states, without the cache:
     the same lstm_step math, with one step's gates and cell state kept at
-    a time."""
+    a time. The states and gates are written into work's buffers, and the
+    hidden states returned are a view of work."""
     _check_sequence(cell, x_seq)
-    lead, (T, B, _) = x_seq.shape[:-3], x_seq.shape[-3:]
+    lead, (T, B, D) = x_seq.shape[:-3], x_seq.shape[-3:]
     H = cell.hidden_dim
-    hs = np.empty(lead + (T, B, H))
-    h, c = np.zeros(lead + (B, H)), np.zeros(lead + (B, H))
-    gate = np.empty(lead + (B, 4 * H))
-    tanh_c = np.empty(lead + (B, H))
+    hs = work.take("hs", lead + (T, B, H))
+    c = work.take("c", lead + (B, H))
+    c[...] = 0.0
+    xh = work.take("xh", lead + (B, D + H))
+    gate = work.take("gate", lead + (B, 4 * H))
+    tanh_c = work.take("tanh_c", lead + (B, H))
+    h = c  # both states start at zero; lstm_step reads h before it writes c
     for t in range(T):
-        lstm_step(cell, x_seq[..., t, :, :], h, c, gate, c, tanh_c, hs[..., t, :, :])
+        lstm_step(cell, x_seq[..., t, :, :], h, c, xh, gate, c, tanh_c, hs[..., t, :, :])
         h = hs[..., t, :, :]
     return hs
 
 
 def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
-                  out: LstmCell | None = None):
+                  work: Workspace, out: LstmCell | None = None):
     """Backprop through time for one cell.
 
     grad_hidden holds the upstream gradient on every hidden state,
     shape (T, B, hidden_dim); steps without upstream signal carry zeros.
     Returns (grad_x_seq, grad_weights, grad_bias, grad_h0, grad_c0); when
     out is given, the parameter gradients are accumulated in out.weights
-    and out.bias, which are zeroed first.
+    and out.bias, which are zeroed first. The temporaries go into work's
+    buffers, and grad_x_seq, grad_h0 and grad_c0 are views of them; work
+    must not hold the cache or grad_hidden.
     """
     T, B, H, D = cache["shape"]
     if cell.input_dim != D or cell.hidden_dim != H:
         raise ValueError("cache does not belong to this cell")
-    x_seq, hs, cs = cache["x_seq"], cache["hs"], cache["cs"]
-    gates, tanh_c = cache["gates"], cache["tanh_c"]
-    lead = x_seq.shape[:-3]
+    xh, cs, gates, tanh_c = cache["xh"], cache["cs"], cache["gates"], cache["tanh_c"]
+    lead = xh.shape[:-3]
     if grad_hidden.shape != lead + (T, B, H):
         raise ShapeError(f"grad_hidden shape {grad_hidden.shape} != {lead + (T, B, H)}")
 
@@ -330,9 +389,17 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
         grad_w[...] = 0.0
         grad_b[...] = 0.0
     w_t = cell.weights.swapaxes(-1, -2)
-    grad_x = np.zeros_like(x_seq)
-    dh_next = np.zeros(lead + (B, H))
-    dc_next = np.zeros(lead + (B, H))
+    grad_x = work.take("grad_x", lead + (T, B, D))
+    dpre = work.take("dpre", lead + (B, 4 * H))
+    dw = work.take("dw", lead + (D + H, 4 * H))
+    dh = work.take("dh", lead + (B, H))
+    dc = work.take("dc", lead + (B, H))
+    dc_next = work.take("dc_next", lead + (B, H))
+    dc_next[...] = 0.0
+    # the gradient on [x_t, h_t]; its hidden part is the next step's dh_next
+    dxh = work.take("dxh", lead + (B, D + H))
+    dh_next = dxh[..., D:]
+    dh_next[...] = 0.0
 
     for t in range(T - 1, -1, -1):
         gate = gates[..., t, :, :]
@@ -340,25 +407,21 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
         g, o = gate[..., 2 * H:3 * H], gate[..., 3 * H:]
         tc = tanh_c[..., t, :, :]
 
-        dh = grad_hidden[..., t, :, :] + dh_next
-        do = dh * tc
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * cs[..., t, :, :]
-        dg = dc * i
-        dc_next = dc * f
+        np.add(grad_hidden[..., t, :, :], dh_next, out=dh)
+        np.multiply(dh, o, out=dc)
+        dc *= 1.0 - tc * tc
+        dc += dc_next
 
-        dpre = np.empty(lead + (B, 4 * H))
-        dpre[..., :H] = di * i * (1.0 - i)
-        dpre[..., H:2 * H] = df * f * (1.0 - f)
-        dpre[..., 2 * H:3 * H] = dg * (1.0 - g * g)
-        dpre[..., 3 * H:] = do * o * (1.0 - o)
+        dpre[..., :H] = dc * g * i * (1.0 - i)
+        dpre[..., H:2 * H] = dc * cs[..., t, :, :] * f * (1.0 - f)
+        dpre[..., 2 * H:3 * H] = dc * i * (1.0 - g * g)
+        dpre[..., 3 * H:] = dh * tc * o * (1.0 - o)
+        np.multiply(dc, f, out=dc_next)
 
-        concat = np.concatenate([x_seq[..., t, :, :], hs[..., t, :, :]], axis=-1)
-        grad_w += concat.swapaxes(-1, -2) @ dpre
+        np.matmul(xh[..., t, :, :].swapaxes(-1, -2), dpre, out=dw)
+        grad_w += dw
         grad_b += dpre.sum(axis=-2)
-        dconcat = dpre @ w_t
-        grad_x[..., t, :, :] = dconcat[..., :D]
-        dh_next = dconcat[..., D:]
+        np.matmul(dpre, w_t, out=dxh)
+        grad_x[..., t, :, :] = dxh[..., :D]
 
     return grad_x, grad_w, grad_b, dh_next, dc_next

@@ -26,6 +26,7 @@ from .layers import (
     DenseStack,
     LstmCell,
     Stack,
+    Workspace,
     as_matrix,
     init_dense,
     init_lstm,
@@ -129,11 +130,13 @@ class ArchSpec:
 # LSTM encoder/decoder assembly
 
 
-def _row_to_sequence(x: np.ndarray, seq_len: int, chunk: int) -> np.ndarray:
-    """(..., B, d) -> (..., T, B, chunk), zero-padding the tail chunk."""
+def _row_to_sequence(x: np.ndarray, seq_len: int, chunk: int, work: Workspace) -> np.ndarray:
+    """(..., B, d) -> (..., T, B, chunk), zero-padding the tail chunk: a
+    view of work's buffer "pad"."""
     *lead, B, d = x.shape
-    padded = np.zeros((*lead, B, seq_len * chunk))
+    padded = work.take("pad", (*lead, B, seq_len * chunk))
     padded[..., :d] = x
+    padded[..., d:] = 0.0
     return padded.reshape(*lead, B, seq_len, chunk).swapaxes(-2, -3)
 
 
@@ -143,32 +146,35 @@ def _sequence_to_row(seq: np.ndarray, d: int) -> np.ndarray:
     return seq.swapaxes(-2, -3).reshape(*lead, B, T * chunk)[..., :d]
 
 
-def _cells_forward(cells: list[LstmCell], seq: np.ndarray):
+def _cells_forward(cells: list[LstmCell], seq: np.ndarray, work: Workspace):
     """Run the stacked cells over a (..., T, B, *) sequence, each from
     zero states. Returns the top cell's hidden states and one cache per
-    cell."""
+    cell; cell k writes into work's scope k."""
     caches = []
-    for cell in cells:
+    for k, cell in enumerate(cells):
         zeros = np.zeros(seq.shape[:-3] + (seq.shape[-2], cell.hidden_dim))
-        seq, cache = lstm_forward(cell, seq, zeros, zeros)
+        seq, cache = lstm_forward(cell, seq, zeros, zeros, work.scope(k))
         caches.append(cache)
     return seq, caches
 
 
-def _cells_infer(cells: list[LstmCell], seq: np.ndarray) -> np.ndarray:
-    """_cells_forward's top hidden states, keeping no cache."""
-    for cell in cells:
-        seq = lstm_infer(cell, seq)
+def _cells_infer(cells: list[LstmCell], seq: np.ndarray, work: Workspace) -> np.ndarray:
+    """_cells_forward's top hidden states, keeping no cache. Cell k writes
+    into work's scope k, which every stack's cell k reuses."""
+    for k, cell in enumerate(cells):
+        seq = lstm_infer(cell, seq, work.scope(k))
     return seq
 
 
 def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray,
-                    out: list[LstmCell]) -> np.ndarray:
+                    out: list[LstmCell], work: Workspace) -> np.ndarray:
     """Backprop the gradient on the top cell's hidden states down the
     stack, writing cell k's gradients into out[k]. Returns the gradient on
-    the input sequence."""
+    the input sequence. Cell k's temporaries go into work's scope k % 2:
+    the cell below reads cell k's input gradient while it writes its own
+    into the other scope."""
     for k in range(len(cells) - 1, -1, -1):
-        dh = lstm_backward(cells[k], caches[k], dh, out[k])[0]
+        dh = lstm_backward(cells[k], caches[k], dh, work.scope(k % 2), out[k])[0]
     return dh
 
 
@@ -184,29 +190,35 @@ class LstmEncoder(Stack):
         self.seq_len = seq_len
         self.chunk = cells[0].input_dim
 
-    def forward(self, x: np.ndarray):
-        hidden, caches = _cells_forward(
-            self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
+    def forward(self, x: np.ndarray, work: Workspace):
+        """(latent, cache); the cache holds views of work, whose buffers
+        must stay untouched until backward has run."""
+        seq = _row_to_sequence(x, self.seq_len, self.chunk, work)
+        hidden, caches = _cells_forward(self.cells, seq, work)
         top_last = hidden[..., -1, :, :]
         return self._project(top_last), {"cell_caches": caches, "top_last": top_last}
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        hidden = _cells_infer(self.cells, _row_to_sequence(x, self.seq_len, self.chunk))
-        return self._project(hidden[..., -1, :, :])
+    def infer(self, x: np.ndarray, work: Workspace) -> np.ndarray:
+        """forward's latent alone, a fresh array."""
+        seq = _row_to_sequence(x, self.seq_len, self.chunk, work)
+        return self._project(_cells_infer(self.cells, seq, work)[..., -1, :, :])
 
     def _project(self, top_last: np.ndarray) -> np.ndarray:
         return top_last @ self.proj.weights + self.proj.bias[..., None, :]
 
-    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder"):
+    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder",
+                 work: Workspace):
         """Writes the gradients into out, a stack of the same layout, and
         returns (grad_input, out.params()), the pair DenseStack.backward
-        returns."""
+        returns. The temporaries go into work, which must not hold the
+        cache."""
         np.matmul(cache["top_last"].swapaxes(-1, -2), grad_out, out=out.proj.weights)
         np.sum(grad_out, axis=-2, out=out.proj.bias)
         *lead, B, _ = grad_out.shape
-        dh = np.zeros((*lead, self.seq_len, B, self.cells[-1].hidden_dim))
-        dh[..., -1, :, :] = grad_out @ self.proj.weights.swapaxes(-1, -2)
-        dx_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells)
+        dh = work.take("dh", (*lead, self.seq_len, B, self.cells[-1].hidden_dim))
+        dh[..., :-1, :, :] = 0.0
+        np.matmul(grad_out, self.proj.weights.swapaxes(-1, -2), out=dh[..., -1, :, :])
+        dx_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells, work)
         return _sequence_to_row(dx_seq, self.input_dim), out.params()
 
     def named_units(self) -> list[tuple[str, object]]:
@@ -225,12 +237,15 @@ class LstmDecoder(Stack):
         self.seq_len = seq_len
         self.chunk = out.out_dim
 
-    def forward(self, z: np.ndarray):
-        hidden, caches = _cells_forward(self.cells, self._sequence(z))
+    def forward(self, z: np.ndarray, work: Workspace):
+        """(reconstruction, cache); the cache holds views of work, whose
+        buffers must stay untouched until backward has run."""
+        hidden, caches = _cells_forward(self.cells, self._sequence(z), work)
         return self._unchunk(hidden), {"cell_caches": caches, "top_hidden": hidden}
 
-    def infer(self, z: np.ndarray) -> np.ndarray:
-        return self._unchunk(_cells_infer(self.cells, self._sequence(z)))
+    def infer(self, z: np.ndarray, work: Workspace) -> np.ndarray:
+        """forward's reconstruction alone, a fresh array."""
+        return self._unchunk(_cells_infer(self.cells, self._sequence(z), work))
 
     def _sequence(self, z: np.ndarray) -> np.ndarray:
         return np.repeat(z[..., None, :, :], self.seq_len, axis=-3)
@@ -240,18 +255,21 @@ class LstmDecoder(Stack):
         chunks = hidden @ self.out.weights[..., None, :, :] + self.out.bias[..., None, None, :]
         return _sequence_to_row(chunks, self.output_dim)
 
-    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmDecoder"):
+    def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmDecoder",
+                 work: Workspace):
         """Writes the gradients into out, a stack of the same layout, and
         returns (grad_input, out.params()), the pair DenseStack.backward
-        returns."""
-        dchunks = _row_to_sequence(grad_out, self.seq_len, self.chunk)
+        returns. The temporaries go into work, which must not hold the
+        cache."""
+        dchunks = _row_to_sequence(grad_out, self.seq_len, self.chunk, work)
         hidden = cache["top_hidden"]
         # one einsum per member: einsum over a member axis sums in another order
         for m in np.ndindex(hidden.shape[:-3]):
             out.out.weights[m] = np.einsum("tbh,tbk->hk", hidden[m], dchunks[m])
             out.out.bias[m] = dchunks[m].sum(axis=(0, 1))
-        dh = dchunks @ self.out.weights[..., None, :, :].swapaxes(-1, -2)
-        dz_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells)
+        dh = np.matmul(dchunks, self.out.weights[..., None, :, :].swapaxes(-1, -2),
+                       out=work.take("dh", hidden.shape))
+        dz_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells, work)
         grad_z = dz_seq.sum(axis=-3)  # same latent fed at every step
         return grad_z, out.params()
 
@@ -378,37 +396,44 @@ class EdeNet(Stack):
         rows, so its scores can differ in the last bits from
         encoding_loss on this call's outputs for a batch larger than
         one block."""
-        return self.infer(self.check_input(x))
+        return self.infer(self.check_input(x), Workspace())
 
-    def infer(self, x: np.ndarray):
+    def infer(self, x: np.ndarray, work: Workspace):
         """forward without the input check. Each stack's infer gives its
-        forward's output bit for bit."""
-        z = self.e1.infer(x)
-        x_recon = self.dec.infer(z)
-        return z, x_recon, self.e2.infer(x_recon)
+        forward's output bit for bit, as a fresh array; the stacks run one
+        after another, so they share work's buffers."""
+        z = self.e1.infer(x, work)
+        x_recon = self.dec.infer(z, work)
+        return z, x_recon, self.e2.infer(x_recon, work)
 
-    def _forward_cached(self, x: np.ndarray):
+    def _forward_cached(self, x: np.ndarray, work: Workspace):
         """(z, x_recon, z_prime, caches) through e1, dec, e2, with each
-        stack's cache for _backward."""
+        stack's cache for _backward. Each stack writes into its own scope
+        of work, since all three caches are live until _backward ends."""
         outputs, caches = [], []
-        for stack in (self.e1, self.dec, self.e2):
-            x, cache = stack.forward(x)
+        for part, stack in (("e1", self.e1), ("dec", self.dec), ("e2", self.e2)):
+            x, cache = stack.forward(x, work.scope(part))
             outputs.append(x)
             caches.append(cache)
         return (*outputs, caches)
 
-    def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp, out: "EdeNet"):
+    def _backward(self, caches, grad_z_direct, grad_xr_direct, grad_zp, out: "EdeNet",
+                  work: Workspace):
         """Chain rule over the full composition, writing the gradients
         into out, a net of the same layout bound to the gradient buffer.
 
         The second encoder only ever sees grad_zp; the decoder and first
         encoder accumulate both the reconstruction-path and the
-        encoding-path contributions.
+        encoding-path contributions. The stacks run one after another and
+        each returns a fresh input gradient, so they share one scope of
+        work for their temporaries, apart from the forward caches.
         """
         c1, cd, c2 = caches
-        grad_xr_from_e2, _ = self.e2.backward(c2, grad_zp, out.e2)
-        grad_z_from_dec, _ = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec)
-        self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1)
+        work = work.scope("backward")
+        grad_xr_from_e2, _ = self.e2.backward(c2, grad_zp, out.e2, work)
+        grad_z_from_dec, _ = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec,
+                                               work)
+        self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1, work)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +488,14 @@ def loss_and_grads(net: EdeNet, x: np.ndarray, weights=None, need_grads=True):
     coeff = sample_coefficients(x.shape[0], weights)
     out = net.bind(np.empty((1, net.flat.size))) if need_grads else None
     # net's parameters broadcast over the member axis of length one
-    combined, mean_lr, mean_le = stacked_loss_and_grads(net, x[None], coeff, out)
+    combined, mean_lr, mean_le = stacked_loss_and_grads(net, x[None], coeff, Workspace(),
+                                                        out)
     grads = [g[0] for g in out.params()] if need_grads else None
     return combined[0], mean_lr[0], mean_le[0], grads
 
 
 def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
-                           out: EdeNet | None = None):
+                           work: Workspace, out: EdeNet | None = None):
     """loss_and_grads for I members at once.
 
     nets is a member stack (EdeNet.bind over an (I, P) block), or one net
@@ -478,10 +504,12 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     lists of I floats. out, when given, is a stack bound to an (I, P)
     gradient buffer and receives each member's gradients in its row.
     Every member's numbers are bit-identical to a run on that member
-    alone.
+    alone. The LSTM stacks write their caches and temporaries into work;
+    a training loop passes the same one to every call, so each round
+    reuses the pages of the last.
     """
     alpha, beta = nets.spec.alpha, nets.spec.beta
-    z, x_recon, z_prime, caches = nets._forward_cached(x)
+    z, x_recon, z_prime, caches = nets._forward_cached(x, work)
     lr = reconstruction_loss(x, x_recon)
     le = encoding_loss(z, z_prime)
     # one dot product per member, as a lone net sums them
@@ -498,7 +526,7 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     grad_zp = beta * coeff[:, None] * unit_e
     grad_z_direct = -grad_zp
 
-    nets._backward(caches, grad_z_direct, grad_xr_direct, grad_zp, out)
+    nets._backward(caches, grad_z_direct, grad_xr_direct, grad_zp, out, work)
     return combined, mean_lr, mean_le
 
 
@@ -514,7 +542,7 @@ def row_chunks(n_rows: int) -> list[slice]:
     return [slice(lo, lo + SCORE_CHUNK_ROWS) for lo in range(0, n_rows, SCORE_CHUNK_ROWS)]
 
 
-def anomaly_score(net: EdeNet, x: np.ndarray) -> np.ndarray:
+def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """Latent-gap score per sample: encoding_loss on forward's outputs.
 
     x is checked once, then scored forward-only in blocks of
@@ -522,12 +550,15 @@ def anomaly_score(net: EdeNet, x: np.ndarray) -> np.ndarray:
     beyond the input and the scores. BLAS may sum a block's products in
     another order than the same rows' inside a larger matrix, so a row's
     score can differ in the last bits from one computed by a whole-matrix
-    forward, such as training's.
+    forward, such as training's. The LSTM layers reuse work's buffers from
+    block to block; ensemble_score passes one workspace to all its calls,
+    a lone call makes its own.
     """
     x = net.check_input(x)
+    work = Workspace() if work is None else work
     scores = np.empty(x.shape[0])
     for rows in row_chunks(x.shape[0]):
-        z, _, z_prime = net.infer(x[rows])
+        z, _, z_prime = net.infer(x[rows], work)
         scores[rows] = encoding_loss(z, z_prime)
     return scores
 

@@ -10,6 +10,9 @@ parameter vector, with a state made by make_optimizer(..., per_row=True).
 Each row is then an independent optimizer: Adam keeps one step count per
 row, and a step may cover only the first n rows (the members that still
 have a step in that round).
+
+Adam's temporaries go into two scratch arrays per parameter array, made
+with the state, so a step allocates nothing of the parameters' size.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ class AdamState:
     """Adam accumulators for one list of arrays, with bias correction.
 
     step is one update count for the whole list, or, for a per-row state,
-    a list holding one count per leading row of the 2-D arrays.
+    a list holding one count per leading row of the 2-D arrays. scratch
+    holds two arrays shaped like each parameter array, for adam_step's
+    temporaries.
     """
 
     lr: float = 1e-3
@@ -36,6 +41,7 @@ class AdamState:
     step: int | list[int] = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float = 1e-3,
@@ -44,7 +50,8 @@ class AdamState:
         return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
                    step=[0] * len(params[0]) if per_row else 0,
                    m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+                   v=[np.zeros_like(p) for p in params],
+                   scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
 
     def reorder_rows(self, order: np.ndarray) -> None:
         """Per-row state: row r takes what row order[r] held."""
@@ -59,8 +66,12 @@ def adam_step(state: AdamState, params: list[np.ndarray],
 
     With a per-row state, params may be the first n rows of the arrays the
     state was made for; only those rows and their counts advance.
+
+    The update is the textbook one, m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, p -= lr * (m / bias1) / (sqrt(v / bias2) + eps),
+    computed in that operation order into the state's scratch arrays.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
+    if not len(params) == len(grads) == len(state.m) == len(state.scratch):
         raise ShapeError("params/grads do not match optimizer state")
     b1, b2 = state.beta1, state.beta2
     if isinstance(state.step, list):
@@ -69,20 +80,30 @@ def adam_step(state: AdamState, params: list[np.ndarray],
         # a Python float per row: the bits a lone member's scalar step uses
         bias1 = np.array([1.0 - b1 ** s for s in state.step[:n]])[:, None]
         bias2 = np.array([1.0 - b2 ** s for s in state.step[:n]])[:, None]
-        moments = [(m[:n], v[:n]) for m, v in zip(state.m, state.v)]
+        rows = slice(n)
     else:
         state.step += 1
         bias1 = 1.0 - b1 ** state.step
         bias2 = 1.0 - b2 ** state.step
-        moments = list(zip(state.m, state.v))
-    for p, g, (m, v) in zip(params, grads, moments):
+        rows = slice(None)
+    for p, g, m, v, (t, u) in zip(params, grads, state.m, state.v, state.scratch):
+        m, v, t, u = m[rows], v[rows], t[rows], u[rows]
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=t)
+        m += t
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        np.multiply(g, 1.0 - b2, out=t)
+        t *= g
+        v += t
+        np.divide(m, bias1, out=t)
+        t *= state.lr
+        np.divide(v, bias2, out=u)
+        np.sqrt(u, out=u)
+        u += state.eps
+        t /= u
+        p -= t
 
 
 @dataclass

@@ -20,6 +20,7 @@ from edenet.ensemble import (
     write_trace_csv,
 )
 from edenet.errors import ConfigError, ShapeError, TrainingDivergedError
+from edenet.layers import Workspace
 from edenet.model import (
     SCORE_CHUNK_ROWS as CHUNK,
     EdeNet,
@@ -27,6 +28,7 @@ from edenet.model import (
     encoding_loss,
     loss_and_grads,
     make_arch,
+    row_chunks,
 )
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
@@ -206,12 +208,54 @@ def test_scores_are_training_forward_per_block(n, arch):
         lo = 0
         while lo < n:
             hi = min(lo + CHUNK, n)
-            z, _, z_prime, _ = member._forward_cached(x[lo:hi])
+            z, _, z_prime, _ = member._forward_cached(x[lo:hi], Workspace())
             expect[lo:hi] = encoding_loss(z, z_prime)
             lo = hi
         assert np.array_equal(anomaly_score(member, x), expect)
         total += expect
     assert np.array_equal(ensemble_score(ens, x), total / 3)
+
+
+SCORE_ARCHS = {"ff": {}, "lstm": {"encoder_kind": "lstm", "recurrent_layers": 2, "seq_len": 3}}
+
+
+@pytest.mark.parametrize("arch", sorted(SCORE_ARCHS))
+def test_ensemble_score_carries_nothing_between_blocks_or_calls(arch):
+    """ensemble_score shares one workspace over its blocks and members. On
+    two full blocks and 3 rows, then on 700 rows, it gives what per-block,
+    per-member anomaly_score calls give, each on a fresh workspace."""
+    ens = init_ensemble(make_arch(10, SCORE_ARCHS[arch]), 3, seed=6)
+    rng = make_rng(7)
+    for n, scale in [(2 * CHUNK + 3, 1.0), (700, 3.0)]:
+        x = scale * rng.standard_normal((n, 10))
+        expect = np.zeros(n)
+        for rows in row_chunks(n):
+            for member in ens.members:
+                expect[rows] += anomaly_score(member, x[rows])
+        assert np.array_equal(ensemble_score(ens, x), expect / 3)
+
+
+@pytest.mark.parametrize("arch", sorted(SCORE_ARCHS))
+def test_returned_arrays_survive_a_second_call(arch):
+    """No array that forward, anomaly_score or ensemble_score returns is a
+    view of a buffer that a later call writes into, also where the calls
+    share a workspace."""
+    ens = init_ensemble(make_arch(10, SCORE_ARCHS[arch]), 2, seed=8)
+    net, rng = ens.members[0], make_rng(9)
+    # fewer rows the second time: a smaller take reuses a buffer, a larger
+    # one would replace it
+    x1, x2 = rng.standard_normal((90, 10)), 3.0 * rng.standard_normal((40, 10))
+    work = Workspace()
+    first = [*net.forward(x1), *net.infer(x1, work), anomaly_score(net, x1),
+             anomaly_score(net, x1, work), ensemble_score(ens, x1)]
+    kept = [a.copy() for a in first]
+    net.forward(x2)
+    net.infer(x2, work)
+    anomaly_score(net, x2)
+    anomaly_score(net, x2, work)
+    ensemble_score(ens, x2)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("arch,widest", [

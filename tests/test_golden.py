@@ -44,6 +44,14 @@ SCORE_D = 10
 SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members": 3}
 SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
 SCORE_SHA = "780a5b27bed04cf2f804f8d3818801af00c975f59c9fa467c1f0693f81a28e24"
+# the recurrent variant, so the cache-free LSTM loop is pinned too
+LSTM_SCORE_MODEL = {
+    "arch": {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4,
+             "seq_len": 3, "recurrent_layers": 2},
+    "train": {"epochs": 2, "batch_size": 16, "seed": 8},
+    "n_members": 2,
+}
+LSTM_SCORE_SHA = "08352599dc3e424c042cfde068e246bb90c04aaa13dd419bf1a2b41ae7f822f9"
 
 
 def _blas() -> tuple[str, str]:
@@ -73,6 +81,18 @@ def _train(doc: dict, data, out) -> None:
                  "--schema", str(data / "schema.json"), "--out", str(out)]) == 0
 
 
+def _score_sha(doc: dict, tmp_path) -> str:
+    """sha256 of scores.csv from a model trained on doc, scored over
+    SCORE_ROWS rows: two full blocks and a partial one."""
+    train = _synth(tmp_path / "train", SCORE_D, 90, 0, seed=2)
+    _train(doc, train, tmp_path / "run")
+    rows = _synth(tmp_path / "rows", SCORE_D, SCORE_ROWS - 100, 100, seed=3)
+    assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
+                 "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
+                 "--out", str(tmp_path / "score")]) == 0
+    return _sha256(tmp_path / "score" / "scores.csv")
+
+
 @pytest.fixture(scope="module")
 def synth_data(tmp_path_factory):
     return _synth(tmp_path_factory.mktemp("golden"), 7, 90, 0, seed=2)
@@ -88,10 +108,10 @@ def test_train_bytes_match_recorded_hashes(name, synth_data, tmp_path):
 
 def test_score_bytes_match_recorded_hash(tmp_path):
     """edenet score over more than two blocks of rows."""
-    train = _synth(tmp_path / "train", SCORE_D, 90, 0, seed=2)
-    _train(SCORE_MODEL, train, tmp_path / "run")
-    rows = _synth(tmp_path / "rows", SCORE_D, SCORE_ROWS - 100, 100, seed=3)
-    assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
-                 "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
-                 "--out", str(tmp_path / "score")]) == 0
-    assert _sha256(tmp_path / "score" / "scores.csv") == SCORE_SHA
+    assert _score_sha(SCORE_MODEL, tmp_path) == SCORE_SHA
+
+
+def test_lstm_score_bytes_match_recorded_hash(tmp_path):
+    """edenet score of a two-layer, three-step LSTM ensemble over more
+    than two blocks of rows."""
+    assert _score_sha(LSTM_SCORE_MODEL, tmp_path) == LSTM_SCORE_SHA

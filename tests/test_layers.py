@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from edenet.layers import (
     DenseLayer,
     DenseStack,
     LstmCell,
+    Workspace,
     as_matrix,
     dense_backward,
     dense_forward,
@@ -188,22 +191,34 @@ def test_lstm_forward_matches_reference(rng):
     x_seq = rng.standard_normal((4, 2, 3))
     h0 = rng.standard_normal((2, 5))
     c0 = rng.standard_normal((2, 5))
-    hs, _ = lstm_forward(cell, x_seq, h0, c0)
+    hs, _ = lstm_forward(cell, x_seq, h0, c0, Workspace())
     assert np.allclose(hs, reference_lstm(cell, x_seq, h0, c0), atol=1e-12)
 
 
 def test_lstm_forward_empty_sequence(rng):
     cell = init_lstm(rng, 3, 5)
     with pytest.raises(ValueError):
-        lstm_forward(cell, np.zeros((0, 2, 3)), np.zeros((2, 5)), np.zeros((2, 5)))
+        lstm_forward(cell, np.zeros((0, 2, 3)), np.zeros((2, 5)), np.zeros((2, 5)),
+                     Workspace())
 
 
 def test_lstm_forward_shape_errors(rng):
     cell = init_lstm(rng, 3, 5)
     with pytest.raises(ShapeError):
-        lstm_forward(cell, np.zeros((4, 2, 7)), np.zeros((2, 5)), np.zeros((2, 5)))
+        lstm_forward(cell, np.zeros((4, 2, 7)), np.zeros((2, 5)), np.zeros((2, 5)),
+                     Workspace())
     with pytest.raises(ShapeError):
-        lstm_forward(cell, np.zeros((4, 2, 3)), np.zeros((2, 4)), np.zeros((2, 5)))
+        lstm_forward(cell, np.zeros((4, 2, 3)), np.zeros((2, 4)), np.zeros((2, 5)),
+                     Workspace())
+
+
+def test_lstm_forward_state_shape_error_names_the_member_axis(rng):
+    """On a member stack the states carry the member axis first, and the
+    error says so."""
+    cell = init_lstm(rng, 3, 5)
+    x_seq = np.zeros((2, 4, 6, 3))  # (I, T, B, input_dim)
+    with pytest.raises(ShapeError, match=re.escape("must have shape (2, 6, 5)")):
+        lstm_forward(cell, x_seq, np.zeros((6, 5)), np.zeros((6, 5)), Workspace())
 
 
 def test_lstm_backward_matches_finite_differences():
@@ -215,11 +230,11 @@ def test_lstm_backward_matches_finite_differences():
     r = rng.standard_normal((3, 2, 4))  # loss = sum(hs * r)
 
     def loss():
-        hs, _ = lstm_forward(cell, x_seq, h0, c0)
+        hs, _ = lstm_forward(cell, x_seq, h0, c0, Workspace())
         return float(np.sum(hs * r))
 
-    _, cache = lstm_forward(cell, x_seq, h0, c0)
-    gx, gw, gb, gh0, gc0 = lstm_backward(cell, cache, r)
+    _, cache = lstm_forward(cell, x_seq, h0, c0, Workspace())
+    gx, gw, gb, gh0, gc0 = lstm_backward(cell, cache, r, Workspace())
 
     for arr, grad in [(cell.weights, gw), (cell.bias, gb)]:
         it = np.nditer(arr, flags=["multi_index"])
@@ -239,9 +254,9 @@ def test_lstm_backward_rejects_foreign_cache(rng):
     cell_a = init_lstm(rng, 3, 4)
     cell_b = init_lstm(rng, 3, 5)
     _, cache = lstm_forward(cell_a, rng.standard_normal((2, 2, 3)),
-                            np.zeros((2, 4)), np.zeros((2, 4)))
+                            np.zeros((2, 4)), np.zeros((2, 4)), Workspace())
     with pytest.raises(ValueError):
-        lstm_backward(cell_b, cache, np.zeros((2, 2, 5)))
+        lstm_backward(cell_b, cache, np.zeros((2, 2, 5)), Workspace())
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -249,6 +264,6 @@ def test_lstm_hidden_state_bounded(seed):
     rng = make_rng(seed)
     cell = init_lstm(rng, 2, 3)
     x_seq = rng.uniform(-20, 20, size=(5, 3, 2))
-    hs, _ = lstm_forward(cell, x_seq, np.zeros((3, 3)), np.zeros((3, 3)))
+    hs, _ = lstm_forward(cell, x_seq, np.zeros((3, 3)), np.zeros((3, 3)), Workspace())
     # h = o * tanh(c) with o in (0,1): strictly inside (-1, 1)
     assert np.all(np.abs(hs) < 1.0)

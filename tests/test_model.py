@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from edenet.ensemble import init_ensemble
 from edenet.errors import DegenerateWeightsError, FormatError, ShapeError
+from edenet.layers import Workspace
 from edenet.model import (
     ArchSpec,
     EdeNet,
@@ -20,6 +21,8 @@ from edenet.model import (
     net_to_payload,
     normalize_scores,
     reconstruction_loss,
+    sample_coefficients,
+    stacked_loss_and_grads,
 )
 from edenet.modelfile import load_model, save_model
 from edenet.rng import make_rng
@@ -127,11 +130,35 @@ def test_infer_matches_training_forward_bit_for_bit(arch, members):
         net, lead = nets[0].bind(np.stack([m.flat for m in nets])), (members,)
     x = make_rng(8).standard_normal(lead + (11, 8))
     for stack in (net.e1, net.dec, net.e2):
-        expect = stack.forward(x)[0]
-        got = stack.infer(x)
+        expect = stack.forward(x, Workspace())[0]
+        got = stack.infer(x, Workspace())
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
         x = expect
+
+
+@pytest.mark.parametrize("arch", sorted(INFER_ARCHS))
+def test_reused_workspace_gives_what_fresh_stacks_give(arch):
+    """Training keeps one workspace and one bound stack per member count
+    across rounds. Calls on new batches, with fewer members after more,
+    give the losses and gradients of fresh stacks on fresh workspaces:
+    no buffer carries anything from one call into the next."""
+    nets = init_ensemble(make_arch(8, INFER_ARCHS[arch]), 3, seed=11).members
+    block = np.stack([m.flat for m in nets])
+    grad_block = np.empty_like(block)
+    coeff = sample_coefficients(6, None)
+    rng = make_rng(12)
+    work, stacks = Workspace(), {}
+    for a, scale in [(3, 1.0), (3, 4.0), (2, 0.5), (1, 3.0), (3, 2.0)]:
+        x = scale * rng.standard_normal((a, 6, 8))
+        if a not in stacks:
+            stacks[a] = (nets[0].bind(block[:a]), nets[0].bind(grad_block[:a]))
+        got = stacked_loss_and_grads(stacks[a][0], x, coeff, work, stacks[a][1])
+        fresh = nets[0].bind(np.empty((a, block.shape[1])))
+        expect = stacked_loss_and_grads(nets[0].bind(block[:a].copy()), x, coeff,
+                                        Workspace(), fresh)
+        assert got == expect
+        assert np.array_equal(grad_block[:a], fresh.flat)
 
 
 def test_e1_and_e2_never_share_arrays():

@@ -96,3 +96,51 @@ def test_per_row_adam_matches_one_state_per_row():
     assert state.step == [4, 5, 4]
     for r in range(3):
         assert np.array_equal(block[r], rows[r])
+
+
+def textbook_adam(p, g, m, v, step, lr, beta1, beta2, eps):
+    """One Adam update as the paper writes it, each term a fresh array:
+    returns (p, m, v) after step number step."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1 ** step)
+    v_hat = v / (1.0 - beta2 ** step)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+HYPER = {"lr": 0.03, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7}
+
+
+def test_adam_step_is_the_textbook_update_bit_for_bit():
+    rng = np.random.default_rng(7)
+    params = [rng.standard_normal((3, 4)), rng.standard_normal(5)]
+    state = AdamState.for_params(params, **HYPER)
+    ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    for step in range(1, 7):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for p in params]
+        adam_step(state, params, grads)
+        ref = [textbook_adam(p, g, m, v, step, **HYPER) for (p, m, v), g in zip(ref, grads)]
+        for k, (p, m, v) in enumerate(ref):
+            assert np.array_equal(params[k], p)
+            assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+
+
+def test_per_row_adam_step_is_the_textbook_update_bit_for_bit():
+    """Each row follows the textbook update with its own step count, also
+    when a step covers only the leading rows."""
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((3, 6))
+    state = AdamState.for_params([block], per_row=True, **HYPER)
+    ref = [(block[r].copy(), np.zeros(6), np.zeros(6)) for r in range(3)]
+    counts = [0, 0, 0]
+    for n in (3, 3, 2, 1, 3, 2):
+        g = rng.standard_normal((3, 6))
+        adam_step(state, [block[:n]], [g[:n]])
+        for r in range(n):
+            counts[r] += 1
+            p, m, v = ref[r]
+            ref[r] = textbook_adam(p, g[r], m, v, counts[r], **HYPER)
+        assert state.step == counts
+        for r, (p, m, v) in enumerate(ref):
+            assert np.array_equal(block[r], p)
+            assert np.array_equal(state.m[0][r], m) and np.array_equal(state.v[0][r], v)
