@@ -180,7 +180,8 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
     return EnsembleModel(spec=spec, members=members, seed=seed)
 
 
-def ensemble_score(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
+def ensemble_score(ensemble: EnsembleModel, x: np.ndarray,
+                   work: Workspace | None = None) -> np.ndarray:
     """Mean of member anomaly scores, one value per row of x.
 
     x is checked once, then scored forward-only in the blocks of rows
@@ -189,10 +190,13 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray) -> np.ndarray:
     the members in member order, as a whole-matrix pass would; a row's
     score can still differ in the last bits from a whole-matrix forward
     (see anomaly_score). One workspace serves every block and member of
-    the call, so the LSTM layers write each block into the same pages.
+    the call, so the LSTM layers write each block into the same pages:
+    work when given, else a fresh one. train_ensemble passes its own, so
+    the reweight pass writes into pages training has already faulted in.
+    What work held before does not change the scores.
     """
     x = ensemble.members[0].check_input(x)
-    work = Workspace()
+    work = Workspace() if work is None else work
     total = np.zeros(x.shape[0])
     for rows in row_chunks(x.shape[0]):
         for member in ensemble.members:
@@ -274,9 +278,10 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     and divergence reports the first failing iteration of that order.
     One workspace holds every round's LSTM caches and temporaries: a
     round over a rows writes into the leading part of the buffers that
-    the widest round sized. The members' flat vectors are written back
-    before each reweight pass and at return; after a TrainingDivergedError
-    they hold the last written-back values.
+    the widest round sized, and each reweight pass scores into the same
+    workspace. The members' flat vectors are written back before each
+    reweight pass and at return; after a TrainingDivergedError they hold
+    the last written-back values.
     """
     x_train = as_matrix(x_train)
     if x_train.shape[1] != ensemble.spec.input_dim:
@@ -310,7 +315,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     for epoch in range(cfg.epochs):
         if cfg.reweight:
             write_back()
-            scores = ensemble_score(ensemble, x_train)
+            scores = ensemble_score(ensemble, x_train, work)
             if not np.isfinite(scores).all():
                 # per-sample scores are encoding losses, so treat this as
                 # divergence at the epoch boundary, not a weight error

@@ -11,7 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .atomic import atomic_open, atomic_write_json
 from .data import ANOMALY, NORMAL
@@ -123,6 +122,26 @@ def confusion_metrics(pred, truth) -> EvalReport:
                       accuracy=accuracy, tp=tp, fp=fp, tn=tn, fn=fn)
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array, tied values sharing the mean of the
+    ranks they span (scipy.stats.rankdata's method="average").
+
+    A tie group that fills sorted positions start .. end-1 takes rank
+    (start + 1 + end) / 2, exact in float64 below 2**52 entries.
+    """
+    v = np.asarray(values)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    first = np.empty(v.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, truth) -> float:
     """Probability a random anomaly outscores a random normal, with half
     credit for ties (average-rank Mann-Whitney form)."""
@@ -133,7 +152,7 @@ def auroc(scores, truth) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAurocError(
             "AUROC needs at least one sample of each class")
-    ranks = rankdata(s, method="average")
+    ranks = average_ranks(s)
     pos_rank_sum = float(ranks[truth == ANOMALY].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 

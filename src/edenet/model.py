@@ -401,7 +401,10 @@ class EdeNet(Stack):
     def infer(self, x: np.ndarray, work: Workspace):
         """forward without the input check. Each stack's infer gives its
         forward's output bit for bit, as a fresh array; the stacks run one
-        after another, so they share work's buffers."""
+        after another, so they share work's buffers: the scope that holds
+        the first encoder's cache in _forward_cached, so scoring between
+        training rounds reuses those pages."""
+        work = work.scope("e1")
         z = self.e1.infer(x, work)
         x_recon = self.dec.infer(z, work)
         return z, x_recon, self.e2.infer(x_recon, work)

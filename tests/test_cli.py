@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +533,17 @@ def test_unwritable_output_dir_is_exit_4(tmp_path):
     rc = main(["synth", "--out", str(blocker / "sub"), "--d", "2",
                "--n-normal", "3", "--n-anomaly", "0"])
     assert rc == 4
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """The runtime needs numpy alone; scipy serves only as a test oracle."""
+    import edenet
+
+    src = str(Path(edenet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    probe = ("import sys, edenet.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -29,6 +29,8 @@ from edenet.model import (
     loss_and_grads,
     make_arch,
     row_chunks,
+    sample_coefficients,
+    stacked_loss_and_grads,
 )
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
@@ -256,6 +258,26 @@ def test_returned_arrays_survive_a_second_call(arch):
     ensemble_score(ens, x2)
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("arch", sorted(SCORE_ARCHS))
+def test_scoring_into_a_training_workspace_matches_a_fresh_call(arch):
+    """The reweight pass scores into the workspace that holds training's
+    LSTM caches and temporaries. With that workspace holding a training
+    round's buffers and an earlier call's blocks, all then overwritten
+    with NaN, the scores equal a fresh call's bit for bit."""
+    ens = init_ensemble(make_arch(10, SCORE_ARCHS[arch]), 3, seed=10)
+    rng = make_rng(11)
+    x = rng.standard_normal((CHUNK + 5, 10))
+    block = np.stack([m.flat for m in ens.members])
+    nets, grads = ens.members[0].bind(block), ens.members[0].bind(np.empty_like(block))
+    work = Workspace()
+    stacked_loss_and_grads(nets, rng.standard_normal((3, 16, 10)),
+                           sample_coefficients(16, None), work, grads)
+    ensemble_score(ens, 3.0 * rng.standard_normal((2 * CHUNK, 10)), work)
+    for buf in work._buffers.values():
+        buf.fill(np.nan)
+    assert np.array_equal(ensemble_score(ens, x, work), ensemble_score(ens, x))
 
 
 @pytest.mark.parametrize("arch,widest", [

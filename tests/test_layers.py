@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from edenet.layers import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    sigmoid,
 )
 from edenet.rng import make_rng
 
@@ -155,6 +158,48 @@ def test_dense_tanh_output_bounded(seed):
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+
+
+def reference_exp(v: float) -> float:
+    """The C library's scalar exp, with inf past the float range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Representable doubles between nonnegative a and b."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_sigmoid_is_the_expit_formula_up_to_the_gap_in_exp():
+    """sigmoid is 1 / (1 + exp(-x)) through numpy's exp; the reference is
+    the same formula through math.exp, which is what scipy's expit does.
+
+    numpy's SIMD exp stays within 2 ulp of the scalar one. Rounding 1 + e
+    and then the quotient can widen a gap of k ulp in e to at most 2k + 2
+    ulp in the sigmoid (at x = -37.03 a 1-ulp gap in exp gives 3 ulp), so
+    that is the bound checked, with k the largest gap in exp on the grid.
+    """
+    edges = [-800.0, -745.0, -709.8, -709.78, 0.0, 709.78, 709.8, 745.0, 800.0]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160_001), edges])
+    exp_ref = np.array([reference_exp(v) for v in (-x).tolist()])
+    expect = 1.0 / (1.0 + exp_ref)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    finite = exp_ref < math.inf
+    with np.errstate(under="ignore"):
+        exp_gap = ulp_distance(np.exp(-x[finite]), exp_ref[finite])
+    assert exp_gap.max() <= 2
+    assert ulp_distance(got, expect).max() <= 2 * exp_gap.max() + 2
+    assert got[0] == 0.0 and got[-1] == 1.0
+    assert sigmoid(np.array([-745.0, -709.8, 0.0, 745.0])).tolist() == [0.0, 0.0, 0.5, 1.0]
+
+
+# ---------------------------------------------------------------------------
 # lstm
 
 
@@ -193,6 +238,24 @@ def test_lstm_forward_matches_reference(rng):
     c0 = rng.standard_normal((2, 5))
     hs, _ = lstm_forward(cell, x_seq, h0, c0, Workspace())
     assert np.allclose(hs, reference_lstm(cell, x_seq, h0, c0), atol=1e-12)
+
+
+def test_lstm_gates_are_the_activated_preactivations_bit_for_bit(rng):
+    """lstm_step parks the candidate's tanh while one sigmoid pass covers
+    all four gates; the cached gates are still sigmoid, sigmoid, tanh,
+    sigmoid of each pre-activation slice."""
+    cell = init_lstm(rng, 3, 5)
+    x_seq = rng.standard_normal((4, 6, 3))
+    _, cache = lstm_forward(cell, x_seq, rng.standard_normal((6, 5)),
+                            rng.standard_normal((6, 5)), Workspace())
+    H = cell.hidden_dim
+    for t in range(4):
+        pre = cache["xh"][t] @ cell.weights
+        pre += cell.bias
+        gate = cache["gates"][t]
+        for k, act in enumerate([sigmoid, sigmoid, np.tanh, sigmoid]):
+            assert np.array_equal(gate[:, k * H:(k + 1) * H],
+                                  act(pre[:, k * H:(k + 1) * H]))
 
 
 def test_lstm_forward_empty_sequence(rng):

@@ -8,6 +8,7 @@ from edenet.errors import ShapeError, UndefinedAurocError
 from edenet.metrics import (
     EvalReport,
     auroc,
+    average_ranks,
     confusion_metrics,
     evaluate,
     load_report_json,
@@ -140,6 +141,32 @@ def brute_force_auroc(scores, truth):
         for n in neg:
             total += 1.0 if p > n else 0.5 if p == n else 0.0
     return total / (len(pos) * len(neg))
+
+
+def definition_ranks(values) -> list[float]:
+    """Rank i = (values below it) + (its ties, itself included, + 1) / 2."""
+    return [sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2
+            for v in values]
+
+
+# a few fixed values besides the drawn ones, so ties are common
+tied_floats = st.lists(st.sampled_from([-1.5, 0.0, 2.0, 1e300])
+                       | st.floats(-3, 3, allow_nan=False, width=16),
+                       min_size=1, max_size=50)
+
+
+@given(tied_floats)
+def test_average_ranks_match_their_definition(values):
+    assert average_ranks(np.array(values)).tolist() == definition_ranks(values)
+
+
+def test_average_ranks_match_scipy_rankdata_bytes():
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    rng = np.random.default_rng(11)
+    for n in [1, 2, 7, 100, 1000]:
+        for values in (rng.standard_normal(n), rng.integers(0, 4, n).astype(float)):
+            ranks = average_ranks(values)
+            assert ranks.tobytes() == rankdata(values, method="average").tobytes()
 
 
 def test_auroc_worked_example():
