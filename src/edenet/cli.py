@@ -29,6 +29,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_schema,
+    load_training_rows,
     numeric_schema_for,
     read_csv_columns,
     save_schema,
@@ -173,8 +174,8 @@ def _int_list(text: str) -> list[int]:
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "train")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    train_ds = training_split(load_csv(_require(cfg.data, "training data path"), schema),
-                              cfg.scale)
+    train_ds = load_training_rows(_require(cfg.data, "training data path"), schema,
+                                  cfg.scale)
     if cfg.scale:
         with atomic_open(out / "scaling.json") as fh:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
@@ -293,8 +294,8 @@ def _load_task(entry: dict, cfg: RunConfig, index: int) -> MetaTask:
         raise ConfigError(f"task {index} has unknown keys: {sorted(unknown)}")
     schema_path = entry.get("schema", cfg.schema)
     schema = load_schema(_require(schema_path, f"task {index} schema path"))
-    train_ds = training_split(
-        load_csv(_require(entry["train"], f"task {index} train path"), schema), cfg.scale)
+    train_ds = load_training_rows(
+        _require(entry["train"], f"task {index} train path"), schema, cfg.scale)
     test_ds = load_csv(_require(entry["test"], f"task {index} test path"), schema,
                        require_labels=True)
     if cfg.scale:
@@ -346,7 +347,7 @@ def cmd_meta_select(cfg: RunConfig) -> int:
         raise ConfigError("meta model file does not hold a meta-learner")
     schema = load_schema(_require(cfg.schema, "schema path"))
     # the rows meta build described for its tasks: normal, scaled like training
-    ds = training_split(load_csv(_require(cfg.data, "task data path"), schema), cfg.scale)
+    ds = load_training_rows(_require(cfg.data, "task data path"), schema, cfg.scale)
 
     feats = extract_meta_features(ds)
     scored = predict_candidates(model, feats, list(cfg.candidates))
@@ -393,17 +394,18 @@ def _bench_task(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
             raise ConfigError(f"unknown synthetic task keys: {sorted(unknown)}")
         d = int(spec.get("d", 10))
         shift = float(spec.get("shift", 4.0))
-        train = generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
-                                   seed=derived_seed(seed, 0))
+        train = training_split(
+            generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
+                               seed=derived_seed(seed, 0)), cfg.scale)
         test = generate_synthetic(d, int(spec.get("n_test_normal", 400)),
                                   int(spec.get("n_test_anomaly", 100)), shift,
                                   seed=derived_seed(seed, 1))
     else:
         schema = load_schema(_require(cfg.schema, "schema path"))
-        train = load_csv(_require(cfg.data, "training data path"), schema)
+        train = load_training_rows(_require(cfg.data, "training data path"), schema,
+                                   cfg.scale)
         test = load_csv(_require(cfg.test_data, "test data path"), schema,
                         require_labels=True)
-    train = training_split(train, cfg.scale)
     if cfg.scale:
         test = apply_scale(test, train.scaling_stats)
     return train, test

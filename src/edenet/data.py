@@ -6,6 +6,15 @@ expand to one-hot blocks in vocabulary order; values outside the
 vocabulary map to an all-zero block so the feature width never depends on
 the file contents. Feature scaling is per-column min-max fitted on the
 training split only.
+
+The training rows of a labeled file are its normal rows. load_csv and
+load_training_rows decode a file once and fill the matrix in one place;
+load_training_rows fills the matrix with the kept rows only and scales it
+in place, so preparing the rows a model trains on holds the parsed table
+plus one training-sized matrix. Every scaling step writes into one matrix
+(fit_scale and apply_scale a fresh one each, training_split and
+load_training_rows the matrix they built) with the same elementwise
+operations in the same order, so the bytes do not depend on the route.
 """
 
 from __future__ import annotations
@@ -230,6 +239,28 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
     break does not advance them. A malformed row raises CsvParseError with
     its line and, for a bad value, its column.
     """
+    features, labels = _load_rows(path, schema, require_labels, has_header,
+                                  normal_only=False)
+    return Dataset(features=_frozen(features), labels=labels,
+                   column_meta=expanded_meta(schema))
+
+
+def load_training_rows(path, schema: Schema, scale: bool) -> Dataset:
+    """training_split(load_csv(path, schema), scale), byte for byte, built
+    as one matrix: the whole file is parsed and every row checked (and
+    every label decoded) as load_csv does, but only the normal rows are
+    written into the feature matrix, which is then scaled in place."""
+    features, _ = _load_rows(path, schema, require_labels=None, has_header=True,
+                             normal_only=True)
+    return _training_rows(features, expanded_meta(schema), scale)
+
+
+def _load_rows(path, schema: Schema, require_labels: bool | None,
+               has_header: bool, normal_only: bool
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """load_csv's (features, frozen labels). With normal_only the matrix
+    holds only the rows labeled normal and no labels come back; a file
+    without labels keeps every row."""
     path = Path(path)
     if require_labels and schema.label_column is None:
         raise SchemaError("labels requested but the schema has no label column")
@@ -270,11 +301,20 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
             text.append(pos[schema.label_column])
         columns = read_csv_columns(fh, header, numeric, text, has_header)
 
+    labels = None
+    if want_labels:
+        labels = _frozen(_encode(columns[pos[schema.label_column]], schema.label_of,
+                                 np.int8))
+    rows = slice(None)
     n_rows = len(columns[pos[schema.columns[0].name]])
+    if normal_only and labels is not None:
+        rows, labels = np.flatnonzero(labels == NORMAL), None
+        n_rows = rows.size
+
     features = np.zeros((n_rows, schema.feature_width))
     offset = 0
     for col in schema.columns:
-        values = columns[pos[col.name]]
+        values = columns[pos[col.name]][rows]
         if col.kind == "numeric":
             features[:, offset] = values
         else:
@@ -283,13 +323,7 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
             hit = np.flatnonzero(slot >= 0)
             features[hit, offset + slot[hit]] = 1.0
         offset += col.width
-
-    labels = None
-    if want_labels:
-        labels = _frozen(_encode(columns[pos[schema.label_column]], schema.label_of,
-                                 np.int8))
-    return Dataset(features=_frozen(features), labels=labels,
-                   column_meta=expanded_meta(schema))
+    return features, labels
 
 
 def _encode(values: np.ndarray, code, dtype=np.intp) -> np.ndarray:
@@ -417,17 +451,17 @@ def fit_scale(data: Dataset) -> Dataset:
     """Min-max scale each column to [0, 1] and attach the fitted stats.
 
     Constant columns map to all zeros. Only ever call this on the training
-    split; use apply_scale for everything else.
+    split; use apply_scale for everything else. The result is one fresh
+    matrix; `data` is left as it is.
     """
     if data.n_rows == 0:
         raise ValueError("cannot fit scaling on an empty dataset")
-    stats = ScalingStats(data.features.min(axis=0), data.features.max(axis=0))
-    return _scale_with(data, stats, clip=False)
+    return _scale_with(data, _fit_stats(data.features), clip=False)
 
 
 def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
     """Scale with stats fitted elsewhere; out-of-range results are clipped
-    to [-0.5, 1.5]."""
+    to [-0.5, 1.5]. The result is one fresh matrix."""
     if stats is None:
         raise NotFittedError("scaling stats missing; call fit_scale first")
     if stats.col_min.shape[0] != data.n_features:
@@ -438,15 +472,28 @@ def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
     return _scale_with(data, stats, clip=True)
 
 
+def _fit_stats(x: np.ndarray) -> ScalingStats:
+    return ScalingStats(x.min(axis=0), x.max(axis=0))
+
+
 def _scale_with(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
-    span = stats.span
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (data.features - stats.col_min) / safe
-    scaled[:, span == 0] = 0.0
-    if clip:
-        scaled = np.clip(scaled, CLIP_LO, CLIP_HI)
+    scaled = _scale(data.features, stats, clip)
     return Dataset(features=_frozen(scaled), labels=data.labels,
                    column_meta=data.column_meta, scaling_stats=stats)
+
+
+def _scale(x: np.ndarray, stats: ScalingStats, clip: bool,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """(x - col_min) / span, written into `out` (which may be x itself) or
+    into one fresh matrix: constant columns become 0, and with clip the
+    result is clipped to [CLIP_LO, CLIP_HI]."""
+    span = stats.span
+    out = np.subtract(x, stats.col_min, out=out)
+    out /= np.where(span > 0, span, 1.0)
+    out[:, span == 0] = 0.0
+    if clip:
+        np.clip(out, CLIP_LO, CLIP_HI, out=out)
+    return out
 
 
 def scaling_to_dict(stats: ScalingStats) -> dict:
@@ -461,7 +508,11 @@ def scaling_from_dict(d: dict) -> ScalingStats:
         cols = [np.asarray(d[key]) for key in ("col_min", "col_max")]
         if not all(c.dtype.kind in "iuf" and np.isfinite(c).all() for c in cols):
             raise ValueError("col_min and col_max must hold finite numbers")
-        return ScalingStats(*cols)
+        stats = ScalingStats(*cols)
+        below = np.flatnonzero(stats.col_max < stats.col_min)
+        if below.size:
+            raise ValueError(f"col_max is below col_min in column {below[0]}")
+        return stats
     except KeyError as exc:
         raise FormatError(f"scaling file lacks field {exc}") from exc
     except ValueError as exc:
@@ -474,14 +525,30 @@ def scaling_from_dict(d: dict) -> ScalingStats:
 
 def training_split(data: Dataset, scale: bool) -> Dataset:
     """The rows a model trains on and meta-features describe: the normal
-    rows with the labels dropped (all rows of an unlabeled file), min-max
-    scaled by fit_scale when `scale` is set. An empty result raises
-    ValueError."""
-    if data.labels is not None:
-        data = data.take(np.flatnonzero(data.labels == NORMAL)).without_labels()
-    if data.n_rows == 0:
+    rows with the labels dropped (all rows of an unlabeled dataset),
+    min-max scaled as fit_scale scales them when `scale` is set. An empty
+    result raises ValueError. For a CSV file, load_training_rows gives the
+    same rows without building the whole file's matrix."""
+    if data.labels is None:
+        if data.n_rows == 0:
+            raise ValueError("no normal rows to train on")
+        return fit_scale(data) if scale else data
+    return _training_rows(data.features[data.labels == NORMAL],
+                          data.column_meta, scale, data.scaling_stats)
+
+
+def _training_rows(features: np.ndarray, column_meta: list[ColumnMeta] | None,
+                   scale: bool, stats: ScalingStats | None = None) -> Dataset:
+    """An unlabeled Dataset over `features`, a fresh matrix that nothing
+    else holds, min-max scaled in place when `scale` is set (otherwise it
+    keeps `stats`)."""
+    if features.shape[0] == 0:
         raise ValueError("no normal rows to train on")
-    return fit_scale(data) if scale else data
+    if scale:
+        stats = _fit_stats(features)
+        _scale(features, stats, clip=False, out=features)
+    return Dataset(features=_frozen(features), column_meta=column_meta,
+                   scaling_stats=stats)
 
 
 def split_normal_train(data: Dataset, train_fraction: float, seed: int = 0

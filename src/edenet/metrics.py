@@ -50,15 +50,23 @@ def threshold_top_q(scores, q: float) -> np.ndarray:
 
     Ties at the cut go to the earlier index.
     """
-    s = _as_scores(scores)
+    return _top_q(_as_scores(scores), q)[0]
+
+
+def _top_q(s: np.ndarray, q: float) -> tuple[np.ndarray, float]:
+    """threshold_top_q's decisions for finite scores s, and the cut: the
+    k-th highest score, k = ceil(q*n), as np.sort places it (which sign a
+    zero cut carries depends on that placement)."""
     if not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
     n = s.size
     k = _top_q_count(q, n)
-    order = np.argsort(-s, kind="stable")
-    pred = np.full(n, NORMAL, dtype=np.int8)
-    pred[order[:k]] = ANOMALY
-    return pred
+    cut = np.sort(s)[n - k]
+    pred = (s > cut).astype(np.int8)
+    # the k - (count above the cut) earliest scores at the cut fill the rest
+    ties = np.flatnonzero(s == cut)[:k - np.count_nonzero(pred)]
+    pred[ties] = ANOMALY
+    return pred, float(cut)
 
 
 @dataclass
@@ -130,7 +138,8 @@ def average_ranks(values) -> np.ndarray:
     (start + 1 + end) / 2, exact in float64 below 2**52 entries.
     """
     v = np.asarray(values)
-    order = np.argsort(v, kind="stable")
+    # the order within a tie group does not change its ranks
+    order = np.argsort(v)
     ordered = v[order]
     first = np.empty(v.size, dtype=bool)
     first[:1] = True
@@ -161,10 +170,9 @@ def evaluate(scores, truth, q: float = 0.2) -> EvalReport:
     """Full report: top-q decisions for the confusion metrics, threshold-free
     AUROC. Single-class truth leaves auroc unset instead of failing."""
     s = _as_scores(scores)
-    pred = threshold_top_q(s, q)
+    pred, cut = _top_q(s, q)
     report = confusion_metrics(pred, truth)
-    k = _top_q_count(q, s.size)
-    report.threshold_used = float(np.sort(s)[::-1][k - 1])
+    report.threshold_used = cut
     try:
         report.auroc = auroc(s, truth)
     except UndefinedAurocError:

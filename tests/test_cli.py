@@ -496,6 +496,53 @@ def test_malformed_scaling_file_is_exit_2(tmp_path, workspace, capsys, doc):
     assert "error:" in capsys.readouterr().err
 
 
+def test_scaling_file_with_max_below_min_is_exit_2(tmp_path, workspace, capsys):
+    """Such a column used to pass unscaled: its span fell back to 1 and
+    the constant-column rule missed it."""
+    scaling = write_json(tmp_path / "scaling.json", {
+        "col_min": [0, 5, 0, 0], "col_max": [10, 1, 1, 1]})
+    assert _score(workspace, tmp_path, workspace / "train" / "model.json",
+                  scaling) == 2
+    assert "col_max is below col_min in column 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_bench_trains_on_the_normal_rows_of_a_csv(tmp_path):
+    train = tiny_synth(tmp_path, "train", 30, 6, 7)
+    test = tiny_synth(tmp_path, "test", 12, 4, 8)
+    cfg = write_json(tmp_path / "bench.json", {
+        "data": str(train / "data.csv"), "test_data": str(test / "data.csv"),
+        "schema": str(train / "schema.json"),
+        "methods": [{"name": "only", "n_members": 1}],
+        "arch": SMALL_CFG["arch"], "train": {"epochs": 1, "batch_size": 16},
+        "seeds": [0],
+    })
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    table = (tmp_path / "out" / "bench_table.csv").read_text().splitlines()
+    assert table[1].startswith("only,")
+
+
+@pytest.mark.parametrize("command", ["train", "meta build", "bench"])
+def test_training_file_without_a_normal_row_is_exit_2(tmp_path, capsys, command):
+    bad = tiny_synth(tmp_path, "anomalies", 0, 6, 2)
+    test = tiny_synth(tmp_path, "test", 6, 2, 3)
+    data, schema = str(bad / "data.csv"), str(bad / "schema.json")
+    cfg = {"schema": schema, "arch": SMALL_CFG["arch"], "train": {"epochs": 1}}
+    if command == "meta build":
+        cfg.update(tasks=[{"train": data, "test": str(test / "data.csv")}],
+                   candidates=[1])
+    else:
+        cfg.update(data=data)
+    if command == "bench":
+        cfg.update(test_data=str(test / "data.csv"),
+                   methods=[{"name": "only", "n_members": 1}], seeds=[0])
+    capsys.readouterr()
+    rc = main([*command.split(), "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "no normal rows to train on" in capsys.readouterr().err
+
+
 def test_eval_row_count_mismatch_is_exit_2(tmp_path, workspace):
     short = tiny_synth(tmp_path, "short", 5, 2, 4)
     rc = main(["eval", "--scores", str(workspace / "score" / "scores.csv"),

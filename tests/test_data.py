@@ -1,6 +1,8 @@
 import csv
 import io
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from edenet.data import (
     generate_synthetic,
     load_csv,
     load_schema,
+    load_training_rows,
     numeric_schema_for,
     read_csv_columns,
     save_schema,
@@ -27,9 +30,16 @@ from edenet.data import (
     schema_from_dict,
     schema_to_dict,
     split_normal_train,
+    training_split,
     write_csv,
 )
-from edenet.errors import CsvParseError, NotFittedError, SchemaError, ShapeError
+from edenet.errors import (
+    CsvParseError,
+    FormatError,
+    NotFittedError,
+    SchemaError,
+    ShapeError,
+)
 
 NUM2 = Schema((SchemaColumn("a", "numeric"), SchemaColumn("b", "numeric")))
 MIXED = Schema((
@@ -576,3 +586,148 @@ def test_arrays_the_module_builds_are_frozen_without_copying(tmp_path, monkeypat
     assert len(passed) == 6  # features and labels of each of the three
     for given, arr in passed:
         assert arr is given and not arr.flags.writeable
+
+
+def test_scaling_dict_rejects_a_max_below_its_min():
+    with pytest.raises(FormatError, match="column 1"):
+        scaling_from_dict({"col_min": [0, 5], "col_max": [10, 1]})
+    # equal bounds are a constant column, not an error
+    stats = scaling_from_dict({"col_min": [0, 5], "col_max": [10, 5]})
+    assert stats.span.tolist() == [10.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# training rows straight from a file
+
+TRAIN_SCHEMA = Schema(
+    (SchemaColumn("a", "numeric"),
+     SchemaColumn("kind", "categorical", ("x", "y,z", "w")),
+     SchemaColumn("flat", "numeric"),
+     SchemaColumn("b", "numeric")),
+    label_column="status", normal_value="ok",
+)
+TRAIN_FILES = {
+    "mixed": ("a,kind,flat,b,status\n1.5,x,2,-3,ok\n9,w,2,4,bad\n"
+              "-2,\"y,z\",2,0.25,ok\n4,q,2,7,ok\n100,x,2,1e3,bad\n"),
+    "all_normal": "a,kind,flat,b,status\n1,x,2,3,ok\n2,w,2,5,ok\n0.5,w,2,-1,ok\n",
+    "unlabeled": "b,a,flat,kind\n3,1,2,x\n5,2,2,\"y,z\"\n-1,0.5,2,nope\n",
+    "quoted": ('a,kind,flat,b,status\n"1",\" x \",2,"2e1",\"ok\"\n'
+               '"-1","y,z",2,3,\" ok \"\n7,w,2,"8","not ok"\n'),
+}
+
+
+@pytest.mark.parametrize("scale", [True, False], ids=["scaled", "raw"])
+@pytest.mark.parametrize("name", sorted(TRAIN_FILES))
+def test_training_rows_equal_the_split_of_the_full_load(tmp_path, name, scale):
+    """Every file carries a constant column (flat) and a categorical with a
+    quoted vocabulary value; mixed and unlabeled hold an out-of-vocabulary
+    value."""
+    path = write(tmp_path, TRAIN_FILES[name])
+    full = load_csv(path, TRAIN_SCHEMA)
+    normal = full if full.labels is None else full.take(
+        np.flatnonzero(full.labels == NORMAL))
+    oracle = normal.without_labels()
+    if scale:
+        oracle = fit_scale(oracle)
+
+    got = load_training_rows(path, TRAIN_SCHEMA, scale)
+    for other in (got, training_split(full, scale)):
+        assert other.features.tobytes() == oracle.features.tobytes()
+        assert other.features.shape == oracle.features.shape
+        assert other.labels is None
+        assert not other.features.flags.writeable
+        assert other.column_meta == full.column_meta
+        if scale:
+            assert other.scaling_stats.col_min.tobytes() == oracle.scaling_stats.col_min.tobytes()
+            assert other.scaling_stats.col_max.tobytes() == oracle.scaling_stats.col_max.tobytes()
+        else:
+            assert other.scaling_stats is None
+    if name == "mixed":
+        assert got.n_rows == 3
+
+
+def test_training_rows_without_a_normal_row_fail_like_the_split(tmp_path):
+    path = write(tmp_path, "v,status\n1,bad\n2,worse\n")
+    with pytest.raises(ValueError) as split_error:
+        training_split(load_csv(path, LABELED), scale=True)
+    with pytest.raises(ValueError) as loader_error:
+        load_training_rows(path, LABELED, scale=True)
+    assert type(loader_error.value) is type(split_error.value)
+    assert str(loader_error.value) == str(split_error.value)
+
+
+@pytest.mark.parametrize("row,found", [
+    ("oops,bad", "non-numeric value 'oops'"),
+    ("4", "expected 2 fields, found 1"),
+    ("4,bad,extra", "expected 2 fields, found 3"),
+], ids=["numeric", "missing_label", "extra_field"])
+def test_a_fault_on_a_dropped_row_still_names_its_line(tmp_path, row, found):
+    path = write(tmp_path, f"v,status\n1,ok\n2,ok\n{row}\n3,ok\n")
+    with pytest.raises(CsvParseError, match=found) as exc:
+        load_training_rows(path, LABELED, scale=True)
+    assert exc.value.line == 4
+
+
+KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
+
+
+def write_kdd_shaped(path, n_rows, seed):
+    """n_rows rows in the KDD99 schema, about 2% labeled "normal." (the
+    rows training drops under its label inversion)."""
+    schema = load_schema(KDD_SCHEMA)
+    rng = np.random.default_rng(seed)
+    cols = []
+    for col in schema.columns:
+        if col.kind == "categorical":
+            cols.append(rng.choice(col.values, n_rows).tolist())
+        else:
+            cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
+    cols.append(np.where(rng.random(n_rows) < 0.02, "normal.", "smurf.").tolist())
+    header = [c.name for c in schema.columns] + [schema.label_column]
+    path.write_text(",".join(header) + "\n"
+                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
+    return schema
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_rows_hold_the_parsed_table_and_one_matrix(tmp_path):
+    """Preparing a KDD-shaped file's training rows peaks at what parsing it
+    takes plus about one training matrix. Loading every row, copying the
+    normal ones and scaling them through temporaries held up to three."""
+    path = tmp_path / "kdd.csv"
+    schema = write_kdd_shaped(path, 20_000, seed=3)
+
+    def parse():
+        with open(path, encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+            numeric = [i for i, c in enumerate(schema.columns) if c.kind == "numeric"]
+            text = [i for i in range(len(header)) if i not in numeric]
+            return read_csv_columns(fh, header, numeric, text, has_header=True)
+
+    _, parse_peak = traced_peak(parse)
+    ds, peak = traced_peak(load_training_rows, path, schema, True)
+    matrix = ds.features.nbytes
+    assert ds.n_rows > 19_000 and matrix > parse_peak
+    assert peak < parse_peak + 1.25 * matrix
+
+
+@pytest.mark.parametrize("scale", [fit_scale, lambda ds: apply_scale(
+    ds, ScalingStats(np.full(121, -1.0), np.full(121, 2.0)))],
+    ids=["fit_scale", "apply_scale"])
+def test_scaling_writes_one_matrix_and_leaves_its_input(scale):
+    x = np.random.default_rng(4).standard_normal((4000, 121))
+    ds = Dataset(features=x, labels=np.zeros(4000, dtype=np.int8))
+    before = ds.features.tobytes()
+    out, peak = traced_peak(scale, ds)
+    assert peak < 1.1 * out.features.nbytes
+    assert ds.features.tobytes() == before
+    assert not ds.features.flags.writeable and not out.features.flags.writeable
+    assert out.labels is ds.labels

@@ -1,4 +1,6 @@
+import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,3 +278,51 @@ def test_report_csv_layout(tmp_path):
     assert cells[4] == ""  # undefined auroc stays empty
     assert float(cells[2]) == 2 / 3
     assert cells[6:] == ["1", "1", "0", "0"]
+
+
+def stable_top_q(s, k):
+    pred = np.zeros(s.size, dtype=np.int8)
+    pred[np.argsort(-s, kind="stable")[:k]] = 1
+    return pred
+
+
+def three_sort_report(scores, truth, q) -> EvalReport:
+    """evaluate as it was computed with three sorts: a stable argsort for
+    the top-q decisions, np.sort for the threshold and a stable argsort
+    for the ranks."""
+    s = np.asarray(scores, dtype=float)
+    k = math.ceil(Fraction(str(q)) * s.size)
+    report = confusion_metrics(stable_top_q(s, k), truth)
+    report.threshold_used = float(np.sort(s)[::-1][k - 1])
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    truth = np.asarray(truth)
+    n_pos = int(truth.sum())
+    if 0 < n_pos < s.size:
+        report.auroc = ((float(ranks[truth == 1].sum()) - n_pos * (n_pos + 1) / 2)
+                        / (n_pos * (s.size - n_pos)))
+    return report
+
+
+def test_report_bytes_match_the_three_sort_evaluation_on_tied_scores(tmp_path):
+    rng = np.random.default_rng(21)
+    pools = ([-0.0, 0.0], [-0.0, 0.0, 1.0, -1.0], [0.5, 0.25, 0.5, 2.0, -0.0])
+    for trial in range(600):
+        n = int(rng.integers(1, 120))
+        scores = rng.choice(pools[trial % 3], size=n)
+        truth = rng.integers(0, 2, size=n)
+        q = float(rng.choice([0.01, 0.1, 0.28, 0.5, 0.9, 0.99]))
+        k = math.ceil(Fraction(str(q)) * n)
+        assert threshold_top_q(scores, q).tolist() == stable_top_q(scores, k).tolist()
+        files = []
+        for report in (evaluate(scores, truth, q), three_sort_report(scores, truth, q)):
+            save_report_json(report, tmp_path / "report.json")
+            save_report_csv(report, tmp_path / "report.csv")
+            files.append((tmp_path / "report.json").read_bytes()
+                         + (tmp_path / "report.csv").read_bytes())
+        assert files[0] == files[1], (scores, truth, q)
