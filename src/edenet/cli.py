@@ -31,7 +31,7 @@ from .data import (
     load_schema,
     load_training_rows,
     numeric_schema_for,
-    read_csv_columns,
+    read_csv_blocks,
     save_schema,
     scaling_from_dict,
     scaling_to_dict,
@@ -247,8 +247,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
         if header is None or not set(need) <= set(header):
             raise ValueError(f"score CSV must carry columns {sorted(need)}")
         scores = [header.index("raw_score"), header.index("normalized_score")]
-        columns = read_csv_columns(fh, header, scores, [], has_header=True)
-    raw, norm = (np.ascontiguousarray(columns[i]) for i in scores)
+        blocks = list(read_csv_blocks(fh, header, scores, [], has_header=True))
+    raw, norm = (np.concatenate([b[i] for b in blocks]) for i in scores)
     return raw, norm
 
 

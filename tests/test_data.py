@@ -23,7 +23,7 @@ from edenet.data import (
     load_schema,
     load_training_rows,
     numeric_schema_for,
-    read_csv_columns,
+    read_csv_blocks,
     save_schema,
     scaling_from_dict,
     scaling_to_dict,
@@ -33,6 +33,7 @@ from edenet.data import (
     training_split,
     write_csv,
 )
+import edenet.data as data_mod
 from edenet.errors import (
     CsvParseError,
     FormatError,
@@ -167,7 +168,7 @@ def test_unread_columns_come_back_as_none(tmp_path):
     p = write(tmp_path, "i,s,t\n0,0.5,é\n1,0.25,b\n")
     with open(p, encoding="utf-8") as fh:
         next(fh)
-        columns = read_csv_columns(fh, ["i", "s", "t"], [1], [2], has_header=True)
+        columns = next(read_csv_blocks(fh, ["i", "s", "t"], [1], [2], has_header=True))
     assert columns[0] is None
     assert columns[1].tolist() == [0.5, 0.25]
     assert columns[2].tolist() == ["é", "b"]
@@ -570,8 +571,6 @@ def test_dataset_keeps_a_read_only_array_without_copying():
 
 
 def test_arrays_the_module_builds_are_frozen_without_copying(tmp_path, monkeypatch):
-    import edenet.data as data_mod
-
     original, passed = data_mod._read_only, []
 
     def recording(given, dtype):
@@ -698,25 +697,197 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_training_rows_hold_the_parsed_table_and_one_matrix(tmp_path):
-    """Preparing a KDD-shaped file's training rows peaks at what parsing it
-    takes plus about one training matrix. Loading every row, copying the
-    normal ones and scaling them through temporaries held up to three."""
+def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
+    """Preparing a KDD-shaped file's training rows peaks at about the
+    matrix it allocates plus what parsing one block of rows takes. Parsing
+    the whole file before filling the matrix held both whole."""
     path = tmp_path / "kdd.csv"
     schema = write_kdd_shaped(path, 20_000, seed=3)
 
-    def parse():
+    def parse_one_block():
         with open(path, encoding="utf-8") as fh:
             header = next(csv.reader(fh))
             numeric = [i for i, c in enumerate(schema.columns) if c.kind == "numeric"]
             text = [i for i in range(len(header)) if i not in numeric]
-            return read_csv_columns(fh, header, numeric, text, has_header=True)
+            return next(read_csv_blocks(fh, header, numeric, text, has_header=True))
 
-    _, parse_peak = traced_peak(parse)
+    _, block_peak = traced_peak(parse_one_block)
     ds, peak = traced_peak(load_training_rows, path, schema, True)
-    matrix = ds.features.nbytes
-    assert ds.n_rows > 19_000 and matrix > parse_peak
-    assert peak < parse_peak + 1.25 * matrix
+    allocated = (20_000 + 2) * ds.n_features * 8  # a row per line end, plus one
+    assert ds.n_rows > 19_000 and allocated > 20 * block_peak
+    assert peak < allocated + 3 * block_peak
+
+
+# ---------------------------------------------------------------------------
+# files longer than one block
+
+BLOCK_SCHEMA = Schema(
+    (SchemaColumn("a", "numeric"),
+     SchemaColumn("kind", "categorical", ("x", "y\nz", "w,v")),
+     SchemaColumn("b", "numeric")),
+    label_column="status", normal_value="ok",
+)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Sets the rows per reader call for the rest of the test."""
+    return lambda n: monkeypatch.setattr(data_mod, "CSV_BLOCK_ROWS", n)
+
+
+def load_whole(monkeypatch, fn, *args):
+    """fn(*args) with the whole file read in one reader call."""
+    with monkeypatch.context() as m:
+        m.setattr(data_mod, "CSV_BLOCK_ROWS", 1000)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quoted_line_breaks_across_block_boundaries(tmp_path, block_rows, n):
+    """Rows 2 to 5 each hold a quoted line break (\\n, \\r\\n or \\r), so
+    with one, two or three rows a block some of them end one block and
+    others start the next."""
+    p = tmp_path / "quoted.csv"
+    p.write_bytes(b'a,kind,b,status\n1,x,2,ok\n2,"y\nz",3,ok\n3,"y\r\nz",4,bad\n'
+                  b'4,"y\rz",5,ok\r\n5,"w,v",6,"o\nk"\n6,x,7,ok\n')
+    block_rows(n)
+    ds = load_csv(p, BLOCK_SCHEMA)
+    assert ds.features.tolist() == [
+        [1, 1, 0, 0, 2], [2, 0, 1, 0, 3], [3, 0, 1, 0, 4],
+        [4, 0, 1, 0, 5], [5, 0, 0, 1, 6], [6, 1, 0, 0, 7]]
+    assert ds.labels.tolist() == [NORMAL, NORMAL, ANOMALY, NORMAL, ANOMALY, NORMAL]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_blank_lines_and_mixed_line_ends_across_blocks(tmp_path, block_rows, n):
+    p = tmp_path / "ends.csv"
+    p.write_bytes(b"v,status\r\n\r\n1,ok\r2,bad\n\n\n3,ok\r\n\r4,ok\n"
+                  b"\r\n5,bad\r\r6,ok")
+    block_rows(n)
+    ds = load_csv(p, LABELED)
+    assert ds.features[:, 0].tolist() == [1, 2, 3, 4, 5, 6]
+    assert ds.labels.tolist() == [NORMAL, ANOMALY, NORMAL, NORMAL, ANOMALY, NORMAL]
+    assert load_training_rows(p, LABELED, scale=False).features[:, 0].tolist() == [1, 3, 4, 6]
+
+
+def test_header_only_file_in_blocks_is_zero_rows_without_warning(tmp_path, block_rows):
+    p = write(tmp_path, "a,kind,b,status\n\n")
+    block_rows(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_csv(p, BLOCK_SCHEMA)
+    assert ds.features.shape == (0, 5) and ds.labels.shape == (0,)
+    with pytest.raises(ValueError, match="no normal rows"):
+        load_training_rows(p, BLOCK_SCHEMA, scale=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_row_count_a_multiple_of_the_block(tmp_path, block_rows, n):
+    p = write(tmp_path, "a,b\n" + "".join(f"{i},{-i}\n" for i in range(6)))
+    block_rows(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_csv(p, NUM2)
+    assert ds.features.tolist() == [[i, -i] for i in range(6)]
+
+
+@pytest.mark.parametrize("load", [
+    lambda p: load_csv(p, NUM2),
+    lambda p: load_training_rows(p, NUM2, scale=True),
+], ids=["load_csv", "load_training_rows"])
+def test_a_bad_field_in_block_3_beats_a_non_finite_value_in_block_1(
+        tmp_path, block_rows, load):
+    p = write(tmp_path, "a,b\n1,nan\n2,3\n4,5\n6,7\n8,oops\n9,inf\n")
+    block_rows(2)
+    with pytest.raises(CsvParseError, match="non-numeric value 'oops' in column 'b'") as exc:
+        load(p)
+    assert exc.value.line == 6
+    p = write(tmp_path, "a,b\n1,2\n2,3\n4,5\n6,7\n8,9\n9,-inf\n")
+    with pytest.raises(CsvParseError, match="non-finite value -inf in column 'b'") as exc:
+        load(p)
+    assert exc.value.line == 7
+
+
+@pytest.mark.parametrize("row, found", [
+    ("7,x", "non-numeric value 'x' in column 'b'"),
+    ("7", "expected 2 fields, found 1"),
+    ("7,1e400", "non-finite value inf in column 'b'"),
+])
+def test_line_numbers_stay_absolute_in_later_blocks(tmp_path, block_rows, row, found):
+    """Line 9 is the fourth block's first row: blank lines count as lines,
+    a quoted line break does not."""
+    p = write(tmp_path, 'a,b\n1,2\n\n3,"4"\n"5\n",6\n\n8,9\n1,1\n' + row + "\n2,2\n")
+    block_rows(2)
+    with pytest.raises(CsvParseError, match=found) as exc:
+        load_csv(p, NUM2)
+    assert exc.value.line == 9
+
+
+def write_block_file(path, n_rows, seed):
+    """BLOCK_SCHEMA rows with quoted and multi-line fields, blank lines,
+    out-of-vocabulary values, a constant column and mixed line ends."""
+    rng = np.random.default_rng(seed)
+    kinds = ["x", '"y\nz"', '" w,v "', "q", '"x"']
+    ends = ["\n", "\r\n", "\r"]
+    lines = ["a,kind,b,status" + ends[0]]
+    for i in range(n_rows):
+        status = "ok" if rng.random() < 0.7 else '"bad"'
+        lines.append(f"{rng.normal():.6g},{kinds[rng.integers(5)]},{i % 1},{status}"
+                     + ends[rng.integers(3)])
+        if rng.random() < 0.1:
+            lines.append(ends[rng.integers(3)])
+    path.write_bytes("".join(lines).encode())
+    return path
+
+
+@pytest.mark.parametrize("n", [1, 7, 16])
+def test_blocks_give_the_whole_file_bytes(tmp_path, monkeypatch, block_rows, n):
+    p = write_block_file(tmp_path / "many.csv", 100, seed=n)
+    whole = load_whole(monkeypatch, load_csv, p, BLOCK_SCHEMA)
+    whole_train = {scale: load_whole(monkeypatch, load_training_rows, p, BLOCK_SCHEMA, scale)
+                   for scale in (True, False)}
+    block_rows(n)
+    got = load_csv(p, BLOCK_SCHEMA)
+    assert got.features.shape == whole.features.shape == (100, 5)
+    assert got.features.tobytes() == whole.features.tobytes()
+    assert got.labels.tobytes() == whole.labels.tobytes()
+    assert 0 < np.count_nonzero(got.labels) < 100
+    for scale, oracle in whole_train.items():
+        train = load_training_rows(p, BLOCK_SCHEMA, scale)
+        assert train.features.shape == oracle.features.shape
+        assert train.features.tobytes() == oracle.features.tobytes()
+        assert train.features.tobytes() == training_split(got, scale).features.tobytes()
+        if scale:
+            assert train.scaling_stats.col_min.tobytes() == oracle.scaling_stats.col_min.tobytes()
+            assert train.scaling_stats.col_max.tobytes() == oracle.scaling_stats.col_max.tobytes()
+        else:
+            assert train.scaling_stats is None
+
+
+def test_loaded_arrays_own_their_memory(tmp_path, block_rows):
+    """The matrix is cut down to its rows, not a view of a larger one."""
+    p = write_block_file(tmp_path / "many.csv", 40, seed=1)
+    block_rows(8)
+    for ds in (load_csv(p, BLOCK_SCHEMA), load_training_rows(p, BLOCK_SCHEMA, True)):
+        assert ds.features.flags.owndata and ds.features.base is None
+        assert not ds.features.flags.writeable
+    assert ds.n_rows < 40
+
+
+def test_row_bound_counts_each_line_end_once(tmp_path):
+    p = tmp_path / "ends.bin"
+    # the \r\n straddles the first 64 KB chunk's end
+    p.write_bytes(b"a" * 65535 + b"\r\n1\r2\n3\r\n4")
+    assert data_mod._row_bound(p) == 5
+    p.write_bytes(b"")
+    assert data_mod._row_bound(p) == 1
+
+
+def test_a_file_longer_than_its_count_is_refused(tmp_path, monkeypatch):
+    p = write(tmp_path, "a,b\n1,2\n3,4\n")
+    monkeypatch.setattr(data_mod, "_row_bound", lambda path: 1)
+    with pytest.raises(ValueError, match="changed while it was read"):
+        load_csv(p, NUM2)
 
 
 @pytest.mark.parametrize("scale", [fit_scale, lambda ds: apply_scale(

@@ -58,6 +58,16 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (3, 2), (6, 4), (2, 4)])
+def test_as_matrix_finds_a_nonfinite_entry_anywhere(rng, bad, at):
+    x = rng.standard_normal((7, 5))
+    as_matrix(x)
+    x[at] = bad
+    with pytest.raises(ValueError, match="train rows contains non-finite entries"):
+        as_matrix(x, "train rows")
+
+
 # ---------------------------------------------------------------------------
 # dense layers
 
