@@ -21,9 +21,9 @@ import numpy as np
 
 from edenet.atomic import atomic_write_json
 from edenet.data import apply_scale, fit_scale, load_csv, load_schema, split_normal_train
-from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
+from edenet.ensemble import TrainConfig
+from edenet.metalearn import MetaTask, run_cell
 from edenet.metrics import evaluate, save_report_json
-from edenet.model import make_arch
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,13 +68,11 @@ def main() -> int:
         t0 = time.time()
         train, test = split_normal_train(ds, args.train_fraction, seed=seed)
         train = fit_scale(train)
-        test = apply_scale(test, train.scaling_stats)
-
-        ens = init_ensemble(make_arch(train.n_features), args.members, seed=seed)
-        train_ensemble(ens, train.features,
-                       TrainConfig(epochs=args.epochs,
-                                   batch_size=args.batch_size, seed=seed))
-        report = evaluate(ensemble_score(ens, test.features), test.labels, q=0.2)
+        task = MetaTask(train, apply_scale(test, train.scaling_stats))
+        scores, _ = run_cell(task, None, args.members,
+                             TrainConfig(epochs=args.epochs,
+                                         batch_size=args.batch_size, seed=seed))
+        report = evaluate(scores, task.test.labels, q=0.2)
         save_report_json(report, out / f"report_seed{seed}.json")
         aurocs.append(report.auroc)
         print(f"seed {seed}: AUROC {report.auroc:.4f} "

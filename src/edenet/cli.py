@@ -24,7 +24,6 @@ import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
 from .data import (
-    Dataset,
     apply_scale,
     generate_synthetic,
     load_csv,
@@ -56,15 +55,14 @@ from .errors import (
 from .metalearn import (
     MetaTask,
     build_meta_dataset,
-    extract_meta_features,
     load_meta_csv,
-    pick_best,
-    predict_candidates,
+    run_cell,
     save_meta_csv,
+    select_hyperparams,
     svr_fit,
 )
 from .metrics import evaluate, save_report_csv, save_report_json
-from .model import EdeNet, anomaly_score, make_arch, normalize_scores
+from .model import EdeNet, anomaly_score, make_arch, normalize_scores, row_chunks
 from .modelfile import load_model, save_model
 from .rng import derived_seed
 from .svr import SvrModel
@@ -113,6 +111,13 @@ class RunConfig:
             raise ConfigError("q must lie in (0, 1)")
         if self.n_members < 1:
             raise ConfigError("n_members must be >= 1")
+        expect_type("candidates", self.candidates, list)
+        if not self.candidates:
+            raise ConfigError("candidates must be a nonempty list")
+        for cand in self.candidates:
+            expect_type("each candidate", cand, int)
+            if cand < 1:
+                raise ConfigError(f"each candidate must be >= 1, got {cand}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -203,12 +208,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
-    """Write the bytes csv.writer writes for these rows, body in one call."""
-    body = "".join(f"{i},{r!r},{s!r}\r\n"
-                   for i, (r, s) in enumerate(zip(raw.tolist(), norm.tolist())))
+    """Write the bytes csv.writer writes for these rows, one block of
+    SCORE_CHUNK_ROWS rows per call."""
     with atomic_open(path) as fh:
         csv.writer(fh).writerow(["row_index", "raw_score", "normalized_score"])
-        fh.write(body)
+        for rows in row_chunks(raw.size):
+            fh.write("".join(f"{i},{r!r},{s!r}\r\n" for i, (r, s) in enumerate(
+                zip(raw[rows].tolist(), norm[rows].tolist()), rows.start)))
 
 
 def cmd_score(cfg: RunConfig) -> int:
@@ -286,31 +292,37 @@ def cmd_eval(cfg: RunConfig) -> int:
 # meta
 
 
-def _load_task(entry: dict, cfg: RunConfig, index: int) -> MetaTask:
+def _scaled_task(cfg: RunConfig, train, test, name: str = "") -> MetaTask:
+    """Training rows and labeled test rows, the test rows scaled with the
+    training stats when cfg.scale is set."""
+    if cfg.scale:
+        test = apply_scale(test, train.scaling_stats)
+    return MetaTask(train=train, test=test, name=name)
+
+
+def _load_task(cfg: RunConfig, entry: dict, where: str = "", name: str = "") -> MetaTask:
+    """A task from {train, test, [schema], [name]} CSV paths: the training
+    file's normal rows and the test file's labeled rows. Error messages
+    name the task by `where`."""
     if not isinstance(entry, dict) or "train" not in entry or "test" not in entry:
-        raise ConfigError(f"task {index} must give 'train' and 'test' paths")
+        raise ConfigError(f"{where}must give 'train' and 'test' paths")
     unknown = set(entry) - {"train", "test", "schema", "name"}
     if unknown:
-        raise ConfigError(f"task {index} has unknown keys: {sorted(unknown)}")
-    schema_path = entry.get("schema", cfg.schema)
-    schema = load_schema(_require(schema_path, f"task {index} schema path"))
-    train_ds = load_training_rows(
-        _require(entry["train"], f"task {index} train path"), schema, cfg.scale)
-    test_ds = load_csv(_require(entry["test"], f"task {index} test path"), schema,
-                       require_labels=True)
-    if cfg.scale:
-        test_ds = apply_scale(test_ds, train_ds.scaling_stats)
-    return MetaTask(train=train_ds, test=test_ds,
-                    name=entry.get("name", f"task{index}"))
+        raise ConfigError(f"{where}has unknown keys: {sorted(unknown)}")
+    schema = load_schema(_require(entry.get("schema", cfg.schema), f"{where}schema path"))
+    train = load_training_rows(_require(entry["train"], f"{where}train path"), schema,
+                               cfg.scale)
+    test = load_csv(_require(entry["test"], f"{where}test path"), schema,
+                    require_labels=True)
+    return _scaled_task(cfg, train, test, entry.get("name", name))
 
 
 def cmd_meta_build(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "meta")
     if not cfg.tasks:
         raise ConfigError("meta build needs a nonempty tasks list")
-    if not cfg.candidates:
-        raise ConfigError("candidate list is empty")
-    tasks = [_load_task(entry, cfg, i) for i, entry in enumerate(cfg.tasks)]
+    tasks = [_load_task(cfg, entry, f"task {i} ", f"task{i}")
+             for i, entry in enumerate(cfg.tasks)]
     tc = TrainConfig.from_dict(cfg.train)
     records = build_meta_dataset(tasks, cfg.candidates, tc,
                                  arch_template=cfg.arch or None)
@@ -340,8 +352,6 @@ def cmd_meta_fit(cfg: RunConfig) -> int:
 
 def cmd_meta_select(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "meta")
-    if not cfg.candidates:
-        raise ConfigError("candidate list is empty")
     model = load_model(_require(cfg.model, "meta model path"))
     if not isinstance(model, SvrModel):
         raise ConfigError("meta model file does not hold a meta-learner")
@@ -349,19 +359,17 @@ def cmd_meta_select(cfg: RunConfig) -> int:
     # the rows meta build described for its tasks: normal, scaled like training
     ds = load_training_rows(_require(cfg.data, "task data path"), schema, cfg.scale)
 
-    feats = extract_meta_features(ds)
-    scored = predict_candidates(model, feats, list(cfg.candidates))
-    chosen = pick_best([c for c, _ in scored], [p for _, p in scored])
-
+    sel = select_hyperparams(model, ds, cfg.candidates)
+    feats = sel.features
     print(f"meta-features: n_instances={feats.n_instances} "
           f"n_sparse={feats.n_sparse} n_pos_skew={feats.n_pos_skew} "
           f"n_neg_skew={feats.n_neg_skew}")
-    for cand, pred in scored:
-        marker = "  <- chosen" if cand == chosen else ""
+    for cand, pred in sel.predictions:
+        marker = "  <- chosen" if cand == sel.chosen else ""
         print(f"I={cand}: predicted score {pred:.6f}{marker}")
     atomic_write_json(out / "selection.json", {
-        "chosen": chosen,
-        "predictions": {str(c): p for c, p in scored},
+        "chosen": sel.chosen,
+        "predictions": {str(c): p for c, p in sel.predictions},
     })
     _echo_config(out, "meta-select", cfg)
     return 0
@@ -384,45 +392,29 @@ class BenchmarkTable:
     n_seeds: int
 
 
-def _bench_task(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """Train/test pair for one replication seed."""
-    if cfg.synthetic is not None:
-        spec = dict(cfg.synthetic)
-        unknown = set(spec) - {"d", "n_train", "n_test_normal",
-                               "n_test_anomaly", "shift"}
-        if unknown:
-            raise ConfigError(f"unknown synthetic task keys: {sorted(unknown)}")
-        d = int(spec.get("d", 10))
-        shift = float(spec.get("shift", 4.0))
-        train = training_split(
-            generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
-                               seed=derived_seed(seed, 0)), cfg.scale)
-        test = generate_synthetic(d, int(spec.get("n_test_normal", 400)),
-                                  int(spec.get("n_test_anomaly", 100)), shift,
-                                  seed=derived_seed(seed, 1))
-    else:
-        schema = load_schema(_require(cfg.schema, "schema path"))
-        train = load_training_rows(_require(cfg.data, "training data path"), schema,
-                                   cfg.scale)
-        test = load_csv(_require(cfg.test_data, "test data path"), schema,
-                        require_labels=True)
-    if cfg.scale:
-        test = apply_scale(test, train.scaling_stats)
-    return train, test
+def _bench_task(cfg: RunConfig, seed: int) -> MetaTask:
+    """The generated train/test pair for one replication seed."""
+    spec = dict(cfg.synthetic)
+    unknown = set(spec) - {"d", "n_train", "n_test_normal", "n_test_anomaly", "shift"}
+    if unknown:
+        raise ConfigError(f"unknown synthetic task keys: {sorted(unknown)}")
+    d = int(spec.get("d", 10))
+    shift = float(spec.get("shift", 4.0))
+    train = training_split(
+        generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
+                           seed=derived_seed(seed, 0)), cfg.scale)
+    test = generate_synthetic(d, int(spec.get("n_test_normal", 400)),
+                              int(spec.get("n_test_anomaly", 100)), shift,
+                              seed=derived_seed(seed, 1))
+    return _scaled_task(cfg, train, test)
 
 
-def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, train: Dataset,
-                    test: Dataset, cell_dir: Path):
-    arch_overrides = {**cfg.arch, **method.get("arch", {})}
-    train_overrides = {**cfg.train, **method.get("train", {}), "seed": seed}
-    tc = TrainConfig.from_dict(train_overrides)
-    spec = make_arch(train.n_features, arch_overrides)
-    n_members = method.get("n_members", cfg.n_members)
-
-    ens = init_ensemble(spec, n_members, seed=seed)
-    ens, trace = train_ensemble(ens, train.features, tc)
-    raw = ensemble_score(ens, test.features)
-    report = evaluate(raw, test.labels, q=cfg.q)
+def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, task: MetaTask,
+                    cell_dir: Path):
+    tc = TrainConfig.from_dict({**cfg.train, **method.get("train", {}), "seed": seed})
+    raw, trace = run_cell(task, {**cfg.arch, **method.get("arch", {})},
+                          method.get("n_members", cfg.n_members), tc)
+    report = evaluate(raw, task.test.labels, q=cfg.q)
 
     cell_dir.mkdir(parents=True, exist_ok=True)
     _write_scores(cell_dir / "scores.csv", raw, normalize_scores(raw))
@@ -466,13 +458,15 @@ def cmd_bench(cfg: RunConfig) -> int:
         if "n_members" in method:
             expect_type(f"method {method['name']!r} n_members", method["n_members"], int)
 
+    file_task = None if cfg.synthetic is not None else _load_task(
+        cfg, {"train": cfg.data, "test": cfg.test_data})
     reports: dict[str, list] = {name: [] for name in names}
     for seed in cfg.seeds:
-        train, test = _bench_task(cfg, seed)  # shared by every method
+        task = file_task or _bench_task(cfg, seed)  # shared by every method
         for method in cfg.methods:
             name = method["name"]
             try:
-                reports[name].append(_run_bench_cell(cfg, method, seed, train, test,
+                reports[name].append(_run_bench_cell(cfg, method, seed, task,
                                                      out / name / f"seed{seed}"))
             except Exception:
                 print(f"bench aborted: method {name!r} failed on seed {seed}",

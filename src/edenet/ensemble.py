@@ -105,21 +105,6 @@ class TrainConfig:
             return self.iters_per_epoch
         return n_members * math.ceil(n_samples / self.batch_size)
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "iters_per_epoch": self.iters_per_epoch,
-            "optimizer": self.optimizer,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "reweight": self.reweight,
-            "reweight_eps": self.reweight_eps,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}

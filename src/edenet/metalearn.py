@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .data import Dataset
-from .ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
+from .ensemble import EpochTrace, TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
 from .metrics import auroc
 from .model import make_arch
@@ -116,6 +116,17 @@ class MetaTask:
             raise ValueError("train/test feature widths differ")
 
 
+def run_cell(task: MetaTask, arch: dict | None, n_members: int, cfg: TrainConfig
+             ) -> tuple[np.ndarray, list[EpochTrace]]:
+    """One Phase I cell: an ensemble of n_members nets with arch overrides
+    `arch`, initialised and trained on task.train under cfg.seed, then
+    scored on task.test. Returns the raw test scores and the epoch trace."""
+    ens = init_ensemble(make_arch(task.train.n_features, arch), n_members,
+                        seed=cfg.seed)
+    ens, trace = train_ensemble(ens, task.train.features, cfg)
+    return ensemble_score(ens, task.test.features), trace
+
+
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
                        cfg: TrainConfig, arch_template: dict | None = None
                        ) -> list[MetaRecord]:
@@ -132,12 +143,9 @@ def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
     records: list[MetaRecord] = []
     for t_idx, task in enumerate(tasks):
         feats = extract_meta_features(task.train)
-        spec = make_arch(task.train.n_features, arch_template)
         for cand in candidates:
             seed = derived_seed(cfg.seed, t_idx, cand)
-            ens = init_ensemble(spec, cand, seed=seed)
-            train_ensemble(ens, task.train.features, replace(cfg, seed=seed))
-            scores = ensemble_score(ens, task.test.features)
+            scores, _ = run_cell(task, arch_template, cand, replace(cfg, seed=seed))
             try:
                 perf = auroc(scores, task.test.labels)
             except UndefinedAurocError:
@@ -187,14 +195,25 @@ def pick_best(candidates: list[int], predictions: list[float]) -> int:
     return best_c
 
 
+@dataclass(frozen=True)
+class Selection:
+    """Phase III's answer: the chosen I, each candidate's predicted score
+    in the order given, and the meta-features the predictions used."""
+
+    chosen: int
+    predictions: tuple[tuple[int, float], ...]
+    features: MetaFeatures
+
+
 def select_hyperparams(model: SvrModel, new_task: Dataset,
-                       candidates: list[int]) -> int:
+                       candidates: list[int]) -> Selection:
     """Phase III: predicted-best ensemble size for an unseen dataset."""
     if not candidates:
         raise ValueError("candidate list is empty")
     feats = extract_meta_features(new_task)
     scored = predict_candidates(model, feats, list(candidates))
-    return pick_best([c for c, _ in scored], [p for _, p in scored])
+    chosen = pick_best([c for c, _ in scored], [p for _, p in scored])
+    return Selection(chosen=chosen, predictions=tuple(scored), features=feats)
 
 
 # ---------------------------------------------------------------------------

@@ -399,7 +399,7 @@ def test_criterion_8_meta_selection_recovers_best_ensemble_size():
                 records.append(MetaRecord(features=feats, n_members=i,
                                           performance=perf))
         model = svr_fit(records)
-        if select_hyperparams(model, held_out, candidates) == 5:
+        if select_hyperparams(model, held_out, candidates).chosen == 5:
             wins += 1
     ok = wins >= 18
     _report(8, ok,

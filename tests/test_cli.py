@@ -558,6 +558,57 @@ def test_empty_candidate_list_is_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("candidates", ["-5,0", "1,0"])
+def test_meta_select_rejects_candidates_below_one(tmp_path, workspace, capsys,
+                                                  candidates):
+    meta_model = tmp_path / "meta_model.json"
+    x = np.arange(30.0).reshape(6, 5)
+    save_model(fit_svr(x, np.sin(x[:, 0])), meta_model)
+    rc = main(["meta", "select", "--model", str(meta_model),
+               "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", str(workspace / "synth" / "schema.json"),
+               f"--candidates={candidates}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "each candidate must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "selection.json").exists()
+
+
+@pytest.mark.parametrize("candidates", [[1.5], [True], [1, 0], "1,3", []])
+def test_meta_build_rejects_bad_candidates_before_training(tmp_path, workspace, capsys,
+                                                           candidates):
+    data = str(workspace / "synth" / "data.csv")
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": str(workspace / "synth" / "schema.json"),
+        "tasks": [{"train": data, "test": data}], "candidates": candidates,
+        "arch": SMALL_CFG["arch"], "train": {"epochs": 1}})
+    rc = main(["meta", "build", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "candidate" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "meta.csv").exists()
+
+
+def test_bench_loads_its_csv_pair_once_for_every_seed(tmp_path, monkeypatch):
+    import edenet.cli
+
+    calls = []
+    load = edenet.cli.load_training_rows
+    monkeypatch.setattr(edenet.cli, "load_training_rows",
+                        lambda *a, **k: calls.append(a) or load(*a, **k))
+    train = tiny_synth(tmp_path, "train", 30, 6, 7)
+    test = tiny_synth(tmp_path, "test", 12, 4, 8)
+    cfg = write_json(tmp_path / "bench.json", {
+        "data": str(train / "data.csv"), "test_data": str(test / "data.csv"),
+        "schema": str(train / "schema.json"),
+        "methods": [{"name": "only", "n_members": 1}],
+        "arch": SMALL_CFG["arch"], "train": {"epochs": 1, "batch_size": 16},
+    })
+    assert main(["bench", "--config", cfg, "--seeds", "0,1,2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert all((tmp_path / "out" / "only" / f"seed{s}" / "report.json").exists()
+               for s in (0, 1, 2))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_is_exit_3(tmp_path, workspace, capsys):
     cfg = write_json(tmp_path / "cfg.json", {

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -72,7 +73,7 @@ def test_train_config_zero_epochs_allowed():
 
 def test_train_config_dict_round_trip():
     cfg = TrainConfig(epochs=3, optimizer="sgd", reweight=False, seed=9)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"momentum": 0.9})
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from edenet.data import Dataset
-from edenet.ensemble import TrainConfig
+from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from edenet.metalearn import (
     META_INPUT_DIM,
     MetaFeatures,
@@ -15,10 +17,13 @@ from edenet.metalearn import (
     pearson_skewness,
     pick_best,
     predict_candidates,
+    run_cell,
     save_meta_csv,
     select_hyperparams,
     svr_fit,
 )
+from edenet.metrics import auroc
+from edenet.model import make_arch
 from edenet.rng import derived_seed, make_rng
 
 TINY_TRAIN = TrainConfig(epochs=1, batch_size=8, iters_per_epoch=2, seed=5)
@@ -189,6 +194,27 @@ def test_build_validates_arguments():
         build_meta_dataset([make_task(1)], [], TINY_TRAIN)
 
 
+def test_run_cell_is_init_train_score_under_one_seed():
+    task = make_task(3)
+    ens = init_ensemble(make_arch(4, TINY_ARCH), 2, seed=TINY_TRAIN.seed)
+    ens, trace = train_ensemble(ens, task.train.features, TINY_TRAIN)
+    scores, cell_trace = run_cell(task, TINY_ARCH, 2, TINY_TRAIN)
+    assert scores.tobytes() == ensemble_score(ens, task.test.features).tobytes()
+    assert [t.combined for t in cell_trace] == [t.combined for t in trace]
+
+
+def test_build_records_the_auroc_of_each_cell_under_its_derived_seed():
+    tasks = [make_task(1), make_task(2)]
+    records = build_meta_dataset(tasks, [1, 2], TINY_TRAIN, arch_template=TINY_ARCH)
+    expected = []
+    for t_idx, task in enumerate(tasks):
+        for cand in (1, 2):
+            cfg = replace(TINY_TRAIN, seed=derived_seed(TINY_TRAIN.seed, t_idx, cand))
+            expected.append(auroc(run_cell(task, TINY_ARCH, cand, cfg)[0],
+                                  task.test.labels))
+    assert [r.performance for r in records] == expected
+
+
 # ---------------------------------------------------------------------------
 # phase II / III
 
@@ -223,8 +249,12 @@ def test_meta_regressor_recovers_the_peak():
 def test_select_hyperparams_end_to_end():
     model = svr_fit(synthetic_records(), C=10.0, epsilon=0.005)
     new = Dataset(features=make_rng(9).standard_normal((150, 4)))
-    choice = select_hyperparams(model, new, [1, 3, 5, 7, 10])
-    assert choice in (1, 3, 5, 7, 10)
+    sel = select_hyperparams(model, new, [1, 3, 5, 7, 10])
+    assert sel.features == extract_meta_features(new)
+    assert list(sel.predictions) == predict_candidates(model, sel.features,
+                                                       [1, 3, 5, 7, 10])
+    assert sel.chosen == pick_best([c for c, _ in sel.predictions],
+                                   [p for _, p in sel.predictions])
     with pytest.raises(ValueError):
         select_hyperparams(model, new, [])
 

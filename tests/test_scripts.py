@@ -1,0 +1,71 @@
+"""The scripts under scripts/ run end to end on tiny inputs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import edenet
+
+REPO = Path(__file__).resolve().parents[1]
+KDD_SCHEMA = REPO / "schemas" / "kdd99_10pct.json"
+
+
+def run_script(name, *args, cwd):
+    src = str(Path(edenet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def write_kdd_file(path, n_rows, seed):
+    """Headerless KDD99-shaped rows: the schema's columns in order, then
+    the label; one row in five is "normal." traffic, the rest "smurf."."""
+    schema = json.loads(KDD_SCHEMA.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(n_rows):
+        fields = [str(rng.choice(col["values"])) if col["type"] == "categorical"
+                  else repr(float(rng.integers(0, 100))) for col in schema["columns"]]
+        lines.append(",".join([*fields, "normal." if i % 5 == 0 else "smurf."]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_run_synthetic_benchmark(tmp_path):
+    out = tmp_path / "bench"
+    run_script("run_synthetic_benchmark.py", "--out", str(out), "--members", "1,2",
+               "--seeds", "0", "--epochs", "1", "--d", "3", "--n-train", "60",
+               cwd=tmp_path)
+    table = (out / "bench_table.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table[1:]] == ["ede_I1", "ede_I2"]
+    assert (out / "plot_data.csv").exists()
+
+
+def test_run_meta_selection(tmp_path):
+    out = tmp_path / "meta"
+    stdout = run_script("run_meta_selection.py", "--out", str(out),
+                        "--task-sizes", "30,40", "--candidates", "1,2",
+                        "--epochs", "1", "--d", "3", cwd=tmp_path)
+    assert len((out / "build" / "meta.csv").read_text().splitlines()) == 1 + 4
+    assert (out / "fit" / "meta_model.json").exists()
+    selection = json.loads((out / "select" / "selection.json").read_text())
+    assert selection["chosen"] in (1, 2)
+    assert "<- chosen" in stdout
+
+
+def test_run_kdd99(tmp_path):
+    data = tmp_path / "kdd.data"
+    write_kdd_file(data, 150, seed=0)
+    out = tmp_path / "kdd"
+    run_script("run_kdd99.py", "--data", str(data), "--out", str(out),
+               "--epochs", "1", "--seeds", "0", "--members", "2", cwd=tmp_path)
+    summary = json.loads((out / "summary.json").read_text())
+    report = json.loads((out / "report_seed0.json").read_text())
+    assert summary["per_seed_auroc"] == [report["auroc"]]
+    assert 0.0 <= report["auroc"] <= 1.0
