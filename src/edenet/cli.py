@@ -18,6 +18,8 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,8 @@ from .errors import (
     FitError,
     NotFittedError,
     TrainingDivergedError,
-    expect_type,
+    check_fields,
+    from_fields,
 )
 from .metalearn import (
     MetaTask,
@@ -65,7 +68,7 @@ from .metrics import evaluate, save_report_csv, save_report_json
 from .model import EdeNet, anomaly_score, make_arch, normalize_scores, row_chunks
 from .modelfile import load_model, save_model
 from .rng import derived_seed
-from .svr import SvrModel
+from .svr import SvrModel, SvrSettings
 
 DEFAULT_CANDIDATES = (1, 3, 5, 7, 10, 15)
 OUTPUT_ROOT_ENV = "EDENET_OUTPUT_ROOT"
@@ -78,10 +81,10 @@ class RunConfig:
 
     data/test_data/schema/model/scores/scaling/meta_csv are file paths;
     arch and train hold field overrides for ArchSpec and TrainConfig;
-    svr holds C / epsilon / gamma for the meta-learner; tasks lists
-    {train, test, [schema], [name]} entries for meta build; methods lists
-    {name, [n_members], [arch], [train]} entries for bench; synthetic
-    describes a generated bench task instead of files.
+    svr, tasks, methods and synthetic hold the raw sections that
+    SvrSettings, TaskEntry, BenchMethod and SyntheticTask check where they
+    are used: the meta-learner's settings, meta build's tasks, bench's
+    methods and bench's generated task (synth's own flags land there too).
     """
 
     data: str | None = None
@@ -105,26 +108,16 @@ class RunConfig:
     synthetic: dict | None = None
 
     def __post_init__(self):
-        expect_type("q", self.q, int, float)
-        expect_type("n_members", self.n_members, int)
+        check_fields(self)
         if not 0 < self.q < 1:
             raise ConfigError("q must lie in (0, 1)")
         if self.n_members < 1:
             raise ConfigError("n_members must be >= 1")
-        expect_type("candidates", self.candidates, list)
         if not self.candidates:
             raise ConfigError("candidates must be a nonempty list")
         for cand in self.candidates:
-            expect_type("each candidate", cand, int)
             if cand < 1:
                 raise ConfigError(f"each candidate must be >= 1, got {cand}")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
 
 
 def _load_config_file(path: str | None) -> RunConfig:
@@ -137,9 +130,7 @@ def _load_config_file(path: str | None) -> RunConfig:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return RunConfig.from_dict(doc)
+    return from_fields(RunConfig, doc, "config")
 
 
 def _require(value: str | None, what: str) -> Path:
@@ -178,15 +169,15 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "train")
+    tc = TrainConfig.from_dict(cfg.train)
     schema = load_schema(_require(cfg.schema, "schema path"))
     train_ds = load_training_rows(_require(cfg.data, "training data path"), schema,
                                   cfg.scale)
+    spec = make_arch(train_ds.n_features, cfg.arch)
     if cfg.scale:
         with atomic_open(out / "scaling.json") as fh:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
 
-    tc = TrainConfig.from_dict(cfg.train)
-    spec = make_arch(train_ds.n_features, cfg.arch)
     ens = init_ensemble(spec, cfg.n_members, seed=tc.seed)
     ens, trace = train_ensemble(ens, train_ds.features, tc)
 
@@ -300,30 +291,36 @@ def _scaled_task(cfg: RunConfig, train, test, name: str = "") -> MetaTask:
     return MetaTask(train=train, test=test, name=name)
 
 
-def _load_task(cfg: RunConfig, entry: dict, where: str = "", name: str = "") -> MetaTask:
-    """A task from {train, test, [schema], [name]} CSV paths: the training
-    file's normal rows and the test file's labeled rows. Error messages
-    name the task by `where`."""
-    if not isinstance(entry, dict) or "train" not in entry or "test" not in entry:
-        raise ConfigError(f"{where}must give 'train' and 'test' paths")
-    unknown = set(entry) - {"train", "test", "schema", "name"}
-    if unknown:
-        raise ConfigError(f"{where}has unknown keys: {sorted(unknown)}")
-    schema = load_schema(_require(entry.get("schema", cfg.schema), f"{where}schema path"))
-    train = load_training_rows(_require(entry["train"], f"{where}train path"), schema,
-                               cfg.scale)
-    test = load_csv(_require(entry["test"], f"{where}test path"), schema,
-                    require_labels=True)
-    return _scaled_task(cfg, train, test, entry.get("name", name))
+@dataclass(frozen=True)
+class TaskEntry:
+    """One meta build task: CSV paths of its training and labeled test rows."""
+
+    train: str
+    test: str
+    schema: str | None = None
+    name: str = ""
+
+    def __post_init__(self):
+        check_fields(self, "task")
+
+
+def _load_task(cfg: RunConfig, train: str | None, test: str | None,
+               schema: str | None = None, name: str = "", where: str = "") -> MetaTask:
+    """A task from CSV paths: the training file's normal rows and the test
+    file's labeled rows. Error messages name the task by `where`."""
+    schema = load_schema(_require(schema or cfg.schema, f"{where}schema path"))
+    train = load_training_rows(_require(train, f"{where}train path"), schema, cfg.scale)
+    test = load_csv(_require(test, f"{where}test path"), schema, require_labels=True)
+    return _scaled_task(cfg, train, test, name)
 
 
 def cmd_meta_build(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "meta")
-    if not cfg.tasks:
+    entries = [from_fields(TaskEntry, e, f"task {i}") for i, e in enumerate(cfg.tasks)]
+    if not entries:
         raise ConfigError("meta build needs a nonempty tasks list")
-    tasks = [_load_task(cfg, entry, f"task {i} ", f"task{i}")
-             for i, entry in enumerate(cfg.tasks)]
     tc = TrainConfig.from_dict(cfg.train)
+    tasks = [_load_task(cfg, **asdict(e), where=f"task {i} ") for i, e in enumerate(entries)]
     records = build_meta_dataset(tasks, cfg.candidates, tc,
                                  arch_template=cfg.arch or None)
     path = out / "meta.csv"
@@ -336,11 +333,9 @@ def cmd_meta_build(cfg: RunConfig) -> int:
 
 def cmd_meta_fit(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "meta")
+    settings = from_fields(SvrSettings, cfg.svr, "svr")
     records = load_meta_csv(_require(cfg.meta_csv, "meta CSV path"))
-    unknown = set(cfg.svr) - {"C", "epsilon", "gamma"}
-    if unknown:
-        raise ConfigError(f"unknown svr settings: {sorted(unknown)}")
-    model = svr_fit(records, **cfg.svr)
+    model = svr_fit(records, **asdict(settings))
     path = out / "meta_model.json"
     save_model(model, path)
     _echo_config(out, "meta-fit", cfg)
@@ -379,41 +374,50 @@ def cmd_meta_select(cfg: RunConfig) -> int:
 # bench
 
 
-@dataclass
-class BenchRow:
-    method: str
-    means: dict[str, float | None]
-    stds: dict[str, float | None]
+@dataclass(frozen=True)
+class SyntheticTask:
+    """A generated bench task: generate_synthetic's width, row counts and shift."""
+
+    d: int = 10
+    n_train: int = 2000
+    n_test_normal: int = 400
+    n_test_anomaly: int = 100
+    shift: float = 4.0
+
+    def __post_init__(self):
+        check_fields(self, "synthetic")
 
 
-@dataclass
-class BenchmarkTable:
-    rows: list[BenchRow]
-    n_seeds: int
+@dataclass(frozen=True)
+class BenchMethod:
+    """One bench method: a name and overrides of the run's n_members, arch, train."""
+
+    name: str
+    n_members: int | None = None
+    arch: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_fields(self, f"method {self.name!r}")
+        if not self.name:
+            raise ConfigError("every bench method needs a name")
 
 
-def _bench_task(cfg: RunConfig, seed: int) -> MetaTask:
+def _bench_task(cfg: RunConfig, spec: SyntheticTask, seed: int) -> MetaTask:
     """The generated train/test pair for one replication seed."""
-    spec = dict(cfg.synthetic)
-    unknown = set(spec) - {"d", "n_train", "n_test_normal", "n_test_anomaly", "shift"}
-    if unknown:
-        raise ConfigError(f"unknown synthetic task keys: {sorted(unknown)}")
-    d = int(spec.get("d", 10))
-    shift = float(spec.get("shift", 4.0))
     train = training_split(
-        generate_synthetic(d, int(spec.get("n_train", 2000)), 0, shift,
+        generate_synthetic(spec.d, spec.n_train, 0, spec.shift,
                            seed=derived_seed(seed, 0)), cfg.scale)
-    test = generate_synthetic(d, int(spec.get("n_test_normal", 400)),
-                              int(spec.get("n_test_anomaly", 100)), shift,
-                              seed=derived_seed(seed, 1))
+    test = generate_synthetic(spec.d, spec.n_test_normal, spec.n_test_anomaly,
+                              spec.shift, seed=derived_seed(seed, 1))
     return _scaled_task(cfg, train, test)
 
 
-def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, task: MetaTask,
+def _run_bench_cell(cfg: RunConfig, method: BenchMethod, seed: int, task: MetaTask,
                     cell_dir: Path):
-    tc = TrainConfig.from_dict({**cfg.train, **method.get("train", {}), "seed": seed})
-    raw, trace = run_cell(task, {**cfg.arch, **method.get("arch", {})},
-                          method.get("n_members", cfg.n_members), tc)
+    tc = TrainConfig.from_dict({**cfg.train, **method.train, "seed": seed})
+    n_members = cfg.n_members if method.n_members is None else method.n_members
+    raw, trace = run_cell(task, {**cfg.arch, **method.arch}, n_members, tc)
     report = evaluate(raw, task.test.labels, q=cfg.q)
 
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -423,162 +427,145 @@ def _run_bench_cell(cfg: RunConfig, method: dict, seed: int, task: MetaTask,
     return report
 
 
-def _aggregate(reports: list) -> tuple[dict, dict]:
-    means: dict[str, float | None] = {}
-    stds: dict[str, float | None] = {}
-    for name in METRIC_NAMES:
-        values = [getattr(r, name) for r in reports]
-        if any(v is None for v in values):
-            means[name] = None
-            stds[name] = None
-            continue
-        arr = np.array(values, dtype=np.float64)
-        means[name] = float(arr.mean())
-        stds[name] = float(arr.std(ddof=1)) if arr.size > 1 else None
-    return means, stds
+def _bench_summary(reports: dict[str, list]) -> list[tuple]:
+    """(method, metric, mean, std) rows, methods in the given order and
+    metrics in METRIC_NAMES order. A metric undefined on any seed has no
+    mean and no std; one seed gives no std."""
+    rows = []
+    for method, method_reports in reports.items():
+        for name in METRIC_NAMES:
+            values = [getattr(r, name) for r in method_reports]
+            if any(v is None for v in values):
+                rows.append((method, name, None, None))
+                continue
+            arr = np.array(values, dtype=np.float64)
+            rows.append((method, name, float(arr.mean()),
+                         float(arr.std(ddof=1)) if arr.size > 1 else None))
+    return rows
 
 
 def cmd_bench(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "bench")
-    if not cfg.methods:
+    methods = [from_fields(BenchMethod, m, f"method {i}") for i, m in enumerate(cfg.methods)]
+    if not methods:
         raise ConfigError("bench needs a nonempty methods list")
     if not cfg.seeds:
         raise ConfigError("bench needs at least one seed")
-    names = [m.get("name") for m in cfg.methods]
-    if any(not n for n in names):
-        raise ConfigError("every bench method needs a name")
+    names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError("bench method names must be unique")
 
-    for method in cfg.methods:
-        unknown = set(method) - {"name", "n_members", "arch", "train"}
-        if unknown:
-            raise ConfigError(f"method {method['name']!r} has unknown keys: "
-                              f"{sorted(unknown)}")
-        if "n_members" in method:
-            expect_type(f"method {method['name']!r} n_members", method["n_members"], int)
-
-    file_task = None if cfg.synthetic is not None else _load_task(
-        cfg, {"train": cfg.data, "test": cfg.test_data})
+    spec = None if cfg.synthetic is None else from_fields(
+        SyntheticTask, cfg.synthetic, "synthetic")
+    file_task = _load_task(cfg, cfg.data, cfg.test_data) if spec is None else None
     reports: dict[str, list] = {name: [] for name in names}
     for seed in cfg.seeds:
-        task = file_task or _bench_task(cfg, seed)  # shared by every method
-        for method in cfg.methods:
-            name = method["name"]
+        task = file_task or _bench_task(cfg, spec, seed)  # shared by every method
+        for method in methods:
             try:
-                reports[name].append(_run_bench_cell(cfg, method, seed, task,
-                                                     out / name / f"seed{seed}"))
+                reports[method.name].append(_run_bench_cell(
+                    cfg, method, seed, task, out / method.name / f"seed{seed}"))
             except Exception:
-                print(f"bench aborted: method {name!r} failed on seed {seed}",
+                print(f"bench aborted: method {method.name!r} failed on seed {seed}",
                       file=sys.stderr)
                 raise
 
-    rows = [BenchRow(name, *_aggregate(reports[name])) for name in names]
-    table = BenchmarkTable(rows=rows, n_seeds=len(cfg.seeds))
-    _write_bench_table(out / "bench_table.csv", table)
-    _write_plot_data(out / "plot_data.csv", table)
+    summary = _bench_summary(reports)
+    _write_bench_table(out / "bench_table.csv", summary)
+    _write_plot_data(out / "plot_data.csv", summary)
     _echo_config(out, "bench", cfg)
-    _print_bench_table(table)
+    _print_bench_table(summary, len(cfg.seeds))
     print(f"wrote {out / 'bench_table.csv'} and {out / 'plot_data.csv'}")
     return 0
 
 
-def _write_bench_table(path, table: BenchmarkTable) -> None:
+def _write_bench_table(path, summary: list[tuple]) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
-        header = ["method"]
-        for name in METRIC_NAMES:
-            header += [f"{name}_mean", f"{name}_std"]
-        writer.writerow(header)
-        for row in table.rows:
-            out = [row.method]
-            for name in METRIC_NAMES:
-                out += [row.means[name], row.stds[name]]
-            writer.writerow(out)
+        writer.writerow(["method", *(f"{name}_{stat}" for name in METRIC_NAMES
+                                     for stat in ("mean", "std"))])
+        for method, rows in groupby(summary, key=itemgetter(0)):
+            writer.writerow([method, *(v for row in rows for v in row[2:])])
 
 
-def _write_plot_data(path, table: BenchmarkTable) -> None:
+def _write_plot_data(path, summary: list[tuple]) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "metric", "mean", "stddev"])
-        for row in table.rows:
-            for name in METRIC_NAMES:
-                writer.writerow([row.method, name, row.means[name], row.stds[name]])
+        writer.writerows(summary)
 
 
-def _print_bench_table(table: BenchmarkTable) -> None:
-    print(f"benchmark over {table.n_seeds} seed(s):")
-    for row in table.rows:
-        parts = []
-        for name in METRIC_NAMES:
-            mean = row.means[name]
-            if mean is None:
-                parts.append(f"{name}=undefined")
-            elif row.stds[name] is None:
-                parts.append(f"{name}={mean:.4f}")
-            else:
-                parts.append(f"{name}={mean:.4f}+-{row.stds[name]:.4f}")
-        print(f"  {row.method}: " + " ".join(parts))
+def _print_bench_table(summary: list[tuple], n_seeds: int) -> None:
+    print(f"benchmark over {n_seeds} seed(s):")
+    for method, rows in groupby(summary, key=itemgetter(0)):
+        print(f"  {method}: " + " ".join(
+            f"{name}=undefined" if mean is None
+            else f"{name}={mean:.4f}" + ("" if std is None else f"+-{std:.4f}")
+            for _, name, mean, std in rows))
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(cfg: RunConfig, d: int, n_normal: int, n_anomaly: int,
-              shift: float, seed: int) -> int:
+def cmd_synth(cfg: RunConfig) -> int:
+    """Generate the dataset that synth's flags describe in cfg.synthetic:
+    d, n_normal, n_anomaly, shift and seed."""
     out = _out_dir(cfg, "synth")
-    ds = generate_synthetic(d, n_normal, n_anomaly, shift, seed=seed)
+    spec = cfg.synthetic
+    ds = generate_synthetic(spec["d"], spec["n_normal"], spec["n_anomaly"],
+                            spec["shift"], seed=spec["seed"])
     write_csv(out / "data.csv", ds)
     save_schema(numeric_schema_for(ds), out / "schema.json")
-    cfg.synthetic = {"d": d, "n_normal": n_normal, "n_anomaly": n_anomaly,
-                     "shift": shift, "seed": seed}
     _echo_config(out, "synth", cfg)
-    print(f"generated {n_normal} normal + {n_anomaly} anomalous rows in "
-          f"{d} dims (shift {shift}, seed {seed})")
+    print(f"generated {spec['n_normal']} normal + {spec['n_anomaly']} anomalous rows "
+          f"in {spec['d']} dims (shift {spec['shift']}, seed {spec['seed']})")
     print(f"wrote {out / 'data.csv'} and {out / 'schema.json'}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out", help="output directory")
+# argument parsing
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The edenet parser. A flag's dest is the config key it sets: a
+    RunConfig field ("n_members") or a key of a dict field ("train.epochs").
+    Each command's `run` default is its cmd_* function, looked up when the
+    parser is built."""
     parser = argparse.ArgumentParser(
         prog="edenet",
         description="Ensembles of encoder-decoder-encoder anomaly detectors "
                     "with meta-learned ensemble sizing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train an ensemble on normal data")
-    _add_common(p)
+    def command(subparsers, name: str, run, help: str) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--out", help="output directory")
+        return p
+
+    p = command(sub, "train", cmd_train, "train an ensemble on normal data")
     p.add_argument("--data", help="training CSV")
     p.add_argument("--schema", help="schema JSON")
-    p.add_argument("--members", type=int, help="ensemble size I")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--encoder", choices=["feedforward", "lstm"])
-    p.add_argument("--no-reweight", action="store_true",
-                   help="keep sampling weights uniform")
-    p.add_argument("--no-scale", action="store_true",
+    p.add_argument("--members", dest="n_members", type=int, help="ensemble size I")
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
+    p.add_argument("--encoder", dest="arch.encoder_kind", choices=["feedforward", "lstm"])
+    p.add_argument("--no-reweight", dest="train.reweight", action="store_false",
+                   default=None, help="keep sampling weights uniform")
+    p.add_argument("--no-scale", dest="scale", action="store_false", default=None,
                    help="skip min-max scaling")
 
-    p = sub.add_parser("score", help="write per-sample anomaly scores")
-    _add_common(p)
+    p = command(sub, "score", cmd_score, "write per-sample anomaly scores")
     p.add_argument("--model", help="model file from train")
     p.add_argument("--data", help="CSV to score")
     p.add_argument("--schema", help="schema JSON")
     p.add_argument("--scaling", help="scaling.json from the training run")
 
-    p = sub.add_parser("eval", help="metrics from a score CSV and labels")
-    _add_common(p)
+    p = command(sub, "eval", cmd_eval, "metrics from a score CSV and labels")
     p.add_argument("--scores", help="score CSV from score")
     p.add_argument("--data", help="labeled CSV aligned with the scores")
     p.add_argument("--schema", help="schema JSON")
@@ -587,99 +574,53 @@ def build_parser() -> argparse.ArgumentParser:
     meta = sub.add_parser("meta", help="meta-learning over ensemble size")
     meta_sub = meta.add_subparsers(dest="meta_command", required=True)
 
-    p = meta_sub.add_parser("build", help="train per-(task, I) and record AUROC")
-    _add_common(p)
-    p.add_argument("--candidates", type=_int_list,
-                   help="comma-separated ensemble sizes")
+    p = command(meta_sub, "build", cmd_meta_build, "train per-(task, I) and record AUROC")
+    p.add_argument("--candidates", type=_int_list, help="comma-separated ensemble sizes")
 
-    p = meta_sub.add_parser("fit", help="fit the meta-learner on a meta CSV")
-    _add_common(p)
+    p = command(meta_sub, "fit", cmd_meta_fit, "fit the meta-learner on a meta CSV")
     p.add_argument("--meta", dest="meta_csv", help="meta dataset CSV")
 
-    p = meta_sub.add_parser("select", help="pick I for a new dataset")
-    _add_common(p)
+    p = command(meta_sub, "select", cmd_meta_select, "pick I for a new dataset")
     p.add_argument("--model", help="meta model file from fit")
     p.add_argument("--data", help="new task CSV")
     p.add_argument("--schema", help="schema JSON")
-    p.add_argument("--candidates", type=_int_list,
-                   help="comma-separated ensemble sizes")
+    p.add_argument("--candidates", type=_int_list, help="comma-separated ensemble sizes")
 
-    p = sub.add_parser("bench", help="replicated comparison table")
-    _add_common(p)
+    p = command(sub, "bench", cmd_bench, "replicated comparison table")
     p.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    _add_common(p)
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--n-normal", type=int, default=1000)
-    p.add_argument("--n-anomaly", type=int, default=100)
-    p.add_argument("--shift", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
+    p = command(sub, "synth", cmd_synth, "generate a labeled synthetic dataset")
+    p.add_argument("--d", dest="synthetic.d", type=int, default=10)
+    p.add_argument("--n-normal", dest="synthetic.n_normal", type=int, default=1000)
+    p.add_argument("--n-anomaly", dest="synthetic.n_anomaly", type=int, default=100)
+    p.add_argument("--shift", dest="synthetic.shift", type=float, default=4.0)
+    p.add_argument("--seed", dest="synthetic.seed", type=int, default=0)
 
     return parser
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for name in ("data", "test_data", "schema", "model", "scores", "scaling",
-                 "meta_csv", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "members", None) is not None:
-        cfg.n_members = args.members
-    if getattr(args, "candidates", None) is not None:
-        cfg.candidates = args.candidates
-    if getattr(args, "q", None) is not None:
-        cfg.q = args.q
-    if getattr(args, "seeds", None) is not None:
-        cfg.seeds = args.seeds
-    for train_key in ("epochs", "batch_size", "seed"):
-        value = getattr(args, train_key, None)
-        if value is not None and args.command != "synth":
-            cfg.train[train_key] = value
-    if getattr(args, "encoder", None) is not None:
-        cfg.arch["encoder_kind"] = args.encoder
-    if getattr(args, "no_reweight", False):
-        cfg.train["reweight"] = False
-    if getattr(args, "no_scale", False):
-        cfg.scale = False
-    # re-run validation after overrides
-    return RunConfig.from_dict(asdict(cfg))
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    cfg = _merge_flags(_load_config_file(args.config), args)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "score":
-        return cmd_score(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg)
-    if args.command == "meta":
-        if args.meta_command == "build":
-            return cmd_meta_build(cfg)
-        if args.meta_command == "fit":
-            return cmd_meta_fit(cfg)
-        return cmd_meta_select(cfg)
-    if args.command == "bench":
-        return cmd_bench(cfg)
-    return cmd_synth(cfg, d=args.d, n_normal=args.n_normal,
-                     n_anomaly=args.n_anomaly, shift=args.shift,
-                     seed=args.seed)
+    """cfg with every given flag's value at the config key its dest names,
+    checked again as a whole."""
+    doc = asdict(cfg)
+    for dest, value in vars(args).items():
+        head, _, key = dest.partition(".")
+        if value is None or head not in doc:
+            continue  # not given, or not a config key (command, config, run)
+        doc[head] = {**(doc[head] or {}), key: value} if key else value
+    return from_fields(RunConfig, doc, "config")
 
 
 def main(argv: list[str] | None = None) -> int:
+    # built per call, so `run` is whatever each cmd_* name holds now
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(_merge_flags(_load_config_file(args.config), args))
     except (TrainingDivergedError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NotFittedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # covers config, schema, parse, format, and shape errors
+    except (NotFittedError, ValueError) as exc:
+        # ValueError covers config, schema, parse, format, and shape errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

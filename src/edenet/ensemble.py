@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ConfigError, ShapeError, TrainingDivergedError, expect_type
+from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
     ArchSpec,
@@ -80,13 +80,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            expect_type(name, getattr(self, name), int)
-        if self.iters_per_epoch is not None:
-            expect_type("iters_per_epoch", self.iters_per_epoch, int)
-        for name in ("lr", "beta1", "beta2", "eps", "reweight_eps"):
-            expect_type(name, getattr(self, name), int, float)
-        expect_type("reweight", self.reweight, bool)
+        check_fields(self, "train")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -107,11 +101,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        return cls(**known)
+        return from_fields(cls, d, "train")
 
 
 @dataclass(frozen=True)

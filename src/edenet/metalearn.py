@@ -28,8 +28,6 @@ from .model import make_arch
 from .rng import derived_seed
 from .svr import DEFAULT_C, DEFAULT_EPSILON, SvrModel, fit_svr, predict_svr
 
-META_INPUT_DIM = 5  # four meta-features plus the candidate I
-
 
 def pearson_skewness(column) -> float:
     """3 * (mean - median) / population std; 0 for constant columns."""

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
+from .errors import (DegenerateWeightsError, FormatError, ShapeError, check_fields,
+                     from_fields)
 from .layers import (
     DenseLayer,
     DenseStack,
@@ -43,14 +44,11 @@ def default_latent_dim(input_dim: int) -> int:
 
 
 def make_arch(input_dim: int, overrides: dict | None = None) -> "ArchSpec":
-    """ArchSpec for a known feature width, with optional field overrides."""
-    fields = dict(overrides or {})
-    unknown = set(fields) - set(ArchSpec.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown arch fields: {sorted(unknown)}")
-    fields.setdefault("input_dim", input_dim)
-    fields.setdefault("latent_dim", default_latent_dim(fields["input_dim"]))
-    return ArchSpec(**fields)
+    """ArchSpec for a known feature width, with optional field overrides;
+    latent_dim defaults to default_latent_dim(input_dim)."""
+    return from_fields(ArchSpec, {"input_dim": input_dim,
+                                  "latent_dim": default_latent_dim(input_dim),
+                                  **(overrides or {})}, "arch")
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,7 @@ class ArchSpec:
     beta: float = 1.0
 
     def __post_init__(self):
+        check_fields(self, "arch")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
@@ -99,31 +98,11 @@ class ArchSpec:
         return math.ceil(self.input_dim / self.seq_len)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "latent_dim": self.latent_dim,
-            "encoder_kind": self.encoder_kind,
-            "hidden_sizes": list(self.hidden_sizes),
-            "recurrent_layers": self.recurrent_layers,
-            "hidden_dim": self.hidden_dim,
-            "seq_len": self.seq_len,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+        return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            latent_dim=int(d["latent_dim"]),
-            encoder_kind=str(d.get("encoder_kind", "feedforward")),
-            hidden_sizes=tuple(d.get("hidden_sizes", (64, 32))),
-            recurrent_layers=int(d.get("recurrent_layers", 1)),
-            hidden_dim=int(d.get("hidden_dim", 32)),
-            seq_len=int(d.get("seq_len", 1)),
-            alpha=float(d.get("alpha", 1.0)),
-            beta=float(d.get("beta", 1.0)),
-        )
+        return from_fields(cls, d, "arch")
 
 
 # ---------------------------------------------------------------------------

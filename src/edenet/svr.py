@@ -19,10 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NotFittedError, ShapeError
+from .errors import FitError, NotFittedError, ShapeError, check_fields
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.01
+
+
+@dataclass(frozen=True)
+class SvrSettings:
+    """fit_svr's settings as the config's `svr` section gives them; gamma
+    None takes fit_svr's default."""
+
+    C: float = DEFAULT_C
+    epsilon: float = DEFAULT_EPSILON
+    gamma: float | None = None
+
+    def __post_init__(self):
+        check_fields(self, "svr")
 
 
 @dataclass
@@ -38,6 +51,7 @@ class SvrModel:
     kernel: str = "rbf"
 
     def __post_init__(self):
+        check_fields(self, "svr model")
         if self.kernel != "rbf":
             raise ValueError(f"unsupported kernel {self.kernel!r}")
         if not all(np.isfinite(v).all() for v in (
@@ -174,11 +188,11 @@ def svr_from_dict(doc: dict) -> SvrModel:
     return SvrModel(
         train_x=np.asarray(doc["train_x"], dtype=np.float64),
         beta=np.asarray(doc["beta"], dtype=np.float64),
-        bias=float(doc["bias"]),
-        gamma=float(doc["gamma"]),
-        C=float(doc["C"]),
-        epsilon=float(doc["epsilon"]),
+        bias=doc["bias"],
+        gamma=doc["gamma"],
+        C=doc["C"],
+        epsilon=doc["epsilon"],
         x_mean=np.asarray(doc["x_mean"], dtype=np.float64),
         x_std=np.asarray(doc["x_std"], dtype=np.float64),
-        kernel=str(doc.get("kernel", "rbf")),
+        kernel=doc.get("kernel", "rbf"),
     )

@@ -6,8 +6,7 @@ import pytest
 import edenet.atomic
 from edenet.atomic import atomic_open, atomic_write_json
 from edenet.cli import (
-    BenchmarkTable,
-    BenchRow,
+    METRIC_NAMES,
     RunConfig,
     _echo_config,
     _write_bench_table,
@@ -83,11 +82,8 @@ def _report(k):
     return evaluate(np.arange(6.0) + k, np.array([0, 0, 0, 0, 1, 1]), q=0.3)
 
 
-def _table(k):
-    means = {name: 0.5 + k / 10 for name in ("precision", "recall", "f1",
-                                             "accuracy", "auroc")}
-    return BenchmarkTable(rows=[BenchRow("m", means, dict.fromkeys(means))],
-                          n_seeds=1)
+def _summary(k):
+    return [("m", name, 0.5 + k / 10, None) for name in METRIC_NAMES]
 
 
 WRITERS = {
@@ -103,8 +99,8 @@ WRITERS = {
     "effective_config.json": lambda path, k: _echo_config(
         path.parent, "train", RunConfig(n_members=k + 1)),
     "selection.json": lambda path, k: atomic_write_json(path, {"chosen": k}),
-    "bench_table.csv": lambda path, k: _write_bench_table(path, _table(k)),
-    "plot_data.csv": lambda path, k: _write_plot_data(path, _table(k)),
+    "bench_table.csv": lambda path, k: _write_bench_table(path, _summary(k)),
+    "plot_data.csv": lambda path, k: _write_plot_data(path, _summary(k)),
     "schema.json": lambda path, k: save_schema(
         numeric_schema_for(generate_synthetic(k + 1, 2, 0, 1.0)), path),
 }

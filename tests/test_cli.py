@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edenet.cli import _write_scores, main, read_scores_csv
+from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
 from edenet.data import load_csv, load_schema
+from edenet.ensemble import TrainConfig
 from edenet.metrics import load_report_json
+from edenet.model import ArchSpec
 from edenet.modelfile import save_model
 from edenet.svr import fit_svr
 
@@ -402,8 +406,16 @@ def test_unknown_optimizer_is_exit_2(tmp_path, workspace):
     {"train": {"epochs": True}},
     {"q": "0.2"},
     {"q": True},
+    {"arch": {"hidden_dim": "8"}},
+    {"arch": {"alpha": "1"}},
+    {"arch": {"hidden_sizes": [8.5, 4]}},
+    {"arch": {"latent_dim": 2.0}},
+    {"arch": [1, 2]},
+    {"scale": "no"},
+    {"out": 5},
 ], ids=["epochs-str", "lr-str", "batch_size-str", "iters-float", "n_members-str",
-        "reweight-str", "epochs-bool", "q-str", "q-bool"])
+        "reweight-str", "epochs-bool", "q-str", "q-bool", "hidden_dim-str", "alpha-str",
+        "hidden_sizes-float", "latent_dim-float", "arch-list", "scale-str", "out-int"])
 def test_mistyped_config_value_is_exit_2(tmp_path, workspace, capsys, doc):
     cfg = write_json(tmp_path / "cfg.json", doc)
     rc = main(["train", "--config", cfg,
@@ -412,7 +424,92 @@ def test_mistyped_config_value_is_exit_2(tmp_path, workspace, capsys, doc):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert list((tmp_path / "out").rglob("*")) == []
+
+
+def section_base(command, workspace, tmp_path):
+    """A config on which `command` runs; the tests below break one section."""
+    if command == "bench":
+        return {"synthetic": {"d": 3, "n_train": 40, "n_test_normal": 10,
+                              "n_test_anomaly": 5},
+                "methods": [{"name": "only", "n_members": 1}], "train": {"epochs": 1}}
+    data = str(workspace / "synth" / "data.csv")
+    if command == "meta build":
+        return {"schema": str(workspace / "synth" / "schema.json"),
+                "tasks": [{"train": data, "test": data}], "candidates": [1],
+                "arch": SMALL_CFG["arch"], "train": {"epochs": 1}}
+    meta_csv = tmp_path / "meta.csv"
+    meta_csv.write_text("n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc\n"
+                        "60,0,2,1,1,0.7\n60,0,2,1,3,0.8\n40,1,0,2,1,0.6\n")
+    return {"meta_csv": str(meta_csv)}
+
+
+@pytest.mark.parametrize("command", ["bench", "meta build", "meta fit"])
+def test_section_base_config_runs(tmp_path, workspace, command):
+    cfg = write_json(tmp_path / "cfg.json", section_base(command, workspace, tmp_path))
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("bench", {"synthetic": {"d": "3", "n_train": 60.9, "n_test_anomaly": 8.5,
+                             "shift": "2"}}),
+    ("bench", {"synthetic": [3]}),
+    ("bench", {"methods": ["a"]}),
+    ("bench", {"methods": [{"name": "only", "arch": 3}]}),
+    ("bench", {"methods": [{"n_members": 1}]}),
+    ("meta build", lambda base: {"tasks": [{**base["tasks"][0], "train": 5}]}),
+    ("meta build", lambda base: {"tasks": [{"test": base["tasks"][0]["test"]}]}),
+    ("meta fit", {"svr": {"C": "1"}}),
+    ("meta fit", {"svr": {"gamma": True}}),
+    ("meta fit", {"svr": []}),
+], ids=["synthetic-mistyped", "synthetic-list", "method-str", "method-arch-int",
+        "method-no-name", "task-train-int", "task-no-train", "svr-C-str",
+        "svr-gamma-bool", "svr-list"])
+def test_malformed_config_section_is_exit_2(tmp_path, workspace, capsys, command,
+                                            changes):
+    """Each section is checked before any artifact is written."""
+    base = section_base(command, workspace, tmp_path)
+    changes = changes(base) if callable(changes) else changes
+    cfg = write_json(tmp_path / "cfg.json", {**base, **changes})
+    rc = main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert list((tmp_path / "out").rglob("*")) == []
+
+
+def _option_dests(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_dests(sub)
+        elif action.dest not in ("help", "config"):
+            yield action.dest
+
+
+def test_every_flag_dest_is_a_config_key():
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    sections = {"train": TrainConfig, "arch": ArchSpec}
+    for dest in set(_option_dests(build_parser())):
+        head, _, key = dest.partition(".")
+        assert head in fields, dest
+        if key:
+            assert "dict" in str(fields[head].type), dest
+            if head in sections:
+                assert key in {f.name for f in dataclasses.fields(sections[head])}, dest
+
+
+def test_train_flags_reach_the_effective_config(workspace, tmp_path):
+    assert main(["train", "--data", str(workspace / "synth" / "data.csv"),
+                 "--schema", str(workspace / "synth" / "schema.json"),
+                 "--members", "1", "--epochs", "1", "--batch-size", "8", "--seed", "4",
+                 "--encoder", "feedforward", "--no-reweight", "--no-scale",
+                 "--out", str(tmp_path / "out")]) == 0
+    echoed = json.loads((tmp_path / "out" / "effective_config.json").read_text())
+    assert echoed["n_members"] == 1
+    assert echoed["train"] == {"epochs": 1, "batch_size": 8, "seed": 4, "reweight": False}
+    assert echoed["arch"] == {"encoder_kind": "feedforward"}
+    assert echoed["scale"] is False
+    assert not (tmp_path / "out" / "scaling.json").exists()
 
 
 @pytest.mark.parametrize("value", ["2", 2.0, True])

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from edenet.data import Dataset
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from edenet.metalearn import (
-    META_INPUT_DIM,
     MetaFeatures,
     MetaRecord,
     MetaTask,
@@ -124,7 +123,6 @@ def test_meta_record_vector_appends_candidate():
     feats = MetaFeatures(100, 2, 1, 0)
     rec = MetaRecord(features=feats, n_members=7, performance=0.9)
     assert rec.input_vector().tolist() == [100.0, 2.0, 1.0, 0.0, 7.0]
-    assert rec.input_vector().size == META_INPUT_DIM
 
 
 def test_meta_record_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edenet.ensemble import init_ensemble
-from edenet.errors import DegenerateWeightsError, FormatError, ShapeError
+from edenet.errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
 from edenet.layers import Workspace
 from edenet.model import (
     ArchSpec,
@@ -382,6 +382,26 @@ def test_model_file_resave_is_byte_identical(tmp_path):
     save_model(net, p1)
     save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_int_valued_arch_fields_resave_byte_identical(tmp_path):
+    """A config may give a float field as an int; the reloaded spec keeps
+    the value as written instead of turning 1 into 1.0."""
+    ens = init_ensemble(make_arch(7, {**FF, "alpha": 1, "beta": 2}), 2, seed=3)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(ens, p1)
+    assert json.loads(p1.read_text())["arch"]["alpha"] == 1
+    save_model(load_model(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("changes", [
+    {"hidden_dim": "8"}, {"alpha": "1"}, {"hidden_sizes": [8.5, 4]}, {"latent_dim": 2.0},
+    {"seq_len": True}, {"encoder_kind": 3},
+])
+def test_arch_spec_checks_field_types(changes):
+    with pytest.raises(ConfigError):
+        make_arch(7, changes)
 
 
 def test_load_model_rejects_bad_marker(tmp_path):

@@ -140,6 +140,14 @@ def test_resave_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_int_valued_settings_resave_byte_identical(tmp_path):
+    x = np.arange(12.0).reshape(6, 2)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(fit_svr(x, np.sin(x[:, 0]), C=1, epsilon=0), p1)
+    save_model(load_model(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_dict_round_trip_preserves_fields():
     model, _ = fitted_example()
     back = svr_from_dict(svr_to_dict(model))
