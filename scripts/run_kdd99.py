@@ -24,6 +24,7 @@ from edenet.data import apply_scale, fit_scale, load_csv, load_schema, split_nor
 from edenet.ensemble import TrainConfig
 from edenet.metalearn import MetaTask, run_cell
 from edenet.metrics import evaluate, save_report_json
+from edenet.model import make_arch
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -69,7 +70,7 @@ def main() -> int:
         train, test = split_normal_train(ds, args.train_fraction, seed=seed)
         train = fit_scale(train)
         task = MetaTask(train, apply_scale(test, train.scaling_stats))
-        scores, _ = run_cell(task, None, args.members,
+        scores, _ = run_cell(task, make_arch(train.n_features), args.members,
                              TrainConfig(epochs=args.epochs,
                                          batch_size=args.batch_size, seed=seed))
         report = evaluate(scores, task.test.labels, q=0.2)

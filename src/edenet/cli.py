@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -65,7 +65,7 @@ from .metalearn import (
     svr_fit,
 )
 from .metrics import evaluate, save_report_csv, save_report_json
-from .model import EdeNet, anomaly_score, make_arch, normalize_scores, row_chunks
+from .model import ArchSpec, EdeNet, anomaly_score, make_arch, normalize_scores, row_chunks
 from .modelfile import load_model, save_model
 from .rng import derived_seed
 from .svr import SvrModel, SvrSettings
@@ -179,7 +179,7 @@ def cmd_train(cfg: RunConfig) -> int:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
 
     ens = init_ensemble(spec, cfg.n_members, seed=tc.seed)
-    ens, trace = train_ensemble(ens, train_ds.features, tc)
+    ens, trace = train_ensemble(ens, train_ds.rows, tc)
 
     save_model(ens, out / "model.json")
     write_trace_csv(out / "trace.csv", trace)
@@ -401,6 +401,8 @@ class BenchMethod:
         check_fields(self, f"method {self.name!r}")
         if not self.name:
             raise ConfigError("every bench method needs a name")
+        if self.n_members is not None and self.n_members < 1:
+            raise ConfigError(f"method {self.name!r}: n_members must be >= 1")
 
 
 def _bench_task(cfg: RunConfig, spec: SyntheticTask, seed: int) -> MetaTask:
@@ -413,11 +415,19 @@ def _bench_task(cfg: RunConfig, spec: SyntheticTask, seed: int) -> MetaTask:
     return _scaled_task(cfg, train, test)
 
 
-def _run_bench_cell(cfg: RunConfig, method: BenchMethod, seed: int, task: MetaTask,
-                    cell_dir: Path):
-    tc = TrainConfig.from_dict({**cfg.train, **method.train, "seed": seed})
-    n_members = cfg.n_members if method.n_members is None else method.n_members
-    raw, trace = run_cell(task, {**cfg.arch, **method.arch}, n_members, tc)
+def _bench_settings(cfg: RunConfig, method: BenchMethod, width: int
+                    ) -> tuple[ArchSpec, int, TrainConfig]:
+    """A method's arch at the task width, ensemble size and training config
+    (seeded for the first seed), merged over the run's."""
+    return (make_arch(width, {**cfg.arch, **method.arch}),
+            cfg.n_members if method.n_members is None else method.n_members,
+            TrainConfig.from_dict({**cfg.train, **method.train, "seed": cfg.seeds[0]}))
+
+
+def _run_bench_cell(cfg: RunConfig, settings: tuple[ArchSpec, int, TrainConfig],
+                    seed: int, task: MetaTask, cell_dir: Path):
+    spec, n_members, tc = settings
+    raw, trace = run_cell(task, spec, n_members, replace(tc, seed=seed))
     report = evaluate(raw, task.test.labels, q=cfg.q)
 
     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -458,15 +468,19 @@ def cmd_bench(cfg: RunConfig) -> int:
     spec = None if cfg.synthetic is None else from_fields(
         SyntheticTask, cfg.synthetic, "synthetic")
     file_task = _load_task(cfg, cfg.data, cfg.test_data) if spec is None else None
+    # every method's settings are built before the first cell runs, so a
+    # bad value fails with no cell trained or written
+    width = spec.d if file_task is None else file_task.train.n_features
+    settings = [_bench_settings(cfg, m, width) for m in methods]
     reports: dict[str, list] = {name: [] for name in names}
     for seed in cfg.seeds:
         task = file_task or _bench_task(cfg, spec, seed)  # shared by every method
-        for method in methods:
+        for name, method_settings in zip(names, settings):
             try:
-                reports[method.name].append(_run_bench_cell(
-                    cfg, method, seed, task, out / method.name / f"seed{seed}"))
+                reports[name].append(_run_bench_cell(
+                    cfg, method_settings, seed, task, out / name / f"seed{seed}"))
             except Exception:
-                print(f"bench aborted: method {method.name!r} failed on seed {seed}",
+                print(f"bench aborted: method {name!r} failed on seed {seed}",
                       file=sys.stderr)
                 raise
 

@@ -7,15 +7,28 @@ vocabulary map to an all-zero block so the feature width never depends on
 the file contents. Feature scaling is per-column min-max fitted on the
 training split only.
 
+A Dataset keeps its rows in a Rows store of two parts: a float64 matrix of
+numeric columns and a uint8 matrix of one-hot columns, each with its
+columns' positions in the expanded row. Rows.take expands any set of rows
+to float64 on demand, so a consumer that reads one batch or one block at
+a time never holds the expanded matrix. A one-hot entry is exactly 0.0 or
+1.0 before and after min-max scaling (its column's min is 0 and its span
+1, or its span is 0 and it is zeroed), so one byte carries it.
+
 The training rows of a labeled file are its normal rows. load_csv and
 load_training_rows share one loader, which decodes a file in blocks of
 CSV_BLOCK_ROWS rows and writes each block's kept rows into the output
-matrix before it reads the next; load_training_rows keeps the normal rows
-only and scales them in place. So a load holds its output matrix plus one
-parsed block, whatever the file's length. Every scaling step writes into
-one matrix (fit_scale and apply_scale a fresh one each, training_split and
-load_training_rows the matrix they built) with the same elementwise
-operations in the same order, so the bytes do not depend on the route.
+before it reads the next. load_csv keeps every expanded column in the
+float64 part, the dense matrix that scoring reads (Dataset.features);
+load_training_rows keeps the normal rows only, puts the categorical
+blocks in the uint8 part, and scales the numeric part in place. So a load
+holds its output plus one parsed block, whatever the file's length: on
+the KDD99 schema (34 numeric columns, 87 one-hot) the training rows cost
+359 bytes a row against 968 for the expanded float64 row. Every scaling
+step writes into one matrix (fit_scale and apply_scale a fresh one each,
+training_split and load_training_rows the store they built) with the same
+elementwise operations in the same order, so the bytes do not depend on
+the route.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NoReturn
 
@@ -125,6 +138,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen_rows(rows: Rows) -> Rows:
+    """rows with both parts made read-only in place; for rows this module
+    just built."""
+    _frozen(rows.numeric)
+    _frozen(rows.onehot)
+    return rows
+
+
 def _read_only(given, dtype) -> np.ndarray:
     """given as a read-only dtype array. Writeable memory that the caller
     passed in is copied first; a fresh conversion or an array that is
@@ -151,43 +172,129 @@ class ScalingStats:
         return self.col_max - self.col_min
 
 
-@dataclass
-class Dataset:
-    """Feature matrix with optional labels, both read-only.
+@dataclass(frozen=True)
+class Rows:
+    """Expanded feature rows held in two parts.
 
-    A writeable array the caller passes in is copied, so the caller cannot
-    change the dataset through it. A read-only one is kept as it is: the
-    module freezes the arrays it builds itself (_frozen) instead of paying
-    for a copy.
+    numeric is an (n, k) float64 matrix and onehot an (n, m) uint8 matrix
+    of 0/1 entries; num_cols and hot_cols give their columns' positions in
+    the expanded row of width k + m, each position once. take expands
+    rows to float64 on demand; with no one-hot part it is numeric[idx].
+    The arrays are kept as given: Dataset makes them read-only.
     """
 
-    features: np.ndarray
-    labels: np.ndarray | None = None
-    column_meta: list[ColumnMeta] | None = None
-    scaling_stats: ScalingStats | None = None
+    numeric: np.ndarray
+    onehot: np.ndarray
+    num_cols: np.ndarray
+    hot_cols: np.ndarray
 
     def __post_init__(self):
-        f = _read_only(self.features, np.float64)
-        if f.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got shape {f.shape}")
-        self.features = f
-        if self.labels is not None:
-            lab = _read_only(self.labels, np.int8)
-            if lab.shape != (f.shape[0],):
-                raise ShapeError("labels length must match the row count")
-            if lab.size and not np.isin(lab, (NORMAL, ANOMALY)).all():
-                raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
-            self.labels = lab
-        if self.column_meta is not None and len(self.column_meta) != f.shape[1]:
-            raise ShapeError("column_meta length must match the feature width")
+        num, hot = self.numeric, self.onehot
+        if num.dtype != np.float64 or hot.dtype != np.uint8:
+            raise TypeError("rows need a float64 numeric part and a uint8 one-hot part")
+        if num.ndim != 2 or hot.ndim != 2 or num.shape[0] != hot.shape[0]:
+            raise ShapeError(f"row parts of shapes {num.shape} and {hot.shape} "
+                             "are not two matrices of one row count")
+        if (self.num_cols.shape, self.hot_cols.shape) != ((num.shape[1],), (hot.shape[1],)):
+            raise ShapeError("column positions must match the parts' widths")
+        cols = np.concatenate([self.num_cols, self.hot_cols])
+        if not np.array_equal(np.sort(cols), np.arange(cols.size)):
+            raise ShapeError("column positions must cover the expanded row once each")
+
+    @classmethod
+    def dense(cls, x: np.ndarray) -> Rows:
+        """An (n, d) float64 matrix as rows with no one-hot part."""
+        return cls(x, _frozen(np.zeros((x.shape[0], 0), np.uint8)),
+                   np.arange(x.shape[1]), np.arange(0))
 
     @property
     def n_rows(self) -> int:
-        return self.features.shape[0]
+        return self.numeric.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.numeric.shape[1] + self.onehot.shape[1]
+
+    def take(self, idx) -> np.ndarray:
+        """The expanded float64 rows at idx, an int array of any shape or a
+        slice: shape idx.shape + (width,). Without a one-hot part this is
+        numeric[idx] itself, a view for a slice."""
+        num = self.numeric[idx]
+        if not self.hot_cols.size:
+            return num
+        out = np.empty(num.shape[:-1] + (self.width,))
+        out[..., self.num_cols] = num
+        out[..., self.hot_cols] = self.onehot[idx]
+        return out
+
+    def column(self, j: int) -> np.ndarray:
+        """Expanded column j as float64 values."""
+        at = np.flatnonzero(self.num_cols == j)
+        if at.size:
+            return self.numeric[:, at[0]]
+        return self.onehot[:, np.flatnonzero(self.hot_cols == j)[0]].astype(np.float64)
+
+    def subset(self, idx) -> Rows:
+        """The rows at idx, in both parts."""
+        return replace(self, numeric=self.numeric[idx], onehot=self.onehot[idx])
+
+
+@dataclass(init=False)
+class Dataset:
+    """Feature rows with optional labels, all read-only.
+
+    Built from a features matrix or from Rows. A writeable array the
+    caller passes in is copied, so the caller cannot change the dataset
+    through it. A read-only one is kept as it is: the module freezes the
+    arrays it builds itself (_frozen) instead of paying for a copy.
+    features is the expanded matrix of rows without a one-hot part (what
+    load_csv, training_split and in-memory data give); for rows with one
+    it raises ValueError, so nothing expands a training store by accident.
+    """
+
+    rows: Rows
+    labels: np.ndarray | None
+    column_meta: list[ColumnMeta] | None
+    scaling_stats: ScalingStats | None
+
+    def __init__(self, features: np.ndarray | None = None, labels=None,
+                 column_meta: list[ColumnMeta] | None = None,
+                 scaling_stats: ScalingStats | None = None, *, rows: Rows | None = None):
+        if (features is None) == (rows is None):
+            raise TypeError("a dataset takes either features or rows")
+        if rows is None:
+            f = _read_only(features, np.float64)
+            if f.ndim != 2:
+                raise ShapeError(f"features must be 2-D, got shape {f.shape}")
+            rows = Rows.dense(f)
+        else:
+            rows = replace(rows, numeric=_read_only(rows.numeric, np.float64),
+                           onehot=_read_only(rows.onehot, np.uint8))
+        if labels is not None:
+            labels = _read_only(labels, np.int8)
+            if labels.shape != (rows.n_rows,):
+                raise ShapeError("labels length must match the row count")
+            if labels.size and not np.isin(labels, (NORMAL, ANOMALY)).all():
+                raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
+        if column_meta is not None and len(column_meta) != rows.width:
+            raise ShapeError("column_meta length must match the feature width")
+        self.rows, self.labels = rows, labels
+        self.column_meta, self.scaling_stats = column_meta, scaling_stats
+
+    @property
+    def features(self) -> np.ndarray:
+        if self.rows.hot_cols.size:
+            raise ValueError("these rows keep one-hot columns apart: read them "
+                             "through Dataset.rows (take, column)")
+        return self.rows.numeric
+
+    @property
+    def n_rows(self) -> int:
+        return self.rows.n_rows
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[1]
+        return self.rows.width
 
     def feature_names(self) -> list[str]:
         if self.column_meta is not None:
@@ -196,7 +303,7 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
-            features=_frozen(self.features[idx]),
+            rows=_frozen_rows(self.rows.subset(idx)),
             labels=None if self.labels is None else _frozen(self.labels[idx]),
             column_meta=self.column_meta,
             scaling_stats=self.scaling_stats,
@@ -204,7 +311,7 @@ class Dataset:
 
     def without_labels(self) -> "Dataset":
         """The same rows with the labels dropped."""
-        return Dataset(features=self.features, labels=None,
+        return Dataset(rows=self.rows, labels=None,
                        column_meta=self.column_meta,
                        scaling_stats=self.scaling_stats)
 
@@ -250,31 +357,36 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
 
     The file is decoded CSV_BLOCK_ROWS rows at a time into a matrix sized
     from its line count, so the load holds about the matrix plus one block.
+    Every expanded column lands in that one float64 matrix, the dataset's
+    features.
     """
-    features, labels = _load_rows(path, schema, require_labels, has_header,
-                                  normal_only=False)
-    return Dataset(features=_frozen(features), labels=labels,
+    rows, labels = _load_rows(path, schema, require_labels, has_header,
+                              normal_only=False)
+    return Dataset(rows=_frozen_rows(rows), labels=labels,
                    column_meta=expanded_meta(schema))
 
 
 def load_training_rows(path, schema: Schema, scale: bool) -> Dataset:
-    """training_split(load_csv(path, schema), scale), byte for byte, built
-    as one matrix: every row is parsed and checked (and every label
-    decoded) as load_csv does, block by block, but only the normal rows
-    are written into the feature matrix, which is then scaled in place."""
-    features, _ = _load_rows(path, schema, require_labels=None, has_header=True,
-                             normal_only=True)
-    return _training_rows(features, expanded_meta(schema), scale)
+    """training_split(load_csv(path, schema), scale), value for value, in
+    one store: every row is parsed and checked (and every label decoded)
+    as load_csv does, block by block, but only the normal rows are
+    written, their one-hot blocks as uint8, and the store is then scaled
+    in place. rows.take(idx) gives the bytes of the split's
+    features[idx]."""
+    rows, _ = _load_rows(path, schema, require_labels=None, has_header=True,
+                         normal_only=True)
+    return _training_rows(rows, expanded_meta(schema), scale)
 
 
 def _load_rows(path, schema: Schema, require_labels: bool | None,
                has_header: bool, normal_only: bool
-               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """load_csv's (features, frozen labels). The file is decoded in blocks
-    of CSV_BLOCK_ROWS rows, and each block's rows are written into the
-    matrix before the next block is read. With normal_only the matrix
-    holds only the rows labeled normal and no labels come back; a file
-    without labels keeps every row."""
+               ) -> tuple[Rows, np.ndarray | None]:
+    """load_csv's rows and frozen labels. The file is decoded in blocks of
+    CSV_BLOCK_ROWS rows, and each block's rows are written into the store
+    before the next block is read. With normal_only the store holds only
+    the rows labeled normal, keeps the categorical blocks in its uint8
+    part, and no labels come back; a file without labels keeps every row.
+    Otherwise every column is float64."""
     path = Path(path)
     if require_labels and schema.label_column is None:
         raise SchemaError("labels requested but the schema has no label column")
@@ -315,11 +427,21 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
             text.append(pos[schema.label_column])
         slots = [{v: i for i, v in enumerate(c.values)} for c in schema.columns]
 
+        # each schema column's part (True: the uint8 one) and first column there
+        num_cols, hot_cols, parts = [], [], []
+        for col in schema.columns:
+            hot = normal_only and col.kind == "categorical"
+            cols = hot_cols if hot else num_cols
+            parts.append((hot, len(cols)))
+            start = len(num_cols) + len(hot_cols)
+            cols.extend(range(start, start + col.width))
+
         # The rows are not known before they are read. The pages of a large
         # np.zeros matrix cost no memory until written, and resize gives
         # back the unused tail.
         bound = _row_bound(path)
-        features = np.zeros((bound, schema.feature_width))
+        num_part = np.zeros((bound, len(num_cols)))
+        hot_part = np.zeros((bound, len(hot_cols)), np.uint8)
         labels = np.zeros(bound, np.int8) if want_labels and not normal_only else None
         n = 0
         for columns in read_csv_blocks(fh, header, numeric, text, has_header):
@@ -335,23 +457,23 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
                     k = rows.size
                 else:
                     labels[n:n + k] = block_labels
-            offset = 0
-            for col, col_slots in zip(schema.columns, slots):
+            for col, col_slots, (hot, offset) in zip(schema.columns, slots, parts):
                 values = columns[pos[col.name]][rows]
                 if col.kind == "numeric":
-                    features[n:n + k, offset] = values
+                    num_part[n:n + k, offset] = values
                 else:
                     slot = _encode(values, lambda v: col_slots.get(v, -1))
                     hit = np.flatnonzero(slot >= 0)
-                    features[n + hit, offset + slot[hit]] = 1.0
-                offset += col.width
+                    (hot_part if hot else num_part)[n + hit, offset + slot[hit]] = 1
             n += k
 
-    features.resize((n, schema.feature_width), refcheck=False)
+    num_part.resize((n, len(num_cols)), refcheck=False)
+    hot_part.resize((n, len(hot_cols)), refcheck=False)
     if labels is not None:
         labels.resize(n, refcheck=False)
         labels = _frozen(labels)
-    return features, labels
+    return Rows(num_part, hot_part, np.array(num_cols, np.intp),
+                np.array(hot_cols, np.intp)), labels
 
 
 def _row_bound(path: Path) -> int:
@@ -506,7 +628,7 @@ def fit_scale(data: Dataset) -> Dataset:
     """
     if data.n_rows == 0:
         raise ValueError("cannot fit scaling on an empty dataset")
-    return _scale_with(data, _fit_stats(data.features), clip=False)
+    return _scale_with(data, _fit_stats(data.rows), clip=False)
 
 
 def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
@@ -522,8 +644,14 @@ def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
     return _scale_with(data, stats, clip=True)
 
 
-def _fit_stats(x: np.ndarray) -> ScalingStats:
-    return ScalingStats(x.min(axis=0), x.max(axis=0))
+def _fit_stats(rows: Rows) -> ScalingStats:
+    """Per-column min and max; a one-hot column's are its uint8 min and
+    max as floats, the 0.0 or 1.0 its dense column would give."""
+    stats = ScalingStats(np.empty(rows.width), np.empty(rows.width))
+    for bound, reduce in ((stats.col_min, np.min), (stats.col_max, np.max)):
+        bound[rows.num_cols] = reduce(rows.numeric, axis=0)
+        bound[rows.hot_cols] = reduce(rows.onehot, axis=0)
+    return stats
 
 
 def _scale_with(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
@@ -583,21 +711,26 @@ def training_split(data: Dataset, scale: bool) -> Dataset:
         if data.n_rows == 0:
             raise ValueError("no normal rows to train on")
         return fit_scale(data) if scale else data
-    return _training_rows(data.features[data.labels == NORMAL],
+    return _training_rows(data.rows.subset(data.labels == NORMAL),
                           data.column_meta, scale, data.scaling_stats)
 
 
-def _training_rows(features: np.ndarray, column_meta: list[ColumnMeta] | None,
+def _training_rows(rows: Rows, column_meta: list[ColumnMeta] | None,
                    scale: bool, stats: ScalingStats | None = None) -> Dataset:
-    """An unlabeled Dataset over `features`, a fresh matrix that nothing
-    else holds, min-max scaled in place when `scale` is set (otherwise it
-    keeps `stats`)."""
-    if features.shape[0] == 0:
+    """An unlabeled Dataset over `rows`, fresh arrays that nothing else
+    holds, min-max scaled in place when `scale` is set (otherwise it keeps
+    `stats`): the numeric part as _scale scales a matrix, and a one-hot
+    column zeroed where its span is 0 and kept elsewhere, where its min is
+    0 and its span 1."""
+    if rows.n_rows == 0:
         raise ValueError("no normal rows to train on")
     if scale:
-        stats = _fit_stats(features)
-        _scale(features, stats, clip=False, out=features)
-    return Dataset(features=_frozen(features), column_meta=column_meta,
+        stats = _fit_stats(rows)
+        _scale(rows.numeric, ScalingStats(stats.col_min[rows.num_cols],
+                                          stats.col_max[rows.num_cols]),
+               clip=False, out=rows.numeric)
+        rows.onehot[:, stats.span[rows.hot_cols] == 0] = 0
+    return Dataset(rows=_frozen_rows(rows), column_meta=column_meta,
                    scaling_stats=stats)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
+from .data import Rows
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -155,27 +156,46 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
     return EnsembleModel(spec=spec, members=members, seed=seed)
 
 
-def ensemble_score(ensemble: EnsembleModel, x: np.ndarray,
+def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows, what: str) -> Rows:
+    """x as Rows of the ensemble's input width. A matrix goes through
+    as_matrix and is wrapped with no one-hot part; Rows get the same
+    finiteness check on their numeric part alone, since a one-hot byte is
+    0 or 1. Either way the expanded matrix is never built."""
+    if isinstance(x, Rows):
+        as_matrix(x.numeric)
+        rows = x
+    else:
+        rows = Rows.dense(as_matrix(x))
+    if rows.width != ensemble.spec.input_dim:
+        raise ShapeError(
+            f"{what} has {rows.width} columns, model expects {ensemble.spec.input_dim}")
+    return rows
+
+
+def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
                    work: Workspace | None = None) -> np.ndarray:
-    """Mean of member anomaly scores, one value per row of x.
+    """Mean of member anomaly scores, one value per row of x, a matrix or
+    Rows.
 
     x is checked once, then scored forward-only in the blocks of rows
-    anomaly_score uses (model.row_chunks): every member scores a block,
-    in member order, before the next block starts. Each row's sum adds
-    the members in member order, as a whole-matrix pass would; a row's
-    score can still differ in the last bits from a whole-matrix forward
-    (see anomaly_score). One workspace serves every block and member of
-    the call, so the LSTM layers write each block into the same pages:
-    work when given, else a fresh one. train_ensemble passes its own, so
-    the reweight pass writes into pages training has already faulted in.
-    What work held before does not change the scores.
+    anomaly_score uses (model.row_chunks): each block is expanded once
+    (Rows.take), and every member scores it, in member order, before the
+    next block starts. Each row's sum adds the members in member order,
+    as a whole-matrix pass would; a row's score can still differ in the
+    last bits from a whole-matrix forward (see anomaly_score). One
+    workspace serves every block and member of the call, so the LSTM
+    layers write each block into the same pages: work when given, else a
+    fresh one. train_ensemble passes its own, so the reweight pass writes
+    into pages training has already faulted in. What work held before
+    does not change the scores.
     """
-    x = ensemble.members[0].check_input(x)
+    rows = _input_rows(ensemble, x, "input")
     work = Workspace() if work is None else work
-    total = np.zeros(x.shape[0])
-    for rows in row_chunks(x.shape[0]):
+    total = np.zeros(rows.n_rows)
+    for block in row_chunks(rows.n_rows):
+        x_block = rows.take(block)
         for member in ensemble.members:
-            total[rows] += anomaly_score(member, x[rows], work)
+            total[block] += anomaly_score(member, x_block, work)
     return total / ensemble.size
 
 
@@ -235,9 +255,12 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
     return who, rows.reshape(iters, batch_size)
 
 
-def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
+def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
-    """Train the ensemble in place; returns it with one trace row per epoch.
+    """Train the ensemble in place on x_train, a matrix or Rows; returns it
+    with one trace row per epoch. A round's batches and the reweight
+    pass's blocks are expanded from the rows as they are read
+    (Rows.take), so the expanded matrix is never built.
 
     Trace rows hold the mean over the epoch's minibatch losses. A
     non-finite loss aborts with the failing epoch and iteration attached.
@@ -258,13 +281,8 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     reweight pass and at return; after a TrainingDivergedError they hold
     the last written-back values.
     """
-    x_train = as_matrix(x_train)
-    if x_train.shape[1] != ensemble.spec.input_dim:
-        raise ShapeError(
-            f"training data has {x_train.shape[1]} columns, "
-            f"model expects {ensemble.spec.input_dim}"
-        )
-    n = x_train.shape[0]
+    rows = _input_rows(ensemble, x_train, "training data")
+    n = rows.n_rows
     if n == 0:
         raise ValueError("training set is empty")
 
@@ -290,7 +308,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
     for epoch in range(cfg.epochs):
         if cfg.reweight:
             write_back()
-            scores = ensemble_score(ensemble, x_train, work)
+            scores = ensemble_score(ensemble, rows, work)
             if not np.isfinite(scores).all():
                 # per-sample scores are encoding losses, so treat this as
                 # divergence at the epoch boundary, not a weight error
@@ -321,7 +339,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray,
             nets, grads = stacks[a]
             its = sched[:a, k]
             combined, mean_lr, mean_le = stacked_loss_and_grads(
-                nets, x_train[batches[its]], coeff, work, grads)
+                nets, rows.take(batches[its]), coeff, work, grads)
             per_iter[its] = np.column_stack([combined, mean_lr, mean_le])
             for it, c in zip(its.tolist(), combined):
                 if not math.isfinite(c) and (first_bad is None or it < first_bad):

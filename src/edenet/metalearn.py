@@ -24,7 +24,7 @@ from .data import Dataset
 from .ensemble import EpochTrace, TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
 from .metrics import auroc
-from .model import make_arch
+from .model import ArchSpec, make_arch
 from .rng import derived_seed
 from .svr import DEFAULT_C, DEFAULT_EPSILON, SvrModel, fit_svr, predict_svr
 
@@ -62,14 +62,14 @@ class MetaFeatures:
 
 def extract_meta_features(data: Dataset) -> MetaFeatures:
     """Column counting is strict: exactly-half zeros is not sparse, and
-    zero-skew columns land in neither skew bucket."""
+    zero-skew columns land in neither skew bucket. The expanded columns
+    are read one at a time (Rows.column)."""
     if data.n_rows == 0:
         raise ValueError("dataset is empty")
-    x = data.features
     n = data.n_rows
     n_sparse = n_pos = n_neg = 0
     for j in range(data.n_features):
-        col = x[:, j]
+        col = data.rows.column(j)
         if 2 * np.count_nonzero(col == 0.0) > n:
             n_sparse += 1
         skew = pearson_skewness(col)
@@ -114,14 +114,13 @@ class MetaTask:
             raise ValueError("train/test feature widths differ")
 
 
-def run_cell(task: MetaTask, arch: dict | None, n_members: int, cfg: TrainConfig
+def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
              ) -> tuple[np.ndarray, list[EpochTrace]]:
-    """One Phase I cell: an ensemble of n_members nets with arch overrides
-    `arch`, initialised and trained on task.train under cfg.seed, then
-    scored on task.test. Returns the raw test scores and the epoch trace."""
-    ens = init_ensemble(make_arch(task.train.n_features, arch), n_members,
-                        seed=cfg.seed)
-    ens, trace = train_ensemble(ens, task.train.features, cfg)
+    """One Phase I cell: an ensemble of n_members nets of arch `spec`,
+    initialised and trained on task.train under cfg.seed, then scored on
+    task.test. Returns the raw test scores and the epoch trace."""
+    ens = init_ensemble(spec, n_members, seed=cfg.seed)
+    ens, trace = train_ensemble(ens, task.train.rows, cfg)
     return ensemble_score(ens, task.test.features), trace
 
 
@@ -132,18 +131,21 @@ def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
 
     Each pair trains under its own derived seed, so records do not depend
     on evaluation order. Pairs whose test split is single-class are
-    skipped with a warning instead of failing the whole build.
+    skipped with a warning instead of failing the whole build. Every
+    task's arch (arch_template at the task's width) is built before the
+    first cell trains, so a bad override trains nothing.
     """
     if not tasks:
         raise ValueError("need at least one task")
     if not candidates:
         raise ValueError("need at least one candidate")
+    specs = [make_arch(task.train.n_features, arch_template) for task in tasks]
     records: list[MetaRecord] = []
-    for t_idx, task in enumerate(tasks):
+    for t_idx, (task, spec) in enumerate(zip(tasks, specs)):
         feats = extract_meta_features(task.train)
         for cand in candidates:
             seed = derived_seed(cfg.seed, t_idx, cand)
-            scores, _ = run_cell(task, arch_template, cand, replace(cfg, seed=seed))
+            scores, _ = run_cell(task, spec, cand, replace(cfg, seed=seed))
             try:
                 perf = auroc(scores, task.test.labels)
             except UndefinedAurocError:

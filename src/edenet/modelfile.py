@@ -4,7 +4,9 @@ One tagged-JSON format covers single nets, ensembles and the Phase II
 kernel regressor (the meta-learner). A document is the header
 {"format", "format_version", "kind"} followed by that kind's payload.
 Floats go through Python's shortest-roundtrip repr, so a save/load/save
-cycle is byte-identical and parameters reload bit-exact.
+cycle is byte-identical and parameters reload bit-exact. An ensemble's
+members are encoded and written one at a time, into the bytes json.dumps
+gives for the whole document.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ def _ede_from_dict(doc: dict) -> EdeNet:
 
 
 def _ensemble_to_dict(ens: EnsembleModel) -> dict:
+    """The payload; its last key, members, maps each member's payload
+    lazily, for save_model to encode one member at a time."""
     return {"seed": ens.seed, "arch": ens.spec.to_dict(),
-            "members": [net_to_payload(m) for m in ens.members]}
+            "members": map(net_to_payload, ens.members)}
 
 
 def _ensemble_from_dict(doc: dict) -> EnsembleModel:
@@ -58,9 +62,18 @@ def save_model(obj: EdeNet | EnsembleModel | SvrModel, path) -> None:
         raise TypeError(f"cannot save object of type {type(obj).__name__}")
     doc = {"format": FORMAT_MARKER, "format_version": FORMAT_VERSION,
            "kind": kind, **to_dict(obj)}
+    members = doc.pop("members", None)
     text = json.dumps(doc)
     with atomic_open(path) as fh:
-        fh.write(text)
+        if members is None:
+            fh.write(text)
+            return
+        # json.dumps(doc) with members, the last key, written member by member
+        fh.write(text[:-1] + ', "members": [')
+        for i, payload in enumerate(members):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(payload))
+        fh.write("]}")
 
 
 def load_model(path) -> EdeNet | EnsembleModel | SvrModel:

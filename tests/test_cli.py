@@ -477,6 +477,65 @@ def test_malformed_config_section_is_exit_2(tmp_path, workspace, capsys, command
     assert list((tmp_path / "out").rglob("*")) == []
 
 
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+@pytest.mark.parametrize("bad", [
+    {"arch": {"alpha": "1"}},
+    {"arch": {"latent_dim": 9}},
+    {"train": {"lr": -1.0}},
+    {"n_members": 0},
+], ids=["arch-str", "latent-wider-than-task", "train-lr", "members-0"])
+def test_bench_checks_every_method_before_the_first_cell(tmp_path, capsys, monkeypatch,
+                                                         source, bad):
+    """A bad value in the second method fails the run before the first
+    method's cell trains or writes a file."""
+    import edenet.cli as cli_mod
+    cells = []
+    run_cell = cli_mod.run_cell
+    monkeypatch.setattr(cli_mod, "run_cell", lambda *a: cells.append(a) or run_cell(*a))
+    if source == "csv":
+        train = tiny_synth(tmp_path, "train", 30, 6, 7)
+        test = tiny_synth(tmp_path, "test", 12, 4, 8)
+        task = {"data": str(train / "data.csv"), "test_data": str(test / "data.csv"),
+                "schema": str(train / "schema.json")}
+    else:
+        task = {"synthetic": {"d": 3, "n_train": 40, "n_test_normal": 10,
+                              "n_test_anomaly": 5}}
+    cfg = write_json(tmp_path / "cfg.json", {
+        **task, "train": {"epochs": 1},
+        "methods": [{"name": "a", "n_members": 1}, {"name": "b", "n_members": 1, **bad}]})
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert cells == []
+    assert list(out.rglob("*")) == []
+
+
+def test_meta_build_checks_the_arch_at_every_task_width_before_training(
+        tmp_path, capsys, monkeypatch):
+    """latent_dim 3 fits the 5-wide first task but not the 2-wide second:
+    the build fails before the first task's cells train."""
+    import edenet.metalearn as metalearn_mod
+    trained = []
+    train = metalearn_mod.train_ensemble
+    monkeypatch.setattr(metalearn_mod, "train_ensemble",
+                        lambda *a: trained.append(a) or train(*a))
+    tasks = []
+    for d in (5, 2):
+        data = tmp_path / f"d{d}"
+        assert main(["synth", "--out", str(data), "--d", str(d), "--n-normal", "20",
+                     "--n-anomaly", "6", "--seed", str(d)]) == 0
+        tasks.append({"train": str(data / "data.csv"), "test": str(data / "data.csv"),
+                      "schema": str(data / "schema.json")})
+    cfg = write_json(tmp_path / "cfg.json", {"tasks": tasks, "candidates": [1],
+                                            "arch": {"latent_dim": 3},
+                                            "train": {"epochs": 1}})
+    out = tmp_path / "out"
+    assert main(["meta", "build", "--config", cfg, "--out", str(out)]) == 2
+    assert "latent_dim" in capsys.readouterr().err
+    assert trained == []
+    assert list(out.rglob("*")) == []
+
+
 def _option_dests(parser):
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):

@@ -53,6 +53,11 @@ LABELED = Schema(
 )
 
 
+def expanded(ds):
+    """Every row of a dataset as one float64 matrix."""
+    return ds.rows.take(slice(None))
+
+
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text)
@@ -582,7 +587,7 @@ def test_arrays_the_module_builds_are_frozen_without_copying(tmp_path, monkeypat
     ds = load_csv(write(tmp_path, "v,status\n1,ok\n2,fail\n3,ok\n"), LABELED)
     ds.take(np.array([2, 0]))
     generate_synthetic(2, 3, 1, 4.0)
-    assert len(passed) == 6  # features and labels of each of the three
+    assert len(passed) == 8  # the two row parts and the labels of each of the three
     for given, arr in passed:
         assert arr is given and not arr.flags.writeable
 
@@ -631,10 +636,11 @@ def test_training_rows_equal_the_split_of_the_full_load(tmp_path, name, scale):
 
     got = load_training_rows(path, TRAIN_SCHEMA, scale)
     for other in (got, training_split(full, scale)):
-        assert other.features.tobytes() == oracle.features.tobytes()
-        assert other.features.shape == oracle.features.shape
+        assert expanded(other).tobytes() == oracle.features.tobytes()
+        assert expanded(other).shape == oracle.features.shape
         assert other.labels is None
-        assert not other.features.flags.writeable
+        assert not other.rows.numeric.flags.writeable
+        assert not other.rows.onehot.flags.writeable
         assert other.column_meta == full.column_meta
         if scale:
             assert other.scaling_stats.col_min.tobytes() == oracle.scaling_stats.col_min.tobytes()
@@ -670,18 +676,27 @@ def test_a_fault_on_a_dropped_row_still_names_its_line(tmp_path, row, found):
 KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
 
 
-def write_kdd_shaped(path, n_rows, seed):
+def write_kdd_shaped(path, n_rows, seed, odd=False):
     """n_rows rows in the KDD99 schema, about 2% labeled "normal." (the
-    rows training drops under its label inversion)."""
+    rows training drops under its label inversion). With odd, about 5% of
+    the service values lie outside the vocabulary, and every row training
+    keeps reads land "0", so that one-hot column is constant 1 over the
+    training rows but not over the file."""
     schema = load_schema(KDD_SCHEMA)
     rng = np.random.default_rng(seed)
+    dropped = rng.random(n_rows) < 0.02
     cols = []
     for col in schema.columns:
         if col.kind == "categorical":
-            cols.append(rng.choice(col.values, n_rows).tolist())
+            values = rng.choice(col.values, n_rows)
+            if odd and col.name == "service":
+                values[rng.random(n_rows) < 0.05] = "zz_unlisted"
+            if odd and col.name == "land":
+                values[~dropped] = "0"
+            cols.append(values.tolist())
         else:
             cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
-    cols.append(np.where(rng.random(n_rows) < 0.02, "normal.", "smurf.").tolist())
+    cols.append(np.where(dropped, "normal.", "smurf.").tolist())
     header = [c.name for c in schema.columns] + [schema.label_column]
     path.write_text(",".join(header) + "\n"
                     + "".join(",".join(r) + "\n" for r in zip(*cols)))
@@ -699,8 +714,10 @@ def traced_peak(fn, *args):
 
 def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
     """Preparing a KDD-shaped file's training rows peaks at about the
-    matrix it allocates plus what parsing one block of rows takes. Parsing
-    the whole file before filling the matrix held both whole."""
+    store it allocates (8 bytes a row per numeric column, 1 per one-hot
+    column) plus what parsing one block of rows takes. Parsing the whole
+    file before filling the store held both whole, and the float64 matrix
+    of the expanded rows alone is over the bound."""
     path = tmp_path / "kdd.csv"
     schema = write_kdd_shaped(path, 20_000, seed=3)
 
@@ -713,9 +730,117 @@ def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
 
     _, block_peak = traced_peak(parse_one_block)
     ds, peak = traced_peak(load_training_rows, path, schema, True)
-    allocated = (20_000 + 2) * ds.n_features * 8  # a row per line end, plus one
-    assert ds.n_rows > 19_000 and allocated > 20 * block_peak
+    n_numeric = sum(c.kind == "numeric" for c in schema.columns)
+    row_bytes = 8 * n_numeric + (schema.feature_width - n_numeric)
+    allocated = (20_000 + 2) * row_bytes  # a row per line end, plus one
+    assert ds.n_rows > 19_000 and allocated > 10 * block_peak
     assert peak < allocated + 3 * block_peak
+
+
+def test_training_peaks_below_the_dense_matrix(tmp_path):
+    """An in-process edenet train on a 20k-row KDD-shaped file, from the
+    load to the saved model, never holds as much as the float64 matrix of
+    its expanded training rows would take alone."""
+    from edenet.cli import main
+
+    path = tmp_path / "kdd.csv"
+    schema = write_kdd_shaped(path, 20_000, seed=6)
+    n_train = load_training_rows(path, schema, False).n_rows
+    rc, peak = traced_peak(main, [
+        "train", "--data", str(path), "--schema", str(KDD_SCHEMA), "--members", "1",
+        "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert rc == 0 and n_train > 19_000
+    assert peak < n_train * schema.feature_width * 8
+
+
+@pytest.fixture(scope="module")
+def kdd_pair(tmp_path_factory):
+    """A KDD-shaped file of about 2.5 blocks of training rows (with odd
+    values), its schema and its full load."""
+    path = tmp_path_factory.mktemp("kdd") / "kdd.csv"
+    schema = write_kdd_shaped(path, 2600, seed=5, odd=True)
+    return path, schema, load_csv(path, schema)
+
+
+@pytest.mark.parametrize("scale", [True, False], ids=["scaled", "raw"])
+def test_training_store_takes_the_bytes_of_the_dense_split(kdd_pair, scale):
+    path, schema, full = kdd_pair
+    split = training_split(full, scale)
+    dense = split.features
+    store = load_training_rows(path, schema, scale)
+    rows = store.rows
+    assert rows.n_rows == dense.shape[0] > 2 * data_mod.CSV_BLOCK_ROWS
+    assert (rows.numeric.shape[1], rows.onehot.shape[1]) == (34, 87)
+    assert rows.numeric.dtype == np.float64 and rows.onehot.dtype == np.uint8
+    rng = np.random.default_rng(0)
+    block = data_mod.CSV_BLOCK_ROWS
+    picks = [
+        rng.integers(0, rows.n_rows, 50),                  # (k,), repeats likely
+        np.array([3, 3, 0, rows.n_rows - 1, 3]),           # explicit repeats
+        rng.integers(0, rows.n_rows, (3, 64)),             # (a, B), a round's batches
+        slice(0, block),                                   # ends at the block size
+        slice(block - 10, block + 10),                     # crosses it
+        slice(block, 2 * block),
+        slice(0, rows.n_rows),
+        slice(None),
+    ]
+    for idx in picks:
+        got = rows.take(idx)
+        assert got.dtype == np.float64
+        assert got.shape == dense[idx].shape
+        assert got.tobytes() == dense[idx].tobytes(), idx
+    for j in range(rows.width):
+        assert rows.column(j).tobytes() == np.ascontiguousarray(dense[:, j]).tobytes()
+    meta = {m.name: j for j, m in enumerate(store.column_meta)}
+    land0, service = meta["land=0"], [meta[f"service={v}"] for v in schema.columns[2].values]
+    assert dense[:, land0].tolist() == [0.0 if scale else 1.0] * rows.n_rows
+    assert (dense[:, service].sum(axis=1) == 0).any()  # out-of-vocabulary blocks
+    if scale:
+        for bound in ("col_min", "col_max"):
+            assert (getattr(store.scaling_stats, bound).tobytes()
+                    == getattr(split.scaling_stats, bound).tobytes())
+        assert store.scaling_stats.span[land0] == 0.0
+
+
+def test_rows_without_a_one_hot_part_take_the_matrix_itself():
+    x = np.arange(12.0).reshape(4, 3)
+    rows = data_mod.Rows.dense(x)
+    assert np.shares_memory(rows.take(slice(1, 3)), x)
+    idx = np.array([[0, 0], [3, 1]])
+    assert rows.take(idx).tobytes() == x[idx].tobytes()
+    assert rows.column(2).tolist() == [2.0, 5.0, 8.0, 11.0]
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((np.zeros((2, 1)), np.zeros((3, 1), np.uint8), [0], [1]), "row count"),
+    ((np.zeros((2, 1)), np.zeros((2, 1), np.uint8), [0], [0]), "once each"),
+    ((np.zeros((2, 1)), np.zeros((2, 1), np.uint8), [0], [2]), "once each"),
+    ((np.zeros((2, 1)), np.zeros((2, 2), np.uint8), [0], [1]), "widths"),
+])
+def test_rows_check_their_parts(parts, message):
+    num, hot, num_cols, hot_cols = parts
+    with pytest.raises(ShapeError, match=message):
+        data_mod.Rows(num, hot, np.array(num_cols), np.array(hot_cols))
+    with pytest.raises(TypeError, match="uint8"):
+        data_mod.Rows(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0]), np.array([1]))
+
+
+def test_a_dataset_with_one_hot_rows_has_no_features_matrix(kdd_pair):
+    path, schema, full = kdd_pair
+    store = load_training_rows(path, schema, True)
+    with pytest.raises(ValueError, match="rows"):
+        store.features
+    assert store.n_features == 121 and store.n_rows == store.rows.n_rows
+    assert store.without_labels().rows.numeric is store.rows.numeric
+    sub = store.take(np.array([4, 1]))
+    assert sub.rows.take(slice(None)).tobytes() == store.rows.take(np.array([4, 1])).tobytes()
+    assert not sub.rows.numeric.flags.writeable and not sub.rows.onehot.flags.writeable
+    # load_csv and in-memory data keep the dense matrix
+    assert full.features is full.rows.numeric and full.rows.onehot.shape == (full.n_rows, 0)
+    with pytest.raises(TypeError):
+        Dataset()
+    with pytest.raises(TypeError):
+        Dataset(features=np.zeros((1, 1)), rows=store.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +979,9 @@ def test_blocks_give_the_whole_file_bytes(tmp_path, monkeypatch, block_rows, n):
     assert 0 < np.count_nonzero(got.labels) < 100
     for scale, oracle in whole_train.items():
         train = load_training_rows(p, BLOCK_SCHEMA, scale)
-        assert train.features.shape == oracle.features.shape
-        assert train.features.tobytes() == oracle.features.tobytes()
-        assert train.features.tobytes() == training_split(got, scale).features.tobytes()
+        assert expanded(train).shape == expanded(oracle).shape
+        assert expanded(train).tobytes() == expanded(oracle).tobytes()
+        assert expanded(train).tobytes() == training_split(got, scale).features.tobytes()
         if scale:
             assert train.scaling_stats.col_min.tobytes() == oracle.scaling_stats.col_min.tobytes()
             assert train.scaling_stats.col_max.tobytes() == oracle.scaling_stats.col_max.tobytes()
@@ -865,12 +990,13 @@ def test_blocks_give_the_whole_file_bytes(tmp_path, monkeypatch, block_rows, n):
 
 
 def test_loaded_arrays_own_their_memory(tmp_path, block_rows):
-    """The matrix is cut down to its rows, not a view of a larger one."""
+    """Each part is cut down to its rows, not a view of a larger one."""
     p = write_block_file(tmp_path / "many.csv", 40, seed=1)
     block_rows(8)
     for ds in (load_csv(p, BLOCK_SCHEMA), load_training_rows(p, BLOCK_SCHEMA, True)):
-        assert ds.features.flags.owndata and ds.features.base is None
-        assert not ds.features.flags.writeable
+        for part in (ds.rows.numeric, ds.rows.onehot):
+            assert part.flags.owndata and part.base is None
+            assert not part.flags.writeable
     assert ds.n_rows < 40
 
 

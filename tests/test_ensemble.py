@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edenet.data import Rows
 from edenet.ensemble import (
     EnsembleModel,
     EpochTrace,
@@ -523,3 +524,47 @@ def test_trace_csv_round_trips_floats(tmp_path):
     cells = lines[2].split(",")
     assert int(cells[0]) == 1
     assert float(cells[1]) == 1 / 3
+
+
+# ---------------------------------------------------------------------------
+# rows held as a float64 part and a uint8 one-hot part
+
+
+def split_rows(x, hot):
+    """x with its 0/1 columns at positions `hot` held as the uint8 part."""
+    hot = np.asarray(hot)
+    num = np.setdiff1d(np.arange(x.shape[1]), hot)
+    return Rows(np.ascontiguousarray(x[:, num]), x[:, hot].astype(np.uint8), num, hot)
+
+
+@pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL], ids=["feedforward", "lstm"])
+def test_one_hot_rows_train_and_score_like_their_matrix(arch):
+    """More rows than a scoring block, so the reweight pass expands a full
+    block and a partial one."""
+    rng = make_rng(3)
+    x = rng.standard_normal((CHUNK + 300, 7))
+    hot = [1, 4, 5]
+    x[:, hot] = rng.random((x.shape[0], 3)) < 0.3
+    rows = split_rows(x, hot)
+    cfg = TrainConfig(epochs=2, batch_size=64, seed=5)
+    dense, dense_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1), x, cfg)
+    store, store_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1), rows, cfg)
+    for a, b in zip(dense.members, store.members):
+        assert a.flat.tobytes() == b.flat.tobytes()
+    assert store_trace == dense_trace
+    assert ensemble_score(store, rows).tobytes() == ensemble_score(dense, x).tobytes()
+
+
+def test_rows_are_checked_like_a_matrix():
+    ens = init_ensemble(make_arch(3, SMALL), 1)
+    x = np.array([[0.5, 1.0, 0.0], [np.nan, 0.0, 1.0]])
+    for given in (x, split_rows(x, [1, 2])):
+        with pytest.raises(ValueError, match="non-finite"):
+            train_ensemble(ens, given, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="non-finite"):
+            ensemble_score(ens, given)
+    wide = split_rows(np.zeros((2, 4)), [3])
+    with pytest.raises(ShapeError, match="training data has 4 columns, model expects 3"):
+        train_ensemble(ens, wide, TrainConfig(epochs=1))
+    with pytest.raises(ShapeError, match="input has 4 columns, model expects 3"):
+        ensemble_score(ens, wide)

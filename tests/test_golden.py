@@ -11,6 +11,7 @@ probe gives the bytes it gave when they were recorded.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +133,86 @@ def test_lstm_score_bytes_match_recorded_hash(tmp_path):
     than two blocks of rows."""
     _require_recorded_sigmoid()
     assert _score_sha(LSTM_SCORE_MODEL, tmp_path) == LSTM_SCORE_SHA
+
+
+# ---------------------------------------------------------------------------
+# the categorical path: KDD-shaped rows, whose one-hot blocks hold most of
+# the expanded features
+
+KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
+KDD_TRAIN = {"train": {"epochs": 2, "seed": 9}, "n_members": 2}
+KDD_TRAIN_SHAS = {
+    "model.json": "1e55a08aef3abea5964a67bec5e568d0d621f341dfba20fb5e941cc8187813c9",
+    "scaling.json": "f76ff83cbe31a6c48516f9601afe99aa2557919322268c29f9fda3abad78589e",
+    "trace.csv": "12b88c4622840516434f5dfd34311eaa362f6f6b2e6c1db5c2b60d18db40fe41",
+}
+KDD_META = {"train": {"epochs": 1, "batch_size": 32, "seed": 4}, "candidates": [1, 2]}
+KDD_META_SHAS = {
+    "meta.csv": "41d502e3669dde0e81501cb2bd4926ae0a6b6169613052e3aa65e2f3cd4e26f6",
+    "selection.json": "79512f5c6a611d2de7d2bed91f6693833bb38d271d435510cd925a8c6a5450a3",
+}
+
+
+def _kdd_rows(path, n_rows: int, seed: int, anomaly_frac: float) -> None:
+    """n_rows KDD99-shaped rows. Under the schema's label inversion the
+    "normal." rows are the anomalies. land is always "0", so over the
+    training rows its first one-hot column is constant 1 and its second
+    constant 0; num_outbound_cmds is constant too; about 5% of the
+    service values lie outside the vocabulary (an all-zero block)."""
+    if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
+        pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} with "
+                    f"{' '.join(RECORDED_BLAS)}; this is numpy {np.__version__} "
+                    f"with {' '.join(_blas())}")
+    schema = json.loads(KDD_SCHEMA.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(seed)
+    cols = []
+    for col in schema["columns"]:
+        if col["name"] == "land":
+            cols.append(["0"] * n_rows)
+        elif col["name"] == "num_outbound_cmds":
+            cols.append(["0"] * n_rows)
+        elif col.get("type") == "categorical":
+            values = rng.choice(col["values"], n_rows)
+            if col["name"] == "service":
+                values[rng.random(n_rows) < 0.05] = "zz_unlisted"
+            cols.append(values.tolist())
+        else:
+            cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
+    cols.append(np.where(rng.random(n_rows) < anomaly_frac, "normal.", "smurf.").tolist())
+    header = [c["name"] for c in schema["columns"]] + [schema["label_column"]]
+    path.write_text(",".join(header) + "\n"
+                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
+
+
+def _shas(out, names) -> dict:
+    return {name: _sha256(out / name) for name in names}
+
+
+def test_kdd_train_bytes_match_recorded_hashes(tmp_path):
+    """edenet train on 300 KDD-shaped rows (121 expanded features), I=2,
+    2 epochs, scaling on."""
+    _kdd_rows(tmp_path / "train.csv", 300, seed=21, anomaly_frac=0.2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KDD_TRAIN))
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "train.csv"),
+                 "--schema", str(KDD_SCHEMA), "--out", str(tmp_path / "run")]) == 0
+    assert _shas(tmp_path / "run", KDD_TRAIN_SHAS) == KDD_TRAIN_SHAS
+
+
+def test_kdd_meta_bytes_match_recorded_hashes(tmp_path):
+    """meta build over one KDD-shaped task and I in {1, 2}, then meta fit
+    and meta select on a third KDD-shaped file."""
+    _kdd_rows(tmp_path / "train.csv", 300, seed=22, anomaly_frac=0.1)
+    _kdd_rows(tmp_path / "test.csv", 200, seed=23, anomaly_frac=0.3)
+    _kdd_rows(tmp_path / "new.csv", 250, seed=24, anomaly_frac=0.1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**KDD_META, "schema": str(KDD_SCHEMA), "tasks": [
+        {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")},
+        {"train": str(tmp_path / "new.csv"), "test": str(tmp_path / "test.csv")}]}))
+    out = tmp_path / "meta"
+    assert main(["meta", "build", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["meta", "fit", "--meta", str(out / "meta.csv"), "--out", str(out)]) == 0
+    assert main(["meta", "select", "--model", str(out / "meta_model.json"),
+                 "--data", str(tmp_path / "new.csv"), "--schema", str(KDD_SCHEMA),
+                 "--candidates", "1,2", "--out", str(out)]) == 0
+    assert _shas(out, KDD_META_SHAS) == KDD_META_SHAS

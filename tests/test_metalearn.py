@@ -196,7 +196,7 @@ def test_run_cell_is_init_train_score_under_one_seed():
     task = make_task(3)
     ens = init_ensemble(make_arch(4, TINY_ARCH), 2, seed=TINY_TRAIN.seed)
     ens, trace = train_ensemble(ens, task.train.features, TINY_TRAIN)
-    scores, cell_trace = run_cell(task, TINY_ARCH, 2, TINY_TRAIN)
+    scores, cell_trace = run_cell(task, make_arch(4, TINY_ARCH), 2, TINY_TRAIN)
     assert scores.tobytes() == ensemble_score(ens, task.test.features).tobytes()
     assert [t.combined for t in cell_trace] == [t.combined for t in trace]
 
@@ -208,7 +208,7 @@ def test_build_records_the_auroc_of_each_cell_under_its_derived_seed():
     for t_idx, task in enumerate(tasks):
         for cand in (1, 2):
             cfg = replace(TINY_TRAIN, seed=derived_seed(TINY_TRAIN.seed, t_idx, cand))
-            expected.append(auroc(run_cell(task, TINY_ARCH, cand, cfg)[0],
+            expected.append(auroc(run_cell(task, make_arch(4, TINY_ARCH), cand, cfg)[0],
                                   task.test.labels))
     assert [r.performance for r in records] == expected
 

@@ -1,11 +1,12 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edenet.ensemble import init_ensemble
+from edenet.ensemble import EnsembleModel, init_ensemble
 from edenet.errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
 from edenet.layers import Workspace
 from edenet.model import (
@@ -26,7 +27,7 @@ from edenet.model import (
 )
 from edenet.modelfile import load_model, save_model
 from edenet.rng import make_rng
-from edenet.svr import fit_svr
+from edenet.svr import fit_svr, svr_to_dict
 
 FF = {"hidden_sizes": (10, 6), "latent_dim": 3}
 LSTM = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 5, "seq_len": 2}
@@ -528,3 +529,47 @@ def test_payload_name_mismatch_rejected():
     payload["bogus.w"] = payload.pop(next(iter(payload)))
     with pytest.raises(FormatError):
         net_from_payload(net.spec, payload)
+
+
+def _whole_document(obj) -> dict:
+    """The document save_model writes, built whole."""
+    if isinstance(obj, EdeNet):
+        payload = {"arch": obj.spec.to_dict(), "params": net_to_payload(obj)}
+        kind = "ede"
+    elif isinstance(obj, EnsembleModel):
+        payload = {"seed": obj.seed, "arch": obj.spec.to_dict(),
+                   "members": [net_to_payload(m) for m in obj.members]}
+        kind = "ensemble"
+    else:
+        payload, kind = svr_to_dict(obj), "svr"
+    return {"format": "edenet-model", "format_version": 1, "kind": kind, **payload}
+
+
+@pytest.mark.parametrize("kind", ["ede", "ensemble", "svr"])
+def test_saved_bytes_are_json_dumps_of_the_whole_document(tmp_path, kind):
+    obj = saved_kinds()[kind][0]
+    save_model(obj, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text() == json.dumps(_whole_document(obj))
+    single = init_ensemble(make_arch(3, FF), 1, seed=2)
+    save_model(single, tmp_path / "one.json")
+    assert (tmp_path / "one.json").read_text() == json.dumps(_whole_document(single))
+
+
+def test_an_ensemble_is_written_one_member_at_a_time(tmp_path):
+    """The 3-member d=121 model: encoding the whole document at once holds
+    every member's floats and text together."""
+    ens = init_ensemble(make_arch(121), 3, seed=1)
+
+    def one_shot():
+        (tmp_path / "whole.json").write_text(json.dumps(_whole_document(ens)))
+
+    peaks = []
+    for write in (one_shot, lambda: save_model(ens, tmp_path / "m.json")):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+    assert peaks[1] < peaks[0] * 2 / 3
