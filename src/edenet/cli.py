@@ -82,9 +82,9 @@ class RunConfig:
     data/test_data/schema/model/scores/scaling/meta_csv are file paths;
     arch and train hold field overrides for ArchSpec and TrainConfig;
     svr, tasks, methods and synthetic hold the raw sections that
-    SvrSettings, TaskEntry, BenchMethod and SyntheticTask check where they
-    are used: the meta-learner's settings, meta build's tasks, bench's
-    methods and bench's generated task (synth's own flags land there too).
+    SvrSettings, TaskEntry, BenchMethod and SyntheticTask or SynthSpec
+    check where they are used: the meta-learner's settings, meta build's
+    tasks, bench's methods, and bench's generated task or synth's dataset.
     """
 
     data: str | None = None
@@ -522,18 +522,32 @@ def _print_bench_table(summary: list[tuple], n_seeds: int) -> None:
 # synth
 
 
+@dataclass(frozen=True)
+class SynthSpec:
+    """synth's dataset: generate_synthetic's width, row counts, shift and seed."""
+
+    d: int = 10
+    n_normal: int = 1000
+    n_anomaly: int = 100
+    shift: float = 4.0
+    seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, "synthetic")
+
+
 def cmd_synth(cfg: RunConfig) -> int:
-    """Generate the dataset that synth's flags describe in cfg.synthetic:
-    d, n_normal, n_anomaly, shift and seed."""
+    """Generate the dataset of cfg.synthetic, the config file's section
+    with synth's flags over it; the echo gives every SynthSpec value."""
+    spec = from_fields(SynthSpec, cfg.synthetic or {}, "synthetic")
     out = _out_dir(cfg, "synth")
-    spec = cfg.synthetic
-    ds = generate_synthetic(spec["d"], spec["n_normal"], spec["n_anomaly"],
-                            spec["shift"], seed=spec["seed"])
+    ds = generate_synthetic(spec.d, spec.n_normal, spec.n_anomaly, spec.shift,
+                            seed=spec.seed)
     write_csv(out / "data.csv", ds)
     save_schema(numeric_schema_for(ds), out / "schema.json")
-    _echo_config(out, "synth", cfg)
-    print(f"generated {spec['n_normal']} normal + {spec['n_anomaly']} anomalous rows "
-          f"in {spec['d']} dims (shift {spec['shift']}, seed {spec['seed']})")
+    _echo_config(out, "synth", replace(cfg, synthetic=asdict(spec)))
+    print(f"generated {spec.n_normal} normal + {spec.n_anomaly} anomalous rows "
+          f"in {spec.d} dims (shift {spec.shift}, seed {spec.seed})")
     print(f"wrote {out / 'data.csv'} and {out / 'schema.json'}")
     return 0
 
@@ -604,11 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
 
     p = command(sub, "synth", cmd_synth, "generate a labeled synthetic dataset")
-    p.add_argument("--d", dest="synthetic.d", type=int, default=10)
-    p.add_argument("--n-normal", dest="synthetic.n_normal", type=int, default=1000)
-    p.add_argument("--n-anomaly", dest="synthetic.n_anomaly", type=int, default=100)
-    p.add_argument("--shift", dest="synthetic.shift", type=float, default=4.0)
-    p.add_argument("--seed", dest="synthetic.seed", type=int, default=0)
+    p.add_argument("--d", dest="synthetic.d", type=int)
+    p.add_argument("--n-normal", dest="synthetic.n_normal", type=int)
+    p.add_argument("--n-anomaly", dest="synthetic.n_anomaly", type=int)
+    p.add_argument("--shift", dest="synthetic.shift", type=float)
+    p.add_argument("--seed", dest="synthetic.seed", type=int)
 
     return parser
 

@@ -7,6 +7,9 @@ vocabulary map to an all-zero block so the feature width never depends on
 the file contents. Feature scaling is per-column min-max fitted on the
 training split only.
 
+Schema and scaling files are checked as config files are (errors.py):
+their keys are the fields of Schema, SchemaColumn and ScalingStats.
+
 A Dataset keeps its rows in a Rows store of two parts: a float64 matrix of
 numeric columns and a uint8 matrix of one-hot columns, each with its
 columns' positions in the expanded row. Rows.take expands any set of rows
@@ -37,14 +40,15 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
-from .errors import CsvParseError, FormatError, NotFittedError, SchemaError, ShapeError
+from .errors import (CsvParseError, FormatError, NotFittedError, SchemaError, ShapeError,
+                     check_fields, expect_numbers, expect_type, from_fields)
 from .rng import make_rng
 
 NORMAL = 0
@@ -64,14 +68,15 @@ CSV_BLOCK_ROWS = 1024
 @dataclass(frozen=True)
 class SchemaColumn:
     name: str
-    kind: str  # "numeric" | "categorical"
+    type: str = "numeric"  # "numeric" | "categorical"
     values: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_fields(self, f"column {self.name!r}", SchemaError)
         object.__setattr__(self, "values", tuple(self.values))
-        if self.kind not in ("numeric", "categorical"):
-            raise SchemaError(f"column {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == "categorical":
+        if self.type not in ("numeric", "categorical"):
+            raise SchemaError(f"column {self.name!r}: unknown type {self.type!r}")
+        if self.type == "categorical":
             if not self.values:
                 raise SchemaError(f"column {self.name!r}: empty vocabulary")
             if len(set(self.values)) != len(self.values):
@@ -81,7 +86,7 @@ class SchemaColumn:
 
     @property
     def width(self) -> int:
-        return len(self.values) if self.kind == "categorical" else 1
+        return len(self.values) if self.type == "categorical" else 1
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class Schema:
     invert_labels: bool = False
 
     def __post_init__(self):
+        check_fields(self, "schema", SchemaError)
         object.__setattr__(self, "columns", tuple(self.columns))
         if not self.columns:
             raise SchemaError("schema declares no feature columns")
@@ -162,8 +168,6 @@ class ScalingStats:
     col_max: np.ndarray
 
     def __post_init__(self):
-        self.col_min = np.asarray(self.col_min, dtype=np.float64)
-        self.col_max = np.asarray(self.col_max, dtype=np.float64)
         if self.col_min.shape != self.col_max.shape or self.col_min.ndim != 1:
             raise ShapeError("scaling stats must be matching 1-D arrays")
 
@@ -319,7 +323,7 @@ class Dataset:
 def expanded_meta(schema: Schema) -> list[ColumnMeta]:
     meta: list[ColumnMeta] = []
     for col in schema.columns:
-        if col.kind == "numeric":
+        if col.type == "numeric":
             meta.append(ColumnMeta(col.name, "numeric", col.name))
         else:
             for v in col.values:
@@ -421,8 +425,8 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
                     f"label column {schema.label_column!r} missing from CSV")
             want_labels = False
 
-        numeric = [pos[c.name] for c in schema.columns if c.kind == "numeric"]
-        text = [pos[c.name] for c in schema.columns if c.kind != "numeric"]
+        numeric = [pos[c.name] for c in schema.columns if c.type == "numeric"]
+        text = [pos[c.name] for c in schema.columns if c.type != "numeric"]
         if want_labels:
             text.append(pos[schema.label_column])
         slots = [{v: i for i, v in enumerate(c.values)} for c in schema.columns]
@@ -430,7 +434,7 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
         # each schema column's part (True: the uint8 one) and first column there
         num_cols, hot_cols, parts = [], [], []
         for col in schema.columns:
-            hot = normal_only and col.kind == "categorical"
+            hot = normal_only and col.type == "categorical"
             cols = hot_cols if hot else num_cols
             parts.append((hot, len(cols)))
             start = len(num_cols) + len(hot_cols)
@@ -459,7 +463,7 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
                     labels[n:n + k] = block_labels
             for col, col_slots, (hot, offset) in zip(schema.columns, slots, parts):
                 values = columns[pos[col.name]][rows]
-                if col.kind == "numeric":
+                if col.type == "numeric":
                     num_part[n:n + k, offset] = values
                 else:
                     slot = _encode(values, lambda v: col_slots.get(v, -1))
@@ -680,21 +684,17 @@ def scaling_to_dict(stats: ScalingStats) -> dict:
 
 def scaling_from_dict(d: dict) -> ScalingStats:
     """Stats from a scaling.json document; FormatError names what is wrong."""
-    if not isinstance(d, dict):
-        raise FormatError("scaling file must hold a JSON object")
+    expect_type("scaling file", d, dict, error=FormatError)
     try:
-        cols = [np.asarray(d[key]) for key in ("col_min", "col_max")]
-        if not all(c.dtype.kind in "iuf" and np.isfinite(c).all() for c in cols):
-            raise ValueError("col_min and col_max must hold finite numbers")
-        stats = ScalingStats(*cols)
-        below = np.flatnonzero(stats.col_max < stats.col_min)
-        if below.size:
-            raise ValueError(f"col_max is below col_min in column {below[0]}")
-        return stats
-    except KeyError as exc:
-        raise FormatError(f"scaling file lacks field {exc}") from exc
-    except ValueError as exc:
+        stats = from_fields(ScalingStats, {
+            key: expect_numbers(f"scaling file {key}", value, FormatError)
+            for key, value in d.items()}, "scaling file", FormatError)
+    except ShapeError as exc:
         raise FormatError(f"bad scaling file: {exc}") from exc
+    below = np.flatnonzero(stats.col_max < stats.col_min)
+    if below.size:
+        raise FormatError(f"bad scaling file: col_max is below col_min in column {below[0]}")
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -783,40 +783,25 @@ def generate_synthetic(d: int, n_normal: int, n_anomaly: int,
 
 
 def schema_to_dict(schema: Schema) -> dict:
-    cols = []
-    for c in schema.columns:
-        entry: dict = {"name": c.name, "type": c.kind}
-        if c.kind == "categorical":
-            entry["values"] = list(c.values)
-        cols.append(entry)
-    doc: dict = {"columns": cols}
-    if schema.label_column is not None:
-        doc["label_column"] = schema.label_column
-        doc["normal_value"] = schema.normal_value
-        doc["invert_labels"] = schema.invert_labels
+    """The schema file's document: a numeric column lists no values, and a
+    schema without a label column writes no labeling keys."""
+    doc = asdict(schema)
+    for col in doc["columns"]:
+        if col["type"] == "numeric":
+            del col["values"]
+    if schema.label_column is None:
+        del doc["label_column"], doc["normal_value"], doc["invert_labels"]
     return doc
 
 
 def schema_from_dict(doc: dict) -> Schema:
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise SchemaError("schema file must be an object with a 'columns' list")
-    cols = []
-    for entry in doc["columns"]:
-        try:
-            cols.append(SchemaColumn(
-                name=str(entry["name"]),
-                kind=str(entry.get("type", "numeric")),
-                values=tuple(entry.get("values", ())),
-            ))
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad column entry {entry!r}: {exc}") from exc
-    return Schema(
-        columns=tuple(cols),
-        label_column=doc.get("label_column"),
-        normal_value=(None if doc.get("normal_value") is None
-                      else str(doc["normal_value"])),
-        invert_labels=bool(doc.get("invert_labels", False)),
-    )
+    """The Schema a schema file's document declares; SchemaError names what
+    is wrong."""
+    expect_type("schema", doc, dict, error=SchemaError)
+    columns = expect_type("schema columns", doc.get("columns"), list, error=SchemaError)
+    cols = [from_fields(SchemaColumn, entry, f"schema column {i}", SchemaError)
+            for i, entry in enumerate(columns)]
+    return from_fields(Schema, {**doc, "columns": cols}, "schema", SchemaError)
 
 
 def load_schema(path) -> Schema:

@@ -31,7 +31,7 @@ from .layers import Workspace, as_matrix
 from .model import (
     ArchSpec,
     EdeNet,
-    anomaly_score,
+    encoding_loss,
     normalize_scores,
     row_chunks,
     sample_coefficients,
@@ -48,6 +48,7 @@ class EnsembleModel:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "ensemble")
         if not self.members:
             raise ValueError("ensemble needs at least one member")
         for m in self.members:
@@ -179,15 +180,15 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
 
     x is checked once, then scored forward-only in the blocks of rows
     anomaly_score uses (model.row_chunks): each block is expanded once
-    (Rows.take), and every member scores it, in member order, before the
-    next block starts. Each row's sum adds the members in member order,
-    as a whole-matrix pass would; a row's score can still differ in the
-    last bits from a whole-matrix forward (see anomaly_score). One
-    workspace serves every block and member of the call, so the LSTM
-    layers write each block into the same pages: work when given, else a
-    fresh one. train_ensemble passes its own, so the reweight pass writes
-    into pages training has already faulted in. What work held before
-    does not change the scores.
+    (Rows.take), and every member scores it as anomaly_score does, in
+    member order, before the next block starts. Each row's sum adds the
+    members in member order, as a whole-matrix pass would; a row's score
+    can still differ in the last bits from a whole-matrix forward (see
+    anomaly_score). One workspace serves every block and member of the
+    call, so the LSTM layers write each block into the same pages: work
+    when given, else a fresh one. train_ensemble passes its own, so the
+    reweight pass writes into pages training has already faulted in. What
+    work held before does not change the scores.
     """
     rows = _input_rows(ensemble, x, "input")
     work = Workspace() if work is None else work
@@ -195,7 +196,8 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
     for block in row_chunks(rows.n_rows):
         x_block = rows.take(block)
         for member in ensemble.members:
-            total[block] += anomaly_score(member, x_block, work)
+            z, _, z_prime = member.infer(x_block, work)
+            total[block] += encoding_loss(z, z_prime)
     return total / ensemble.size
 
 

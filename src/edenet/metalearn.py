@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Dataset
+from .data import Dataset, read_csv_blocks
 from .ensemble import EpochTrace, TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
 from .metrics import auroc
@@ -236,20 +236,23 @@ def save_meta_csv(records: list[MetaRecord], path) -> None:
 
 
 def load_meta_csv(path) -> list[MetaRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != META_CSV_FIELDS:
+    """The records of a save_meta_csv file: finite numbers in load_csv's
+    grammar (else CsvParseError names the line), integers below 2**53 in
+    the five count columns."""
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header != META_CSV_FIELDS:
             raise ValueError(
-                f"meta CSV must have header {META_CSV_FIELDS}, "
-                f"found {reader.fieldnames}")
-        for row in reader:
-            feats = MetaFeatures(
-                n_instances=int(row["n_instances"]),
-                n_sparse=int(row["n_sparse"]),
-                n_pos_skew=int(row["n_pos_skew"]),
-                n_neg_skew=int(row["n_neg_skew"]),
-            )
-            records.append(MetaRecord(features=feats, n_members=int(row["I"]),
-                                      performance=float(row["auroc"])))
-    return records
+                f"meta CSV must have header {META_CSV_FIELDS}, found {header}")
+        columns = range(len(header))
+        blocks = list(read_csv_blocks(fh, header, list(columns), [], has_header=True))
+    *counts, performance = (np.concatenate([b[i] for b in blocks]) for i in columns)
+    for name, col in zip(header, counts):
+        bad = np.flatnonzero((col != np.round(col)) | (np.abs(col) >= 2**53))
+        if bad.size:
+            raise ValueError(f"meta CSV column {name!r} must hold integers, "
+                             f"record {bad[0] + 1} holds {col[bad[0]].item()!r}")
+    rows = zip(*(col.astype(np.int64).tolist() for col in counts),
+               performance.tolist())
+    return [MetaRecord(features=MetaFeatures(*row[:4]), n_members=row[4],
+                       performance=row[5]) for row in rows]

@@ -4,11 +4,9 @@ metrics, and tie-aware AUROC."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -93,19 +91,6 @@ class EvalReport:
             "counts": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        counts = d["counts"]
-        return cls(
-            precision=float(d["precision"]), recall=float(d["recall"]),
-            f1=float(d["f1"]), accuracy=float(d["accuracy"]),
-            tp=int(counts["tp"]), fp=int(counts["fp"]),
-            tn=int(counts["tn"]), fn=int(counts["fn"]),
-            auroc=None if d.get("auroc") is None else float(d["auroc"]),
-            threshold_used=(None if d.get("threshold_used") is None
-                            else float(d["threshold_used"])),
-        )
-
 
 def confusion_metrics(pred, truth) -> EvalReport:
     """Precision/recall/F1/accuracy with the 0-denominator -> 0 convention."""
@@ -186,10 +171,6 @@ REPORT_FIELDS = ["precision", "recall", "f1", "accuracy", "auroc",
 
 def save_report_json(report: EvalReport, path) -> None:
     atomic_write_json(path, report.to_dict())
-
-
-def load_report_json(path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def save_report_csv(report: EvalReport, path) -> None:

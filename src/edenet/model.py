@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (DegenerateWeightsError, FormatError, ShapeError, check_fields,
-                     from_fields)
+                     expect_numbers, from_fields)
 from .layers import (
     DenseLayer,
     DenseStack,
@@ -533,8 +533,7 @@ def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace | None = None) -> 
     another order than the same rows' inside a larger matrix, so a row's
     score can differ in the last bits from one computed by a whole-matrix
     forward, such as training's. The LSTM layers reuse work's buffers from
-    block to block; ensemble_score passes one workspace to all its calls,
-    a lone call makes its own.
+    block to block; a call without work makes its own.
     """
     x = net.check_input(x)
     work = Workspace() if work is None else work
@@ -575,12 +574,10 @@ def net_from_payload(spec: ArchSpec, payload: dict) -> EdeNet:
         raise FormatError(f"parameter names mismatch (missing={sorted(missing)}, "
                           f"unexpected={sorted(extra)})")
     for name, param in zip(names, net.params()):
-        arr = np.asarray(payload[name], dtype=np.float64)
+        arr = expect_numbers(f"parameter {name}", payload[name], FormatError)
         if arr.shape != param.shape:
             raise FormatError(
                 f"parameter {name} has shape {arr.shape}, expected {param.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise FormatError(f"parameter {name} holds a non-finite value")
         param[...] = arr
     return net

@@ -43,7 +43,7 @@ def _ensemble_from_dict(doc: dict) -> EnsembleModel:
     spec = ArchSpec.from_dict(doc["arch"])
     return EnsembleModel(spec=spec,
                          members=[net_from_payload(spec, p) for p in doc["members"]],
-                         seed=int(doc.get("seed", 0)))
+                         seed=doc.get("seed", 0))
 
 
 # kind -> (class, payload encoder, payload decoder)
@@ -94,8 +94,9 @@ def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise FormatError(f"unknown model kind {kind!r}")
+    payload = {k: v for k, v in doc.items() if k not in ("format", "format_version", "kind")}
     try:
-        return _KINDS[kind][2](doc)
+        return _KINDS[kind][2](payload)
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

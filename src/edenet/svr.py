@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NotFittedError, ShapeError, check_fields
+from .errors import (FitError, NotFittedError, ShapeError, check_fields, expect_numbers,
+                     from_fields)
 
 DEFAULT_C = 1.0
 DEFAULT_EPSILON = 0.01
@@ -185,14 +186,8 @@ def svr_to_dict(model: SvrModel) -> dict:
 
 
 def svr_from_dict(doc: dict) -> SvrModel:
-    return SvrModel(
-        train_x=np.asarray(doc["train_x"], dtype=np.float64),
-        beta=np.asarray(doc["beta"], dtype=np.float64),
-        bias=doc["bias"],
-        gamma=doc["gamma"],
-        C=doc["C"],
-        epsilon=doc["epsilon"],
-        x_mean=np.asarray(doc["x_mean"], dtype=np.float64),
-        x_std=np.asarray(doc["x_std"], dtype=np.float64),
-        kernel=doc.get("kernel", "rbf"),
-    )
+    """The model whose fields the payload names, its arrays as nested lists."""
+    arrays = ("train_x", "beta", "x_mean", "x_std")
+    return from_fields(SvrModel, {
+        key: expect_numbers(f"svr model {key}", value) if key in arrays else value
+        for key, value in doc.items()}, "svr model")

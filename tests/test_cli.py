@@ -14,7 +14,6 @@ import pytest
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
 from edenet.data import load_csv, load_schema
 from edenet.ensemble import TrainConfig
-from edenet.metrics import load_report_json
 from edenet.model import ArchSpec
 from edenet.modelfile import save_model
 from edenet.svr import fit_svr
@@ -111,8 +110,8 @@ def test_eval_writes_report(workspace, tmp_path, capsys):
                "--schema", str(workspace / "synth" / "schema.json"),
                "--q", "0.25", "--out", str(tmp_path)])
     assert rc == 0
-    report = load_report_json(tmp_path / "report.json")
-    assert report.auroc is not None and 0.0 <= report.auroc <= 1.0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["auroc"] is not None and 0.0 <= report["auroc"] <= 1.0
     assert (tmp_path / "report.csv").exists()
     out = capsys.readouterr().out
     assert "auroc:" in out and "precision:" in out
@@ -381,6 +380,30 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_synth_reads_its_config_file_under_its_flags(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"synthetic": {"d": 3, "n_normal": 5, "n_anomaly": 2}})
+    assert main(["synth", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "data.csv").read_text().splitlines()
+    assert lines[0] == "x0,x1,x2,label" and len(lines) == 1 + 7
+    echoed = json.loads((tmp_path / "out" / "effective_config.json").read_text())
+    assert echoed["synthetic"] == {"d": 3, "n_normal": 5, "n_anomaly": 2,
+                                   "shift": 4.0, "seed": 4}
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"d": 3, "n_normal": 5, "n_anomaly": 2, "bogus": "x"},
+     "synthetic has unknown keys: ['bogus']"),
+    ({"n_normal": "5"}, "synthetic n_normal must be int, got '5'"),
+    ({"shift": True}, "synthetic shift must be int or float, got True"),
+])
+def test_synth_config_section_is_checked(tmp_path, capsys, section, message):
+    cfg = write_json(tmp_path / "cfg.json", {"synthetic": section})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_json_is_exit_2(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{oops")
@@ -633,6 +656,104 @@ def test_malformed_model_file_is_exit_2(tmp_path, workspace, capsys, changes):
     model = write_json(tmp_path / "model.json", doc)
     assert _score(workspace, tmp_path, model) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _first_parameter_row(doc: dict) -> tuple[str, list]:
+    """The first member's first parameter's name and its first row of numbers."""
+    name, values = next(iter(doc["members"][0].items()))
+    while isinstance(values[0], list):
+        values = values[0]
+    return name, values
+
+
+def _param(value):
+    def edit(doc):
+        name, row = _first_parameter_row(doc)
+        row[0] = value
+        return f"parameter {name} must hold numbers, got {value!r}"
+    return edit
+
+
+def _seed(value):
+    def edit(doc):
+        doc["seed"] = value
+        return f"ensemble seed must be int, got {value!r}"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_param("0.12"), _param(True), _seed("7"), _seed(7.9),
+                                  _seed(True)])
+def test_model_file_value_of_a_wrong_type_is_exit_2(tmp_path, workspace, capsys, edit):
+    doc = json.loads((workspace / "train" / "model.json").read_text())
+    message = edit(doc)
+    assert _score(workspace, tmp_path, write_json(tmp_path / "model.json", doc)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"col_min": [True, 0, 0, 0], "col_max": [2.5, 1, 1, 1]},
+     "scaling file col_min must hold numbers, got True"),
+    ({"col_min": [0, 0, 0, 0], "col_max": ["1", 1, 1, 1]},
+     "scaling file col_max must hold numbers, got '1'"),
+])
+def test_scaling_file_value_of_a_wrong_type_is_exit_2(tmp_path, workspace, capsys,
+                                                      doc, message):
+    scaling = write_json(tmp_path / "scaling.json", doc)
+    assert _score(workspace, tmp_path, workspace / "train" / "model.json",
+                  scaling) == 2
+    assert message in capsys.readouterr().err
+
+
+SCHEMA_EDITS = {
+    "invert_labels": ({"invert_labels": "false"},
+                      "schema invert_labels must be bool, got 'false'"),
+    "values": ({"type": "categorical", "values": "tcp"},
+               "column 'x0' values must be tuple or list, got 'tcp'"),
+    "name": ({"name": 5}, "column 5 name must be str, got 5"),
+    "unknown key": ({"kind": "categorical"}, "schema column 0 has unknown keys: ['kind']"),
+    "columns": ({"columns": "x0,x1,x2,x3"}, "schema columns must be list, got 'x0,x1,x2,x3'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_EDITS))
+def test_schema_file_value_of_a_wrong_type_is_exit_2(tmp_path, workspace, capsys, case):
+    """Each edit goes to the document, or to its first column when the
+    column has that key or the document does not."""
+    changes, message = SCHEMA_EDITS[case]
+    doc = json.loads((workspace / "synth" / "schema.json").read_text())
+    key = next(iter(changes))
+    (doc if key in doc else doc["columns"][0]).update(changes)
+    cfg = write_json(tmp_path / "cfg.json", {**SMALL_CFG, "train": {"epochs": 1}})
+    rc = main(["train", "--config", cfg, "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", write_json(tmp_path / "schema.json", doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_meta_model_array_of_strings_is_exit_2(tmp_path, workspace, capsys):
+    x = np.random.default_rng(0).random((8, 5))
+    path = tmp_path / "meta_model.json"
+    save_model(fit_svr(x, x[:, 0]), path)
+    doc = json.loads(path.read_text())
+    doc["beta"] = [repr(b) for b in doc["beta"]]
+    rc = main(["meta", "select", "--model", write_json(path, doc),
+               "--data", str(workspace / "synth" / "data.csv"),
+               "--schema", str(workspace / "synth" / "schema.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "svr model beta must hold numbers, got '" in capsys.readouterr().err
+
+
+def test_meta_csv_with_an_underscored_number_is_exit_2(tmp_path, capsys):
+    meta_csv = tmp_path / "meta.csv"
+    meta_csv.write_text("n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc\n"
+                        "60,0,2,1,1,0.7\n1_000,0,2,1,3,0.8\n40,1,0,2,1,0.6\n")
+    assert main(["meta", "fit", "--meta", str(meta_csv), "--out", str(tmp_path / "out")]) == 2
+    assert ("line 3: non-numeric value '1_000' in column 'n_instances'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

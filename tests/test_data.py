@@ -540,7 +540,7 @@ def test_schema_json_round_trip(tmp_path):
 
 def test_schema_dict_defaults_type_to_numeric():
     s = schema_from_dict({"columns": [{"name": "a"}]})
-    assert s.columns[0].kind == "numeric"
+    assert s.columns[0].type == "numeric"
     assert "label_column" not in schema_to_dict(s)
 
 
@@ -550,6 +550,26 @@ def test_schema_file_bad_json_rejected(tmp_path):
         load_schema(p)
     with pytest.raises(SchemaError):
         schema_from_dict({"kind": "nope"})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"columns": [{"name": "a"}], "label_column": "y", "normal_value": "0",
+      "invert_labels": "false"}, "schema invert_labels must be bool, got 'false'"),
+    ({"columns": [{"name": "a"}], "label_column": "y", "normal_value": 0},
+     "schema normal_value must be str, got 0"),
+    ({"columns": [{"name": "p", "type": "categorical", "values": "tcp"}]},
+     "column 'p' values must be tuple or list, got 'tcp'"),
+    ({"columns": [{"name": 5}]}, "column 5 name must be str, got 5"),
+    ({"columns": [{"name": "a", "kind": "categorical"}]},
+     r"schema column 0 has unknown keys: \['kind'\]"),
+    ({"columns": [{"type": "numeric"}]}, r"schema column 0 is missing keys: \['name'\]"),
+    ({"columns": {"a": {"name": "a"}}}, "schema columns must be list"),
+    ({"columns": ["a"]}, "schema column 0 must be dict, got 'a'"),
+    ({"columns": [{"name": "a"}], "label": "y"}, r"schema has unknown keys: \['label'\]"),
+])
+def test_schema_values_are_checked_never_coerced(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        schema_from_dict(doc)
 
 
 def test_scaling_dict_round_trip():
@@ -590,6 +610,19 @@ def test_arrays_the_module_builds_are_frozen_without_copying(tmp_path, monkeypat
     assert len(passed) == 8  # the two row parts and the labels of each of the three
     for given, arr in passed:
         assert arr is given and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"col_min": [True, 0.0], "col_max": [2.5, 1.0]}, "col_min must hold numbers, got True"),
+    ({"col_min": [0.0, 0.0], "col_max": ["2.5", 1.0]}, "col_max must hold numbers, got '2.5'"),
+    ({"col_min": [0.0, 1e999], "col_max": [1.0, 1e999]}, "col_min holds a non-finite value"),
+    ({"col_min": [0, 10**400], "col_max": [1, 1]}, "col_min holds a non-finite value"),
+    ({"col_min": [0, 1], "col_max": [2]}, "matching 1-D arrays"),
+    ({"col_min": [0, 1]}, r"missing keys: \['col_max'\]"),
+])
+def test_scaling_values_are_checked_never_coerced(doc, message):
+    with pytest.raises(FormatError, match=message):
+        scaling_from_dict(doc)
 
 
 def test_scaling_dict_rejects_a_max_below_its_min():
@@ -687,7 +720,7 @@ def write_kdd_shaped(path, n_rows, seed, odd=False):
     dropped = rng.random(n_rows) < 0.02
     cols = []
     for col in schema.columns:
-        if col.kind == "categorical":
+        if col.type == "categorical":
             values = rng.choice(col.values, n_rows)
             if odd and col.name == "service":
                 values[rng.random(n_rows) < 0.05] = "zz_unlisted"
@@ -724,13 +757,13 @@ def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
     def parse_one_block():
         with open(path, encoding="utf-8") as fh:
             header = next(csv.reader(fh))
-            numeric = [i for i, c in enumerate(schema.columns) if c.kind == "numeric"]
+            numeric = [i for i, c in enumerate(schema.columns) if c.type == "numeric"]
             text = [i for i in range(len(header)) if i not in numeric]
             return next(read_csv_blocks(fh, header, numeric, text, has_header=True))
 
     _, block_peak = traced_peak(parse_one_block)
     ds, peak = traced_peak(load_training_rows, path, schema, True)
-    n_numeric = sum(c.kind == "numeric" for c in schema.columns)
+    n_numeric = sum(c.type == "numeric" for c in schema.columns)
     row_bytes = 8 * n_numeric + (schema.feature_width - n_numeric)
     allocated = (20_000 + 2) * row_bytes  # a row per line end, plus one
     assert ds.n_rows > 19_000 and allocated > 10 * block_peak

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from edenet.cli import main
+from edenet.data import load_schema, save_schema
 from edenet.layers import sigmoid
 from edenet.model import SCORE_CHUNK_ROWS
 
@@ -216,3 +217,43 @@ def test_kdd_meta_bytes_match_recorded_hashes(tmp_path):
                  "--data", str(tmp_path / "new.csv"), "--schema", str(KDD_SCHEMA),
                  "--candidates", "1,2", "--out", str(out)]) == 0
     assert _shas(out, KDD_META_SHAS) == KDD_META_SHAS
+
+
+# ---------------------------------------------------------------------------
+# synth's files and the schema file writer
+
+SYNTH_RUNS = {
+    "flags": (["--d", "5", "--n-normal", "40", "--n-anomaly", "8", "--shift", "3.0",
+               "--seed", "3"], {
+        "data.csv": "993b2069b839e55a8648b78d73e8021225f156a5de8fac82eef26aef6b3aca5d",
+        "schema.json": "ececa2e110295c3824f07140b9e04256c4353d363216f3bc32587916c2c59916",
+        "effective_config.json":
+            "2441859f6bfdc916dc645847cb3a1ab4306104f76d8d47162e98f7e23adbe5d7",
+    }),
+    "defaults": ([], {
+        "data.csv": "9653f4fd8208b20c8b6da6c8001b5980726beef5ef65920f112d2a59810761b6",
+        "schema.json": "c203b549f19528dcb362976aefeda9ffc201412c5b8ed8c22148b86deddcfb04",
+        "effective_config.json":
+            "8c6f539907f718b3758064964e94dab30e433a7f882b33ec239715896700982e",
+    }),
+}
+KDD_SCHEMA_SHA = "557e9fce47c966e2d307c85743deb4dea627cb9fe32cc36c04648438b7a3db53"
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_RUNS))
+def test_synth_bytes_match_recorded_hashes(name, tmp_path, monkeypatch):
+    """edenet synth from flags alone (or none), into a relative output
+    directory, so the out field of effective_config.json is the same
+    wherever the test runs."""
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY}; "
+                    f"this is numpy {np.__version__}")
+    flags, shas = SYNTH_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "synth", *flags]) == 0
+    assert _shas(Path("synth"), shas) == shas
+
+
+def test_kdd_schema_file_round_trip_matches_recorded_hash(tmp_path):
+    save_schema(load_schema(KDD_SCHEMA), tmp_path / "schema.json")
+    assert _sha256(tmp_path / "schema.json") == KDD_SCHEMA_SHA

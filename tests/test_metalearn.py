@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from edenet.data import Dataset
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
+from edenet.errors import CsvParseError
 from edenet.metalearn import (
     MetaFeatures,
     MetaRecord,
@@ -292,6 +293,23 @@ def test_meta_csv_round_trip(tmp_path):
     assert p.read_text().splitlines()[0] == \
         "n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc"
     assert load_meta_csv(p) == records
+
+
+@pytest.mark.parametrize("row, error, message", [
+    ("1_000,0,2,1,3,0.8", CsvParseError,
+     "line 3: non-numeric value '1_000' in column 'n_instances'"),
+    ("60,x,2,1,3,0.8", CsvParseError, "line 3: non-numeric value 'x' in column 'n_sparse'"),
+    ("60,0,2,1,3", CsvParseError, "line 3: expected 6 fields, found 5"),
+    ("60,0,2,1,3,nan", CsvParseError, "line 3: non-finite value nan in column 'auroc'"),
+    ("60,0,2,1,2.5,0.8", ValueError, "column 'I' must hold integers, record 2 holds 2.5"),
+    ("1e16,0,2,1,3,0.8", ValueError, "column 'n_instances' must hold integers"),
+])
+def test_meta_csv_fields_are_checked_never_coerced(tmp_path, row, error, message):
+    p = tmp_path / "meta.csv"
+    p.write_text("n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc\n"
+                 f"60,0,2,1,1,0.7\n{row}\n")
+    with pytest.raises(error, match=message):
+        load_meta_csv(p)
 
 
 def test_meta_csv_header_is_checked(tmp_path):

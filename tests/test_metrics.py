@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -13,7 +14,6 @@ from edenet.metrics import (
     average_ranks,
     confusion_metrics,
     evaluate,
-    load_report_json,
     save_report_csv,
     save_report_json,
     threshold_top_q,
@@ -256,14 +256,15 @@ def test_report_json_round_trip(tmp_path):
     r = evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], q=0.5)
     p = tmp_path / "report.json"
     save_report_json(r, p)
-    assert load_report_json(p) == r
+    assert json.loads(p.read_text()) == r.to_dict()
 
 
 def test_report_json_round_trip_with_none_auroc(tmp_path):
     r = evaluate([0.3, 0.1], [0, 0], q=0.5)
     p = tmp_path / "report.json"
     save_report_json(r, p)
-    assert load_report_json(p).auroc is None
+    assert json.loads(p.read_text()) == r.to_dict()
+    assert r.auroc is None
 
 
 def test_report_csv_layout(tmp_path):

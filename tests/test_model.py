@@ -493,6 +493,9 @@ def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
     ("ede", {"arch": {"latent_dim": 3}}),
     ("ede", {"kind": ["ede"]}),
     ("ede", {"kind": "svr"}),
+    ("ensemble", {"seed": "7"}),
+    ("ensemble", {"seed": 7.9}),
+    ("ensemble", {"seed": True}),
 ])
 def test_load_model_turns_malformed_payload_into_format_error(tmp_path, kind,
                                                               changes):
@@ -520,6 +523,16 @@ def test_payload_non_finite_value_rejected():
     name = next(iter(payload))
     payload[name][0][0] = float("nan")
     with pytest.raises(FormatError, match="non-finite"):
+        net_from_payload(net.spec, payload)
+
+
+@pytest.mark.parametrize("value", ["0.12", True, None])
+def test_payload_values_are_checked_never_coerced(value):
+    net = small_net("ff")
+    payload = net_to_payload(net)
+    name = next(iter(payload))
+    payload[name][0][0] = value
+    with pytest.raises(FormatError, match=f"parameter {name} must hold numbers"):
         net_from_payload(net.spec, payload)
 
 

@@ -192,6 +192,20 @@ def test_missing_field_rejected(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("key", ["train_x", "beta", "x_mean", "x_std"])
+def test_payload_arrays_given_as_strings_are_rejected(tmp_path, key):
+    model, _ = fitted_example()
+    doc = svr_to_dict(model)
+    doc[key] = np.asarray(doc[key]).astype(str).tolist()
+    with pytest.raises(ValueError, match=f"svr model {key} must hold numbers"):
+        svr_from_dict(doc)
+    p = tmp_path / "svr.json"
+    save_model(model, p)
+    rewrite(p, **{key: doc[key]})
+    with pytest.raises(FormatError, match=f"svr model {key} must hold numbers"):
+        load_model(p)
+
+
 @pytest.mark.parametrize("changes", [
     {"beta": "x"},
     {"train_x": 3},
