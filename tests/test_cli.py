@@ -14,7 +14,8 @@ import pytest
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
 from edenet.data import load_csv, load_schema
 from edenet.ensemble import TrainConfig
-from edenet.model import ArchSpec
+from edenet.model import (SCORE_CHUNK_ROWS, ArchSpec, EdeNet, anomaly_score, make_arch,
+                          normalize_scores)
 from edenet.modelfile import save_model
 from edenet.svr import fit_svr
 
@@ -624,6 +625,28 @@ def _score(workspace, tmp_path, model, scaling=None):
             "--schema", str(workspace / "synth" / "schema.json"),
             "--out", str(tmp_path / "out")]
     return main(args + (["--scaling", str(scaling)] if scaling else []))
+
+
+@pytest.mark.parametrize("arch", [
+    {"hidden_sizes": [8, 5], "latent_dim": 2},
+    {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2},
+    {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 3,
+     "recurrent_layers": 2},
+], ids=["feedforward", "lstm", "lstm-2-layers"])
+def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
+    """A model file holding one "ede" net scores to the bytes anomaly_score
+    gives, over two full blocks of rows and a partial one."""
+    rows = tiny_synth(tmp_path, "rows", 2 * SCORE_CHUNK_ROWS + 352, 100, 4)
+    net = EdeNet.initialize(make_arch(4, arch), np.random.default_rng(6))
+    save_model(net, tmp_path / "net.json")
+    assert main(["score", "--model", str(tmp_path / "net.json"),
+                 "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
+                 "--out", str(tmp_path / "score")]) == 0
+    ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"))
+    expect = anomaly_score(net, ds.features)
+    _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
+    assert ((tmp_path / "score" / "scores.csv").read_bytes()
+            == (tmp_path / "expect.csv").read_bytes())
 
 
 def test_score_rejects_a_meta_model_with_exit_2(tmp_path, workspace, capsys):

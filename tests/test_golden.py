@@ -11,6 +11,9 @@ probe gives the bytes it gave when they were recorded.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,17 @@ KDD_TRAIN_SHAS = {
     "scaling.json": "f76ff83cbe31a6c48516f9601afe99aa2557919322268c29f9fda3abad78589e",
     "trace.csv": "12b88c4622840516434f5dfd34311eaa362f6f6b2e6c1db5c2b60d18db40fe41",
 }
+KDD_SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
+KDD_SCORE_SHAS = {
+    "scores.csv": "f7d463750316dab183df2df74d7e6af96eb1179756d3ca178641e045ba7e247c"}
+KDD_EVAL_SHAS = {
+    "report.json": "cc70e25c5b2dc82c50a413d40badc2f4f5b9ef0771d3635829a0e6e95591cc00"}
+KDD_SCRIPT = KDD_SCHEMA.parents[1] / "scripts" / "run_kdd99.py"
+KDD_SCRIPT_SHAS = {
+    "report_seed0.json": "bb40390dcf47aae296b42aebc55154d2ae83dec7e1e606b648723860cece1d63",
+    "report_seed1.json": "49160b0f07cfa0ece50cbeb625bef67e81b9bfad9cb1028c0c41df033419f272",
+    "summary.json": "9477c69afbb300ae67606e297e699198a717c1f4bcc7cafcbe9ad4477561b0ac",
+}
 KDD_META = {"train": {"epochs": 1, "batch_size": 32, "seed": 4}, "candidates": [1, 2]}
 KDD_META_SHAS = {
     "meta.csv": "41d502e3669dde0e81501cb2bd4926ae0a6b6169613052e3aa65e2f3cd4e26f6",
@@ -154,12 +168,14 @@ KDD_META_SHAS = {
 }
 
 
-def _kdd_rows(path, n_rows: int, seed: int, anomaly_frac: float) -> None:
-    """n_rows KDD99-shaped rows. Under the schema's label inversion the
-    "normal." rows are the anomalies. land is always "0", so over the
-    training rows its first one-hot column is constant 1 and its second
-    constant 0; num_outbound_cmds is constant too; about 5% of the
-    service values lie outside the vocabulary (an all-zero block)."""
+def _kdd_rows(path, n_rows: int, seed: int, anomaly_frac: float,
+              header: bool = True) -> None:
+    """n_rows KDD99-shaped rows, after a header row unless header is
+    False. Under the schema's label inversion the "normal." rows are the
+    anomalies. land is always "0", so over the training rows its first
+    one-hot column is constant 1 and its second constant 0;
+    num_outbound_cmds is constant too; about 5% of the service values lie
+    outside the vocabulary (an all-zero block)."""
     if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
         pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} with "
                     f"{' '.join(RECORDED_BLAS)}; this is numpy {np.__version__} "
@@ -180,8 +196,8 @@ def _kdd_rows(path, n_rows: int, seed: int, anomaly_frac: float) -> None:
         else:
             cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
     cols.append(np.where(rng.random(n_rows) < anomaly_frac, "normal.", "smurf.").tolist())
-    header = [c["name"] for c in schema["columns"]] + [schema["label_column"]]
-    path.write_text(",".join(header) + "\n"
+    names = [c["name"] for c in schema["columns"]] + [schema["label_column"]]
+    path.write_text((",".join(names) + "\n" if header else "")
                     + "".join(",".join(r) + "\n" for r in zip(*cols)))
 
 
@@ -198,6 +214,42 @@ def test_kdd_train_bytes_match_recorded_hashes(tmp_path):
     assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "train.csv"),
                  "--schema", str(KDD_SCHEMA), "--out", str(tmp_path / "run")]) == 0
     assert _shas(tmp_path / "run", KDD_TRAIN_SHAS) == KDD_TRAIN_SHAS
+
+
+def test_kdd_score_and_eval_bytes_match_recorded_hashes(tmp_path):
+    """edenet score --scaling over KDD_SCORE_ROWS KDD-shaped rows (two
+    full blocks and a partial one) with a model trained on 300 others,
+    then edenet eval of those scores. The scaling clips numeric values
+    and zeroes the one-hot columns that were constant in training."""
+    _kdd_rows(tmp_path / "train.csv", 300, seed=25, anomaly_frac=0.2)
+    _kdd_rows(tmp_path / "rows.csv", KDD_SCORE_ROWS, seed=26, anomaly_frac=0.3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(KDD_TRAIN))
+    run, common = tmp_path / "run", ["--data", str(tmp_path / "rows.csv"),
+                                     "--schema", str(KDD_SCHEMA)]
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "train.csv"),
+                 "--schema", str(KDD_SCHEMA), "--out", str(run)]) == 0
+    assert main(["score", "--model", str(run / "model.json"), "--scaling",
+                 str(run / "scaling.json"), *common, "--out", str(tmp_path / "score")]) == 0
+    assert main(["eval", "--scores", str(tmp_path / "score" / "scores.csv"), *common,
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert _shas(tmp_path / "score", KDD_SCORE_SHAS) == KDD_SCORE_SHAS
+    assert _shas(tmp_path / "eval", KDD_EVAL_SHAS) == KDD_EVAL_SHAS
+
+
+def test_kdd_script_bytes_match_recorded_hashes(tmp_path):
+    """scripts/run_kdd99.py over 1500 headerless KDD-shaped rows, two
+    seeds, I=2, one epoch: every report and the summary."""
+    _kdd_rows(tmp_path / "kdd.data", 1500, seed=27, anomaly_frac=0.2, header=False)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in [src, os.environ.get("PYTHONPATH")] if p)}
+    done = subprocess.run(
+        [sys.executable, str(KDD_SCRIPT), "--data", str(tmp_path / "kdd.data"),
+         "--out", str(tmp_path / "kdd"), "--epochs", "1", "--members", "2",
+         "--seeds", "0,1"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert _shas(tmp_path / "kdd", KDD_SCRIPT_SHAS) == KDD_SCRIPT_SHAS
 
 
 def test_kdd_meta_bytes_match_recorded_hashes(tmp_path):
