@@ -29,12 +29,12 @@ from .data import (
     apply_scale,
     generate_synthetic,
     load_csv,
+    load_scaling,
     load_schema,
     load_training_rows,
     numeric_schema_for,
     read_csv_blocks,
     save_schema,
-    scaling_from_dict,
     scaling_to_dict,
     training_split,
     write_csv,
@@ -65,7 +65,7 @@ from .metalearn import (
     svr_fit,
 )
 from .metrics import evaluate, save_report_csv, save_report_json
-from .model import ArchSpec, EdeNet, anomaly_score, make_arch, normalize_scores, row_chunks
+from .model import ArchSpec, EdeNet, make_arch, normalize_scores, row_chunks
 from .modelfile import load_model, save_model
 from .rng import derived_seed
 from .svr import SvrModel, SvrSettings
@@ -211,25 +211,19 @@ def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
 def cmd_score(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "score")
     obj = load_model(_require(cfg.model, "model path"))
-    if not isinstance(obj, (EdeNet, EnsembleModel)):
+    if isinstance(obj, EdeNet):  # scores as a one-member ensemble, to the bit
+        obj = EnsembleModel(spec=obj.spec, members=[obj])
+    if not isinstance(obj, EnsembleModel):
         raise ConfigError("model file does not hold a net or an ensemble")
     schema = load_schema(_require(cfg.schema, "schema path"))
     ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     if cfg.scaling is not None:
-        stats = scaling_from_dict(json.loads(
-            _require(cfg.scaling, "scaling stats path").read_text(encoding="utf-8")))
-        ds = apply_scale(ds, stats)
+        ds = apply_scale(ds, load_scaling(_require(cfg.scaling, "scaling stats path")))
 
     path = out / "scores.csv"
-    if ds.n_rows == 0:
-        _write_scores(path, np.empty(0), np.empty(0))
-        print(f"scored 0 rows; wrote {path}")
-    else:
-        score = ensemble_score if isinstance(obj, EnsembleModel) else anomaly_score
-        raw = score(obj, ds.features)
-        norm = normalize_scores(raw)
-        _write_scores(path, raw, norm)
-        print(f"scored {ds.n_rows} rows; wrote {path}")
+    raw = ensemble_score(obj, ds.rows)
+    _write_scores(path, raw, normalize_scores(raw) if raw.size else raw)
+    print(f"scored {ds.n_rows} rows; wrote {path}")
     _echo_config(out, "score", cfg)
     return 0
 

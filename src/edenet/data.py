@@ -10,28 +10,17 @@ training split only.
 Schema and scaling files are checked as config files are (errors.py):
 their keys are the fields of Schema, SchemaColumn and ScalingStats.
 
-A Dataset keeps its rows in a Rows store of two parts: a float64 matrix of
-numeric columns and a uint8 matrix of one-hot columns, each with its
-columns' positions in the expanded row. Rows.take expands any set of rows
-to float64 on demand, so a consumer that reads one batch or one block at
-a time never holds the expanded matrix. A one-hot entry is exactly 0.0 or
-1.0 before and after min-max scaling (its column's min is 0 and its span
-1, or its span is 0 and it is zeroed), so one byte carries it.
-
-The training rows of a labeled file are its normal rows. load_csv and
-load_training_rows share one loader, which decodes a file in blocks of
-CSV_BLOCK_ROWS rows and writes each block's kept rows into the output
-before it reads the next. load_csv keeps every expanded column in the
-float64 part, the dense matrix that scoring reads (Dataset.features);
-load_training_rows keeps the normal rows only, puts the categorical
-blocks in the uint8 part, and scales the numeric part in place. So a load
-holds its output plus one parsed block, whatever the file's length: on
-the KDD99 schema (34 numeric columns, 87 one-hot) the training rows cost
-359 bytes a row against 968 for the expanded float64 row. Every scaling
-step writes into one matrix (fit_scale and apply_scale a fresh one each,
-training_split and load_training_rows the store they built) with the same
-elementwise operations in the same order, so the bytes do not depend on
-the route.
+Every load keeps its rows in one layout, a Rows store of two parts: a
+float64 matrix of numeric columns and a uint8 matrix of one-hot columns.
+On the KDD99 schema (34 numeric columns, 87 one-hot) a row costs 359
+bytes against 968 for the expanded float64 row. Rows.take expands rows on
+demand, so training, scoring and the meta-features, which read a batch, a
+block or a column at a time, never hold the expanded matrix; only
+Dataset.features (for write_csv) builds it. A one-hot entry is exactly 0.0
+or 1.0 before and after min-max scaling (its column's min is 0 and its
+span 1, or its span is 0 and it is zeroed), so one byte carries it. Every
+scaling step applies the elementwise operations that scaling the expanded
+matrix would, in the same order, so the bytes do not depend on the route.
 """
 
 from __future__ import annotations
@@ -40,7 +29,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, NoReturn
 
@@ -183,14 +172,16 @@ class Rows:
     numeric is an (n, k) float64 matrix and onehot an (n, m) uint8 matrix
     of 0/1 entries; num_cols and hot_cols give their columns' positions in
     the expanded row of width k + m, each position once. take expands
-    rows to float64 on demand; with no one-hot part it is numeric[idx].
-    The arrays are kept as given: Dataset makes them read-only.
+    rows to float64 on demand, a slice copy per run of consecutive columns
+    (runs); with no one-hot part it is numeric[idx]. The arrays are kept
+    as given: Dataset makes them read-only.
     """
 
     numeric: np.ndarray
     onehot: np.ndarray
     num_cols: np.ndarray
     hot_cols: np.ndarray
+    runs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num, hot = self.numeric, self.onehot
@@ -204,6 +195,7 @@ class Rows:
         cols = np.concatenate([self.num_cols, self.hot_cols])
         if not np.array_equal(np.sort(cols), np.arange(cols.size)):
             raise ShapeError("column positions must cover the expanded row once each")
+        object.__setattr__(self, "runs", (_runs(self.num_cols), _runs(self.hot_cols)))
 
     @classmethod
     def dense(cls, x: np.ndarray) -> Rows:
@@ -227,8 +219,9 @@ class Rows:
         if not self.hot_cols.size:
             return num
         out = np.empty(num.shape[:-1] + (self.width,))
-        out[..., self.num_cols] = num
-        out[..., self.hot_cols] = self.onehot[idx]
+        for part, runs in zip((num, self.onehot[idx]), self.runs):
+            for src, dst, n in runs:
+                out[..., dst:dst + n] = part[..., src:src + n]
         return out
 
     def column(self, j: int) -> np.ndarray:
@@ -243,6 +236,14 @@ class Rows:
         return replace(self, numeric=self.numeric[idx], onehot=self.onehot[idx])
 
 
+def _runs(cols: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """(first column in the part, its position in the row, length) of each
+    run of consecutive positions in cols."""
+    starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1)
+    lengths = np.diff(starts, append=cols.size)
+    return tuple(zip(starts.tolist(), cols[starts].tolist(), lengths.tolist()))
+
+
 @dataclass(init=False)
 class Dataset:
     """Feature rows with optional labels, all read-only.
@@ -251,9 +252,6 @@ class Dataset:
     caller passes in is copied, so the caller cannot change the dataset
     through it. A read-only one is kept as it is: the module freezes the
     arrays it builds itself (_frozen) instead of paying for a copy.
-    features is the expanded matrix of rows without a one-hot part (what
-    load_csv, training_split and in-memory data give); for rows with one
-    it raises ValueError, so nothing expands a training store by accident.
     """
 
     rows: Rows
@@ -287,10 +285,8 @@ class Dataset:
 
     @property
     def features(self) -> np.ndarray:
-        if self.rows.hot_cols.size:
-            raise ValueError("these rows keep one-hot columns apart: read them "
-                             "through Dataset.rows (take, column)")
-        return self.rows.numeric
+        """Every row expanded (Rows.take)."""
+        return self.rows.take(slice(None))
 
     @property
     def n_rows(self) -> int:
@@ -337,7 +333,7 @@ def expanded_meta(schema: Schema) -> list[ColumnMeta]:
 
 def load_csv(path, schema: Schema, require_labels: bool | None = None,
              has_header: bool = True) -> Dataset:
-    """Parse a CSV file into an expanded numeric Dataset.
+    """Parse a CSV file into a Dataset.
 
     require_labels: None loads labels whenever the schema declares a label
     column and the file carries it; True insists on them; False skips them
@@ -359,10 +355,9 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
     its line and, for a bad value, its column: the first such row of the
     file, or failing one the first non-finite value.
 
-    The file is decoded CSV_BLOCK_ROWS rows at a time into a matrix sized
-    from its line count, so the load holds about the matrix plus one block.
-    Every expanded column lands in that one float64 matrix, the dataset's
-    features.
+    The file is decoded CSV_BLOCK_ROWS rows at a time into a store sized
+    from its line count (Rows: numeric columns as float64, one-hot blocks
+    as uint8), so the load holds about the store plus one block.
     """
     rows, labels = _load_rows(path, schema, require_labels, has_header,
                               normal_only=False)
@@ -373,10 +368,7 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
 def load_training_rows(path, schema: Schema, scale: bool) -> Dataset:
     """training_split(load_csv(path, schema), scale), value for value, in
     one store: every row is parsed and checked (and every label decoded)
-    as load_csv does, block by block, but only the normal rows are
-    written, their one-hot blocks as uint8, and the store is then scaled
-    in place. rows.take(idx) gives the bytes of the split's
-    features[idx]."""
+    as load_csv does, but only the normal rows are kept, scaled in place."""
     rows, _ = _load_rows(path, schema, require_labels=None, has_header=True,
                          normal_only=True)
     return _training_rows(rows, expanded_meta(schema), scale)
@@ -388,9 +380,8 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
     """load_csv's rows and frozen labels. The file is decoded in blocks of
     CSV_BLOCK_ROWS rows, and each block's rows are written into the store
     before the next block is read. With normal_only the store holds only
-    the rows labeled normal, keeps the categorical blocks in its uint8
-    part, and no labels come back; a file without labels keeps every row.
-    Otherwise every column is float64."""
+    the rows labeled normal and no labels come back; a file without labels
+    keeps every row."""
     path = Path(path)
     if require_labels and schema.label_column is None:
         raise SchemaError("labels requested but the schema has no label column")
@@ -431,12 +422,11 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
             text.append(pos[schema.label_column])
         slots = [{v: i for i, v in enumerate(c.values)} for c in schema.columns]
 
-        # each schema column's part (True: the uint8 one) and first column there
-        num_cols, hot_cols, parts = [], [], []
+        # each schema column's first column in its part
+        num_cols, hot_cols, offsets = [], [], []
         for col in schema.columns:
-            hot = normal_only and col.type == "categorical"
-            cols = hot_cols if hot else num_cols
-            parts.append((hot, len(cols)))
+            cols = num_cols if col.type == "numeric" else hot_cols
+            offsets.append(len(cols))
             start = len(num_cols) + len(hot_cols)
             cols.extend(range(start, start + col.width))
 
@@ -461,14 +451,14 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
                     k = rows.size
                 else:
                     labels[n:n + k] = block_labels
-            for col, col_slots, (hot, offset) in zip(schema.columns, slots, parts):
+            for col, col_slots, offset in zip(schema.columns, slots, offsets):
                 values = columns[pos[col.name]][rows]
                 if col.type == "numeric":
                     num_part[n:n + k, offset] = values
                 else:
                     slot = _encode(values, lambda v: col_slots.get(v, -1))
                     hit = np.flatnonzero(slot >= 0)
-                    (hot_part if hot else num_part)[n + hit, offset + slot[hit]] = 1
+                    hot_part[n + hit, offset + slot[hit]] = 1
             n += k
 
     num_part.resize((n, len(num_cols)), refcheck=False)
@@ -627,17 +617,18 @@ def fit_scale(data: Dataset) -> Dataset:
     """Min-max scale each column to [0, 1] and attach the fitted stats.
 
     Constant columns map to all zeros. Only ever call this on the training
-    split; use apply_scale for everything else. The result is one fresh
-    matrix; `data` is left as it is.
+    split; use apply_scale for everything else. The result holds fresh
+    arrays; `data` is left as it is.
     """
     if data.n_rows == 0:
         raise ValueError("cannot fit scaling on an empty dataset")
-    return _scale_with(data, _fit_stats(data.rows), clip=False)
+    return _scaled(data, _fit_stats(data.rows), clip=False)
 
 
 def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
     """Scale with stats fitted elsewhere; out-of-range results are clipped
-    to [-0.5, 1.5]. The result is one fresh matrix."""
+    to [-0.5, 1.5]. The result holds fresh arrays. Stats that would map a
+    one-hot column off {0, 1} raise ValueError; fitted stats never do."""
     if stats is None:
         raise NotFittedError("scaling stats missing; call fit_scale first")
     if stats.col_min.shape[0] != data.n_features:
@@ -645,7 +636,12 @@ def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
             f"scaling stats cover {stats.col_min.shape[0]} columns, "
             f"data has {data.n_features}"
         )
-    return _scale_with(data, stats, clip=True)
+    lo, hi, hot = stats.col_min, stats.col_max, data.rows.hot_cols
+    off = hot[(lo[hot] != hi[hot]) & ((lo[hot] != 0) | (hi[hot] != 1))]
+    if off.size:
+        raise ValueError(f"scaling stats map one-hot column {data.feature_names()[off[0]]!r} "
+                         f"off {{0, 1}}: min {lo[off[0]].item()!r}, max {hi[off[0]].item()!r}")
+    return _scaled(data, stats, clip=True)
 
 
 def _fit_stats(rows: Rows) -> ScalingStats:
@@ -658,24 +654,28 @@ def _fit_stats(rows: Rows) -> ScalingStats:
     return stats
 
 
-def _scale_with(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
-    scaled = _scale(data.features, stats, clip)
-    return Dataset(features=_frozen(scaled), labels=data.labels,
-                   column_meta=data.column_meta, scaling_stats=stats)
+def _scaled(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
+    """data with its rows scaled into fresh parts (_scale_rows)."""
+    return Dataset(rows=_frozen_rows(_scale_rows(data.rows, stats, clip)),
+                   labels=data.labels, column_meta=data.column_meta,
+                   scaling_stats=stats)
 
 
-def _scale(x: np.ndarray, stats: ScalingStats, clip: bool,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """(x - col_min) / span, written into `out` (which may be x itself) or
-    into one fresh matrix: constant columns become 0, and with clip the
-    result is clipped to [CLIP_LO, CLIP_HI]."""
-    span = stats.span
-    out = np.subtract(x, stats.col_min, out=out)
-    out /= np.where(span > 0, span, 1.0)
-    out[:, span == 0] = 0.0
+def _scale_rows(rows: Rows, stats: ScalingStats, clip: bool,
+                in_place: bool = False) -> Rows:
+    """rows min-max scaled into fresh parts or, in_place, into their own:
+    a numeric column to (x - col_min) / span, 0 where the span is 0, and
+    clipped to [CLIP_LO, CLIP_HI] with clip; a one-hot column zeroed where
+    its span is 0 and kept elsewhere, where its min is 0 and its span 1."""
+    lo, span = stats.col_min[rows.num_cols], stats.span[rows.num_cols]
+    numeric = np.subtract(rows.numeric, lo, out=rows.numeric if in_place else None)
+    numeric /= np.where(span > 0, span, 1.0)
+    numeric[:, span == 0] = 0.0
     if clip:
-        np.clip(out, CLIP_LO, CLIP_HI, out=out)
-    return out
+        np.clip(numeric, CLIP_LO, CLIP_HI, out=numeric)
+    onehot = rows.onehot if in_place else rows.onehot.copy()
+    onehot[:, stats.span[rows.hot_cols] == 0] = 0
+    return replace(rows, numeric=numeric, onehot=onehot)
 
 
 def scaling_to_dict(stats: ScalingStats) -> dict:
@@ -706,30 +706,22 @@ def training_split(data: Dataset, scale: bool) -> Dataset:
     rows with the labels dropped (all rows of an unlabeled dataset),
     min-max scaled as fit_scale scales them when `scale` is set. An empty
     result raises ValueError. For a CSV file, load_training_rows gives the
-    same rows without building the whole file's matrix."""
-    if data.labels is None:
-        if data.n_rows == 0:
-            raise ValueError("no normal rows to train on")
-        return fit_scale(data) if scale else data
-    return _training_rows(data.rows.subset(data.labels == NORMAL),
-                          data.column_meta, scale, data.scaling_stats)
+    same rows without holding the whole file's."""
+    normal = np.ones(data.n_rows, bool) if data.labels is None else data.labels == NORMAL
+    return _training_rows(data.rows.subset(normal), data.column_meta, scale,
+                          data.scaling_stats)
 
 
 def _training_rows(rows: Rows, column_meta: list[ColumnMeta] | None,
                    scale: bool, stats: ScalingStats | None = None) -> Dataset:
     """An unlabeled Dataset over `rows`, fresh arrays that nothing else
     holds, min-max scaled in place when `scale` is set (otherwise it keeps
-    `stats`): the numeric part as _scale scales a matrix, and a one-hot
-    column zeroed where its span is 0 and kept elsewhere, where its min is
-    0 and its span 1."""
+    `stats`)."""
     if rows.n_rows == 0:
         raise ValueError("no normal rows to train on")
     if scale:
         stats = _fit_stats(rows)
-        _scale(rows.numeric, ScalingStats(stats.col_min[rows.num_cols],
-                                          stats.col_max[rows.num_cols]),
-               clip=False, out=rows.numeric)
-        rows.onehot[:, stats.span[rows.hot_cols] == 0] = 0
+        rows = _scale_rows(rows, stats, clip=False, in_place=True)
     return Dataset(rows=_frozen_rows(rows), column_meta=column_meta,
                    scaling_stats=stats)
 
@@ -814,3 +806,11 @@ def load_schema(path) -> Schema:
 
 def save_schema(schema: Schema, path) -> None:
     atomic_write_json(path, schema_to_dict(schema))
+
+
+def load_scaling(path) -> ScalingStats:
+    """The stats of a scaling file; FormatError names what is wrong."""
+    try:
+        return scaling_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"scaling file {path} is not valid JSON: {exc}") from exc

@@ -176,19 +176,18 @@ def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows, what: str) -> Row
 def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
                    work: Workspace | None = None) -> np.ndarray:
     """Mean of member anomaly scores, one value per row of x, a matrix or
-    Rows.
+    Rows: the scoring call of edenet score, Phase I cells and the reweight
+    pass. A lone net scores as a one-member ensemble, to the bit.
 
-    x is checked once, then scored forward-only in the blocks of rows
-    anomaly_score uses (model.row_chunks): each block is expanded once
-    (Rows.take), and every member scores it as anomaly_score does, in
-    member order, before the next block starts. Each row's sum adds the
-    members in member order, as a whole-matrix pass would; a row's score
-    can still differ in the last bits from a whole-matrix forward (see
-    anomaly_score). One workspace serves every block and member of the
-    call, so the LSTM layers write each block into the same pages: work
-    when given, else a fresh one. train_ensemble passes its own, so the
-    reweight pass writes into pages training has already faulted in. What
-    work held before does not change the scores.
+    x is checked once, then scored forward-only in blocks of rows
+    (model.row_chunks): each block is expanded once (Rows.take), and every
+    member scores it as anomaly_score does, adding to each row's sum in
+    member order. A row's score can still differ in the last bits from a
+    whole-matrix forward (see anomaly_score). One workspace serves every
+    block and member of the call, so the LSTM layers write each block into
+    the same pages: work when given (train_ensemble passes the one
+    training has faulted in), else a fresh one. What work held before does
+    not change the scores.
     """
     rows = _input_rows(ensemble, x, "input")
     work = Workspace() if work is None else work

@@ -8,7 +8,7 @@ central finite differences in the test suite.
 Scoring needs no backward pass, so it runs forward-only: DenseStack.infer
 and lstm_infer return what forward and lstm_forward return, bit for bit,
 but keep no cache (the LSTM paths share one per-step helper, lstm_step).
-model.anomaly_score feeds them fixed-size blocks of rows, so its memory
+ensemble.ensemble_score feeds them fixed-size blocks of rows, so its memory
 does not grow with the row count. A product over a block can round
 differently in the last bits from the same rows inside a larger matrix,
 so a scored row can differ that much from the same row in a whole-matrix

@@ -121,7 +121,7 @@ def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
     task.test. Returns the raw test scores and the epoch trace."""
     ens = init_ensemble(spec, n_members, seed=cfg.seed)
     ens, trace = train_ensemble(ens, task.train.rows, cfg)
-    return ensemble_score(ens, task.test.features), trace
+    return ensemble_score(ens, task.test.rows), trace
 
 
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],

@@ -525,16 +525,11 @@ def row_chunks(n_rows: int) -> list[slice]:
 
 
 def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-    """Latent-gap score per sample: encoding_loss on forward's outputs.
-
-    x is checked once, then scored forward-only in blocks of
-    SCORE_CHUNK_ROWS rows, so memory does not grow with the row count
-    beyond the input and the scores. BLAS may sum a block's products in
-    another order than the same rows' inside a larger matrix, so a row's
-    score can differ in the last bits from one computed by a whole-matrix
-    forward, such as training's. The LSTM layers reuse work's buffers from
-    block to block; a call without work makes its own.
-    """
+    """One net's latent-gap score per sample: encoding_loss on forward's
+    outputs, in blocks of SCORE_CHUNK_ROWS rows, so a row's score can
+    differ in the last bits from a whole-matrix forward's. The LSTM layers
+    reuse work's buffers from block to block; a call without work makes
+    its own. ensemble.ensemble_score gives these bits for a lone net."""
     x = net.check_input(x)
     work = Workspace() if work is None else work
     scores = np.empty(x.shape[0])

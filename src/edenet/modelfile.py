@@ -12,11 +12,12 @@ gives for the whole document.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import atomic_open
 from .ensemble import EnsembleModel
-from .errors import FormatError
+from .errors import FormatError, from_fields
 from .model import ArchSpec, EdeNet, net_from_payload, net_to_payload
 from .svr import SvrModel, svr_from_dict, svr_to_dict
 
@@ -28,8 +29,22 @@ def _ede_to_dict(net: EdeNet) -> dict:
     return {"arch": net.spec.to_dict(), "params": net_to_payload(net)}
 
 
+@dataclass(frozen=True)
+class _EdePayload:
+    arch: dict
+    params: dict
+
+
+@dataclass(frozen=True)
+class _EnsemblePayload:
+    arch: dict
+    members: list
+    seed: int = 0  # absent from files that predate it
+
+
 def _ede_from_dict(doc: dict) -> EdeNet:
-    return net_from_payload(ArchSpec.from_dict(doc["arch"]), doc["params"])
+    p = from_fields(_EdePayload, doc, "ede")
+    return net_from_payload(ArchSpec.from_dict(p.arch), p.params)
 
 
 def _ensemble_to_dict(ens: EnsembleModel) -> dict:
@@ -40,10 +55,9 @@ def _ensemble_to_dict(ens: EnsembleModel) -> dict:
 
 
 def _ensemble_from_dict(doc: dict) -> EnsembleModel:
-    spec = ArchSpec.from_dict(doc["arch"])
-    return EnsembleModel(spec=spec,
-                         members=[net_from_payload(spec, p) for p in doc["members"]],
-                         seed=doc.get("seed", 0))
+    p = from_fields(_EnsemblePayload, doc, "ensemble")
+    spec = ArchSpec.from_dict(p.arch)
+    return EnsembleModel(spec, [net_from_payload(spec, m) for m in p.members], p.seed)
 
 
 # kind -> (class, payload encoder, payload decoder)
@@ -97,7 +111,5 @@ def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
     payload = {k: v for k, v in doc.items() if k not in ("format", "format_version", "kind")}
     try:
         return _KINDS[kind][2](payload)
-    except KeyError as exc:
-        raise FormatError(f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} model file: {exc}") from exc

@@ -470,9 +470,9 @@ def test_criterion_10_kdd99_stretch():
         train = fit_scale(train)
         test = apply_scale(test, train.scaling_stats)
         ens = init_ensemble(make_arch(121), 3, seed=seed)
-        train_ensemble(ens, train.features,
+        train_ensemble(ens, train.rows,
                        TrainConfig(epochs=10, batch_size=256, seed=seed))
-        aurocs.append(auroc(ensemble_score(ens, test.features), test.labels))
+        aurocs.append(auroc(ensemble_score(ens, test.rows), test.labels))
     mean_auroc = float(np.mean(aurocs))
     ok = mean_auroc >= 0.97
     _report(10, ok,

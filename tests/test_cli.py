@@ -13,7 +13,7 @@ import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
 from edenet.data import load_csv, load_schema
-from edenet.ensemble import TrainConfig
+from edenet.ensemble import TrainConfig, init_ensemble
 from edenet.model import (SCORE_CHUNK_ROWS, ArchSpec, EdeNet, anomaly_score, make_arch,
                           normalize_scores)
 from edenet.modelfile import save_model
@@ -146,6 +146,19 @@ def test_empty_input_yields_header_only_scores(workspace, tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "scores.csv").read_text().strip() == \
         "row_index,raw_score,normalized_score"
+
+
+def test_empty_input_of_another_width_is_exit_2(workspace, tmp_path, capsys):
+    """Zero rows go through the one scoring call, which checks the width."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x0,x1,x2\n")
+    schema = {"columns": [{"name": f"x{i}"} for i in range(3)]}
+    rc = main(["score", "--model", str(workspace / "train" / "model.json"),
+               "--data", str(empty), "--schema", write_json(tmp_path / "schema.json", schema),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "input has 3 columns, model expects 4" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
 
 
 def test_score_csv_bytes_match_csv_writer(tmp_path):
@@ -794,6 +807,45 @@ def test_malformed_scaling_file_is_exit_2(tmp_path, workspace, capsys, doc):
     assert _score(workspace, tmp_path, workspace / "train" / "model.json",
                   scaling) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_scaling_file_that_is_not_json_names_its_path(tmp_path, workspace, capsys):
+    scaling = tmp_path / "scaling.json"
+    scaling.write_text("{col_min: [0]}")
+    assert _score(workspace, tmp_path, workspace / "train" / "model.json",
+                  scaling) == 2
+    assert f"error: scaling file {scaling} is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_ensemble_file_with_a_renamed_seed_is_exit_2(tmp_path, workspace, capsys):
+    doc = json.loads((workspace / "train" / "model.json").read_text())
+    doc["sead"] = doc.pop("seed")
+    assert _score(workspace, tmp_path, write_json(tmp_path / "model.json", doc)) == 2
+    assert "ensemble has unknown keys: ['sead']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_scaling_that_moves_a_one_hot_column_off_0_and_1_is_exit_2(tmp_path, capsys):
+    """A one-hot column is 0 or 1 after scaling: stats with another span
+    are refused, naming the column, before anything is scored."""
+    schema = {"columns": [{"name": "size"},
+                          {"name": "color", "type": "categorical",
+                           "values": ["red", "green", "blue"]}]}
+    (tmp_path / "data.csv").write_text("size,color\n1,red\n2,green\n3,blue\n")
+    save_model(init_ensemble(make_arch(4), 1), tmp_path / "model.json")
+    args = ["score", "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / "data.csv"),
+            "--schema", write_json(tmp_path / "schema.json", schema),
+            "--out", str(tmp_path / "out")]
+    scaling = {"col_min": [1, 0, 0, 0], "col_max": [3, 1, 2, 1]}
+    assert main(args + ["--scaling", write_json(tmp_path / "bad.json", scaling)]) == 2
+    assert ("scaling stats map one-hot column 'color=green' off {0, 1}: min 0.0, max 2.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "scores.csv").exists()
+    # a zero span zeroes the column, whatever its bounds
+    scaling["col_min"][2] = scaling["col_max"][2] = 5
+    assert main(args + ["--scaling", write_json(tmp_path / "ok.json", scaling)]) == 0
 
 
 def test_scaling_file_with_max_below_min_is_exit_2(tmp_path, workspace, capsys):

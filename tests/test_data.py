@@ -745,6 +745,24 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def one_block_peak(path, schema):
+    """The traced peak of parsing the first CSV block of a file."""
+    def parse_one_block():
+        with open(path, encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+            numeric = [i for i, c in enumerate(schema.columns) if c.type == "numeric"]
+            text = [i for i in range(len(header)) if i not in numeric]
+            return next(read_csv_blocks(fh, header, numeric, text, has_header=True))
+
+    return traced_peak(parse_one_block)[1]
+
+
+def store_row_bytes(schema):
+    """8 bytes a row per numeric column and 1 per one-hot column."""
+    n_numeric = sum(c.type == "numeric" for c in schema.columns)
+    return 8 * n_numeric + (schema.feature_width - n_numeric)
+
+
 def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
     """Preparing a KDD-shaped file's training rows peaks at about the
     store it allocates (8 bytes a row per numeric column, 1 per one-hot
@@ -753,21 +771,27 @@ def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
     of the expanded rows alone is over the bound."""
     path = tmp_path / "kdd.csv"
     schema = write_kdd_shaped(path, 20_000, seed=3)
-
-    def parse_one_block():
-        with open(path, encoding="utf-8") as fh:
-            header = next(csv.reader(fh))
-            numeric = [i for i, c in enumerate(schema.columns) if c.type == "numeric"]
-            text = [i for i in range(len(header)) if i not in numeric]
-            return next(read_csv_blocks(fh, header, numeric, text, has_header=True))
-
-    _, block_peak = traced_peak(parse_one_block)
+    block_peak = one_block_peak(path, schema)
     ds, peak = traced_peak(load_training_rows, path, schema, True)
-    n_numeric = sum(c.type == "numeric" for c in schema.columns)
-    row_bytes = 8 * n_numeric + (schema.feature_width - n_numeric)
-    allocated = (20_000 + 2) * row_bytes  # a row per line end, plus one
+    allocated = (20_000 + 2) * store_row_bytes(schema)  # a row per line end, plus one
     assert ds.n_rows > 19_000 and allocated > 10 * block_peak
     assert peak < allocated + 3 * block_peak
+
+
+def test_csv_load_holds_one_hot_columns_as_bytes(tmp_path):
+    """load_csv on a KDD-shaped file peaks at about the store it allocates,
+    359 bytes a row plus 1 for the label, plus one parsed block. The
+    float64 matrix of the expanded rows, 968 bytes a row, is over the
+    bound."""
+    path = tmp_path / "kdd.csv"
+    schema = write_kdd_shaped(path, 20_000, seed=4)
+    block_peak = one_block_peak(path, schema)
+    ds, peak = traced_peak(load_csv, path, schema)
+    assert store_row_bytes(schema) == 359
+    bound = (20_000 + 2) * (359 + 1) + 3 * block_peak
+    assert ds.n_rows == 20_000 and ds.labels.shape == (20_000,)
+    assert 20_000 * schema.feature_width * 8 > bound
+    assert peak < bound
 
 
 def test_training_peaks_below_the_dense_matrix(tmp_path):
@@ -786,6 +810,32 @@ def test_training_peaks_below_the_dense_matrix(tmp_path):
     assert peak < n_train * schema.feature_width * 8
 
 
+def hand_expanded(path, schema):
+    """A CSV file's expanded float64 matrix and labels, built a field at a
+    time with the csv module and each column's vocabulary."""
+    x, y = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for record in csv.DictReader(fh):
+            row = []
+            for col in schema.columns:
+                field = record[col.name].strip()
+                if col.type == "numeric":
+                    row.append(float(field))
+                else:
+                    row.extend(1.0 if field == v else 0.0 for v in col.values)
+            x.append(row)
+            y.append(schema.label_of(record[schema.label_column].strip()))
+    return np.array(x), np.array(y, dtype=np.int8)
+
+
+def hand_scaled(x, lo, hi, clip):
+    """Min-max scaling of a whole matrix, as a per-element formula."""
+    span = hi - lo
+    out = (x - lo) / np.where(span > 0, span, 1.0)
+    out[:, span == 0] = 0.0
+    return np.clip(out, -0.5, 1.5) if clip else out
+
+
 @pytest.fixture(scope="module")
 def kdd_pair(tmp_path_factory):
     """A KDD-shaped file of about 2.5 blocks of training rows (with odd
@@ -799,7 +849,11 @@ def kdd_pair(tmp_path_factory):
 def test_training_store_takes_the_bytes_of_the_dense_split(kdd_pair, scale):
     path, schema, full = kdd_pair
     split = training_split(full, scale)
-    dense = split.features
+    x, y = hand_expanded(path, schema)
+    dense = x[y == NORMAL]
+    if scale:
+        dense = hand_scaled(dense, dense.min(axis=0), dense.max(axis=0), clip=False)
+    assert split.features.tobytes() == dense.tobytes()
     store = load_training_rows(path, schema, scale)
     rows = store.rows
     assert rows.n_rows == dense.shape[0] > 2 * data_mod.CSV_BLOCK_ROWS
@@ -835,6 +889,63 @@ def test_training_store_takes_the_bytes_of_the_dense_split(kdd_pair, scale):
         assert store.scaling_stats.span[land0] == 0.0
 
 
+def test_csv_load_and_scaling_give_the_bytes_of_a_hand_expansion(kdd_pair, tmp_path):
+    """load_csv, fit_scale and apply_scale on categorical rows against a
+    matrix expanded and scaled by hand. Some of the second file's numbers
+    reach past the fitted range (clipped), and land "1" appears only
+    there, in a one-hot column constant 0 in training (zeroed)."""
+    path, schema, full = kdd_pair
+    x, y = hand_expanded(path, schema)
+    assert full.features.tobytes() == x.tobytes()
+    assert full.labels.tobytes() == y.tobytes()
+
+    train = fit_scale(training_split(full, scale=False))
+    normal = x[y == NORMAL]
+    lo, hi = normal.min(axis=0), normal.max(axis=0)
+    assert train.scaling_stats.col_min.tobytes() == lo.tobytes()
+    assert train.scaling_stats.col_max.tobytes() == hi.tobytes()
+    assert train.features.tobytes() == hand_scaled(normal, lo, hi, clip=False).tobytes()
+
+    other = tmp_path / "other.csv"
+    write_kdd_shaped(other, 1500, seed=9)
+    x2, y2 = hand_expanded(other, schema)
+    test = apply_scale(load_csv(other, schema), train.scaling_stats)
+    want = hand_scaled(x2, lo, hi, clip=True)
+    assert test.features.tobytes() == want.tobytes()
+    assert test.labels.tobytes() == y2.tobytes()
+    land1 = [m.name for m in full.column_meta].index("land=1")
+    assert hi[land1] == 0.0 and x2[:, land1].any() and not want[:, land1].any()
+    assert (want == 1.5).any()
+
+
+def test_apply_scale_refuses_stats_that_move_a_one_hot_column(tmp_path):
+    ds = load_csv(write(tmp_path, "size,color\n1,red\n2,green\n"), MIXED)
+    for bounds, shown in [((0.0, 2.0), "min 0.0, max 2.0"), ((-1.0, 1.0), "min -1.0, max 1.0"),
+                          ((0.5, 1.0), "min 0.5, max 1.0")]:
+        stats = ScalingStats(np.array([1.0, 0, bounds[0], 0]), np.array([2.0, 1, bounds[1], 1]))
+        with pytest.raises(ValueError, match=f"one-hot column 'color=green' off {{0, 1}}: {shown}"):
+            apply_scale(ds, stats)
+    # bounds 0 and 1 keep the column, and a zero span zeroes it
+    stats = ScalingStats(np.array([1.0, 0, 0, 3]), np.array([2.0, 1, 1, 3]))
+    assert apply_scale(ds, stats).features.tolist() == [[0, 1, 0, 0], [1, 0, 1, 0]]
+
+
+def test_rows_take_copies_runs_of_columns_as_a_scatter_would():
+    rng = np.random.default_rng(7)
+    num_cols, hot_cols = np.array([0, 3, 4, 7, 9]), np.array([1, 2, 5, 6, 8])
+    numeric = rng.standard_normal((6, 5))
+    onehot = rng.integers(0, 2, (6, 5)).astype(np.uint8)
+    rows = data_mod.Rows(numeric, onehot, num_cols, hot_cols)
+    assert rows.runs == (((0, 0, 1), (1, 3, 2), (3, 7, 1), (4, 9, 1)),
+                         ((0, 1, 2), (2, 5, 2), (4, 8, 1)))
+    for idx in (np.array([5, 0, 0]), rng.integers(0, 6, (2, 3)), slice(1, 4), slice(None)):
+        want = np.empty(numeric[idx].shape[:-1] + (10,))
+        want[..., num_cols] = numeric[idx]
+        want[..., hot_cols] = onehot[idx]
+        assert rows.take(idx).tobytes() == want.tobytes()
+    assert data_mod.Rows.dense(numeric).runs == (((0, 0, 5),), ())
+
+
 def test_rows_without_a_one_hot_part_take_the_matrix_itself():
     x = np.arange(12.0).reshape(4, 3)
     rows = data_mod.Rows.dense(x)
@@ -858,18 +969,21 @@ def test_rows_check_their_parts(parts, message):
         data_mod.Rows(np.zeros((2, 1)), np.zeros((2, 1)), np.array([0]), np.array([1]))
 
 
-def test_a_dataset_with_one_hot_rows_has_no_features_matrix(kdd_pair):
+def test_a_dataset_with_one_hot_rows_expands_its_features_matrix(kdd_pair):
     path, schema, full = kdd_pair
     store = load_training_rows(path, schema, True)
-    with pytest.raises(ValueError, match="rows"):
-        store.features
+    assert store.features.tobytes() == store.rows.take(slice(None)).tobytes()
+    assert store.features.shape == (store.n_rows, 121)
     assert store.n_features == 121 and store.n_rows == store.rows.n_rows
     assert store.without_labels().rows.numeric is store.rows.numeric
     sub = store.take(np.array([4, 1]))
     assert sub.rows.take(slice(None)).tobytes() == store.rows.take(np.array([4, 1])).tobytes()
     assert not sub.rows.numeric.flags.writeable and not sub.rows.onehot.flags.writeable
-    # load_csv and in-memory data keep the dense matrix
-    assert full.features is full.rows.numeric and full.rows.onehot.shape == (full.n_rows, 0)
+    # load_csv keeps the one-hot blocks apart too; in-memory data has none
+    assert full.rows.onehot.shape == (full.n_rows, 87) and full.rows.onehot.dtype == np.uint8
+    dense = Dataset(features=np.arange(6.0).reshape(2, 3))
+    assert np.shares_memory(dense.features, dense.rows.numeric)
+    assert dense.rows.onehot.shape == (2, 0)
     with pytest.raises(TypeError):
         Dataset()
     with pytest.raises(TypeError):

@@ -508,6 +508,31 @@ def test_load_model_turns_malformed_payload_into_format_error(tmp_path, kind,
         load_model(path)
 
 
+@pytest.mark.parametrize("kind, rename", [
+    ("ensemble", ("seed", "sead")),
+    ("ede", ("params", "parms")),
+    ("svr", ("gamma", "gama")),
+])
+def test_payload_keys_are_the_kinds_fields(tmp_path, kind, rename):
+    """A renamed key is refused, never ignored: an ensemble whose seed is
+    renamed sead used to load with seed 0."""
+    path = tmp_path / "m.json"
+    save_model(saved_kinds()[kind][0], path)
+    doc = json.loads(path.read_text())
+    old, new = rename
+    doc[new] = doc.pop(old)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"unknown keys: \['{new}'\]"):
+        load_model(path)
+    doc.pop(new)  # an ensemble may lack its seed, as files that predate it do
+    path.write_text(json.dumps(doc))
+    if kind == "ensemble":
+        assert load_model(path).seed == 0
+    else:
+        with pytest.raises(FormatError, match=rf"missing keys: \['{old}'\]"):
+            load_model(path)
+
+
 def test_payload_shape_mismatch_rejected():
     net = small_net("ff")
     payload = net_to_payload(net)
