@@ -637,7 +637,7 @@ def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
             f"data has {data.n_features}"
         )
     lo, hi, hot = stats.col_min, stats.col_max, data.rows.hot_cols
-    off = hot[(lo[hot] != hi[hot]) & ((lo[hot] != 0) | (hi[hot] != 1))]
+    off = hot[(stats.span[hot] != 0) & ((lo[hot] != 0) | (hi[hot] != 1))]
     if off.size:
         raise ValueError(f"scaling stats map one-hot column {data.feature_names()[off[0]]!r} "
                          f"off {{0, 1}}: min {lo[off[0]].item()!r}, max {hi[off[0]].item()!r}")
