@@ -55,6 +55,7 @@ SCORE_D = 10
 SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members": 3}
 SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
 SCORE_SHA = "780a5b27bed04cf2f804f8d3818801af00c975f59c9fa467c1f0693f81a28e24"
+SCORE_SCALED_SHA = "4c0e8b185f4961411e274af3d62e73bc28296689129fe7732217d64b9d393e30"
 # the recurrent variant, so the cache-free LSTM loop is pinned too
 LSTM_SCORE_MODEL = {
     "arch": {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4,
@@ -63,6 +64,26 @@ LSTM_SCORE_MODEL = {
     "n_members": 2,
 }
 LSTM_SCORE_SHA = "8117fa406af7e41032a2eb8e7f79c486821292a8cc67d76d9ebc43304447e71e"
+LSTM_SCORE_SCALED_SHA = "15b45fd91f7acf8a23a85442448abf113278a4deb13d7bfca9e9c3f689c3052f"
+
+# model files kept as an earlier save_model wrote them, scored over two
+# full blocks and 352 rows. Both were trained 2 epochs on the 90 rows of
+# `edenet synth --d 4 --n-normal 90 --n-anomaly 0 --shift 3.0 --seed 31`,
+# so one scaling.json serves both: ede_net.json is the lone member of a
+# feed-forward I=1 run, written as an "ede" net, and lstm_ensemble.json a
+# two-layer LSTM I=2 run's model.json, with no recorded columns or scaling
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURE_ROWS = 2 * SCORE_CHUNK_ROWS + 352
+FIXTURE_SCORE_SHAS = {
+    ("ede_net.json", False):
+        "251a7ef026fe7451b608975880ea6246a0cbde17ed2a61621c919ee0f4de2034",
+    ("ede_net.json", True):
+        "68c2a4319e578124743346b6bed59774a299e5a10aa5e6a5f05a45c289b6d8f2",
+    ("lstm_ensemble.json", False):
+        "15e6d87b8627e83a0881501ee8a31b060d28816bbf5f8e68a47815a18a557405",
+    ("lstm_ensemble.json", True):
+        "16428e821eb9ea5916826cc4f137a53d31195b4b372cce72d2223e63aa5d4929",
+}
 
 
 def _blas() -> tuple[str, str]:
@@ -100,13 +121,16 @@ def _train(doc: dict, data, out) -> None:
                  "--schema", str(data / "schema.json"), "--out", str(out)]) == 0
 
 
-def _score_sha(doc: dict, tmp_path) -> str:
+def _score_sha(doc: dict, tmp_path, scaling: bool) -> str:
     """sha256 of scores.csv from a model trained on doc, scored over
-    SCORE_ROWS rows: two full blocks and a partial one."""
+    SCORE_ROWS rows: two full blocks and a partial one; with the run's
+    scaling.json given as --scaling when `scaling` is set."""
     train = _synth(tmp_path / "train", SCORE_D, 90, 0, seed=2)
-    _train(doc, train, tmp_path / "run")
+    run = tmp_path / "run"
+    _train(doc, train, run)
     rows = _synth(tmp_path / "rows", SCORE_D, SCORE_ROWS - 100, 100, seed=3)
-    assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
+    flag = ["--scaling", str(run / "scaling.json")] if scaling else []
+    assert main(["score", "--model", str(run / "model.json"), *flag,
                  "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
                  "--out", str(tmp_path / "score")]) == 0
     return _sha256(tmp_path / "score" / "scores.csv")
@@ -129,14 +153,37 @@ def test_train_bytes_match_recorded_hashes(name, synth_data, tmp_path):
 
 def test_score_bytes_match_recorded_hash(tmp_path):
     """edenet score over more than two blocks of rows."""
-    assert _score_sha(SCORE_MODEL, tmp_path) == SCORE_SHA
+    assert _score_sha(SCORE_MODEL, tmp_path, scaling=False) == SCORE_SHA
+
+
+def test_scaled_score_bytes_match_recorded_hash(tmp_path):
+    assert _score_sha(SCORE_MODEL, tmp_path, scaling=True) == SCORE_SCALED_SHA
 
 
 def test_lstm_score_bytes_match_recorded_hash(tmp_path):
     """edenet score of a two-layer, three-step LSTM ensemble over more
     than two blocks of rows."""
     _require_recorded_sigmoid()
-    assert _score_sha(LSTM_SCORE_MODEL, tmp_path) == LSTM_SCORE_SHA
+    assert _score_sha(LSTM_SCORE_MODEL, tmp_path, scaling=False) == LSTM_SCORE_SHA
+
+
+def test_lstm_scaled_score_bytes_match_recorded_hash(tmp_path):
+    _require_recorded_sigmoid()
+    assert _score_sha(LSTM_SCORE_MODEL, tmp_path, scaling=True) == LSTM_SCORE_SCALED_SHA
+
+
+@pytest.mark.parametrize("model, scaling", sorted(FIXTURE_SCORE_SHAS))
+def test_fixture_score_bytes_match_recorded_hashes(model, scaling, tmp_path):
+    """edenet score of each committed model file over FIXTURE_ROWS rows,
+    with and without the committed scaling.json."""
+    if model.startswith("lstm"):
+        _require_recorded_sigmoid()
+    rows = _synth(tmp_path / "rows", 4, FIXTURE_ROWS - 100, 100, seed=34)
+    flag = ["--scaling", str(FIXTURES / "scaling.json")] if scaling else []
+    assert main(["score", "--model", str(FIXTURES / model), *flag,
+                 "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
+                 "--out", str(tmp_path / "score")]) == 0
+    assert _sha256(tmp_path / "score" / "scores.csv") == FIXTURE_SCORE_SHAS[model, scaling]
 
 
 # ---------------------------------------------------------------------------
