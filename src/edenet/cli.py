@@ -65,7 +65,7 @@ from .metalearn import (
     svr_fit,
 )
 from .metrics import evaluate, save_report_csv, save_report_json
-from .model import ArchSpec, EdeNet, make_arch, normalize_scores, row_chunks
+from .model import ArchSpec, make_arch, normalize_scores, row_chunks
 from .modelfile import load_model, save_model
 from .rng import derived_seed
 from .svr import SvrModel, SvrSettings
@@ -181,7 +181,8 @@ def cmd_train(cfg: RunConfig) -> int:
     ens = init_ensemble(spec, cfg.n_members, seed=tc.seed)
     ens, trace = train_ensemble(ens, train_ds.rows, tc)
 
-    save_model(ens, out / "model.json")
+    save_model(replace(ens, columns=train_ds.feature_names(),
+                       scaling=train_ds.scaling_stats), out / "model.json")
     write_trace_csv(out / "trace.csv", trace)
     _echo_config(out, "train", cfg)
 
@@ -210,18 +211,29 @@ def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
 
 def cmd_score(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "score")
-    obj = load_model(_require(cfg.model, "model path"))
-    if isinstance(obj, EdeNet):  # scores as a one-member ensemble, to the bit
-        obj = EnsembleModel(spec=obj.spec, members=[obj])
-    if not isinstance(obj, EnsembleModel):
-        raise ConfigError("model file does not hold a net or an ensemble")
+    ens = load_model(_require(cfg.model, "model path"))
+    if not isinstance(ens, EnsembleModel):
+        raise ConfigError("model file does not hold an ensemble")
     schema = load_schema(_require(cfg.schema, "schema path"))
     ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
-    if cfg.scaling is not None:
-        ds = apply_scale(ds, load_scaling(_require(cfg.scaling, "scaling stats path")))
+    stats = None if cfg.scaling is None else load_scaling(
+        _require(cfg.scaling, "scaling stats path"))
+    if ens.columns is not None:  # the input the model records, width first
+        names = ds.feature_names()
+        if len(names) != len(ens.columns):
+            raise ConfigError(f"input has {len(names)} columns, model expects {len(ens.columns)}")
+        for j, (got, want) in enumerate(zip(names, ens.columns)):
+            if got != want:
+                raise ConfigError(f"input column {j} is {got!r}, model expects {want!r}")
+        if stats is not None and stats != ens.scaling:
+            raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
+                              + ("" if ens.scaling else ", which is none (trained unscaled)"))
+        stats = ens.scaling
+    if stats is not None:
+        ds = apply_scale(ds, stats)
 
     path = out / "scores.csv"
-    raw = ensemble_score(obj, ds.rows)
+    raw = ensemble_score(ens, ds.rows)
     _write_scores(path, raw, normalize_scores(raw) if raw.size else raw)
     print(f"scored {ds.n_rows} rows; wrote {path}")
     _echo_config(out, "score", cfg)
@@ -585,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file from train")
     p.add_argument("--data", help="CSV to score")
     p.add_argument("--schema", help="schema JSON")
-    p.add_argument("--scaling", help="scaling.json from the training run")
+    p.add_argument("--scaling", help="scaling.json, for a model file that records none")
 
     p = command(sub, "eval", cmd_eval, "metrics from a score CSV and labels")
     p.add_argument("--scores", help="score CSV from score")

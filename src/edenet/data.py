@@ -117,16 +117,6 @@ class Schema:
         return NORMAL if matches else ANOMALY
 
 
-@dataclass(frozen=True)
-class ColumnMeta:
-    """Origin of one expanded feature column."""
-
-    name: str
-    origin: str  # "numeric" | "onehot"
-    source: str
-    value: str | None = None
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """arr, made read-only in place; for arrays this module just built."""
     arr.flags.writeable = False
@@ -159,6 +149,9 @@ class ScalingStats:
     def __post_init__(self):
         if self.col_min.shape != self.col_max.shape or self.col_min.ndim != 1:
             raise ShapeError("scaling stats must be matching 1-D arrays")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ScalingStats) and scaling_to_dict(self) == scaling_to_dict(other)
 
     @property
     def span(self) -> np.ndarray:
@@ -256,11 +249,11 @@ class Dataset:
 
     rows: Rows
     labels: np.ndarray | None
-    column_meta: list[ColumnMeta] | None
+    column_meta: list[str] | None
     scaling_stats: ScalingStats | None
 
     def __init__(self, features: np.ndarray | None = None, labels=None,
-                 column_meta: list[ColumnMeta] | None = None,
+                 column_meta: list[str] | None = None,
                  scaling_stats: ScalingStats | None = None, *, rows: Rows | None = None):
         if (features is None) == (rows is None):
             raise TypeError("a dataset takes either features or rows")
@@ -298,7 +291,7 @@ class Dataset:
 
     def feature_names(self) -> list[str]:
         if self.column_meta is not None:
-            return [m.name for m in self.column_meta]
+            return list(self.column_meta)
         return [f"x{i}" for i in range(self.n_features)]
 
     def take(self, idx: np.ndarray) -> "Dataset":
@@ -316,15 +309,12 @@ class Dataset:
                        scaling_stats=self.scaling_stats)
 
 
-def expanded_meta(schema: Schema) -> list[ColumnMeta]:
-    meta: list[ColumnMeta] = []
+def expanded_meta(schema: Schema) -> list[str]:
+    """The expanded feature names: a numeric column's, and name=value per value."""
+    names: list[str] = []
     for col in schema.columns:
-        if col.type == "numeric":
-            meta.append(ColumnMeta(col.name, "numeric", col.name))
-        else:
-            for v in col.values:
-                meta.append(ColumnMeta(f"{col.name}={v}", "onehot", col.name, v))
-    return meta
+        names += [col.name] if col.type == "numeric" else [f"{col.name}={v}" for v in col.values]
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -682,18 +672,18 @@ def scaling_to_dict(stats: ScalingStats) -> dict:
     return {"col_min": stats.col_min.tolist(), "col_max": stats.col_max.tolist()}
 
 
-def scaling_from_dict(d: dict) -> ScalingStats:
-    """Stats from a scaling.json document; FormatError names what is wrong."""
-    expect_type("scaling file", d, dict, error=FormatError)
+def scaling_from_dict(d: dict, what: str = "scaling file") -> ScalingStats:
+    """Stats from a scaling.json document or model file; FormatError names `what`."""
+    expect_type(what, d, dict, error=FormatError)
     try:
         stats = from_fields(ScalingStats, {
-            key: expect_numbers(f"scaling file {key}", value, FormatError)
-            for key, value in d.items()}, "scaling file", FormatError)
+            key: expect_numbers(f"{what} {key}", value, FormatError)
+            for key, value in d.items()}, what, FormatError)
     except ShapeError as exc:
-        raise FormatError(f"bad scaling file: {exc}") from exc
+        raise FormatError(f"bad {what}: {exc}") from exc
     below = np.flatnonzero(stats.col_max < stats.col_min)
     if below.size:
-        raise FormatError(f"bad scaling file: col_max is below col_min in column {below[0]}")
+        raise FormatError(f"bad {what}: col_max is below col_min in column {below[0]}")
     return stats
 
 
@@ -712,7 +702,7 @@ def training_split(data: Dataset, scale: bool) -> Dataset:
                           data.scaling_stats)
 
 
-def _training_rows(rows: Rows, column_meta: list[ColumnMeta] | None,
+def _training_rows(rows: Rows, column_meta: list[str] | None,
                    scale: bool, stats: ScalingStats | None = None) -> Dataset:
     """An unlabeled Dataset over `rows`, fresh arrays that nothing else
     holds, min-max scaled in place when `scale` is set (otherwise it keeps
@@ -766,8 +756,8 @@ def generate_synthetic(d: int, n_normal: int, n_anomaly: int,
         np.full(n_normal, NORMAL, dtype=np.int8),
         np.full(n_anomaly, ANOMALY, dtype=np.int8),
     ])
-    meta = [ColumnMeta(f"x{i}", "numeric", f"x{i}") for i in range(d)]
-    return Dataset(features=_frozen(features), labels=_frozen(labels), column_meta=meta)
+    return Dataset(features=_frozen(features), labels=_frozen(labels),
+                   column_meta=[f"x{i}" for i in range(d)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Rows
+from .data import Rows, ScalingStats
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -43,9 +43,16 @@ from .rng import make_rng, spawn_seeds
 
 @dataclass
 class EnsembleModel:
+    """I nets of one arch and the input they were trained on: the expanded
+    column names and min-max stats (None if unscaled), which edenet score
+    holds its input to. columns None records no input: an ensemble built
+    in code, or a file that predates the two fields."""
+
     spec: ArchSpec
     members: list[EdeNet]
     seed: int = 0
+    columns: tuple[str, ...] | None = None
+    scaling: ScalingStats | None = None
 
     def __post_init__(self):
         check_fields(self, "ensemble")
@@ -54,6 +61,15 @@ class EnsembleModel:
         for m in self.members:
             if m.spec != self.spec:
                 raise ValueError("all members must share the ensemble arch")
+        if self.columns is not None:
+            self.columns = tuple(self.columns)
+        elif self.scaling is not None:
+            raise ValueError("ensemble scaling needs the columns it scales")
+        d = self.spec.input_dim
+        for what, n in (("column names", self.columns),
+                        ("scaling stats", self.scaling and self.scaling.col_min)):
+            if n is not None and len(n) != d:
+                raise ShapeError(f"ensemble has {len(n)} {what} for {d} inputs")
 
     @property
     def size(self) -> int:

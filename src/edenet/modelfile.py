@@ -1,12 +1,13 @@
 """Model persistence: the one reader and writer of every model file.
 
-One tagged-JSON format covers single nets, ensembles and the Phase II
-kernel regressor (the meta-learner). A document is the header
-{"format", "format_version", "kind"} followed by that kind's payload.
-Floats go through Python's shortest-roundtrip repr, so a save/load/save
-cycle is byte-identical and parameters reload bit-exact. An ensemble's
-members are encoded and written one at a time, into the bytes json.dumps
-gives for the whole document.
+One tagged-JSON format covers ensembles and the Phase II kernel regressor
+(the meta-learner). A document is the header {"format", "format_version",
+"kind"} followed by that kind's payload; an ensemble's records its input
+(columns, scaling) before its members. The "ede" kind, one net, is only
+read, as a one-member ensemble. Floats go through Python's shortest-roundtrip
+repr, so a save/load/save cycle is byte-identical and parameters reload
+bit-exact. An ensemble's members are encoded and written one at a time,
+into the bytes json.dumps gives for the whole document.
 """
 
 from __future__ import annotations
@@ -16,17 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .atomic import atomic_open
+from .data import scaling_from_dict, scaling_to_dict
 from .ensemble import EnsembleModel
 from .errors import FormatError, from_fields
-from .model import ArchSpec, EdeNet, net_from_payload, net_to_payload
+from .model import ArchSpec, net_from_payload, net_to_payload
 from .svr import SvrModel, svr_from_dict, svr_to_dict
 
 FORMAT_MARKER = "edenet-model"
 FORMAT_VERSION = 1
-
-
-def _ede_to_dict(net: EdeNet) -> dict:
-    return {"arch": net.spec.to_dict(), "params": net_to_payload(net)}
 
 
 @dataclass(frozen=True)
@@ -39,37 +37,41 @@ class _EdePayload:
 class _EnsemblePayload:
     arch: dict
     members: list
-    seed: int = 0  # absent from files that predate it
+    seed: int = 0  # these three are absent from files that predate them
+    columns: list | None = None
+    scaling: dict | None = None
 
 
-def _ede_from_dict(doc: dict) -> EdeNet:
+def _ede_from_dict(doc: dict) -> EnsembleModel:
     p = from_fields(_EdePayload, doc, "ede")
-    return net_from_payload(ArchSpec.from_dict(p.arch), p.params)
+    spec = ArchSpec.from_dict(p.arch)
+    return EnsembleModel(spec, [net_from_payload(spec, p.params)])
 
 
 def _ensemble_to_dict(ens: EnsembleModel) -> dict:
     """The payload; its last key, members, maps each member's payload
     lazily, for save_model to encode one member at a time."""
     return {"seed": ens.seed, "arch": ens.spec.to_dict(),
+            "columns": ens.columns,
+            "scaling": None if ens.scaling is None else scaling_to_dict(ens.scaling),
             "members": map(net_to_payload, ens.members)}
 
 
 def _ensemble_from_dict(doc: dict) -> EnsembleModel:
     p = from_fields(_EnsemblePayload, doc, "ensemble")
     spec = ArchSpec.from_dict(p.arch)
-    return EnsembleModel(spec, [net_from_payload(spec, m) for m in p.members], p.seed)
+    scaling = None if p.scaling is None else scaling_from_dict(p.scaling, "ensemble scaling")
+    return EnsembleModel(spec, [net_from_payload(spec, m) for m in p.members], p.seed,
+                         p.columns, scaling)
 
 
-# kind -> (class, payload encoder, payload decoder)
-_KINDS = {
-    "ede": (EdeNet, _ede_to_dict, _ede_from_dict),
-    "ensemble": (EnsembleModel, _ensemble_to_dict, _ensemble_from_dict),
-    "svr": (SvrModel, svr_to_dict, svr_from_dict),
-}
+# kind -> payload decoder, and written kind -> (class, payload encoder)
+_READERS = {"ede": _ede_from_dict, "ensemble": _ensemble_from_dict, "svr": svr_from_dict}
+_WRITERS = {"ensemble": (EnsembleModel, _ensemble_to_dict), "svr": (SvrModel, svr_to_dict)}
 
 
-def save_model(obj: EdeNet | EnsembleModel | SvrModel, path) -> None:
-    for kind, (cls, to_dict, _) in _KINDS.items():
+def save_model(obj: EnsembleModel | SvrModel, path) -> None:
+    for kind, (cls, to_dict) in _WRITERS.items():
         if isinstance(obj, cls):
             break
     else:
@@ -90,7 +92,7 @@ def save_model(obj: EdeNet | EnsembleModel | SvrModel, path) -> None:
         fh.write("]}")
 
 
-def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
+def load_model(path) -> EnsembleModel | SvrModel:
     """Whichever model the file holds. Anything malformed, from the JSON
     syntax to a single parameter's shape, raises FormatError."""
     try:
@@ -106,10 +108,10 @@ def load_model(path) -> EdeNet | EnsembleModel | SvrModel:
     if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version!r}")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _READERS:
         raise FormatError(f"unknown model kind {kind!r}")
     payload = {k: v for k, v in doc.items() if k not in ("format", "format_version", "kind")}
     try:
-        return _KINDS[kind][2](payload)
+        return _READERS[kind](payload)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad {kind} model file: {exc}") from exc

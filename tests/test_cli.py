@@ -13,12 +13,13 @@ import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
 from edenet.data import load_csv, load_schema
-from edenet.ensemble import TrainConfig, init_ensemble
+from edenet.ensemble import EnsembleModel, TrainConfig, init_ensemble
 from edenet.model import (SCORE_CHUNK_ROWS, ArchSpec, EdeNet, anomaly_score, make_arch,
                           normalize_scores)
-from edenet.modelfile import save_model
+from edenet.modelfile import load_model, save_model
 from edenet.svr import fit_svr
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SMALL_CFG = {
     "arch": {"hidden_sizes": [8, 5], "latent_dim": 2},
     "train": {"epochs": 2, "batch_size": 16, "seed": 3},
@@ -641,18 +642,24 @@ def _score(workspace, tmp_path, model, scaling=None):
 
 
 @pytest.mark.parametrize("arch", [
-    {"hidden_sizes": [8, 5], "latent_dim": 2},
+    None,
     {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2},
     {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 3,
      "recurrent_layers": 2},
 ], ids=["feedforward", "lstm", "lstm-2-layers"])
 def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
-    """A model file holding one "ede" net scores to the bytes anomaly_score
-    gives, over two full blocks of rows and a partial one."""
+    """A model file holding one net scores to the bytes anomaly_score
+    gives, over two full blocks of rows and a partial one: the committed
+    "ede" file (a feed-forward net, arch None) or a one-member ensemble."""
     rows = tiny_synth(tmp_path, "rows", 2 * SCORE_CHUNK_ROWS + 352, 100, 4)
-    net = EdeNet.initialize(make_arch(4, arch), np.random.default_rng(6))
-    save_model(net, tmp_path / "net.json")
-    assert main(["score", "--model", str(tmp_path / "net.json"),
+    if arch is None:
+        model = FIXTURES / "ede_net.json"
+        net, = load_model(model).members
+    else:
+        model = tmp_path / "net.json"
+        net = EdeNet.initialize(make_arch(4, arch), np.random.default_rng(6))
+        save_model(EnsembleModel(net.spec, [net]), model)
+    assert main(["score", "--model", str(model),
                  "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
                  "--out", str(tmp_path / "score")]) == 0
     ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"))
@@ -660,6 +667,96 @@ def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
     _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
     assert ((tmp_path / "score" / "scores.csv").read_bytes()
             == (tmp_path / "expect.csv").read_bytes())
+
+
+KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
+
+
+def write_kdd_rows(path, n_rows: int, seed: int) -> None:
+    """n_rows rows in the KDD99 schema, about a fifth labeled "normal."
+    (the rows training drops under the schema's label inversion)."""
+    schema = load_schema(KDD_SCHEMA)
+    rng = np.random.default_rng(seed)
+    cols = [rng.choice(c.values, n_rows).tolist() if c.type == "categorical"
+            else [f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)]
+            for c in schema.columns]
+    cols.append(np.where(rng.random(n_rows) < 0.2, "normal.", "smurf.").tolist())
+    header = [c.name for c in schema.columns] + [schema.label_column]
+    path.write_text(",".join(header) + "\n"
+                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
+
+
+@pytest.fixture(scope="module")
+def kdd_runs(tmp_path_factory):
+    """Two KDD-shaped files and three runs: "run" and "other", scaled, on
+    each file; "raw", --no-scale, on the first."""
+    ws = tmp_path_factory.mktemp("kdd")
+    write_kdd_rows(ws / "rows.csv", 300, seed=41)
+    write_kdd_rows(ws / "other.csv", 300, seed=42)
+    for name, data, flags in (("run", "rows", []), ("other", "other", []),
+                              ("raw", "rows", ["--no-scale"])):
+        assert main(["train", "--data", str(ws / f"{data}.csv"), "--schema", str(KDD_SCHEMA),
+                     "--members", "1", "--epochs", "1", "--seed", "2", *flags,
+                     "--out", str(ws / name)]) == 0
+    return ws
+
+
+def _kdd_score(ws, out, model="run", schema=KDD_SCHEMA, scaling=None) -> int:
+    return main(["score", "--model", str(ws / model / "model.json"),
+                 "--data", str(ws / "rows.csv"), "--schema", str(schema), "--out", str(out),
+                 *([] if scaling is None else ["--scaling", str(scaling)])])
+
+
+def test_score_applies_the_scaling_the_model_records(kdd_runs, tmp_path):
+    """A KDD-shaped model scores to the same bytes with or without the
+    training run's scaling.json: the model file carries those stats."""
+    assert _kdd_score(kdd_runs, tmp_path / "bare") == 0
+    assert _kdd_score(kdd_runs, tmp_path / "flag", scaling=kdd_runs / "run" / "scaling.json") == 0
+    assert ((tmp_path / "bare" / "scores.csv").read_bytes()
+            == (tmp_path / "flag" / "scores.csv").read_bytes())
+
+
+def _swap_numeric(doc):
+    cols = doc["columns"]
+    i, j = (k for k, c in enumerate(cols) if c["name"] in ("src_bytes", "dst_bytes"))
+    cols[i], cols[j] = cols[j], cols[i]
+
+
+def _reverse_vocabulary(doc):
+    col = next(c for c in doc["columns"] if c["name"] == "protocol_type")
+    col["values"].reverse()
+
+
+@pytest.mark.parametrize("edit", [_swap_numeric, _reverse_vocabulary],
+                         ids=["numeric-swapped", "vocabulary-reordered"])
+def test_score_with_other_columns_of_the_same_width_is_exit_2(kdd_runs, tmp_path, capsys,
+                                                              edit):
+    """A schema that reads the same file into the same width, but in
+    another column order, no longer scores silently."""
+    doc = json.loads(KDD_SCHEMA.read_text())
+    edit(doc)
+    schema = write_json(tmp_path / "schema.json", doc)
+    assert _kdd_score(kdd_runs, tmp_path / "out", schema=schema) == 2
+    want = load_model(kdd_runs / "run" / "model.json").columns
+    got = load_csv(kdd_runs / "rows.csv", load_schema(schema)).feature_names()
+    j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+    assert f"input column {j} is {got[j]!r}, model expects {want[j]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_scaling_of_another_run_is_exit_2(kdd_runs, tmp_path, capsys):
+    other = kdd_runs / "other" / "scaling.json"
+    assert _kdd_score(kdd_runs, tmp_path / "out", scaling=other) == 2
+    assert f"scaling file {other} does not hold the model's own scaling" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_scaling_given_to_an_unscaled_model_is_exit_2(kdd_runs, tmp_path, capsys):
+    scaling = kdd_runs / "run" / "scaling.json"
+    assert _kdd_score(kdd_runs, tmp_path / "out", model="raw", scaling=scaling) == 2
+    err = capsys.readouterr().err
+    assert f"scaling file {scaling} does not hold" in err and "(trained unscaled)" in err
+    assert _kdd_score(kdd_runs, tmp_path / "bare", model="raw") == 0
 
 
 def test_score_rejects_a_meta_model_with_exit_2(tmp_path, workspace, capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from edenet.data import (
     ANOMALY,
     NORMAL,
-    ColumnMeta,
     Dataset,
     Schema,
     SchemaColumn,
@@ -343,8 +342,7 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((25, 3)) * 10.0 ** rng.integers(-8, 8, (25, 3))
     x[0] = [0.0, -0.0, 1e300]
-    meta = [ColumnMeta('odd "name", quoted', "numeric", "a"),
-            ColumnMeta("b", "numeric", "b"), ColumnMeta("c", "numeric", "c")]
+    meta = ['odd "name", quoted', "b", "c"]
     for labels in (None, rng.integers(0, 2, 25)):
         ds = Dataset(features=x, labels=labels, column_meta=meta)
         p = tmp_path / "out.csv"
@@ -472,8 +470,7 @@ def test_split_pushes_sampled_anomalies_to_test():
 
 def test_without_labels_keeps_rows_and_metadata():
     data = Dataset(features=np.arange(6.0).reshape(3, 2), labels=[0, 1, 0],
-                   column_meta=[ColumnMeta("p", "numeric", "p"),
-                                ColumnMeta("q", "numeric", "q")])
+                   column_meta=["p", "q"])
     data = fit_scale(data)
     plain = data.without_labels()
     assert plain.labels is None
@@ -878,7 +875,7 @@ def test_training_store_takes_the_bytes_of_the_dense_split(kdd_pair, scale):
         assert got.tobytes() == dense[idx].tobytes(), idx
     for j in range(rows.width):
         assert rows.column(j).tobytes() == np.ascontiguousarray(dense[:, j]).tobytes()
-    meta = {m.name: j for j, m in enumerate(store.column_meta)}
+    meta = {name: j for j, name in enumerate(store.column_meta)}
     land0, service = meta["land=0"], [meta[f"service={v}"] for v in schema.columns[2].values]
     assert dense[:, land0].tolist() == [0.0 if scale else 1.0] * rows.n_rows
     assert (dense[:, service].sum(axis=1) == 0).any()  # out-of-vocabulary blocks
@@ -913,7 +910,7 @@ def test_csv_load_and_scaling_give_the_bytes_of_a_hand_expansion(kdd_pair, tmp_p
     want = hand_scaled(x2, lo, hi, clip=True)
     assert test.features.tobytes() == want.tobytes()
     assert test.labels.tobytes() == y2.tobytes()
-    land1 = [m.name for m in full.column_meta].index("land=1")
+    land1 = full.column_meta.index("land=1")
     assert hi[land1] == 0.0 and x2[:, land1].any() and not want[:, land1].any()
     assert (want == 1.5).any()
 

@@ -34,7 +34,7 @@ RUNS = {
         {"arch": {"hidden_sizes": [8, 5], "latent_dim": 2},
          "train": {"epochs": 3, "batch_size": 16, "seed": 5},
          "n_members": 3},
-        "481e458c4d0a6ad3a4c16d014957a325224068dbbf397d5a1c3543b7d52cb3ac",
+        "4583e53348e32fc87a155745e8a82e7235a92903d190932d14b052f2bea89825",
         "77626665a305142ab4699269f72661ad2d2be98dd5546804205effafd68600dd",
     ),
     "lstm-I2-T3": (
@@ -42,7 +42,7 @@ RUNS = {
                   "seq_len": 3, "recurrent_layers": 2},
          "train": {"epochs": 3, "batch_size": 16, "seed": 6},
          "n_members": 2},
-        "7e2cf269562593b226152a618ed65716f9a317a2f27a33cf85cd3e128353462b",
+        "d81ce1760d9b7794cd8764268cd2fe1cc3e323607d916f5fb4c2906c587d58e2",
         "927da38ab0c2d5d466253e5b5ea04c058e65938f199e09bb06d8e351b2da2abf",
     ),
 }
@@ -54,8 +54,8 @@ RUNS = {
 SCORE_D = 10
 SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members": 3}
 SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
-SCORE_SHA = "780a5b27bed04cf2f804f8d3818801af00c975f59c9fa467c1f0693f81a28e24"
-SCORE_SCALED_SHA = "4c0e8b185f4961411e274af3d62e73bc28296689129fe7732217d64b9d393e30"
+# with or without --scaling: the model applies the scaling it records
+SCORE_SHA = "4c0e8b185f4961411e274af3d62e73bc28296689129fe7732217d64b9d393e30"
 # the recurrent variant, so the cache-free LSTM loop is pinned too
 LSTM_SCORE_MODEL = {
     "arch": {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4,
@@ -63,8 +63,7 @@ LSTM_SCORE_MODEL = {
     "train": {"epochs": 2, "batch_size": 16, "seed": 8},
     "n_members": 2,
 }
-LSTM_SCORE_SHA = "8117fa406af7e41032a2eb8e7f79c486821292a8cc67d76d9ebc43304447e71e"
-LSTM_SCORE_SCALED_SHA = "15b45fd91f7acf8a23a85442448abf113278a4deb13d7bfca9e9c3f689c3052f"
+LSTM_SCORE_SHA = "15b45fd91f7acf8a23a85442448abf113278a4deb13d7bfca9e9c3f689c3052f"
 
 # model files kept as an earlier save_model wrote them, scored over two
 # full blocks and 352 rows. Both were trained 2 epochs on the 90 rows of
@@ -157,7 +156,7 @@ def test_score_bytes_match_recorded_hash(tmp_path):
 
 
 def test_scaled_score_bytes_match_recorded_hash(tmp_path):
-    assert _score_sha(SCORE_MODEL, tmp_path, scaling=True) == SCORE_SCALED_SHA
+    assert _score_sha(SCORE_MODEL, tmp_path, scaling=True) == SCORE_SHA
 
 
 def test_lstm_score_bytes_match_recorded_hash(tmp_path):
@@ -169,7 +168,7 @@ def test_lstm_score_bytes_match_recorded_hash(tmp_path):
 
 def test_lstm_scaled_score_bytes_match_recorded_hash(tmp_path):
     _require_recorded_sigmoid()
-    assert _score_sha(LSTM_SCORE_MODEL, tmp_path, scaling=True) == LSTM_SCORE_SCALED_SHA
+    assert _score_sha(LSTM_SCORE_MODEL, tmp_path, scaling=True) == LSTM_SCORE_SHA
 
 
 @pytest.mark.parametrize("model, scaling", sorted(FIXTURE_SCORE_SHAS))
@@ -193,7 +192,7 @@ def test_fixture_score_bytes_match_recorded_hashes(model, scaling, tmp_path):
 KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
 KDD_TRAIN = {"train": {"epochs": 2, "seed": 9}, "n_members": 2}
 KDD_TRAIN_SHAS = {
-    "model.json": "1e55a08aef3abea5964a67bec5e568d0d621f341dfba20fb5e941cc8187813c9",
+    "model.json": "6f7d6e28b4e93ace3b8278936cf47ba0a19eff2c3ba0b2b8461f6ecd83699bf7",
     "scaling.json": "f76ff83cbe31a6c48516f9601afe99aa2557919322268c29f9fda3abad78589e",
     "trace.csv": "12b88c4622840516434f5dfd34311eaa362f6f6b2e6c1db5c2b60d18db40fe41",
 }

@@ -1,11 +1,15 @@
 import copy
 import json
+import shutil
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edenet.data import ScalingStats
 from edenet.ensemble import EnsembleModel, init_ensemble
 from edenet.errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
 from edenet.layers import Workspace
@@ -31,6 +35,7 @@ from edenet.svr import fit_svr, svr_to_dict
 
 FF = {"hidden_sizes": (10, 6), "latent_dim": 3}
 LSTM = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 5, "seq_len": 2}
+EDE_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "ede_net.json"
 
 
 def small_net(kind="ff", seed=0):
@@ -366,21 +371,26 @@ def test_normalize_scores_range_and_order(values):
 # persistence
 
 
+def alone(net: EdeNet) -> EnsembleModel:
+    return EnsembleModel(net.spec, [net])
+
+
 @pytest.mark.parametrize("kind", ["ff", "lstm"])
 def test_model_file_round_trip_bit_exact(tmp_path, kind):
     net = small_net(kind, seed=17)
     path = tmp_path / "net.json"
-    save_model(net, path)
-    loaded = load_model(path)
+    save_model(alone(net), path)
+    loaded, = load_model(path).members
     assert loaded.spec == net.spec
     for a, b in zip(net.params(), loaded.params()):
         assert np.array_equal(a, b)
 
 
 def test_model_file_resave_is_byte_identical(tmp_path):
-    net = small_net("ff", seed=17)
+    ens = replace(alone(small_net("ff", seed=17)), columns=list("abcdefg"),
+                  scaling=ScalingStats(np.linspace(-1, 0, 7), np.linspace(0.5, 3, 7)))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_model(net, p1)
+    save_model(ens, p1)
     save_model(load_model(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -413,9 +423,8 @@ def test_load_model_rejects_bad_marker(tmp_path):
 
 
 def test_load_model_rejects_bad_version(tmp_path):
-    net = small_net("ff")
     path = tmp_path / "net.json"
-    save_model(net, path)
+    save_model(alone(small_net("ff")), path)
     doc = json.loads(path.read_text())
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
@@ -427,7 +436,7 @@ def test_load_model_rejects_bad_version(tmp_path):
 def test_load_model_rejects_non_int_version(tmp_path, version):
     # both compare equal to 1 in Python but are not the integer version
     path = tmp_path / "net.json"
-    save_model(small_net("ff"), path)
+    save_model(alone(small_net("ff")), path)
     doc = json.loads(path.read_text())
     doc["format_version"] = version
     path.write_text(json.dumps(doc))
@@ -462,16 +471,24 @@ HEADER = ["format", "format_version", "kind"]
 def saved_kinds():
     x = np.arange(12.0).reshape(6, 2)
     return {
-        "ede": (small_net("ff"), ["arch", "params"]),
         "ensemble": (init_ensemble(make_arch(7, FF), 2, seed=3),
-                     ["seed", "arch", "members"]),
+                     ["seed", "arch", "columns", "scaling", "members"]),
         "svr": (fit_svr(x, np.sin(x[:, 0])),
                 ["kernel", "gamma", "C", "epsilon", "bias", "beta", "x_mean",
                  "x_std", "train_x"]),
     }
 
 
-@pytest.mark.parametrize("kind", ["ede", "ensemble", "svr"])
+def write_kind(kind: str, path) -> None:
+    """A model file of the kind; an "ede" file is the committed one that
+    an earlier writer wrote, since nothing writes that kind now."""
+    if kind == "ede":
+        shutil.copyfile(EDE_FIXTURE, path)
+    else:
+        save_model(saved_kinds()[kind][0], path)
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "svr"])
 def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
     obj, payload_keys = saved_kinds()[kind]
     path = tmp_path / "m.json"
@@ -496,11 +513,17 @@ def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
     ("ensemble", {"seed": "7"}),
     ("ensemble", {"seed": 7.9}),
     ("ensemble", {"seed": True}),
+    ("ensemble", {"columns": "abcdefg"}),
+    ("ensemble", {"columns": list(range(7))}),
+    ("ensemble", {"scaling": {"col_min": [0] * 7, "col_max": [1] * 7}}),
+    ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [0], "col_max": [1]}}),
+    ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [1] * 7,
+                                                          "col_max": [0] * 7}}),
 ])
 def test_load_model_turns_malformed_payload_into_format_error(tmp_path, kind,
                                                               changes):
     path = tmp_path / "m.json"
-    save_model(saved_kinds()[kind][0], path)
+    write_kind(kind, path)
     doc = json.loads(path.read_text())
     doc.update(changes)
     path.write_text(json.dumps(doc))
@@ -517,7 +540,7 @@ def test_payload_keys_are_the_kinds_fields(tmp_path, kind, rename):
     """A renamed key is refused, never ignored: an ensemble whose seed is
     renamed sead used to load with seed 0."""
     path = tmp_path / "m.json"
-    save_model(saved_kinds()[kind][0], path)
+    write_kind(kind, path)
     doc = json.loads(path.read_text())
     old, new = rename
     doc[new] = doc.pop(old)
@@ -531,6 +554,23 @@ def test_payload_keys_are_the_kinds_fields(tmp_path, kind, rename):
     else:
         with pytest.raises(FormatError, match=rf"missing keys: \['{old}'\]"):
             load_model(path)
+
+
+def test_ensemble_with_3_names_for_4_inputs_is_a_format_error(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(replace(init_ensemble(make_arch(4, FF), 1, seed=3), columns=list("abcd")), path)
+    doc = json.loads(path.read_text())
+    doc["columns"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="has 3 column names for 4 inputs"):
+        load_model(path)
+
+
+def test_an_ede_file_loads_as_a_one_member_ensemble():
+    ens = load_model(EDE_FIXTURE)
+    assert type(ens) is EnsembleModel
+    assert ens.size == 1 and ens.seed == 0
+    assert ens.columns is None and ens.scaling is None
 
 
 def test_payload_shape_mismatch_rejected():
@@ -571,11 +611,11 @@ def test_payload_name_mismatch_rejected():
 
 def _whole_document(obj) -> dict:
     """The document save_model writes, built whole."""
-    if isinstance(obj, EdeNet):
-        payload = {"arch": obj.spec.to_dict(), "params": net_to_payload(obj)}
-        kind = "ede"
-    elif isinstance(obj, EnsembleModel):
+    if isinstance(obj, EnsembleModel):
         payload = {"seed": obj.seed, "arch": obj.spec.to_dict(),
+                   "columns": obj.columns and list(obj.columns),
+                   "scaling": obj.scaling and {"col_min": obj.scaling.col_min.tolist(),
+                                               "col_max": obj.scaling.col_max.tolist()},
                    "members": [net_to_payload(m) for m in obj.members]}
         kind = "ensemble"
     else:
@@ -583,12 +623,13 @@ def _whole_document(obj) -> dict:
     return {"format": "edenet-model", "format_version": 1, "kind": kind, **payload}
 
 
-@pytest.mark.parametrize("kind", ["ede", "ensemble", "svr"])
+@pytest.mark.parametrize("kind", ["ensemble", "svr"])
 def test_saved_bytes_are_json_dumps_of_the_whole_document(tmp_path, kind):
     obj = saved_kinds()[kind][0]
     save_model(obj, tmp_path / "m.json")
     assert (tmp_path / "m.json").read_text() == json.dumps(_whole_document(obj))
-    single = init_ensemble(make_arch(3, FF), 1, seed=2)
+    single = replace(init_ensemble(make_arch(3, FF), 1, seed=2), columns=["a", "b", "c=x"],
+                     scaling=ScalingStats(np.array([-1.5, 0.0, 0.0]), np.array([2.0, 1e-9, 1.0])))
     save_model(single, tmp_path / "one.json")
     assert (tmp_path / "one.json").read_text() == json.dumps(_whole_document(single))
 
