@@ -41,12 +41,12 @@ from .optim import make_optimizer
 from .rng import make_rng, spawn_seeds
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleModel:
-    """I nets of one arch and the input they were trained on: the expanded
-    column names and min-max stats (None if unscaled), which edenet score
-    holds its input to. columns None records no input: an ensemble built
-    in code, or a file that predates the two fields."""
+    """I nets of one arch and the input they were trained on: expanded
+    column names and min-max stats (None if unscaled) that edenet score
+    holds its input to. columns None records none (built in code, or an
+    older file). Frozen, so the fields keep the checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -62,7 +62,7 @@ class EnsembleModel:
             if m.spec != self.spec:
                 raise ValueError("all members must share the ensemble arch")
         if self.columns is not None:
-            self.columns = tuple(self.columns)
+            object.__setattr__(self, "columns", tuple(self.columns))
         elif self.scaling is not None:
             raise ValueError("ensemble scaling needs the columns it scales")
         d = self.spec.input_dim

@@ -2,7 +2,7 @@ import copy
 import json
 import shutil
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +566,14 @@ def test_ensemble_with_3_names_for_4_inputs_is_a_format_error(tmp_path):
         load_model(path)
 
 
+def test_ensemble_fields_cannot_be_reassigned_past_their_checks():
+    """Assigning 1 name to a 4-input ensemble used to save a file that
+    load_model then refused."""
+    ens = init_ensemble(make_arch(4, FF), 1, seed=3)
+    with pytest.raises(FrozenInstanceError):
+        ens.columns = ["a"]
+
+
 def test_an_ede_file_loads_as_a_one_member_ensemble():
     ens = load_model(EDE_FIXTURE)
     assert type(ens) is EnsembleModel
@@ -613,9 +621,10 @@ def _whole_document(obj) -> dict:
     """The document save_model writes, built whole."""
     if isinstance(obj, EnsembleModel):
         payload = {"seed": obj.seed, "arch": obj.spec.to_dict(),
-                   "columns": obj.columns and list(obj.columns),
-                   "scaling": obj.scaling and {"col_min": obj.scaling.col_min.tolist(),
-                                               "col_max": obj.scaling.col_max.tolist()},
+                   "columns": None if obj.columns is None else list(obj.columns),
+                   "scaling": None if obj.scaling is None else {
+                       "col_min": obj.scaling.col_min.tolist(),
+                       "col_max": obj.scaling.col_max.tolist()},
                    "members": [net_to_payload(m) for m in obj.members]}
         kind = "ensemble"
     else:
