@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from edenet.atomic import atomic_write_json
-from edenet.data import apply_scale, fit_scale, load_csv, load_schema, split_normal_train
+from edenet.data import fit_scale, load_csv, load_schema, split_normal_train
 from edenet.ensemble import TrainConfig
 from edenet.metalearn import MetaTask, run_cell
 from edenet.metrics import evaluate, save_report_json
@@ -68,9 +68,8 @@ def main() -> int:
     for seed in [int(v) for v in args.seeds.split(",") if v.strip()]:
         t0 = time.time()
         train, test = split_normal_train(ds, args.train_fraction, seed=seed)
-        train = fit_scale(train)
-        task = MetaTask(train, apply_scale(test, train.scaling_stats))
-        scores, _ = run_cell(task, make_arch(train.n_features), args.members,
+        task = MetaTask(fit_scale(train), test)
+        scores, _ = run_cell(task, make_arch(task.train.n_features), args.members,
                              TrainConfig(epochs=args.epochs,
                                          batch_size=args.batch_size, seed=seed))
         report = evaluate(scores, task.test.labels, q=0.2)

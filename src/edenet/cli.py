@@ -201,7 +201,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
     """Write the bytes csv.writer writes for these rows, one block of
-    SCORE_CHUNK_ROWS rows per call."""
+    BLOCK_ROWS rows per call."""
     with atomic_open(path) as fh:
         csv.writer(fh).writerow(["row_index", "raw_score", "normalized_score"])
         for rows in row_chunks(raw.size):
@@ -228,8 +228,7 @@ def cmd_score(cfg: RunConfig) -> int:
         if stats is not None and stats != ens.scaling:
             raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
                               + ("" if ens.scaling else ", which is none (trained unscaled)"))
-        stats = ens.scaling
-    if stats is not None:
+    elif stats is not None:  # a file that records no input: scale as told
         ds = apply_scale(ds, stats)
 
     path = out / "scores.csv"
@@ -289,14 +288,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 # meta
 
 
-def _scaled_task(cfg: RunConfig, train, test, name: str = "") -> MetaTask:
-    """Training rows and labeled test rows, the test rows scaled with the
-    training stats when cfg.scale is set."""
-    if cfg.scale:
-        test = apply_scale(test, train.scaling_stats)
-    return MetaTask(train=train, test=test, name=name)
-
-
 @dataclass(frozen=True)
 class TaskEntry:
     """One meta build task: CSV paths of its training and labeled test rows."""
@@ -316,8 +307,8 @@ def _load_task(cfg: RunConfig, train: str | None, test: str | None,
     file's labeled rows. Error messages name the task by `where`."""
     schema = load_schema(_require(schema or cfg.schema, f"{where}schema path"))
     train = load_training_rows(_require(train, f"{where}train path"), schema, cfg.scale)
-    test = load_csv(_require(test, f"{where}test path"), schema, require_labels=True)
-    return _scaled_task(cfg, train, test, name)
+    return MetaTask(train, load_csv(_require(test, f"{where}test path"), schema,
+                                    require_labels=True), name)
 
 
 def cmd_meta_build(cfg: RunConfig) -> int:
@@ -418,7 +409,7 @@ def _bench_task(cfg: RunConfig, spec: SyntheticTask, seed: int) -> MetaTask:
                            seed=derived_seed(seed, 0)), cfg.scale)
     test = generate_synthetic(spec.d, spec.n_test_normal, spec.n_test_anomaly,
                               spec.shift, seed=derived_seed(seed, 1))
-    return _scaled_task(cfg, train, test)
+    return MetaTask(train=train, test=test)
 
 
 def _bench_settings(cfg: RunConfig, method: BenchMethod, width: int

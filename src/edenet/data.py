@@ -46,12 +46,16 @@ ANOMALY = 1
 CLIP_LO = -0.5
 CLIP_HI = 1.5
 
-# Rows per numpy reader call when loading a CSV file: a load holds its
-# output plus one block of parsed rows, whatever the file's length. On a
-# 51k-row KDD-shaped file, load_training_rows' peak RSS was 84, 85 and
-# 88 MB at 1024, 2048 and 4096 rows (the matrix is 46 MB), at the same
-# CPU time within noise from 512 to 16384 rows.
-CSV_BLOCK_ROWS = 1024
+# Rows per block, one size for loading and scoring so their blocks line
+# up. A CSV load holds its output plus one parsed block: on a 51k-row
+# KDD-shaped file, load_training_rows' peak RSS was 84, 85 and 88 MB at
+# 1024, 2048 and 4096 rows (the matrix is 46 MB), at the same CPU time
+# within noise from 512 to 16384 rows. Scoring (model.row_chunks) the
+# 100k-row perfbench score-100k input (I=5, d=10, one OpenBLAS thread)
+# took a median 0.90 s in 1024-row blocks, 0.91-0.93 s in 256- or 512-row
+# blocks, 0.96-1.00 s in 2048- or 4096-row blocks, 1.07 s in 128-row
+# blocks and 1.75 s as one matrix.
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ def load_csv(path, schema: Schema, require_labels: bool | None = None,
     its line and, for a bad value, its column: the first such row of the
     file, or failing one the first non-finite value.
 
-    The file is decoded CSV_BLOCK_ROWS rows at a time into a store sized
+    The file is decoded BLOCK_ROWS rows at a time into a store sized
     from its line count (Rows: numeric columns as float64, one-hot blocks
     as uint8), so the load holds about the store plus one block.
     """
@@ -368,7 +372,7 @@ def _load_rows(path, schema: Schema, require_labels: bool | None,
                has_header: bool, normal_only: bool
                ) -> tuple[Rows, np.ndarray | None]:
     """load_csv's rows and frozen labels. The file is decoded in blocks of
-    CSV_BLOCK_ROWS rows, and each block's rows are written into the store
+    BLOCK_ROWS rows, and each block's rows are written into the store
     before the next block is read. With normal_only the store holds only
     the rows labeled normal and no labels come back; a file without labels
     keeps every row."""
@@ -485,7 +489,7 @@ def _encode(values: np.ndarray, code, dtype=np.intp) -> np.ndarray:
 def read_csv_blocks(fh, header: list[str], numeric: list[int], text: list[int],
                     has_header: bool) -> Iterator[list[np.ndarray | None]]:
     """Read the rows left in `fh` with numpy's C reader, in load_csv's
-    grammar, CSV_BLOCK_ROWS rows at a time (a last block may be empty).
+    grammar, BLOCK_ROWS rows at a time (a last block may be empty).
     Each block is one entry per header column: a float64 array for the
     positions in `numeric`, the raw field text (str objects) for those in
     `text`, and None for a column nobody reads. An unread column is still
@@ -514,7 +518,7 @@ def read_csv_blocks(fh, header: list[str], numeric: list[int], text: list[int],
                 warnings.filterwarnings(
                     "ignore", r"Input line \d+ contained no data", UserWarning)
                 table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1, max_rows=CSV_BLOCK_ROWS)
+                                   comments=None, ndmin=1, max_rows=BLOCK_ROWS)
         except ValueError as exc:
             _raise_fault(fh.name, header, numeric, has_header, exc)
         columns = [table[f"c{i}"] if i in numeric or i in text else None
@@ -522,7 +526,7 @@ def read_csv_blocks(fh, header: list[str], numeric: list[int], text: list[int],
         if not all(np.isfinite(columns[i]).all() for i in numeric):
             _raise_fault(fh.name, header, numeric, has_header, None)
         yield columns
-        if len(table) < CSV_BLOCK_ROWS:
+        if len(table) < BLOCK_ROWS:
             return
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Rows, ScalingStats
+from .data import Rows, ScalingStats, _scale_rows
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -44,9 +44,10 @@ from .rng import make_rng, spawn_seeds
 @dataclass(frozen=True)
 class EnsembleModel:
     """I nets of one arch and the input they were trained on: expanded
-    column names and min-max stats (None if unscaled) that edenet score
-    holds its input to. columns None records none (built in code, or an
-    older file). Frozen, so the fields keep the checks below."""
+    column names that edenet score holds its input to, and min-max stats
+    (None if unscaled) that ensemble_score applies. columns None records
+    none (built in code, or an older file). Frozen, so the fields keep the
+    checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -192,14 +193,18 @@ def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows, what: str) -> Row
 def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
                    work: Workspace | None = None) -> np.ndarray:
     """Mean of member anomaly scores, one value per row of x, a matrix or
-    Rows: the scoring call of edenet score, Phase I cells and the reweight
-    pass. A lone net scores as a one-member ensemble, to the bit.
+    Rows of raw features: the scoring call of edenet score, Phase I cells
+    and the reweight pass. A lone net scores as a one-member ensemble, to
+    the bit.
 
     x is checked once, then scored forward-only in blocks of rows
-    (model.row_chunks): each block is expanded once (Rows.take), and every
-    member scores it as anomaly_score does, adding to each row's sum in
-    member order. A row's score can still differ in the last bits from a
-    whole-matrix forward (see anomaly_score). One workspace serves every
+    (model.row_chunks). Each block is expanded once (Rows.take), scaled
+    by ensemble.scaling with clip when it records one (data._scale_rows:
+    elementwise, and a fitted one-hot column has min 0 and span 1 or span
+    0, so a block gets the bits of apply_scale's whole-input copy), and
+    scored by every member as anomaly_score does, adding to each row's sum
+    in member order. A row's score can still differ in the last bits from
+    a whole-matrix forward (see anomaly_score). One workspace serves every
     block and member of the call, so the LSTM layers write each block into
     the same pages: work when given (train_ensemble passes the one
     training has faulted in), else a fresh one. What work held before does
@@ -210,6 +215,8 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
     total = np.zeros(rows.n_rows)
     for block in row_chunks(rows.n_rows):
         x_block = rows.take(block)
+        if ensemble.scaling is not None:
+            x_block = _scale_rows(Rows.dense(x_block), ensemble.scaling, clip=True).numeric
         for member in ensemble.members:
             z, _, z_prime = member.infer(x_block, work)
             total[block] += encoding_loss(z, z_prime)
@@ -274,10 +281,12 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
 
 def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
-    """Train the ensemble in place on x_train, a matrix or Rows; returns it
-    with one trace row per epoch. A round's batches and the reweight
-    pass's blocks are expanded from the rows as they are read
-    (Rows.take), so the expanded matrix is never built.
+    """Train the ensemble in place on x_train, a matrix or Rows already
+    scaled; returns it with one trace row per epoch. An ensemble that
+    records scaling raises ValueError: its reweight pass would scale the
+    rows again. A round's batches and the reweight pass's blocks are
+    expanded from the rows as they are read (Rows.take), so the expanded
+    matrix is never built.
 
     Trace rows hold the mean over the epoch's minibatch losses. A
     non-finite loss aborts with the failing epoch and iteration attached.
@@ -298,6 +307,8 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
     reweight pass and at return; after a TrainingDivergedError they hold
     the last written-back values.
     """
+    if ensemble.scaling is not None:
+        raise ValueError("an ensemble that records scaling would scale its training rows again")
     rows = _input_rows(ensemble, x_train, "training data")
     n = rows.n_rows
     if n == 0:

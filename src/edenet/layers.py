@@ -335,27 +335,22 @@ def lstm_step(cell: LstmCell, x_t: np.ndarray, h: np.ndarray, c: np.ndarray,
     np.multiply(o, tanh_c, out=h_new)
 
 
-def lstm_forward(cell: LstmCell, x_seq: np.ndarray, h0: np.ndarray, c0: np.ndarray,
-                 work: Workspace):
-    """Run the cell over a (T, B, input_dim) sequence.
+def lstm_forward(cell: LstmCell, x_seq: np.ndarray, work: Workspace):
+    """Run the cell over a (T, B, input_dim) sequence from zero hidden and
+    cell states.
 
     Returns (hidden_states, cache) where hidden_states is (T, B, hidden_dim)
     and cache feeds lstm_backward. A member stack carries its axis first:
-    x_seq (I, T, B, input_dim), h0 and c0 (I, B, hidden_dim). The states,
-    gates and step inputs are written into work's buffers, so the hidden
-    states and the cache are views of work, valid until work's buffers are
-    written again.
+    x_seq (I, T, B, input_dim). The states, gates and step inputs are
+    written into work's buffers, so the hidden states and the cache are
+    views of work, valid until work's buffers are written again.
     """
     _check_sequence(cell, x_seq)
     lead, (T, B, D) = x_seq.shape[:-3], x_seq.shape[-3:]
     H = cell.hidden_dim
-    if h0.shape != lead + (B, H) or c0.shape != lead + (B, H):
-        raise ShapeError(f"h0 and c0 must have shape {lead + (B, H)} (the sequence's "
-                         f"leading axes, batch, hidden_dim), got {h0.shape} and {c0.shape}")
-
     hs = work.take("hs", lead + (T + 1, B, H))
     cs = work.take("cs", lead + (T + 1, B, H))
-    hs[..., 0, :, :], cs[..., 0, :, :] = h0, c0
+    hs[..., 0, :, :] = cs[..., 0, :, :] = 0.0
     xh = work.take("xh", lead + (T, B, D + H))
     gates = work.take("gates", lead + (T, B, 4 * H))
     tanh_c = work.take("tanh_c", lead + (T, B, H))
@@ -397,11 +392,11 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
 
     grad_hidden holds the upstream gradient on every hidden state,
     shape (T, B, hidden_dim); steps without upstream signal carry zeros.
-    Returns (grad_x_seq, grad_weights, grad_bias, grad_h0, grad_c0); when
-    out is given, the parameter gradients are accumulated in out.weights
-    and out.bias, which are zeroed first. The temporaries go into work's
-    buffers, and grad_x_seq, grad_h0 and grad_c0 are views of them; work
-    must not hold the cache or grad_hidden.
+    Returns (grad_x_seq, grad_weights, grad_bias); when out is given, the
+    parameter gradients are accumulated in out.weights and out.bias, which
+    are zeroed first. The temporaries go into work's buffers, and
+    grad_x_seq is a view of them; work must not hold the cache or
+    grad_hidden.
     """
     T, B, H, D = cache["shape"]
     if cell.input_dim != D or cell.hidden_dim != H:
@@ -453,4 +448,4 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
         np.matmul(dpre, w_t, out=dxh)
         grad_x[..., t, :, :] = dxh[..., :D]
 
-    return grad_x, grad_w, grad_b, dh_next, dc_next
+    return grad_x, grad_w, grad_b

@@ -100,8 +100,9 @@ class MetaRecord:
 
 @dataclass
 class MetaTask:
-    """One training task for Phase I: a normal-only training set and a
-    labeled test set."""
+    """One training task for Phase I: a normal-only training set, scaled
+    as the members train on it (its scaling_stats, None if unscaled), and
+    a labeled test set of raw rows, which run_cell's ensemble scales."""
 
     train: Dataset
     test: Dataset
@@ -117,10 +118,14 @@ class MetaTask:
 def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
              ) -> tuple[np.ndarray, list[EpochTrace]]:
     """One Phase I cell: an ensemble of n_members nets of arch `spec`,
-    initialised and trained on task.train under cfg.seed, then scored on
-    task.test. Returns the raw test scores and the epoch trace."""
+    initialised and trained on task.train under cfg.seed, then given the
+    training rows' columns and scaling, and scored on the raw task.test
+    rows, as edenet score scores a saved model. Returns the raw test
+    scores and the epoch trace."""
     ens = init_ensemble(spec, n_members, seed=cfg.seed)
     ens, trace = train_ensemble(ens, task.train.rows, cfg)
+    ens = replace(ens, columns=task.train.feature_names(),
+                  scaling=task.train.scaling_stats)
     return ensemble_score(ens, task.test.rows), trace
 
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import BLOCK_ROWS
 from .errors import (DegenerateWeightsError, FormatError, ShapeError, check_fields,
                      expect_numbers, from_fields)
 from .layers import (
@@ -131,8 +132,7 @@ def _cells_forward(cells: list[LstmCell], seq: np.ndarray, work: Workspace):
     cell; cell k writes into work's scope k."""
     caches = []
     for k, cell in enumerate(cells):
-        zeros = np.zeros(seq.shape[:-3] + (seq.shape[-2], cell.hidden_dim))
-        seq, cache = lstm_forward(cell, seq, zeros, zeros, work.scope(k))
+        seq, cache = lstm_forward(cell, seq, work.scope(k))
         caches.append(cache)
     return seq, caches
 
@@ -371,7 +371,7 @@ class EdeNet(Stack):
     def forward(self, x: np.ndarray):
         """Returns (z, x_recon, z_prime) for a (B, input_dim) batch,
         forward-only: no stack keeps a cache for a backward pass. The batch
-        runs as one block; anomaly_score runs blocks of SCORE_CHUNK_ROWS
+        runs as one block; anomaly_score runs blocks of BLOCK_ROWS
         rows, so its scores can differ in the last bits from
         encoding_loss on this call's outputs for a batch larger than
         one block."""
@@ -512,21 +512,14 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     return combined, mean_lr, mean_le
 
 
-# Rows per block when scoring. Scoring the 100k-row perfbench score-100k
-# input (I=5, d=10, one OpenBLAS thread) took a median 0.90 s in 1024-row
-# blocks, 0.91-0.93 s in 256- or 512-row blocks, 0.96-1.00 s in 2048- or
-# 4096-row blocks, 1.07 s in 128-row blocks and 1.75 s as one matrix.
-SCORE_CHUNK_ROWS = 1024
-
-
 def row_chunks(n_rows: int) -> list[slice]:
-    """Consecutive SCORE_CHUNK_ROWS-row slices covering n_rows rows."""
-    return [slice(lo, lo + SCORE_CHUNK_ROWS) for lo in range(0, n_rows, SCORE_CHUNK_ROWS)]
+    """Consecutive BLOCK_ROWS-row slices covering n_rows rows."""
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n_rows, BLOCK_ROWS)]
 
 
 def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
     """One net's latent-gap score per sample: encoding_loss on forward's
-    outputs, in blocks of SCORE_CHUNK_ROWS rows, so a row's score can
+    outputs, in blocks of BLOCK_ROWS rows, so a row's score can
     differ in the last bits from a whole-matrix forward's. The LSTM layers
     reuse work's buffers from block to block; a call without work makes
     its own. ensemble.ensemble_score gives these bits for a lone net."""

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
-from edenet.data import load_csv, load_schema
-from edenet.ensemble import EnsembleModel, TrainConfig, init_ensemble
-from edenet.model import (SCORE_CHUNK_ROWS, ArchSpec, EdeNet, anomaly_score, make_arch,
-                          normalize_scores)
+from edenet.data import BLOCK_ROWS, load_csv, load_schema
+from edenet.ensemble import EnsembleModel, TrainConfig, ensemble_score, init_ensemble
+from edenet.model import ArchSpec, EdeNet, anomaly_score, make_arch, normalize_scores
 from edenet.modelfile import load_model, save_model
 from edenet.svr import fit_svr
+from kdd_shaped import KDD_SCHEMA, write_kdd_rows
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SMALL_CFG = {
@@ -651,7 +651,7 @@ def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
     """A model file holding one net scores to the bytes anomaly_score
     gives, over two full blocks of rows and a partial one: the committed
     "ede" file (a feed-forward net, arch None) or a one-member ensemble."""
-    rows = tiny_synth(tmp_path, "rows", 2 * SCORE_CHUNK_ROWS + 352, 100, 4)
+    rows = tiny_synth(tmp_path, "rows", 2 * BLOCK_ROWS + 352, 100, 4)
     if arch is None:
         model = FIXTURES / "ede_net.json"
         net, = load_model(model).members
@@ -667,23 +667,6 @@ def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
     _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
     assert ((tmp_path / "score" / "scores.csv").read_bytes()
             == (tmp_path / "expect.csv").read_bytes())
-
-
-KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
-
-
-def write_kdd_rows(path, n_rows: int, seed: int) -> None:
-    """n_rows rows in the KDD99 schema, about a fifth labeled "normal."
-    (the rows training drops under the schema's label inversion)."""
-    schema = load_schema(KDD_SCHEMA)
-    rng = np.random.default_rng(seed)
-    cols = [rng.choice(c.values, n_rows).tolist() if c.type == "categorical"
-            else [f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)]
-            for c in schema.columns]
-    cols.append(np.where(rng.random(n_rows) < 0.2, "normal.", "smurf.").tolist())
-    header = [c.name for c in schema.columns] + [schema.label_column]
-    path.write_text(",".join(header) + "\n"
-                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
 
 
 @pytest.fixture(scope="module")
@@ -714,6 +697,16 @@ def test_score_applies_the_scaling_the_model_records(kdd_runs, tmp_path):
     assert _kdd_score(kdd_runs, tmp_path / "flag", scaling=kdd_runs / "run" / "scaling.json") == 0
     assert ((tmp_path / "bare" / "scores.csv").read_bytes()
             == (tmp_path / "flag" / "scores.csv").read_bytes())
+
+
+def test_a_loaded_model_scores_raw_rows_as_edenet_score_does(kdd_runs, tmp_path):
+    """ensemble_score on a model file from edenet train and the raw rows
+    load_csv reads gives the raw_score column edenet score writes."""
+    assert _kdd_score(kdd_runs, tmp_path / "out") == 0
+    raw, _ = read_scores_csv(tmp_path / "out" / "scores.csv")
+    rows = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA)).rows
+    assert ensemble_score(load_model(kdd_runs / "run" / "model.json"), rows).tobytes() \
+        == raw.tobytes()
 
 
 def _swap_numeric(doc):

@@ -2,7 +2,6 @@ import csv
 import io
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from edenet.errors import (
     SchemaError,
     ShapeError,
 )
+from kdd_shaped import KDD_SCHEMA, write_kdd_rows
 
 NUM2 = Schema((SchemaColumn("a", "numeric"), SchemaColumn("b", "numeric")))
 MIXED = Schema((
@@ -703,36 +703,6 @@ def test_a_fault_on_a_dropped_row_still_names_its_line(tmp_path, row, found):
     assert exc.value.line == 4
 
 
-KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
-
-
-def write_kdd_shaped(path, n_rows, seed, odd=False):
-    """n_rows rows in the KDD99 schema, about 2% labeled "normal." (the
-    rows training drops under its label inversion). With odd, about 5% of
-    the service values lie outside the vocabulary, and every row training
-    keeps reads land "0", so that one-hot column is constant 1 over the
-    training rows but not over the file."""
-    schema = load_schema(KDD_SCHEMA)
-    rng = np.random.default_rng(seed)
-    dropped = rng.random(n_rows) < 0.02
-    cols = []
-    for col in schema.columns:
-        if col.type == "categorical":
-            values = rng.choice(col.values, n_rows)
-            if odd and col.name == "service":
-                values[rng.random(n_rows) < 0.05] = "zz_unlisted"
-            if odd and col.name == "land":
-                values[~dropped] = "0"
-            cols.append(values.tolist())
-        else:
-            cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
-    cols.append(np.where(dropped, "normal.", "smurf.").tolist())
-    header = [c.name for c in schema.columns] + [schema.label_column]
-    path.write_text(",".join(header) + "\n"
-                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
-    return schema
-
-
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -767,7 +737,7 @@ def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
     file before filling the store held both whole, and the float64 matrix
     of the expanded rows alone is over the bound."""
     path = tmp_path / "kdd.csv"
-    schema = write_kdd_shaped(path, 20_000, seed=3)
+    schema = write_kdd_rows(path, 20_000, seed=3, anomaly_share=0.02)
     block_peak = one_block_peak(path, schema)
     ds, peak = traced_peak(load_training_rows, path, schema, True)
     allocated = (20_000 + 2) * store_row_bytes(schema)  # a row per line end, plus one
@@ -781,7 +751,7 @@ def test_csv_load_holds_one_hot_columns_as_bytes(tmp_path):
     float64 matrix of the expanded rows, 968 bytes a row, is over the
     bound."""
     path = tmp_path / "kdd.csv"
-    schema = write_kdd_shaped(path, 20_000, seed=4)
+    schema = write_kdd_rows(path, 20_000, seed=4, anomaly_share=0.02)
     block_peak = one_block_peak(path, schema)
     ds, peak = traced_peak(load_csv, path, schema)
     assert store_row_bytes(schema) == 359
@@ -798,7 +768,7 @@ def test_training_peaks_below_the_dense_matrix(tmp_path):
     from edenet.cli import main
 
     path = tmp_path / "kdd.csv"
-    schema = write_kdd_shaped(path, 20_000, seed=6)
+    schema = write_kdd_rows(path, 20_000, seed=6, anomaly_share=0.02)
     n_train = load_training_rows(path, schema, False).n_rows
     rc, peak = traced_peak(main, [
         "train", "--data", str(path), "--schema", str(KDD_SCHEMA), "--members", "1",
@@ -838,7 +808,8 @@ def kdd_pair(tmp_path_factory):
     """A KDD-shaped file of about 2.5 blocks of training rows (with odd
     values), its schema and its full load."""
     path = tmp_path_factory.mktemp("kdd") / "kdd.csv"
-    schema = write_kdd_shaped(path, 2600, seed=5, odd=True)
+    schema = write_kdd_rows(path, 2600, seed=5, anomaly_share=0.02,
+                            oov_service=True, constant_land=True)
     return path, schema, load_csv(path, schema)
 
 
@@ -853,11 +824,11 @@ def test_training_store_takes_the_bytes_of_the_dense_split(kdd_pair, scale):
     assert split.features.tobytes() == dense.tobytes()
     store = load_training_rows(path, schema, scale)
     rows = store.rows
-    assert rows.n_rows == dense.shape[0] > 2 * data_mod.CSV_BLOCK_ROWS
+    assert rows.n_rows == dense.shape[0] > 2 * data_mod.BLOCK_ROWS
     assert (rows.numeric.shape[1], rows.onehot.shape[1]) == (34, 87)
     assert rows.numeric.dtype == np.float64 and rows.onehot.dtype == np.uint8
     rng = np.random.default_rng(0)
-    block = data_mod.CSV_BLOCK_ROWS
+    block = data_mod.BLOCK_ROWS
     picks = [
         rng.integers(0, rows.n_rows, 50),                  # (k,), repeats likely
         np.array([3, 3, 0, rows.n_rows - 1, 3]),           # explicit repeats
@@ -904,7 +875,7 @@ def test_csv_load_and_scaling_give_the_bytes_of_a_hand_expansion(kdd_pair, tmp_p
     assert train.features.tobytes() == hand_scaled(normal, lo, hi, clip=False).tobytes()
 
     other = tmp_path / "other.csv"
-    write_kdd_shaped(other, 1500, seed=9)
+    write_kdd_rows(other, 1500, seed=9, anomaly_share=0.02)
     x2, y2 = hand_expanded(other, schema)
     test = apply_scale(load_csv(other, schema), train.scaling_stats)
     want = hand_scaled(x2, lo, hi, clip=True)
@@ -1001,13 +972,13 @@ BLOCK_SCHEMA = Schema(
 @pytest.fixture
 def block_rows(monkeypatch):
     """Sets the rows per reader call for the rest of the test."""
-    return lambda n: monkeypatch.setattr(data_mod, "CSV_BLOCK_ROWS", n)
+    return lambda n: monkeypatch.setattr(data_mod, "BLOCK_ROWS", n)
 
 
 def load_whole(monkeypatch, fn, *args):
     """fn(*args) with the whole file read in one reader call."""
     with monkeypatch.context() as m:
-        m.setattr(data_mod, "CSV_BLOCK_ROWS", 1000)
+        m.setattr(data_mod, "BLOCK_ROWS", 1000)
         return fn(*args)
 
 

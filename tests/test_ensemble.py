@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edenet.data import Rows
+from edenet.data import (BLOCK_ROWS as CHUNK, Dataset, Rows, ScalingStats, apply_scale,
+                         fit_scale, load_csv, load_training_rows)
 from edenet.ensemble import (
     EnsembleModel,
     EpochTrace,
@@ -24,7 +25,6 @@ from edenet.ensemble import (
 from edenet.errors import ConfigError, ShapeError, TrainingDivergedError
 from edenet.layers import Workspace
 from edenet.model import (
-    SCORE_CHUNK_ROWS as CHUNK,
     EdeNet,
     anomaly_score,
     encoding_loss,
@@ -36,6 +36,7 @@ from edenet.model import (
 )
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
+from kdd_shaped import write_kdd_rows
 
 SMALL = {"hidden_sizes": (8, 5), "latent_dim": 2}
 LSTM_SMALL = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2}
@@ -306,6 +307,48 @@ def test_ensemble_score_memory_is_bounded_by_the_block(arch, widest):
     assert peak < bound
 
 
+SCALED_ROWS = 2 * CHUNK + 352
+
+
+def _dense_pair(spread):
+    """Training rows and SCALED_ROWS raw rows of width 6, the raw ones
+    `spread` times as wide as the training ones."""
+    rng = make_rng(12)
+    return (Dataset(features=rng.standard_normal((400, 6))),
+            Dataset(features=spread * rng.standard_normal((SCALED_ROWS, 6))))
+
+
+def _kdd_pair(tmp_path):
+    """300 KDD-shaped training rows with land "0" on every row, and
+    SCALED_ROWS others where land is drawn: land=1 is a one-hot column
+    constant 0 in training and set in some raw rows."""
+    schema = write_kdd_rows(tmp_path / "train.csv", 300, seed=13, oov_service=True,
+                            constant_land=True)
+    write_kdd_rows(tmp_path / "raw.csv", SCALED_ROWS, seed=14, oov_service=True)
+    train = load_training_rows(tmp_path / "train.csv", schema, scale=False)
+    return train, load_csv(tmp_path / "raw.csv", schema)
+
+
+@pytest.mark.parametrize("case", ["dense", "kdd-constant-one-hot", "clipped"])
+def test_ensemble_score_applies_the_scaling_the_ensemble_records(case, tmp_path):
+    """An ensemble that records scaling scores raw rows to the bytes its
+    nets give, unrecorded, on apply_scale's copy of those rows."""
+    train, raw = (_kdd_pair(tmp_path) if case.startswith("kdd")
+                  else _dense_pair(4.0 if case == "clipped" else 0.5))
+    stats = fit_scale(train).scaling_stats
+    scaled = apply_scale(raw, stats)
+    if case == "clipped":
+        assert (scaled.features == -0.5).any() and (scaled.features == 1.5).any()
+    if case.startswith("kdd"):
+        land1 = raw.column_meta.index("land=1")
+        assert stats.span[land1] == 0 and raw.rows.column(land1).any()
+    ens = init_ensemble(make_arch(raw.n_features, SMALL), 2, seed=15)
+    recorded = dataclasses.replace(ens, columns=raw.feature_names(), scaling=stats)
+    raw_input = raw.rows if case.startswith("kdd") else raw.features
+    assert (ensemble_score(recorded, raw_input).tobytes()
+            == ensemble_score(ens, scaled.rows).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -372,6 +415,19 @@ def test_training_rejects_width_mismatch_and_empty_data():
         train_ensemble(ens, np.zeros((10, 5)), TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train_ensemble(ens, np.zeros((0, 6)), TrainConfig(epochs=1))
+
+
+def test_training_an_ensemble_that_records_scaling_raises_and_changes_nothing():
+    """Its reweight pass would scale the already scaled training rows a
+    second time."""
+    ens = small_ensemble(2)
+    recorded = dataclasses.replace(ens, columns=[f"x{i}" for i in range(6)],
+                                   scaling=ScalingStats(np.zeros(6), np.ones(6)))
+    before = [m.flat.copy() for m in recorded.members]
+    with pytest.raises(ValueError, match="records scaling would scale"):
+        train_ensemble(recorded, make_rng(17).random((40, 6)),
+                       TrainConfig(epochs=1, batch_size=8))
+    assert all(m.flat.tobytes() == b.tobytes() for m, b in zip(recorded.members, before))
 
 
 def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):

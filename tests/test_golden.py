@@ -9,6 +9,7 @@ host CPU, so the LSTM checks run only where the gate sigmoid of a fixed
 probe gives the bytes it gave when they were recorded.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -20,9 +21,9 @@ import numpy as np
 import pytest
 
 from edenet.cli import main
-from edenet.data import load_schema, save_schema
+from edenet.data import BLOCK_ROWS, load_schema, save_schema
 from edenet.layers import sigmoid
-from edenet.model import SCORE_CHUNK_ROWS
+from kdd_shaped import KDD_SCHEMA, write_kdd_rows
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = ("scipy-openblas", "0.3.31.188.0")
@@ -53,7 +54,7 @@ RUNS = {
 # block split too (at d=7 they happen to agree)
 SCORE_D = 10
 SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members": 3}
-SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
+SCORE_ROWS = 2 * BLOCK_ROWS + 300
 # with or without --scaling: the model applies the scaling it records
 SCORE_SHA = "4c0e8b185f4961411e274af3d62e73bc28296689129fe7732217d64b9d393e30"
 # the recurrent variant, so the cache-free LSTM loop is pinned too
@@ -72,7 +73,7 @@ LSTM_SCORE_SHA = "15b45fd91f7acf8a23a85442448abf113278a4deb13d7bfca9e9c3f689c305
 # feed-forward I=1 run, written as an "ede" net, and lstm_ensemble.json a
 # two-layer LSTM I=2 run's model.json, with no recorded columns or scaling
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-FIXTURE_ROWS = 2 * SCORE_CHUNK_ROWS + 352
+FIXTURE_ROWS = 2 * BLOCK_ROWS + 352
 FIXTURE_SCORE_SHAS = {
     ("ede_net.json", False):
         "251a7ef026fe7451b608975880ea6246a0cbde17ed2a61621c919ee0f4de2034",
@@ -102,11 +103,15 @@ def _require_recorded_sigmoid() -> None:
                     f"differently on this CPU")
 
 
-def _synth(out, d: int, n_normal: int, n_anomaly: int, seed: int):
+def _require_recorded_build() -> None:
     if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
         pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} with "
                     f"{' '.join(RECORDED_BLAS)}; this is numpy {np.__version__} "
                     f"with {' '.join(_blas())}")
+
+
+def _synth(out, d: int, n_normal: int, n_anomaly: int, seed: int):
+    _require_recorded_build()
     assert main(["synth", "--out", str(out), "--d", str(d), "--n-normal", str(n_normal),
                  "--n-anomaly", str(n_anomaly), "--shift", "3.0",
                  "--seed", str(seed)]) == 0
@@ -189,14 +194,13 @@ def test_fixture_score_bytes_match_recorded_hashes(model, scaling, tmp_path):
 # the categorical path: KDD-shaped rows, whose one-hot blocks hold most of
 # the expanded features
 
-KDD_SCHEMA = Path(__file__).resolve().parents[1] / "schemas" / "kdd99_10pct.json"
 KDD_TRAIN = {"train": {"epochs": 2, "seed": 9}, "n_members": 2}
 KDD_TRAIN_SHAS = {
     "model.json": "6f7d6e28b4e93ace3b8278936cf47ba0a19eff2c3ba0b2b8461f6ecd83699bf7",
     "scaling.json": "f76ff83cbe31a6c48516f9601afe99aa2557919322268c29f9fda3abad78589e",
     "trace.csv": "12b88c4622840516434f5dfd34311eaa362f6f6b2e6c1db5c2b60d18db40fe41",
 }
-KDD_SCORE_ROWS = 2 * SCORE_CHUNK_ROWS + 300
+KDD_SCORE_ROWS = 2 * BLOCK_ROWS + 300
 KDD_SCORE_SHAS = {
     "scores.csv": "f7d463750316dab183df2df74d7e6af96eb1179756d3ca178641e045ba7e247c"}
 KDD_EVAL_SHAS = {
@@ -214,47 +218,23 @@ KDD_META_SHAS = {
 }
 
 
-def _kdd_rows(path, n_rows: int, seed: int, anomaly_frac: float,
-              header: bool = True) -> None:
-    """n_rows KDD99-shaped rows, after a header row unless header is
-    False. Under the schema's label inversion the "normal." rows are the
-    anomalies. land is always "0", so over the training rows its first
-    one-hot column is constant 1 and its second constant 0;
-    num_outbound_cmds is constant too; about 5% of the service values lie
-    outside the vocabulary (an all-zero block)."""
-    if (np.__version__, _blas()) != (RECORDED_NUMPY, RECORDED_BLAS):
-        pytest.skip(f"hashes recorded under numpy {RECORDED_NUMPY} with "
-                    f"{' '.join(RECORDED_BLAS)}; this is numpy {np.__version__} "
-                    f"with {' '.join(_blas())}")
-    schema = json.loads(KDD_SCHEMA.read_text(encoding="utf-8"))
-    rng = np.random.default_rng(seed)
-    cols = []
-    for col in schema["columns"]:
-        if col["name"] == "land":
-            cols.append(["0"] * n_rows)
-        elif col["name"] == "num_outbound_cmds":
-            cols.append(["0"] * n_rows)
-        elif col.get("type") == "categorical":
-            values = rng.choice(col["values"], n_rows)
-            if col["name"] == "service":
-                values[rng.random(n_rows) < 0.05] = "zz_unlisted"
-            cols.append(values.tolist())
-        else:
-            cols.append([f"{v:.3g}" for v in rng.lognormal(0.0, 2.0, n_rows)])
-    cols.append(np.where(rng.random(n_rows) < anomaly_frac, "normal.", "smurf.").tolist())
-    names = [c["name"] for c in schema["columns"]] + [schema["label_column"]]
-    path.write_text((",".join(names) + "\n" if header else "")
-                    + "".join(",".join(r) + "\n" for r in zip(*cols)))
+@pytest.fixture
+def kdd_rows():
+    """write_kdd_rows with out-of-vocabulary service values and land "0"
+    on every row, so over the training rows land's one-hot columns and
+    num_outbound_cmds are constant; skips under another numpy or BLAS."""
+    _require_recorded_build()
+    return functools.partial(write_kdd_rows, oov_service=True, constant_land=True)
 
 
 def _shas(out, names) -> dict:
     return {name: _sha256(out / name) for name in names}
 
 
-def test_kdd_train_bytes_match_recorded_hashes(tmp_path):
+def test_kdd_train_bytes_match_recorded_hashes(tmp_path, kdd_rows):
     """edenet train on 300 KDD-shaped rows (121 expanded features), I=2,
     2 epochs, scaling on."""
-    _kdd_rows(tmp_path / "train.csv", 300, seed=21, anomaly_frac=0.2)
+    kdd_rows(tmp_path / "train.csv", 300, seed=21, anomaly_share=0.2)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(KDD_TRAIN))
     assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "train.csv"),
@@ -262,13 +242,13 @@ def test_kdd_train_bytes_match_recorded_hashes(tmp_path):
     assert _shas(tmp_path / "run", KDD_TRAIN_SHAS) == KDD_TRAIN_SHAS
 
 
-def test_kdd_score_and_eval_bytes_match_recorded_hashes(tmp_path):
+def test_kdd_score_and_eval_bytes_match_recorded_hashes(tmp_path, kdd_rows):
     """edenet score --scaling over KDD_SCORE_ROWS KDD-shaped rows (two
     full blocks and a partial one) with a model trained on 300 others,
     then edenet eval of those scores. The scaling clips numeric values
     and zeroes the one-hot columns that were constant in training."""
-    _kdd_rows(tmp_path / "train.csv", 300, seed=25, anomaly_frac=0.2)
-    _kdd_rows(tmp_path / "rows.csv", KDD_SCORE_ROWS, seed=26, anomaly_frac=0.3)
+    kdd_rows(tmp_path / "train.csv", 300, seed=25, anomaly_share=0.2)
+    kdd_rows(tmp_path / "rows.csv", KDD_SCORE_ROWS, seed=26, anomaly_share=0.3)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(KDD_TRAIN))
     run, common = tmp_path / "run", ["--data", str(tmp_path / "rows.csv"),
@@ -283,10 +263,10 @@ def test_kdd_score_and_eval_bytes_match_recorded_hashes(tmp_path):
     assert _shas(tmp_path / "eval", KDD_EVAL_SHAS) == KDD_EVAL_SHAS
 
 
-def test_kdd_script_bytes_match_recorded_hashes(tmp_path):
+def test_kdd_script_bytes_match_recorded_hashes(tmp_path, kdd_rows):
     """scripts/run_kdd99.py over 1500 headerless KDD-shaped rows, two
     seeds, I=2, one epoch: every report and the summary."""
-    _kdd_rows(tmp_path / "kdd.data", 1500, seed=27, anomaly_frac=0.2, header=False)
+    kdd_rows(tmp_path / "kdd.data", 1500, seed=27, anomaly_share=0.2, header=False)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in [src, os.environ.get("PYTHONPATH")] if p)}
@@ -298,12 +278,12 @@ def test_kdd_script_bytes_match_recorded_hashes(tmp_path):
     assert _shas(tmp_path / "kdd", KDD_SCRIPT_SHAS) == KDD_SCRIPT_SHAS
 
 
-def test_kdd_meta_bytes_match_recorded_hashes(tmp_path):
+def test_kdd_meta_bytes_match_recorded_hashes(tmp_path, kdd_rows):
     """meta build over one KDD-shaped task and I in {1, 2}, then meta fit
     and meta select on a third KDD-shaped file."""
-    _kdd_rows(tmp_path / "train.csv", 300, seed=22, anomaly_frac=0.1)
-    _kdd_rows(tmp_path / "test.csv", 200, seed=23, anomaly_frac=0.3)
-    _kdd_rows(tmp_path / "new.csv", 250, seed=24, anomaly_frac=0.1)
+    kdd_rows(tmp_path / "train.csv", 300, seed=22, anomaly_share=0.1)
+    kdd_rows(tmp_path / "test.csv", 200, seed=23, anomaly_share=0.3)
+    kdd_rows(tmp_path / "new.csv", 250, seed=24, anomaly_share=0.1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**KDD_META, "schema": str(KDD_SCHEMA), "tasks": [
         {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "test.csv")},

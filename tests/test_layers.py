@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -213,11 +212,12 @@ def test_sigmoid_is_the_expit_formula_up_to_the_gap_in_exp():
 # lstm
 
 
-def reference_lstm(cell, x_seq, h0, c0):
-    """Step-by-step per-gate reimplementation used as an oracle."""
+def reference_lstm(cell, x_seq):
+    """Step-by-step per-gate reimplementation used as an oracle, from zero
+    states."""
     T, B, _ = x_seq.shape
     H = cell.hidden_dim
-    h, c = h0.copy(), c0.copy()
+    h, c = np.zeros((B, H)), np.zeros((B, H))
     out = np.empty((T, B, H))
     for t in range(T):
         pre = np.concatenate([x_seq[t], h], axis=1) @ cell.weights + cell.bias
@@ -244,10 +244,8 @@ def test_init_lstm_layout(rng):
 def test_lstm_forward_matches_reference(rng):
     cell = init_lstm(rng, 3, 5)
     x_seq = rng.standard_normal((4, 2, 3))
-    h0 = rng.standard_normal((2, 5))
-    c0 = rng.standard_normal((2, 5))
-    hs, _ = lstm_forward(cell, x_seq, h0, c0, Workspace())
-    assert np.allclose(hs, reference_lstm(cell, x_seq, h0, c0), atol=1e-12)
+    hs, _ = lstm_forward(cell, x_seq, Workspace())
+    assert np.allclose(hs, reference_lstm(cell, x_seq), atol=1e-12)
 
 
 def test_lstm_gates_are_the_activated_preactivations_bit_for_bit(rng):
@@ -256,8 +254,7 @@ def test_lstm_gates_are_the_activated_preactivations_bit_for_bit(rng):
     sigmoid of each pre-activation slice."""
     cell = init_lstm(rng, 3, 5)
     x_seq = rng.standard_normal((4, 6, 3))
-    _, cache = lstm_forward(cell, x_seq, rng.standard_normal((6, 5)),
-                            rng.standard_normal((6, 5)), Workspace())
+    _, cache = lstm_forward(cell, x_seq, Workspace())
     H = cell.hidden_dim
     for t in range(4):
         pre = cache["xh"][t] @ cell.weights
@@ -271,43 +268,27 @@ def test_lstm_gates_are_the_activated_preactivations_bit_for_bit(rng):
 def test_lstm_forward_empty_sequence(rng):
     cell = init_lstm(rng, 3, 5)
     with pytest.raises(ValueError):
-        lstm_forward(cell, np.zeros((0, 2, 3)), np.zeros((2, 5)), np.zeros((2, 5)),
-                     Workspace())
+        lstm_forward(cell, np.zeros((0, 2, 3)), Workspace())
 
 
 def test_lstm_forward_shape_errors(rng):
     cell = init_lstm(rng, 3, 5)
     with pytest.raises(ShapeError):
-        lstm_forward(cell, np.zeros((4, 2, 7)), np.zeros((2, 5)), np.zeros((2, 5)),
-                     Workspace())
-    with pytest.raises(ShapeError):
-        lstm_forward(cell, np.zeros((4, 2, 3)), np.zeros((2, 4)), np.zeros((2, 5)),
-                     Workspace())
-
-
-def test_lstm_forward_state_shape_error_names_the_member_axis(rng):
-    """On a member stack the states carry the member axis first, and the
-    error says so."""
-    cell = init_lstm(rng, 3, 5)
-    x_seq = np.zeros((2, 4, 6, 3))  # (I, T, B, input_dim)
-    with pytest.raises(ShapeError, match=re.escape("must have shape (2, 6, 5)")):
-        lstm_forward(cell, x_seq, np.zeros((6, 5)), np.zeros((6, 5)), Workspace())
+        lstm_forward(cell, np.zeros((4, 2, 7)), Workspace())
 
 
 def test_lstm_backward_matches_finite_differences():
     rng = make_rng(21)
     cell = init_lstm(rng, 3, 4)
     x_seq = rng.standard_normal((3, 2, 3))
-    h0 = rng.standard_normal((2, 4))
-    c0 = rng.standard_normal((2, 4))
     r = rng.standard_normal((3, 2, 4))  # loss = sum(hs * r)
 
     def loss():
-        hs, _ = lstm_forward(cell, x_seq, h0, c0, Workspace())
+        hs, _ = lstm_forward(cell, x_seq, Workspace())
         return float(np.sum(hs * r))
 
-    _, cache = lstm_forward(cell, x_seq, h0, c0, Workspace())
-    gx, gw, gb, gh0, gc0 = lstm_backward(cell, cache, r, Workspace())
+    _, cache = lstm_forward(cell, x_seq, Workspace())
+    gx, gw, gb = lstm_backward(cell, cache, r, Workspace())
 
     for arr, grad in [(cell.weights, gw), (cell.bias, gb)]:
         it = np.nditer(arr, flags=["multi_index"])
@@ -315,19 +296,17 @@ def test_lstm_backward_matches_finite_differences():
             fd = central_diff(loss, arr, it.multi_index)
             assert close(fd, grad[it.multi_index], tol=1e-5)
             it.iternext()
-    for arr, grad in [(x_seq, gx), (h0, gh0), (c0, gc0)]:
-        flat_idx = [tuple(np.unravel_index(k, arr.shape))
-                    for k in range(0, arr.size, max(1, arr.size // 6))]
-        for idx in flat_idx:
-            fd = central_diff(loss, arr, idx)
-            assert close(fd, grad[idx], tol=1e-5)
+    flat_idx = [tuple(np.unravel_index(k, x_seq.shape))
+                for k in range(0, x_seq.size, max(1, x_seq.size // 6))]
+    for idx in flat_idx:
+        fd = central_diff(loss, x_seq, idx)
+        assert close(fd, gx[idx], tol=1e-5)
 
 
 def test_lstm_backward_rejects_foreign_cache(rng):
     cell_a = init_lstm(rng, 3, 4)
     cell_b = init_lstm(rng, 3, 5)
-    _, cache = lstm_forward(cell_a, rng.standard_normal((2, 2, 3)),
-                            np.zeros((2, 4)), np.zeros((2, 4)), Workspace())
+    _, cache = lstm_forward(cell_a, rng.standard_normal((2, 2, 3)), Workspace())
     with pytest.raises(ValueError):
         lstm_backward(cell_b, cache, np.zeros((2, 2, 5)), Workspace())
 
@@ -337,6 +316,6 @@ def test_lstm_hidden_state_bounded(seed):
     rng = make_rng(seed)
     cell = init_lstm(rng, 2, 3)
     x_seq = rng.uniform(-20, 20, size=(5, 3, 2))
-    hs, _ = lstm_forward(cell, x_seq, np.zeros((3, 3)), np.zeros((3, 3)), Workspace())
+    hs, _ = lstm_forward(cell, x_seq, Workspace())
     # h = o * tanh(c) with o in (0,1): strictly inside (-1, 1)
     assert np.all(np.abs(hs) < 1.0)

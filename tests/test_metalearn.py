@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edenet.data import Dataset
+from edenet.data import Dataset, apply_scale, fit_scale
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from edenet.errors import CsvParseError
 from edenet.metalearn import (
@@ -200,6 +200,23 @@ def test_run_cell_is_init_train_score_under_one_seed():
     scores, cell_trace = run_cell(task, make_arch(4, TINY_ARCH), 2, TINY_TRAIN)
     assert scores.tobytes() == ensemble_score(ens, task.test.features).tobytes()
     assert [t.combined for t in cell_trace] == [t.combined for t in trace]
+
+
+def test_run_cell_scales_raw_test_rows_with_the_training_stats():
+    """run_cell scores the raw test rows of a task trained on scaled rows
+    as apply_scale's copy of them scores under the trained nets; some of
+    them lie outside the training range and are clipped."""
+    rng = make_rng(3)
+    task = MetaTask(train=fit_scale(Dataset(features=rng.standard_normal((20, 4)))),
+                    test=Dataset(features=3.0 * rng.standard_normal((40, 4)),
+                                 labels=np.arange(40) % 2))
+    scaled = apply_scale(task.test, task.train.scaling_stats)
+    assert (np.abs(scaled.features - 0.5) == 1.0).any()
+    spec = make_arch(4, TINY_ARCH)
+    ens = init_ensemble(spec, 2, seed=TINY_TRAIN.seed)
+    train_ensemble(ens, task.train.rows, TINY_TRAIN)
+    scores, _ = run_cell(task, spec, 2, TINY_TRAIN)
+    assert scores.tobytes() == ensemble_score(ens, scaled.rows).tobytes()
 
 
 def test_build_records_the_auroc_of_each_cell_under_its_derived_seed():

@@ -1,18 +1,28 @@
-"""The benchmark's trace hooks name functions that exist.
+"""The benchmark's trace hooks and CLI calls name things that exist.
 
 perfbench/spans.py wraps each (module, function) of its TARGETS when a run
 is traced. A renamed or removed function would only show as an
 AttributeError inside a `run.py --trace 1` run; this checks the names
 against the package, importing spans.py by path without running it.
+
+perfbench/gen.py and perfbench/worker.py call edenet with argument lists.
+A flag the parser no longer takes would only show as a drop in a
+workload's ok_frac; this checks each flag against the parser, reading the
+two files with ast without running them.
 """
 
+import argparse
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from edenet.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _targets():
@@ -28,3 +38,61 @@ TARGETS = _targets()
 @pytest.mark.parametrize("span, module, function", TARGETS, ids=[t[0] for t in TARGETS])
 def test_each_traced_function_exists(span, module, function):
     assert hasattr(importlib.import_module(f"edenet.{module}"), function), span
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """A parser's subcommand parsers by name; {} if it has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _strings(nodes) -> list[str]:
+    return [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _cli_flags(path: Path) -> set[tuple[str, str]]:
+    """(subcommand, flag) for each "--" string of every list literal whose
+    leading strings name an edenet subcommand ("score", "meta build"),
+    counting the strings of a list spliced in as *name where name is
+    assigned a list literal in the same function."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        assigned = {target.id: node.value.elts for node in ast.walk(func)
+                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.List):
+                continue
+            words, parser = [], build_parser()
+            for elt in node.elts:
+                choices = _subcommands(parser)
+                if not (isinstance(elt, ast.Constant) and elt.value in choices):
+                    break
+                words.append(elt.value)
+                parser = choices[elt.value]
+            if not words:
+                continue
+            elts = list(node.elts)
+            for elt in node.elts:
+                if isinstance(elt, ast.Starred) and isinstance(elt.value, ast.Name):
+                    elts += assigned.get(elt.value.id, [])
+            found |= {(" ".join(words), s) for s in _strings(elts) if s.startswith("--")}
+    return found
+
+
+CLI_FLAGS = sorted(_cli_flags(PERFBENCH / "gen.py") | _cli_flags(PERFBENCH / "worker.py"))
+
+
+def test_the_checked_calls_include_scores_scaling_flag():
+    assert ("score", "--scaling") in CLI_FLAGS
+    assert ("score", "--data") in CLI_FLAGS  # from a spliced list
+
+
+@pytest.mark.parametrize("command, flag", CLI_FLAGS, ids=[" ".join(p) for p in CLI_FLAGS])
+def test_each_flag_perfbench_passes_is_taken_by_its_subcommand(command, flag):
+    _, unknown = build_parser().parse_known_args([*command.split(), flag, "1"])
+    assert flag not in unknown

@@ -6,12 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import edenet
+from kdd_shaped import write_kdd_rows
 
 REPO = Path(__file__).resolve().parents[1]
-KDD_SCHEMA = REPO / "schemas" / "kdd99_10pct.json"
 
 
 def run_script(name, *args, cwd):
@@ -22,19 +20,6 @@ def run_script(name, *args, cwd):
                           cwd=cwd, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
-
-
-def write_kdd_file(path, n_rows, seed):
-    """Headerless KDD99-shaped rows: the schema's columns in order, then
-    the label; one row in five is "normal." traffic, the rest "smurf."."""
-    schema = json.loads(KDD_SCHEMA.read_text(encoding="utf-8"))
-    rng = np.random.default_rng(seed)
-    lines = []
-    for i in range(n_rows):
-        fields = [str(rng.choice(col["values"])) if col["type"] == "categorical"
-                  else repr(float(rng.integers(0, 100))) for col in schema["columns"]]
-        lines.append(",".join([*fields, "normal." if i % 5 == 0 else "smurf."]))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def test_run_synthetic_benchmark(tmp_path):
@@ -61,7 +46,7 @@ def test_run_meta_selection(tmp_path):
 
 def test_run_kdd99(tmp_path):
     data = tmp_path / "kdd.data"
-    write_kdd_file(data, 150, seed=0)
+    write_kdd_rows(data, 150, seed=0, header=False)
     out = tmp_path / "kdd"
     run_script("run_kdd99.py", "--data", str(data), "--out", str(out),
                "--epochs", "1", "--seeds", "0", "--members", "2", cwd=tmp_path)
