@@ -178,11 +178,9 @@ def cmd_train(cfg: RunConfig) -> int:
         with atomic_open(out / "scaling.json") as fh:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
 
-    ens = init_ensemble(spec, cfg.n_members, seed=tc.seed)
-    ens, trace = train_ensemble(ens, train_ds.rows, tc)
-
-    save_model(replace(ens, columns=train_ds.feature_names(),
-                       scaling=train_ds.scaling_stats), out / "model.json")
+    ens, trace = train_ensemble(init_ensemble(spec, cfg.n_members, seed=tc.seed),
+                                train_ds, tc)
+    save_model(ens, out / "model.json")
     write_trace_csv(out / "trace.csv", trace)
     _echo_config(out, "train", cfg)
 
@@ -218,21 +216,14 @@ def cmd_score(cfg: RunConfig) -> int:
     ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     stats = None if cfg.scaling is None else load_scaling(
         _require(cfg.scaling, "scaling stats path"))
-    if ens.columns is not None:  # the input the model records, width first
-        names = ds.feature_names()
-        if len(names) != len(ens.columns):
-            raise ConfigError(f"input has {len(names)} columns, model expects {len(ens.columns)}")
-        for j, (got, want) in enumerate(zip(names, ens.columns)):
-            if got != want:
-                raise ConfigError(f"input column {j} is {got!r}, model expects {want!r}")
-        if stats is not None and stats != ens.scaling:
-            raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
-                              + ("" if ens.scaling else ", which is none (trained unscaled)"))
-    elif stats is not None:  # a file that records no input: scale as told
+    if stats is not None and ens.columns is None:  # a file that records no input: scale as told
         ds = apply_scale(ds, stats)
+    elif stats is not None and stats != ens.scaling:
+        raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
+                          + ("" if ens.scaling else ", which is none (trained unscaled)"))
 
     path = out / "scores.csv"
-    raw = ensemble_score(ens, ds.rows)
+    raw = ensemble_score(ens, ds)  # holds ds to the columns the model records
     _write_scores(path, raw, normalize_scores(raw) if raw.size else raw)
     print(f"scored {ds.n_rows} rows; wrote {path}")
     _echo_config(out, "score", cfg)

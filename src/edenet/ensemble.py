@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Rows, ScalingStats, _scale_rows
+from .data import Dataset, Rows, ScalingStats, _scale_rows
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -44,10 +44,11 @@ from .rng import make_rng, spawn_seeds
 @dataclass(frozen=True)
 class EnsembleModel:
     """I nets of one arch and the input they were trained on: expanded
-    column names that edenet score holds its input to, and min-max stats
-    (None if unscaled) that ensemble_score applies. columns None records
-    none (built in code, or an older file). Frozen, so the fields keep the
-    checks below."""
+    column names that ensemble_score holds a Dataset's names to, and
+    min-max stats (None if unscaled) that it applies. train_ensemble
+    records both when it trains on a Dataset. columns None records none
+    (trained on a matrix or Rows, or an older file). Frozen, so the fields
+    keep the checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -174,36 +175,42 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
     return EnsembleModel(spec=spec, members=members, seed=seed)
 
 
-def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows, what: str) -> Rows:
+def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: str) -> Rows:
     """x as Rows of the ensemble's input width. A matrix goes through
     as_matrix and is wrapped with no one-hot part; Rows get the same
     finiteness check on their numeric part alone, since a one-hot byte is
-    0 or 1. Either way the expanded matrix is never built."""
-    if isinstance(x, Rows):
-        as_matrix(x.numeric)
-        rows = x
+    0 or 1. Either way the expanded matrix is never built. A Dataset is
+    checked as its rows, then its names against the columns the ensemble
+    records, if any; a matrix or Rows carries no names."""
+    rows = x.rows if isinstance(x, Dataset) else x
+    if isinstance(rows, Rows):
+        as_matrix(rows.numeric)
     else:
-        rows = Rows.dense(as_matrix(x))
+        rows = Rows.dense(as_matrix(rows))
     if rows.width != ensemble.spec.input_dim:
         raise ShapeError(
             f"{what} has {rows.width} columns, model expects {ensemble.spec.input_dim}")
+    if isinstance(x, Dataset) and ensemble.columns is not None:
+        for j, (got, want) in enumerate(zip(x.feature_names(), ensemble.columns)):
+            if got != want:
+                raise ShapeError(f"{what} column {j} is {got!r}, model expects {want!r}")
     return rows
 
 
-def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows,
+def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
                    work: Workspace | None = None) -> np.ndarray:
-    """Mean of member anomaly scores, one value per row of x, a matrix or
-    Rows of raw features: the scoring call of edenet score, Phase I cells
-    and the reweight pass. A lone net scores as a one-member ensemble, to
-    the bit.
+    """Mean of member anomaly scores, one value per row of x, a matrix,
+    Rows or Dataset of raw features: the scoring call of edenet score,
+    Phase I cells and the reweight pass. A lone net scores as a one-member
+    ensemble, to the bit.
 
-    x is checked once, then scored forward-only in blocks of rows
-    (model.row_chunks). Each block is expanded once (Rows.take), scaled
-    by ensemble.scaling with clip when it records one (data._scale_rows:
-    elementwise, and a fitted one-hot column has min 0 and span 1 or span
-    0, so a block gets the bits of apply_scale's whole-input copy), and
-    scored by every member as anomaly_score does, adding to each row's sum
-    in member order. A row's score can still differ in the last bits from
+    x is checked once (a Dataset's names too), then scored forward-only
+    in blocks of rows (model.row_chunks). Each block is expanded once
+    (Rows.take), scaled by ensemble.scaling with clip when it records one
+    (data._scale_rows: elementwise, and a fitted one-hot column has min 0
+    and span 1 or span 0, so a block gets the bits of apply_scale's
+    whole-input copy), and scored by every member as anomaly_score does,
+    adding to each row's sum in member order. A row's score can still differ in the last bits from
     a whole-matrix forward (see anomaly_score). One workspace serves every
     block and member of the call, so the LSTM layers write each block into
     the same pages: work when given (train_ensemble passes the one
@@ -279,14 +286,16 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
     return who, rows.reshape(iters, batch_size)
 
 
-def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
+def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
-    """Train the ensemble in place on x_train, a matrix or Rows already
-    scaled; returns it with one trace row per epoch. An ensemble that
-    records scaling raises ValueError: its reweight pass would scale the
-    rows again. A round's batches and the reweight pass's blocks are
-    expanded from the rows as they are read (Rows.take), so the expanded
-    matrix is never built.
+    """Train the ensemble's members in place on x_train, a matrix, Rows or
+    Dataset already scaled; returns the ensemble with one trace row per
+    epoch. Trained on a Dataset, the ensemble returned records its input,
+    feature_names() and scaling_stats, for ensemble_score to check and
+    apply. An ensemble that records scaling raises ValueError: its
+    reweight pass would scale the rows again. A round's batches and the
+    reweight pass's blocks are expanded from the rows as they are read
+    (Rows.take), so the expanded matrix is never built.
 
     Trace rows hold the mean over the epoch's minibatch losses. A
     non-finite loss aborts with the failing epoch and iteration attached.
@@ -358,7 +367,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
             sched[r, :counts[member]] = np.flatnonzero(who == member)
         active = [int((counts > k).sum()) for k in range(counts.max())]
 
-        per_iter = np.empty((iters, 3))  # combined, mean_lr, mean_le
+        per_iter = np.empty((iters, 3))  # EpochTrace's mean_lr, mean_le, combined
         first_bad = None
         for k, a in enumerate(active):
             if a not in stacks:
@@ -368,7 +377,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
             its = sched[:a, k]
             combined, mean_lr, mean_le = stacked_loss_and_grads(
                 nets, rows.take(batches[its]), coeff, work, grads)
-            per_iter[its] = np.column_stack([combined, mean_lr, mean_le])
+            per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
             for it, c in zip(its.tolist(), combined):
                 if not math.isfinite(c) and (first_bad is None or it < first_bad):
                     first_bad = it
@@ -376,21 +385,15 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows,
                 # stop once no later round holds an earlier iteration
                 if k + 1 == len(active) or sched[:active[k + 1], k + 1].min() > first_bad:
                     raise TrainingDivergedError(epoch, first_bad,
-                                                float(per_iter[first_bad, 0]))
+                                                float(per_iter[first_bad, 2]))
             step(state, [block[:a]], [grad_block[:a]])
 
-        sum_lr = sum_le = sum_combined = 0.0
-        for combined, mean_lr, mean_le in per_iter.tolist():  # iteration order
-            sum_lr += mean_lr
-            sum_le += mean_le
-            sum_combined += combined
-        trace.append(EpochTrace(
-            epoch=epoch,
-            mean_lr=sum_lr / iters,
-            mean_le=sum_le / iters,
-            combined=sum_combined / iters,
-        ))
+        # a sequential scan adds in iteration order; np.sum would pair terms
+        trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))
     write_back()
+    if isinstance(x_train, Dataset):
+        ensemble = replace(ensemble, columns=x_train.feature_names(),
+                           scaling=x_train.scaling_stats)
     return ensemble, trace
 
 

@@ -102,7 +102,8 @@ class MetaRecord:
 class MetaTask:
     """One training task for Phase I: a normal-only training set, scaled
     as the members train on it (its scaling_stats, None if unscaled), and
-    a labeled test set of raw rows, which run_cell's ensemble scales."""
+    a labeled test set of raw rows with the training set's column names,
+    which run_cell's ensemble checks and scales."""
 
     train: Dataset
     test: Dataset
@@ -118,15 +119,12 @@ class MetaTask:
 def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
              ) -> tuple[np.ndarray, list[EpochTrace]]:
     """One Phase I cell: an ensemble of n_members nets of arch `spec`,
-    initialised and trained on task.train under cfg.seed, then given the
-    training rows' columns and scaling, and scored on the raw task.test
-    rows, as edenet score scores a saved model. Returns the raw test
-    scores and the epoch trace."""
-    ens = init_ensemble(spec, n_members, seed=cfg.seed)
-    ens, trace = train_ensemble(ens, task.train.rows, cfg)
-    ens = replace(ens, columns=task.train.feature_names(),
-                  scaling=task.train.scaling_stats)
-    return ensemble_score(ens, task.test.rows), trace
+    initialised and trained on task.train under cfg.seed, which records
+    the training rows' columns and scaling, and scored on the raw
+    task.test rows, held to those columns, as edenet score scores a saved
+    model. Returns the raw test scores and the epoch trace."""
+    ens, trace = train_ensemble(init_ensemble(spec, n_members, seed=cfg.seed), task.train, cfg)
+    return ensemble_score(ens, task.test), trace
 
 
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],

@@ -6,8 +6,8 @@ One tagged-JSON format covers ensembles and the Phase II kernel regressor
 (columns, scaling) before its members. The "ede" kind, one net, is only
 read, as a one-member ensemble. Floats go through Python's shortest-roundtrip
 repr, so a save/load/save cycle is byte-identical and parameters reload
-bit-exact. An ensemble's members are encoded and written one at a time,
-into the bytes json.dumps gives for the whole document.
+bit-exact. An ensemble's parameter arrays are encoded and written one at
+a time, into the bytes json.dumps gives for the whole document.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .atomic import atomic_open
 from .data import scaling_from_dict, scaling_to_dict
 from .ensemble import EnsembleModel
 from .errors import FormatError, from_fields
-from .model import ArchSpec, net_from_payload, net_to_payload
+from .model import ArchSpec, net_from_payload
 from .svr import SvrModel, svr_from_dict, svr_to_dict
 
 FORMAT_MARKER = "edenet-model"
@@ -49,12 +49,12 @@ def _ede_from_dict(doc: dict) -> EnsembleModel:
 
 
 def _ensemble_to_dict(ens: EnsembleModel) -> dict:
-    """The payload; its last key, members, maps each member's payload
-    lazily, for save_model to encode one member at a time."""
+    """The payload; its last key, members, holds the nets themselves, for
+    save_model to encode one parameter array at a time."""
     return {"seed": ens.seed, "arch": ens.spec.to_dict(),
             "columns": ens.columns,
             "scaling": None if ens.scaling is None else scaling_to_dict(ens.scaling),
-            "members": map(net_to_payload, ens.members)}
+            "members": ens.members}
 
 
 def _ensemble_from_dict(doc: dict) -> EnsembleModel:
@@ -84,11 +84,14 @@ def save_model(obj: EnsembleModel | SvrModel, path) -> None:
         if members is None:
             fh.write(text)
             return
-        # json.dumps(doc) with members, the last key, written member by member
+        # json.dumps(doc) with members, the last key, written one
+        # parameter array at a time
         fh.write(text[:-1] + ', "members": [')
-        for i, payload in enumerate(members):
-            fh.write(", " if i else "")
-            fh.write(json.dumps(payload))
+        for i, net in enumerate(members):
+            fh.write(", {" if i else "{")
+            for j, (name, p) in enumerate(zip(net.param_names(), net.params())):
+                fh.write((", " if j else "") + json.dumps(name) + ": " + json.dumps(p.tolist()))
+            fh.write("}")
         fh.write("]}")
 
 

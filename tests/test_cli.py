@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
-from edenet.data import BLOCK_ROWS, load_csv, load_schema
-from edenet.ensemble import EnsembleModel, TrainConfig, ensemble_score, init_ensemble
+from edenet.data import BLOCK_ROWS, load_csv, load_schema, load_training_rows
+from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
+                             train_ensemble)
+from edenet.errors import ShapeError
 from edenet.model import ArchSpec, EdeNet, anomaly_score, make_arch, normalize_scores
 from edenet.modelfile import load_model, save_model
 from edenet.svr import fit_svr
@@ -735,6 +737,47 @@ def test_score_with_other_columns_of_the_same_width_is_exit_2(kdd_runs, tmp_path
     j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
     assert f"input column {j} is {got[j]!r}, model expects {want[j]!r}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [_swap_numeric, _reverse_vocabulary],
+                         ids=["numeric-swapped", "vocabulary-reordered"])
+def test_library_scoring_holds_a_dataset_to_the_model_columns(kdd_runs, tmp_path, edit):
+    """ensemble_score on a loaded model and a Dataset read in another
+    column order of the same width raises, naming the column, as edenet
+    score does; the Dataset's Rows carry no names and score on width."""
+    doc = json.loads(KDD_SCHEMA.read_text())
+    edit(doc)
+    ds = load_csv(kdd_runs / "rows.csv", load_schema(write_json(tmp_path / "schema.json", doc)))
+    ens = load_model(kdd_runs / "run" / "model.json")
+    got = ds.feature_names()
+    j = next(j for j, (a, b) in enumerate(zip(got, ens.columns)) if a != b)
+    with pytest.raises(ShapeError) as exc:
+        ensemble_score(ens, ds)
+    assert str(exc.value) == f"input column {j} is {got[j]!r}, model expects {ens.columns[j]!r}"
+    assert ensemble_score(ens, ds.rows).shape == (300,)
+
+
+def test_library_scoring_of_a_dataset_gives_the_edenet_score_bytes(kdd_runs, tmp_path):
+    assert _kdd_score(kdd_runs, tmp_path / "out") == 0
+    raw, _ = read_scores_csv(tmp_path / "out" / "scores.csv")
+    ds = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA))
+    assert ensemble_score(load_model(kdd_runs / "run" / "model.json"), ds).tobytes() \
+        == raw.tobytes()
+
+
+@pytest.mark.parametrize("run, scale", [("run", True), ("raw", False)])
+def test_library_training_on_a_dataset_gives_the_edenet_train_bytes(kdd_runs, tmp_path,
+                                                                    run, scale):
+    """save_model of what train_ensemble returns for load_training_rows's
+    Dataset is the model.json edenet train writes for the same file and
+    config: the ensemble records the input itself."""
+    train = load_training_rows(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA), scale)
+    ens, _ = train_ensemble(init_ensemble(make_arch(train.n_features), 1, seed=2), train,
+                            TrainConfig(epochs=1, seed=2))
+    assert ens.columns == tuple(train.feature_names()) and ens.scaling == train.scaling_stats
+    save_model(ens, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() \
+        == (kdd_runs / run / "model.json").read_bytes()
 
 
 def test_scaling_of_another_run_is_exit_2(kdd_runs, tmp_path, capsys):

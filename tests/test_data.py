@@ -1054,13 +1054,28 @@ def test_a_bad_field_in_block_3_beats_a_non_finite_value_in_block_1(
     ("7,1e400", "non-finite value inf in column 'b'"),
 ])
 def test_line_numbers_stay_absolute_in_later_blocks(tmp_path, block_rows, row, found):
-    """Line 9 is the fourth block's first row: blank lines count as lines,
-    a quoted line break does not."""
+    """Line 9 is the third block's second row, as numpy's max_rows does
+    not count blank lines: blank lines count as lines, a quoted line
+    break does not."""
     p = write(tmp_path, 'a,b\n1,2\n\n3,"4"\n"5\n",6\n\n8,9\n1,1\n' + row + "\n2,2\n")
     block_rows(2)
     with pytest.raises(CsvParseError, match=found) as exc:
         load_csv(p, NUM2)
     assert exc.value.line == 9
+
+
+def test_blocks_stay_full_across_blank_lines_and_quoted_line_breaks(tmp_path, block_rows):
+    """Every block but the last holds BLOCK_ROWS rows, so CSV blocks line
+    up with model.row_chunks: blank lines take no place in a block, and a
+    field's quoted line break does not end its row."""
+    p = write(tmp_path, 'a,b\n\n1,"x"\n\n\n2,"y\nz"\n3,w\n\n"4","v\n\nu"\n5,s\n\n6,t\n7,r\n\n')
+    block_rows(2)
+    with open(p, encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+        blocks = list(read_csv_blocks(fh, header, [0], [1], has_header=True))
+    assert [len(b[0]) for b in blocks] == [2, 2, 2, 1]
+    assert np.concatenate([b[0] for b in blocks]).tolist() == [1, 2, 3, 4, 5, 6, 7]
+    assert [v for b in blocks for v in b[1]] == ["x", "y\nz", "w", "v\n\nu", "s", "t", "r"]
 
 
 def write_block_file(path, n_rows, seed):

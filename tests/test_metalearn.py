@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from edenet.data import Dataset, apply_scale, fit_scale
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
-from edenet.errors import CsvParseError
+from edenet.errors import CsvParseError, ShapeError
 from edenet.metalearn import (
     MetaFeatures,
     MetaRecord,
@@ -217,6 +217,16 @@ def test_run_cell_scales_raw_test_rows_with_the_training_stats():
     train_ensemble(ens, task.train.rows, TINY_TRAIN)
     scores, _ = run_cell(task, spec, 2, TINY_TRAIN)
     assert scores.tobytes() == ensemble_score(ens, scaled.rows).tobytes()
+
+
+def test_run_cell_holds_the_test_rows_to_the_training_columns():
+    """A test Dataset of the training width under other names raises
+    before it is scored."""
+    task = make_task(4)
+    renamed = Dataset(rows=task.test.rows, labels=task.test.labels,
+                      column_meta=["x0", "x1", "x3", "x2"])
+    with pytest.raises(ShapeError, match="input column 2 is 'x3', model expects 'x2'"):
+        run_cell(MetaTask(task.train, renamed), make_arch(4, TINY_ARCH), 2, TINY_TRAIN)
 
 
 def test_build_records_the_auroc_of_each_cell_under_its_derived_seed():

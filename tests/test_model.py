@@ -661,3 +661,17 @@ def test_an_ensemble_is_written_one_member_at_a_time(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "m.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
     assert peaks[1] < peaks[0] * 2 / 3
+
+
+def test_an_ensemble_is_written_one_parameter_array_at_a_time(tmp_path):
+    """The 3-member d=121 model: the traced peak of save_model is bounded
+    by its largest array's floats and text, not by a member's (4.4 MB)."""
+    ens = init_ensemble(make_arch(121), 3, seed=1)
+    tracemalloc.start()
+    try:
+        save_model(ens, tmp_path / "m.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert (tmp_path / "m.json").read_text() == json.dumps(_whole_document(ens))
