@@ -26,7 +26,6 @@ import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
 from .data import (
-    apply_scale,
     generate_synthetic,
     load_csv,
     load_scaling,
@@ -54,6 +53,7 @@ from .errors import (
     TrainingDivergedError,
     check_fields,
     from_fields,
+    read_json,
 )
 from .metalearn import (
     MetaTask,
@@ -123,13 +123,7 @@ class RunConfig:
 def _load_config_file(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = read_json(_require(path, "config file"), "config file")
     return from_fields(RunConfig, doc, "config")
 
 
@@ -216,14 +210,14 @@ def cmd_score(cfg: RunConfig) -> int:
     ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     stats = None if cfg.scaling is None else load_scaling(
         _require(cfg.scaling, "scaling stats path"))
-    if stats is not None and ens.columns is None:  # a file that records no input: scale as told
-        ds = apply_scale(ds, stats)
+    if stats is not None and ens.columns is None and ens.scaling is None:
+        ens = replace(ens, scaling=stats)  # a file that records no input: complete its record
     elif stats is not None and stats != ens.scaling:
         raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
                           + ("" if ens.scaling else ", which is none (trained unscaled)"))
 
     path = out / "scores.csv"
-    raw = ensemble_score(ens, ds)  # holds ds to the columns the model records
+    raw = ensemble_score(ens, ds)  # checks ds against the model's record and scales it
     _write_scores(path, raw, normalize_scores(raw) if raw.size else raw)
     print(f"scored {ds.n_rows} rows; wrote {path}")
     _echo_config(out, "score", cfg)

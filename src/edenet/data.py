@@ -26,7 +26,6 @@ matrix would, in the same order, so the bytes do not depend on the route.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -37,14 +36,11 @@ import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
 from .errors import (CsvParseError, FormatError, NotFittedError, SchemaError, ShapeError,
-                     check_fields, expect_numbers, expect_type, from_fields)
+                     check_fields, expect_numbers, expect_type, from_fields, read_json)
 from .rng import make_rng
 
 NORMAL = 0
 ANOMALY = 1
-
-CLIP_LO = -0.5
-CLIP_HI = 1.5
 
 # Rows per block, one size for loading and scoring so their blocks line
 # up. A CSV load holds its output plus one parsed block: on a 51k-row
@@ -616,26 +612,30 @@ def fit_scale(data: Dataset) -> Dataset:
     """
     if data.n_rows == 0:
         raise ValueError("cannot fit scaling on an empty dataset")
-    return _scaled(data, _fit_stats(data.rows), clip=False)
+    return _scaled(data, _fit_stats(data.rows))
 
 
 def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
-    """Scale with stats fitted elsewhere; out-of-range results are clipped
-    to [-0.5, 1.5]. The result holds fresh arrays. Stats that would map a
-    one-hot column off {0, 1} raise ValueError; fitted stats never do."""
+    """Scale with stats fitted elsewhere (_scale_rows) into fresh arrays.
+    Stats that map a one-hot column off {0, 1} raise ValueError."""
     if stats is None:
         raise NotFittedError("scaling stats missing; call fit_scale first")
     if stats.col_min.shape[0] != data.n_features:
-        raise ShapeError(
-            f"scaling stats cover {stats.col_min.shape[0]} columns, "
-            f"data has {data.n_features}"
-        )
-    lo, hi, hot = stats.col_min, stats.col_max, data.rows.hot_cols
+        raise ShapeError(f"scaling stats cover {stats.col_min.shape[0]} columns, "
+                         f"data has {data.n_features}")
+    _check_one_hot(stats, data.rows, data.feature_names())
+    return _scaled(data, stats)
+
+
+def _check_one_hot(stats: ScalingStats, rows: Rows, names: list[str] | range) -> None:
+    """Refuse stats that map a one-hot column of rows off {0, 1}, naming the
+    first by names; stats fitted on rows of the same schema never do."""
+    lo, hi, hot = stats.col_min, stats.col_max, rows.hot_cols
     off = hot[(stats.span[hot] != 0) & ((lo[hot] != 0) | (hi[hot] != 1))]
     if off.size:
-        raise ValueError(f"scaling stats map one-hot column {data.feature_names()[off[0]]!r} "
-                         f"off {{0, 1}}: min {lo[off[0]].item()!r}, max {hi[off[0]].item()!r}")
-    return _scaled(data, stats, clip=True)
+        j = off[0]
+        raise ValueError(f"scaling stats map one-hot column {names[j]!r} off {{0, 1}}: "
+                         f"min {lo[j].item()!r}, max {hi[j].item()!r}")
 
 
 def _fit_stats(rows: Rows) -> ScalingStats:
@@ -648,25 +648,25 @@ def _fit_stats(rows: Rows) -> ScalingStats:
     return stats
 
 
-def _scaled(data: Dataset, stats: ScalingStats, clip: bool) -> Dataset:
+def _scaled(data: Dataset, stats: ScalingStats) -> Dataset:
     """data with its rows scaled into fresh parts (_scale_rows)."""
-    return Dataset(rows=_frozen_rows(_scale_rows(data.rows, stats, clip)),
+    return Dataset(rows=_frozen_rows(_scale_rows(data.rows, stats)),
                    labels=data.labels, column_meta=data.column_meta,
                    scaling_stats=stats)
 
 
-def _scale_rows(rows: Rows, stats: ScalingStats, clip: bool,
-                in_place: bool = False) -> Rows:
+def _scale_rows(rows: Rows, stats: ScalingStats, in_place: bool = False) -> Rows:
     """rows min-max scaled into fresh parts or, in_place, into their own:
-    a numeric column to (x - col_min) / span, 0 where the span is 0, and
-    clipped to [CLIP_LO, CLIP_HI] with clip; a one-hot column zeroed where
-    its span is 0 and kept elsewhere, where its min is 0 and its span 1."""
+    a numeric column to (x - col_min) / span, 0 where the span is 0,
+    clipped to [-0.5, 1.5]; a one-hot column zeroed where its span
+    is 0 and kept elsewhere, where its min is 0 and its span 1. The clip
+    leaves rows scaled by their own fitted stats as they are: x - col_min
+    rounds to at most the span, so each value lies in [0, 1]."""
     lo, span = stats.col_min[rows.num_cols], stats.span[rows.num_cols]
     numeric = np.subtract(rows.numeric, lo, out=rows.numeric if in_place else None)
     numeric /= np.where(span > 0, span, 1.0)
     numeric[:, span == 0] = 0.0
-    if clip:
-        np.clip(numeric, CLIP_LO, CLIP_HI, out=numeric)
+    np.clip(numeric, -0.5, 1.5, out=numeric)
     onehot = rows.onehot if in_place else rows.onehot.copy()
     onehot[:, stats.span[rows.hot_cols] == 0] = 0
     return replace(rows, numeric=numeric, onehot=onehot)
@@ -715,7 +715,7 @@ def _training_rows(rows: Rows, column_meta: list[str] | None,
         raise ValueError("no normal rows to train on")
     if scale:
         stats = _fit_stats(rows)
-        rows = _scale_rows(rows, stats, clip=False, in_place=True)
+        rows = _scale_rows(rows, stats, in_place=True)
     return Dataset(rows=_frozen_rows(rows), column_meta=column_meta,
                    scaling_stats=stats)
 
@@ -791,11 +791,7 @@ def schema_from_dict(doc: dict) -> Schema:
 
 
 def load_schema(path) -> Schema:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
-    return schema_from_dict(doc)
+    return schema_from_dict(read_json(path, "schema file", SchemaError))
 
 
 def save_schema(schema: Schema, path) -> None:
@@ -804,7 +800,4 @@ def save_schema(schema: Schema, path) -> None:
 
 def load_scaling(path) -> ScalingStats:
     """The stats of a scaling file; FormatError names what is wrong."""
-    try:
-        return scaling_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"scaling file {path} is not valid JSON: {exc}") from exc
+    return scaling_from_dict(read_json(path, "scaling file", FormatError))

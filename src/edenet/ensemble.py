@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import atomic_open
-from .data import Dataset, Rows, ScalingStats, _scale_rows
+from .data import Dataset, Rows, ScalingStats, _check_one_hot, _scale_rows
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -46,9 +46,9 @@ class EnsembleModel:
     """I nets of one arch and the input they were trained on: expanded
     column names that ensemble_score holds a Dataset's names to, and
     min-max stats (None if unscaled) that it applies. train_ensemble
-    records both when it trains on a Dataset. columns None records none
-    (trained on a matrix or Rows, or an older file). Frozen, so the fields
-    keep the checks below."""
+    records both when it trains on a Dataset. None records none (trained
+    on a matrix or Rows, or an older file, which edenet score gives the
+    stats of --scaling). Frozen, so the fields keep the checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -65,8 +65,6 @@ class EnsembleModel:
                 raise ValueError("all members must share the ensemble arch")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
-        elif self.scaling is not None:
-            raise ValueError("ensemble scaling needs the columns it scales")
         d = self.spec.input_dim
         for what, n in (("column names", self.columns),
                         ("scaling stats", self.scaling and self.scaling.col_min)):
@@ -181,8 +179,12 @@ def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: s
     finiteness check on their numeric part alone, since a one-hot byte is
     0 or 1. Either way the expanded matrix is never built. A Dataset is
     checked as its rows, then its names against the columns the ensemble
-    records, if any; a matrix or Rows carries no names."""
-    rows = x.rows if isinstance(x, Dataset) else x
+    records, if any; a matrix or Rows carries no names. An ensemble that
+    records scaling refuses a scaled Dataset (scaling_stats set), and stats
+    that move a one-hot column of x off {0, 1} (Rows name it by position)."""
+    rows, names = (x.rows, x.feature_names()) if isinstance(x, Dataset) else (x, None)
+    if ensemble.scaling is not None and isinstance(x, Dataset) and x.scaling_stats is not None:
+        raise ValueError(f"{what} is already scaled; the model scales raw rows by its own stats")
     if isinstance(rows, Rows):
         as_matrix(rows.numeric)
     else:
@@ -190,10 +192,12 @@ def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: s
     if rows.width != ensemble.spec.input_dim:
         raise ShapeError(
             f"{what} has {rows.width} columns, model expects {ensemble.spec.input_dim}")
-    if isinstance(x, Dataset) and ensemble.columns is not None:
-        for j, (got, want) in enumerate(zip(x.feature_names(), ensemble.columns)):
+    if names is not None and ensemble.columns is not None:
+        for j, (got, want) in enumerate(zip(names, ensemble.columns)):
             if got != want:
                 raise ShapeError(f"{what} column {j} is {got!r}, model expects {want!r}")
+    if ensemble.scaling is not None:
+        _check_one_hot(ensemble.scaling, rows, names or range(rows.width))
     return rows
 
 
@@ -204,14 +208,14 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
     Phase I cells and the reweight pass. A lone net scores as a one-member
     ensemble, to the bit.
 
-    x is checked once (a Dataset's names too), then scored forward-only
-    in blocks of rows (model.row_chunks). Each block is expanded once
-    (Rows.take), scaled by ensemble.scaling with clip when it records one
-    (data._scale_rows: elementwise, and a fitted one-hot column has min 0
-    and span 1 or span 0, so a block gets the bits of apply_scale's
-    whole-input copy), and scored by every member as anomaly_score does,
-    adding to each row's sum in member order. A row's score can still differ in the last bits from
-    a whole-matrix forward (see anomaly_score). One workspace serves every
+    x is checked once (_input_rows), then scored forward-only in blocks
+    of rows (model.row_chunks). Each block is expanded once (Rows.take),
+    scaled by ensemble.scaling when it records one (data._scale_rows:
+    elementwise, and a checked one-hot column has min 0 and span 1 or span
+    0, so a block gets the bits of apply_scale's whole-input copy), and
+    scored by every member as anomaly_score does, adding to each row's
+    sum in member order. A row's score can still differ in the last bits
+    from a whole-matrix forward (see anomaly_score). One workspace serves every
     block and member of the call, so the LSTM layers write each block into
     the same pages: work when given (train_ensemble passes the one
     training has faulted in), else a fresh one. What work held before does
@@ -223,7 +227,7 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
     for block in row_chunks(rows.n_rows):
         x_block = rows.take(block)
         if ensemble.scaling is not None:
-            x_block = _scale_rows(Rows.dense(x_block), ensemble.scaling, clip=True).numeric
+            x_block = _scale_rows(Rows.dense(x_block), ensemble.scaling).numeric
         for member in ensemble.members:
             z, _, z_prime = member.infer(x_block, work)
             total[block] += encoding_loss(z, z_prime)

@@ -9,8 +9,10 @@ document is a dataclass, and a wrong type raises, never coerced.
 
 import dataclasses
 import functools
+import json
 import sys
 import typing
+from pathlib import Path
 from types import UnionType
 
 import numpy as np
@@ -53,8 +55,9 @@ def from_fields(cls, doc, what: str, error: type = ConfigError):
 
 def check_fields(obj, what: str = "", error: type = ConfigError) -> None:
     """expect_type on each field of the dataclass obj, named `what field`,
-    against its annotation: a float field also takes an int, X | None also
-    takes None, and list[T] (tuple[T, ...] also a tuple) takes a list of T."""
+    against its annotation: a float field also takes an int but only a
+    finite value, X | None also takes None, and list[T] (tuple[T, ...]
+    also a tuple) takes a list of T."""
     hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
         _check(f"{what} {f.name}".lstrip(), getattr(obj, f.name), hints[f.name], error)
@@ -74,8 +77,9 @@ def _check(name: str, value, hint, error) -> None:
         for i, item in enumerate(value):
             _check(f"{name}[{i}]", item, args[0], error)
     else:
-        expect_type(name, value, *((int, float) if hint is float else (hint,)),
-                    error=error)
+        expect_type(name, value, *((int, float) if hint is float else (hint,)), error=error)
+        if hint is float and not abs(value) <= sys.float_info.max:  # exact for ints too
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def expect_numbers(name: str, value, error: type = ConfigError) -> np.ndarray:
@@ -89,6 +93,15 @@ def expect_numbers(name: str, value, error: type = ConfigError) -> np.ndarray:
         if not abs(item) <= sys.float_info.max:  # exact for ints of any size
             raise error(f"{name} holds a non-finite value")
     return items.astype(np.float64)
+
+
+def read_json(path, what: str, error: type = ConfigError):
+    """The JSON document in the file at path; `error` names `what` and the
+    path when the file is not valid JSON or not UTF-8."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 class SchemaError(ConfigError):

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .atomic import atomic_open
 from .data import scaling_from_dict, scaling_to_dict
 from .ensemble import EnsembleModel
-from .errors import FormatError, from_fields
+from .errors import FormatError, from_fields, read_json
 from .model import ArchSpec, net_from_payload
 from .svr import SvrModel, svr_from_dict, svr_to_dict
 
@@ -98,10 +97,7 @@ def save_model(obj: EnsembleModel | SvrModel, path) -> None:
 def load_model(path) -> EnsembleModel | SvrModel:
     """Whichever model the file holds. Anything malformed, from the JSON
     syntax to a single parameter's shape, raises FormatError."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    doc = read_json(path, "model file", FormatError)
     if not isinstance(doc, dict):
         raise FormatError("model file must hold a JSON object")
     if doc.get("format") != FORMAT_MARKER:

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
-from edenet.data import BLOCK_ROWS, load_csv, load_schema, load_training_rows
+from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, fit_scale, load_csv,
+                         load_schema, load_training_rows, scaling_to_dict)
 from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
                              train_ensemble)
 from edenet.errors import ShapeError
@@ -425,6 +427,38 @@ def test_malformed_config_json_is_exit_2(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{oops")
     assert main(["synth", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("synth", '{"synthetic": {"shift": NaN}}', "synthetic shift"),
+    ("train", '{"train": {"lr": 1e999}}', "train lr"),
+    ("train", '{"arch": {"alpha": NaN}}', "arch alpha"),
+])
+def test_non_finite_config_float_is_exit_2(tmp_path, workspace, capsys, command, text, field):
+    """JSON reads NaN and 1e999 as floats; a float field refuses them, where
+    synth used to write nan rows and train to run into a non-finite loss."""
+    (tmp_path / "cfg.json").write_text(text)
+    data = ["--data", str(workspace / "synth" / "data.csv"),
+            "--schema", str(workspace / "synth" / "schema.json")]
+    assert main([command, "--config", str(tmp_path / "cfg.json"),
+                 *(data if command == "train" else []), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field} must be finite, got " in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("flag, what", [("--config", "config file"),
+                                        ("--schema", "schema file"),
+                                        ("--model", "model file")])
+def test_json_file_that_is_not_utf_8_names_its_path(tmp_path, workspace, capsys, flag, what):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    args = {"--model": str(workspace / "train" / "model.json"),
+            "--data": str(workspace / "synth" / "data.csv"),
+            "--schema": str(workspace / "synth" / "schema.json"),
+            "--out": str(tmp_path / "out"), flag: str(bad)}
+    assert main(["score", *(x for item in args.items() for x in item)]) == 2
+    assert f"error: {what} {bad} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
 
 
 def test_unknown_optimizer_is_exit_2(tmp_path, workspace):
@@ -990,6 +1024,55 @@ def test_scaling_file_with_max_below_min_is_exit_2(tmp_path, workspace, capsys):
                   scaling) == 2
     assert "col_max is below col_min in column 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_model_stats_that_move_a_one_hot_column_off_0_and_1_are_exit_2(tmp_path, capsys):
+    """The refusal of --scaling stats holds for the stats a model file
+    records: a hand-edited model.json is refused, naming the column."""
+    schema = {"columns": [{"name": "size"},
+                          {"name": "color", "type": "categorical",
+                           "values": ["red", "green", "blue"]}]}
+    (tmp_path / "data.csv").write_text("size,color\n1,red\n2,green\n3,blue\n")
+    ens = dataclasses.replace(
+        init_ensemble(make_arch(4), 1), columns=["size", "color=red", "color=green", "color=blue"],
+        scaling=ScalingStats(np.array([1.0, 0, 0, 0]), np.array([3.0, 1, 2, 1])))
+    save_model(ens, tmp_path / "model.json")
+    assert main(["score", "--model", str(tmp_path / "model.json"),
+                 "--data", str(tmp_path / "data.csv"),
+                 "--schema", write_json(tmp_path / "schema.json", schema),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("scaling stats map one-hot column 'color=green' off {0, 1}: min 0.0, max 2.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "scores.csv").exists()
+
+
+def test_scaling_for_a_file_that_records_no_input_makes_no_scaled_copy(tmp_path):
+    """--scaling completes the record of a model file that records no input,
+    and the model scales each block as it scores it: the bytes are those of
+    scoring apply_scale's copy of the rows, but the call holds no such copy
+    (it held one, as large as the rows loaded, next to them)."""
+    rows = tmp_path / "rows"
+    assert main(["synth", "--out", str(rows), "--d", "16", "--n-normal", str(32 * BLOCK_ROWS),
+                 "--n-anomaly", "0", "--seed", "3"]) == 0
+    ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"), require_labels=False)
+    stats = fit_scale(ds.take(np.arange(0, ds.n_rows, 2))).scaling_stats
+    ens = init_ensemble(make_arch(16), 1)
+    save_model(ens, tmp_path / "model.json")
+    tracemalloc.start()
+    try:
+        assert main(["score", "--model", str(tmp_path / "model.json"),
+                     "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
+                     "--scaling", write_json(tmp_path / "scaling.json", scaling_to_dict(stats)),
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = ds.rows.numeric.nbytes  # the rows loaded, plus one block's forward pass
+    assert peak < 1.7 * store
+    expect = ensemble_score(ens, apply_scale(ds, stats).rows)
+    _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
+    assert ((tmp_path / "out" / "scores.csv").read_bytes()
+            == (tmp_path / "expect.csv").read_bytes())
 
 
 def test_bench_trains_on_the_normal_rows_of_a_csv(tmp_path):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edenet.data import (
     ANOMALY,
@@ -884,6 +885,22 @@ def test_csv_load_and_scaling_give_the_bytes_of_a_hand_expansion(kdd_pair, tmp_p
     land1 = full.column_meta.index("land=1")
     assert hi[land1] == 0.0 and x2[:, land1].any() and not want[:, land1].any()
     assert (want == 1.5).any()
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 4)),
+              elements=st.floats(-1e300, 1e300)))
+def test_rows_scaled_by_their_own_stats_are_the_unclipped_formula(x):
+    """Scaling always clips, and the clip changes no row scaled by stats
+    fitted on its own column: x - min rounds to at most max - min, so each
+    value lies in [0, 1] (signed zeros included), in fit_scale and in the
+    training store alike. Values stay within +-1e300 so that no span
+    overflows."""
+    span = x.max(axis=0) - x.min(axis=0)
+    want = (x - x.min(axis=0)) / np.where(span > 0, span, 1.0)
+    want[:, span == 0] = 0.0
+    ds = Dataset(features=x)
+    for scaled in (fit_scale(ds), training_split(ds, scale=True)):
+        assert scaled.features.tobytes() == want.tobytes()
 
 
 def test_apply_scale_refuses_stats_that_move_a_one_hot_column(tmp_path):

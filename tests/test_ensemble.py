@@ -349,6 +349,38 @@ def test_ensemble_score_applies_the_scaling_the_ensemble_records(case, tmp_path)
             == ensemble_score(ens, scaled.rows).tobytes())
 
 
+def test_an_ensemble_that_records_scaling_refuses_a_scaled_dataset():
+    """ensemble_score scales a Dataset's rows by the stats the ensemble
+    records, so a Dataset that carries scaling_stats would be scaled twice:
+    it is refused. Its rows, which carry no stats, pass, as does a raw
+    Dataset to an ensemble that records no scaling."""
+    train, raw = _dense_pair(0.5)
+    stats = fit_scale(train).scaling_stats
+    ens = init_ensemble(make_arch(raw.n_features, SMALL), 2, seed=15)
+    recorded = dataclasses.replace(ens, columns=raw.feature_names(), scaling=stats)
+    scaled = apply_scale(raw, stats)
+    with pytest.raises(ValueError, match="input is already scaled"):
+        ensemble_score(recorded, scaled)
+    assert (ensemble_score(ens, scaled).tobytes() == ensemble_score(ens, scaled.rows).tobytes()
+            == ensemble_score(recorded, raw).tobytes())
+
+
+def test_recorded_scaling_that_moves_a_one_hot_column_is_refused(tmp_path):
+    """The one-hot check apply_scale makes holds for the stats an ensemble
+    records: a Dataset's column is named, a column of Rows given by its
+    position."""
+    train, raw = _kdd_pair(tmp_path)
+    stats = fit_scale(train).scaling_stats
+    j = raw.column_meta.index("land=1")
+    stats.col_min[j], stats.col_max[j] = 0.0, 2.0
+    ens = dataclasses.replace(init_ensemble(make_arch(raw.n_features, SMALL), 1),
+                              columns=raw.feature_names(), scaling=stats)
+    for x, name in ((raw, "'land=1'"), (raw.rows, str(j))):
+        with pytest.raises(ValueError, match=f"one-hot column {name} off {{0, 1}}: "
+                                             "min 0.0, max 2.0"):
+            ensemble_score(ens, x)
+
+
 # ---------------------------------------------------------------------------
 # training
 

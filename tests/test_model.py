@@ -515,7 +515,7 @@ def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
     ("ensemble", {"seed": True}),
     ("ensemble", {"columns": "abcdefg"}),
     ("ensemble", {"columns": list(range(7))}),
-    ("ensemble", {"scaling": {"col_min": [0] * 7, "col_max": [1] * 7}}),
+    ("ensemble", {"scaling": {"col_min": [0] * 6, "col_max": [1] * 6}}),  # no columns: width only
     ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [0], "col_max": [1]}}),
     ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [1] * 7,
                                                           "col_max": [0] * 7}}),
