@@ -53,8 +53,7 @@ def main() -> int:
               "kddcup.data_10_percent and pass --data", file=sys.stderr)
         return 2
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made at the first report write
 
     print(f"parsing {data_path} ...")
     t0 = time.time()

@@ -43,7 +43,6 @@ def main() -> int:
         "seeds": [int(v) for v in args.seeds.split(",") if v.strip()],
         "out": args.out,
     }
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     cfg_path = Path(args.out) / "benchmark_config.json"
     atomic_write_json(cfg_path, config)
     return edenet_main(["bench", "--config", str(cfg_path)])

@@ -21,8 +21,11 @@ from pathlib import Path
 def atomic_open(path):
     """Yield a UTF-8 text handle (newline="", so line endings are written
     as given) whose content replaces `path` when the block exits normally.
-    On an exception the temporary file is removed and `path` is untouched."""
+    On an exception the temporary file is removed and `path` is untouched.
+    path's directory is created if missing, so an output directory first
+    exists at its first write."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
     # mode "x" creates the file under the process umask, like a plain open
     fh = open(tmp, "x", newline="", encoding="utf-8")

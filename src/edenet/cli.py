@@ -26,6 +26,7 @@ import numpy as np
 
 from .atomic import atomic_open, atomic_write_json
 from .data import (
+    expanded_meta,
     generate_synthetic,
     load_csv,
     load_scaling,
@@ -137,12 +138,11 @@ def _require(value: str | None, what: str) -> Path:
 
 
 def _out_dir(cfg: RunConfig, command: str) -> Path:
+    """The output directory; it is made at the first write into it
+    (atomic_open), so a command that fails before writing leaves none."""
     if cfg.out is not None:
-        out = Path(cfg.out)
-    else:
-        out = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(cfg.out)
+    return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs")) / command
 
 
 def _echo_config(out: Path, command: str, cfg: RunConfig) -> None:
@@ -165,9 +165,10 @@ def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "train")
     tc = TrainConfig.from_dict(cfg.train)
     schema = load_schema(_require(cfg.schema, "schema path"))
+    # the arch is checked at the schema's expanded width before a row is read
+    spec = make_arch(len(expanded_meta(schema)), cfg.arch)
     train_ds = load_training_rows(_require(cfg.data, "training data path"), schema,
                                   cfg.scale)
-    spec = make_arch(train_ds.n_features, cfg.arch)
     if cfg.scale:
         with atomic_open(out / "scaling.json") as fh:
             fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
@@ -211,6 +212,9 @@ def cmd_score(cfg: RunConfig) -> int:
     stats = None if cfg.scaling is None else load_scaling(
         _require(cfg.scaling, "scaling stats path"))
     if stats is not None and ens.columns is None and ens.scaling is None:
+        if stats.col_min.size != ens.spec.input_dim:  # checked here to name the file
+            raise ConfigError(f"scaling file {cfg.scaling} holds {stats.col_min.size} columns, "
+                              f"model expects {ens.spec.input_dim}")
         ens = replace(ens, scaling=stats)  # a file that records no input: complete its record
     elif stats is not None and stats != ens.scaling:
         raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
@@ -412,7 +416,6 @@ def _run_bench_cell(cfg: RunConfig, settings: tuple[ArchSpec, int, TrainConfig],
     raw, trace = run_cell(task, spec, n_members, replace(tc, seed=seed))
     report = evaluate(raw, task.test.labels, q=cfg.q)
 
-    cell_dir.mkdir(parents=True, exist_ok=True)
     _write_scores(cell_dir / "scores.csv", raw, normalize_scores(raw))
     save_report_json(report, cell_dir / "report.json")
     write_trace_csv(cell_dir / "trace.csv", trace)

@@ -106,10 +106,6 @@ class Schema:
         if self.label_column is not None and self.normal_value is None:
             raise SchemaError("schema with a label column must give normal_value")
 
-    @property
-    def feature_width(self) -> int:
-        return sum(c.width for c in self.columns)
-
     def label_of(self, raw: str) -> int:
         matches = raw == self.normal_value
         if self.invert_labels:
@@ -301,12 +297,6 @@ class Dataset:
             column_meta=self.column_meta,
             scaling_stats=self.scaling_stats,
         )
-
-    def without_labels(self) -> "Dataset":
-        """The same rows with the labels dropped."""
-        return Dataset(rows=self.rows, labels=None,
-                       column_meta=self.column_meta,
-                       scaling_stats=self.scaling_stats)
 
 
 def expanded_meta(schema: Schema) -> list[str]:

@@ -31,11 +31,11 @@ from .layers import Workspace, as_matrix
 from .model import (
     ArchSpec,
     EdeNet,
-    encoding_loss,
+    anomaly_score,
+    loss_and_grads,
     normalize_scores,
     row_chunks,
     sample_coefficients,
-    stacked_loss_and_grads,
 )
 from .optim import make_optimizer
 from .rng import make_rng, spawn_seeds
@@ -213,13 +213,13 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
     scaled by ensemble.scaling when it records one (data._scale_rows:
     elementwise, and a checked one-hot column has min 0 and span 1 or span
     0, so a block gets the bits of apply_scale's whole-input copy), and
-    scored by every member as anomaly_score does, adding to each row's
-    sum in member order. A row's score can still differ in the last bits
-    from a whole-matrix forward (see anomaly_score). One workspace serves every
-    block and member of the call, so the LSTM layers write each block into
-    the same pages: work when given (train_ensemble passes the one
-    training has faulted in), else a fresh one. What work held before does
-    not change the scores.
+    scored by every member (model.anomaly_score), adding to each row's sum
+    in member order. A row's score can still differ in the last bits from
+    a whole-matrix forward. One workspace serves every block and member of
+    the call, so the LSTM layers write each block into the same pages:
+    work when given (train_ensemble passes the one training has faulted
+    in), else a fresh one. What work held before does not change the
+    scores.
     """
     rows = _input_rows(ensemble, x, "input")
     work = Workspace() if work is None else work
@@ -229,8 +229,7 @@ def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
         if ensemble.scaling is not None:
             x_block = _scale_rows(Rows.dense(x_block), ensemble.scaling).numeric
         for member in ensemble.members:
-            z, _, z_prime = member.infer(x_block, work)
-            total[block] += encoding_loss(z, z_prime)
+            total[block] += anomaly_score(member, x_block, work)
     return total / ensemble.size
 
 
@@ -306,7 +305,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
 
     Each epoch draws its schedule first, then runs in rounds: round k
     takes the k-th step of every member that has one, as one member
-    stack (model.stacked_loss_and_grads) over the rows of one (I, P)
+    stack (model.loss_and_grads) over the rows of one (I, P)
     parameter block, and one optimizer step over those rows. The rows are
     sorted by step count at each epoch start, so a round's members are a
     leading run of rows. Each member sees the batches and steps of the
@@ -379,8 +378,8 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
                 stacks[a] = (member0.bind(block[:a]), member0.bind(grad_block[:a]))
             nets, grads = stacks[a]
             its = sched[:a, k]
-            combined, mean_lr, mean_le = stacked_loss_and_grads(
-                nets, rows.take(batches[its]), coeff, work, grads)
+            combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), coeff,
+                                                        work, grads)
             per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
             for it, c in zip(its.tolist(), combined):
                 if not math.isfinite(c) and (first_bad is None or it < first_bad):

@@ -18,8 +18,9 @@ Every function also takes a stack of I independent nets at once: a
 layer's weights are then (I, in_dim, out_dim), its bias (I, out_dim), and
 every activation carries the member axis first, (I, B, width). np.matmul
 runs one product per member, the same BLAS call a lone net makes, so a
-member's results are bit-identical either way. A backward pass can write
-its parameter gradients into given arrays (out=) instead of fresh ones.
+member's results are bit-identical either way. A backward pass writes
+its parameter gradients into the arrays of a given layer or cell (out)
+and returns the input gradient.
 
 The LSTM functions write their working arrays into the buffers of a given
 Workspace rather than into fresh arrays: lstm_forward its cache (hidden
@@ -153,14 +154,13 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
                    cached_output: np.ndarray, grad_out: np.ndarray,
-                   out: DenseLayer | None = None):
-    """Gradients for one dense layer.
+                   out: DenseLayer) -> np.ndarray:
+    """Gradients for one dense layer: the parameter gradients are written
+    into out.weights and out.bias, and the input gradient is returned.
 
     cached_input and cached_output are the forward call's input and
     result; a tanh layer takes its derivative from the output, so nothing
-    is recomputed. Returns (grad_input, grad_weights, grad_bias); when out
-    is given, the two parameter gradients are written into out.weights and
-    out.bias and returned.
+    is recomputed.
     """
     if cached_input.shape[-1] != layer.in_dim:
         raise ShapeError(f"cached input shape {cached_input.shape} mismatches layer")
@@ -173,11 +173,9 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
         grad_pre = grad_out * (1.0 - cached_output * cached_output)
     else:
         grad_pre = grad_out
-    grad_w = np.matmul(cached_input.swapaxes(-1, -2), grad_pre,
-                       out=None if out is None else out.weights)
-    grad_b = np.sum(grad_pre, axis=-2, out=None if out is None else out.bias)
-    grad_in = grad_pre @ layer.weights.swapaxes(-1, -2)
-    return grad_in, grad_w, grad_b
+    np.matmul(cached_input.swapaxes(-1, -2), grad_pre, out=out.weights)
+    np.sum(grad_pre, axis=-2, out=out.bias)
+    return grad_pre @ layer.weights.swapaxes(-1, -2)
 
 
 class Stack:
@@ -231,17 +229,15 @@ class DenseStack(Stack):
             x = dense_forward(layer, x)
         return x
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out=None,
-                 work: Workspace | None = None):
-        """Returns (grad_input, grads) with grads aligned to params(). out,
-        a stack of the same layout (see model.EdeNet.bind), receives the
-        gradients in place when given. work goes unused, as in forward."""
-        grads: list[np.ndarray] = []
+    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out: "DenseStack",
+                 work: Workspace | None = None) -> np.ndarray:
+        """Writes the gradients into out, a stack of the same layout (see
+        model.EdeNet.bind), and returns the gradient on the input. work
+        goes unused, as in forward."""
         for k in range(len(self.layers) - 1, -1, -1):
-            grad_out, gw, gb = dense_backward(self.layers[k], cache[k], cache[k + 1],
-                                              grad_out, None if out is None else out.layers[k])
-            grads[:0] = [gw, gb]
-        return grad_out, grads
+            grad_out = dense_backward(self.layers[k], cache[k], cache[k + 1], grad_out,
+                                      out.layers[k])
+        return grad_out
 
     def named_units(self) -> list[tuple[str, DenseLayer]]:
         return [(f"layer{k}", layer) for k, layer in enumerate(self.layers)]
@@ -387,15 +383,15 @@ def lstm_infer(cell: LstmCell, x_seq: np.ndarray, work: Workspace) -> np.ndarray
 
 
 def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
-                  work: Workspace, out: LstmCell | None = None):
+                  work: Workspace, out: LstmCell) -> np.ndarray:
     """Backprop through time for one cell.
 
     grad_hidden holds the upstream gradient on every hidden state,
     shape (T, B, hidden_dim); steps without upstream signal carry zeros.
-    Returns (grad_x_seq, grad_weights, grad_bias); when out is given, the
-    parameter gradients are accumulated in out.weights and out.bias, which
-    are zeroed first. The temporaries go into work's buffers, and
-    grad_x_seq is a view of them; work must not hold the cache or
+    The parameter gradients are accumulated in out.weights and out.bias,
+    which are zeroed first, and the gradient on the input sequence is
+    returned. The temporaries go into work's buffers, and the input
+    gradient is a view of them; work must not hold the cache or
     grad_hidden.
     """
     T, B, H, D = cache["shape"]
@@ -406,12 +402,9 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
     if grad_hidden.shape != lead + (T, B, H):
         raise ShapeError(f"grad_hidden shape {grad_hidden.shape} != {lead + (T, B, H)}")
 
-    if out is None:
-        grad_w, grad_b = np.zeros_like(cell.weights), np.zeros_like(cell.bias)
-    else:
-        grad_w, grad_b = out.weights, out.bias
-        grad_w[...] = 0.0
-        grad_b[...] = 0.0
+    grad_w, grad_b = out.weights, out.bias
+    grad_w[...] = 0.0
+    grad_b[...] = 0.0
     w_t = cell.weights.swapaxes(-1, -2)
     grad_x = work.take("grad_x", lead + (T, B, D))
     dpre = work.take("dpre", lead + (B, 4 * H))
@@ -448,4 +441,4 @@ def lstm_backward(cell: LstmCell, cache: dict, grad_hidden: np.ndarray,
         np.matmul(dpre, w_t, out=dxh)
         grad_x[..., t, :, :] = dxh[..., :D]
 
-    return grad_x, grad_w, grad_b
+    return grad_x

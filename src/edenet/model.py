@@ -29,7 +29,6 @@ from .layers import (
     LstmCell,
     Stack,
     Workspace,
-    as_matrix,
     init_dense,
     init_lstm,
     lstm_backward,
@@ -153,7 +152,7 @@ def _cells_backward(cells: list[LstmCell], caches: list[dict], dh: np.ndarray,
     the cell below reads cell k's input gradient while it writes its own
     into the other scope."""
     for k in range(len(cells) - 1, -1, -1):
-        dh = lstm_backward(cells[k], caches[k], dh, work.scope(k % 2), out[k])[0]
+        dh = lstm_backward(cells[k], caches[k], dh, work.scope(k % 2), out[k])
     return dh
 
 
@@ -188,9 +187,8 @@ class LstmEncoder(Stack):
     def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder",
                  work: Workspace):
         """Writes the gradients into out, a stack of the same layout, and
-        returns (grad_input, out.params()), the pair DenseStack.backward
-        returns. The temporaries go into work, which must not hold the
-        cache."""
+        returns the gradient on the input. The temporaries go into work,
+        which must not hold the cache."""
         np.matmul(cache["top_last"].swapaxes(-1, -2), grad_out, out=out.proj.weights)
         np.sum(grad_out, axis=-2, out=out.proj.bias)
         *lead, B, _ = grad_out.shape
@@ -198,7 +196,7 @@ class LstmEncoder(Stack):
         dh[..., :-1, :, :] = 0.0
         np.matmul(grad_out, self.proj.weights.swapaxes(-1, -2), out=dh[..., -1, :, :])
         dx_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells, work)
-        return _sequence_to_row(dx_seq, self.input_dim), out.params()
+        return _sequence_to_row(dx_seq, self.input_dim)
 
     def named_units(self) -> list[tuple[str, object]]:
         return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("proj", self.proj)]
@@ -237,9 +235,8 @@ class LstmDecoder(Stack):
     def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmDecoder",
                  work: Workspace):
         """Writes the gradients into out, a stack of the same layout, and
-        returns (grad_input, out.params()), the pair DenseStack.backward
-        returns. The temporaries go into work, which must not hold the
-        cache."""
+        returns the gradient on the input. The temporaries go into work,
+        which must not hold the cache."""
         dchunks = _row_to_sequence(grad_out, self.seq_len, self.chunk, work)
         hidden = cache["top_hidden"]
         # one einsum per member: einsum over a member axis sums in another order
@@ -249,8 +246,7 @@ class LstmDecoder(Stack):
         dh = np.matmul(dchunks, self.out.weights[..., None, :, :].swapaxes(-1, -2),
                        out=work.take("dh", hidden.shape))
         dz_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells, work)
-        grad_z = dz_seq.sum(axis=-3)  # same latent fed at every step
-        return grad_z, out.params()
+        return dz_seq.sum(axis=-3)  # same latent fed at every step
 
     def named_units(self) -> list[tuple[str, object]]:
         return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("out", self.out)]
@@ -358,31 +354,14 @@ class EdeNet(Stack):
                 for part, stack in (("e1", self.e1), ("dec", self.dec), ("e2", self.e2))
                 for prefix, unit in stack.named_units()]
 
-    def check_input(self, x) -> np.ndarray:
-        """x as a (B, input_dim) float64 matrix; as_matrix rejects
-        non-finite entries, a wrong width raises ShapeError."""
-        x = as_matrix(x)
-        if x.shape[1] != self.spec.input_dim:
-            raise ShapeError(
-                f"input has {x.shape[1]} columns, model expects {self.spec.input_dim}"
-            )
-        return x
-
-    def forward(self, x: np.ndarray):
-        """Returns (z, x_recon, z_prime) for a (B, input_dim) batch,
-        forward-only: no stack keeps a cache for a backward pass. The batch
-        runs as one block; anomaly_score runs blocks of BLOCK_ROWS
-        rows, so its scores can differ in the last bits from
-        encoding_loss on this call's outputs for a batch larger than
-        one block."""
-        return self.infer(self.check_input(x), Workspace())
-
     def infer(self, x: np.ndarray, work: Workspace):
-        """forward without the input check. Each stack's infer gives its
-        forward's output bit for bit, as a fresh array; the stacks run one
-        after another, so they share work's buffers: the scope that holds
-        the first encoder's cache in _forward_cached, so scoring between
-        training rounds reuses those pages."""
+        """(z, x_recon, z_prime) for a (B, input_dim) batch, unchecked and
+        forward-only: no stack keeps a cache for a backward pass. Each
+        stack's infer gives its forward's output bit for bit, as a fresh
+        array; the stacks run one after another, so they share work's
+        buffers: the scope that holds the first encoder's cache in
+        _forward_cached, so scoring between training rounds reuses those
+        pages."""
         work = work.scope("e1")
         z = self.e1.infer(x, work)
         x_recon = self.dec.infer(z, work)
@@ -412,9 +391,8 @@ class EdeNet(Stack):
         """
         c1, cd, c2 = caches
         work = work.scope("backward")
-        grad_xr_from_e2, _ = self.e2.backward(c2, grad_zp, out.e2, work)
-        grad_z_from_dec, _ = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec,
-                                               work)
+        grad_xr_from_e2 = self.e2.backward(c2, grad_zp, out.e2, work)
+        grad_z_from_dec = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec, work)
         self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1, work)
 
 
@@ -451,44 +429,23 @@ def sample_coefficients(n: int, weights) -> np.ndarray:
     return w / total
 
 
-def combined_loss(net: EdeNet, x: np.ndarray, weights=None) -> float:
-    """Weighted mean of alpha*L_r + beta*L_e over the batch."""
-    loss, _, _, _ = loss_and_grads(net, x, weights, need_grads=False)
-    return loss
-
-
-def loss_and_grads(net: EdeNet, x: np.ndarray, weights=None, need_grads=True):
-    """Combined loss plus its gradients w.r.t. every net parameter.
-
-    Returns (combined, mean_lr, mean_le, grads); mean_lr / mean_le are the
-    same per-sample mixes used in the combined value, so
-    combined == alpha*mean_lr + beta*mean_le always holds. grads is
-    aligned to net.params(). The Euclidean norm's gradient is taken as 0
-    at exactly-zero error. Runs stacked_loss_and_grads on a stack of one.
-    """
-    x = net.check_input(x)
-    coeff = sample_coefficients(x.shape[0], weights)
-    out = net.bind(np.empty((1, net.flat.size))) if need_grads else None
-    # net's parameters broadcast over the member axis of length one
-    combined, mean_lr, mean_le = stacked_loss_and_grads(net, x[None], coeff, Workspace(),
-                                                        out)
-    grads = [g[0] for g in out.params()] if need_grads else None
-    return combined[0], mean_lr[0], mean_le[0], grads
-
-
-def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
-                           work: Workspace, out: EdeNet | None = None):
-    """loss_and_grads for I members at once.
+def loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray, work: Workspace,
+                   out: EdeNet):
+    """The combined loss alpha*L_r + beta*L_e of I members at once, with
+    its gradients w.r.t. every member's parameters.
 
     nets is a member stack (EdeNet.bind over an (I, P) block), or one net
     when I=1, and x holds one (B, d) batch per member, (I, B, d); coeff
-    mixes the B per-sample losses. Returns (combined, mean_lr, mean_le) as
-    lists of I floats. out, when given, is a stack bound to an (I, P)
-    gradient buffer and receives each member's gradients in its row.
-    Every member's numbers are bit-identical to a run on that member
-    alone. The LSTM stacks write their caches and temporaries into work;
-    a training loop passes the same one to every call, so each round
-    reuses the pages of the last.
+    mixes the B per-sample losses (sample_coefficients). Returns
+    (combined, mean_lr, mean_le) as lists of I floats, mean_lr / mean_le
+    being the mixes used in combined, so combined == alpha*mean_lr +
+    beta*mean_le always holds. out is a stack bound to an (I, P) gradient
+    buffer and receives each member's gradients in its row; the Euclidean
+    norm's gradient is taken as 0 at exactly-zero error. Every member's
+    numbers are bit-identical to a run on that member alone. The LSTM
+    stacks write their caches and temporaries into work; a training loop
+    passes the same one to every call, so each round reuses the pages of
+    the last.
     """
     alpha, beta = nets.spec.alpha, nets.spec.beta
     z, x_recon, z_prime, caches = nets._forward_cached(x, work)
@@ -498,8 +455,6 @@ def stacked_loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray,
     mean_lr = [float(coeff @ row) for row in lr]
     mean_le = [float(coeff @ row) for row in le]
     combined = [alpha * a + beta * b for a, b in zip(mean_lr, mean_le)]
-    if out is None:
-        return combined, mean_lr, mean_le
 
     with np.errstate(invalid="ignore", divide="ignore"):
         unit_r = np.where(lr[..., None] > 0, (x_recon - x) / lr[..., None], 0.0)
@@ -517,19 +472,15 @@ def row_chunks(n_rows: int) -> list[slice]:
     return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n_rows, BLOCK_ROWS)]
 
 
-def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-    """One net's latent-gap score per sample: encoding_loss on forward's
-    outputs, in blocks of BLOCK_ROWS rows, so a row's score can
-    differ in the last bits from a whole-matrix forward's. The LSTM layers
-    reuse work's buffers from block to block; a call without work makes
-    its own. ensemble.ensemble_score gives these bits for a lone net."""
-    x = net.check_input(x)
-    work = Workspace() if work is None else work
-    scores = np.empty(x.shape[0])
-    for rows in row_chunks(x.shape[0]):
-        z, _, z_prime = net.infer(x[rows], work)
-        scores[rows] = encoding_loss(z, z_prime)
-    return scores
+def anomaly_score(net: EdeNet, x: np.ndarray, work: Workspace) -> np.ndarray:
+    """One net's latent-gap score per row of one block x, (B, input_dim),
+    unchecked: encoding_loss on infer's outputs, whose LSTM layers write
+    into work. ensemble.ensemble_score checks its input once, then calls
+    this for each member on each block of model.row_chunks rows, so a
+    row's score can differ in the last bits from a whole-matrix
+    forward's."""
+    z, _, z_prime = net.infer(x, work)
+    return encoding_loss(z, z_prime)
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:
@@ -544,13 +495,7 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# payload helpers used by the model-file reader/writer
-
-
-def net_to_payload(net: EdeNet) -> dict:
-    return {
-        name: p.tolist() for name, p in zip(net.param_names(), net.params())
-    }
+# the member payload reader behind modelfile.load_model
 
 
 def net_from_payload(spec: ArchSpec, payload: dict) -> EdeNet:

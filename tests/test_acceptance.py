@@ -45,14 +45,10 @@ from edenet.metalearn import (
     svr_fit,
 )
 from edenet.metrics import auroc, confusion_metrics, threshold_top_q
-from edenet.model import (
-    EdeNet,
-    anomaly_score,
-    loss_and_grads,
-    make_arch,
-)
+from edenet.model import EdeNet, make_arch
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
+from oracles import block_scores, lone_loss, lone_loss_and_grads
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -79,7 +75,7 @@ def _full_gradcheck(net: EdeNet, x: np.ndarray, weights) -> tuple[int, int, floa
     finite difference noise into spurious relative errors. The fraction
     is gap/tolerance, so anything below 1.0 is a pass.
     """
-    _, _, _, grads = loss_and_grads(net, x, weights)
+    _, _, _, grads = lone_loss_and_grads(net, x, weights)
     checked = failures = 0
     worst = 0.0
     for p, g in zip(net.params(), grads):
@@ -87,9 +83,9 @@ def _full_gradcheck(net: EdeNet, x: np.ndarray, weights) -> tuple[int, int, floa
         for k in range(flat_p.size):
             orig = flat_p[k]
             flat_p[k] = orig + FD_STEP
-            up, _, _, _ = loss_and_grads(net, x, weights, need_grads=False)
+            up = lone_loss(net, x, weights)
             flat_p[k] = orig - FD_STEP
-            down, _, _, _ = loss_and_grads(net, x, weights, need_grads=False)
+            down = lone_loss(net, x, weights)
             flat_p[k] = orig
             fd = (up - down) / (2 * FD_STEP)
             a = flat_g[k]
@@ -177,7 +173,7 @@ def test_criterion_3_single_member_ensemble_equals_direct_loop():
         for _ in range(cfg.resolved_iters(x.shape[0], 1)):
             idx = draw_batch_indices(batch_rng, x.shape[0], cfg.batch_size,
                                      weights)
-            _, _, _, grads = loss_and_grads(oracle, x[idx])
+            _, _, _, grads = lone_loss_and_grads(oracle, x[idx])
             step(state, oracle.params(), grads)
 
     param_gap = max(
@@ -185,7 +181,7 @@ def test_criterion_3_single_member_ensemble_equals_direct_loop():
         for pa, pb in zip(ens.members[0].params(), oracle.params())
     )
     score_gap = float(np.max(np.abs(
-        ensemble_score(ens, x) - anomaly_score(oracle, x))))
+        ensemble_score(ens, x) - block_scores(oracle, x))))
     ok = param_gap <= 1e-12 and score_gap <= 1e-12
     _report(3, ok,
             f"I=1 ensemble vs direct loop: max param gap {param_gap:.2e}, "
@@ -209,7 +205,7 @@ def test_criterion_4_ensemble_score_is_member_mean():
             x = rng.standard_normal((int(rng.integers(2, 12)), d))
             combined = ensemble_score(ens, x)
             member_mean = np.mean(
-                [anomaly_score(m, x) for m in ens.members], axis=0)
+                [block_scores(m, x) for m in ens.members], axis=0)
             worst_mean = max(worst_mean,
                              float(np.max(np.abs(combined - member_mean))))
             perm = type(ens)(spec=ens.spec, members=ens.members[::-1],

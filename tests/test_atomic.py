@@ -32,6 +32,14 @@ def test_completed_write_replaces_the_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
+def test_a_write_makes_the_missing_directories(tmp_path):
+    path = tmp_path / "out" / "cell" / "a.txt"
+    with atomic_open(path) as fh:
+        fh.write("new")
+    assert path.read_text() == "new"
+    assert [p.name for p in path.parent.iterdir()] == ["a.txt"]
+
+
 def test_failed_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("old")

@@ -18,10 +18,11 @@ from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, fit_scale, load_
 from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
                              train_ensemble)
 from edenet.errors import ShapeError
-from edenet.model import ArchSpec, EdeNet, anomaly_score, make_arch, normalize_scores
+from edenet.model import ArchSpec, EdeNet, make_arch, normalize_scores
 from edenet.modelfile import load_model, save_model
 from edenet.svr import fit_svr
 from kdd_shaped import KDD_SCHEMA, write_kdd_rows
+from oracles import block_scores
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SMALL_CFG = {
@@ -443,7 +444,56 @@ def test_non_finite_config_float_is_exit_2(tmp_path, workspace, capsys, command,
     assert main([command, "--config", str(tmp_path / "cfg.json"),
                  *(data if command == "train" else []), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {field} must be finite, got " in capsys.readouterr().err
-    assert not any((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score", "eval", "meta fit", "meta select",
+                                     "bench"])
+def test_a_missing_input_leaves_no_out_directory(tmp_path, workspace, capsys, command):
+    """A command given one input file that does not exist exits 2 without
+    making --out: the directory is made at the first write into it."""
+    synth, missing = workspace / "synth", str(tmp_path / "missing")
+    data = ["--data", str(synth / "data.csv"), "--schema", str(synth / "schema.json")]
+    args = {
+        "train": ["train", "--data", missing, "--schema", str(synth / "schema.json")],
+        "score": ["score", "--model", missing, *data],
+        "eval": ["eval", "--scores", missing, *data],
+        "meta fit": ["meta", "fit", "--meta", missing],
+        "meta select": ["meta", "select", "--model", missing, *data],
+        "bench": ["bench", "--config", write_json(tmp_path / "cfg.json", {
+            "data": missing, "test_data": str(synth / "data.csv"),
+            "schema": str(synth / "schema.json"), "methods": [{"name": "ede"}]})],
+    }[command]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert f"not found: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_checks_arch_before_it_reads_a_row(tmp_path, workspace, capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("train read its rows before it checked arch")
+
+    monkeypatch.setattr("edenet.cli.load_training_rows", no_rows)
+    cfg = write_json(tmp_path / "cfg.json", {"arch": {"latent_dim": 5}})
+    assert main(["train", "--config", cfg, "--data", str(workspace / "synth" / "data.csv"),
+                 "--schema", str(workspace / "synth" / "schema.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: latent_dim must lie in [1, input_dim], got 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scaling_of_another_width_names_its_file(tmp_path, workspace, capsys):
+    """--scaling that completes the record of a 4-input file that records
+    no input, with stats for 5 columns."""
+    scaling = write_json(tmp_path / "scaling.json",
+                         scaling_to_dict(ScalingStats(np.zeros(5), np.ones(5))))
+    assert main(["score", "--model", str(FIXTURES / "ede_net.json"),
+                 "--data", str(workspace / "synth" / "data.csv"),
+                 "--schema", str(workspace / "synth" / "schema.json"), "--scaling", scaling,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: scaling file {scaling} holds 5 columns, model expects 4"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, what", [("--config", "config file"),
@@ -684,9 +734,10 @@ def _score(workspace, tmp_path, model, scaling=None):
      "recurrent_layers": 2},
 ], ids=["feedforward", "lstm", "lstm-2-layers"])
 def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
-    """A model file holding one net scores to the bytes anomaly_score
-    gives, over two full blocks of rows and a partial one: the committed
-    "ede" file (a feed-forward net, arch None) or a one-member ensemble."""
+    """A model file holding one net scores to the bytes its block-by-block
+    anomaly_score gives, over two full blocks of rows and a partial one:
+    the committed "ede" file (a feed-forward net, arch None) or a
+    one-member ensemble."""
     rows = tiny_synth(tmp_path, "rows", 2 * BLOCK_ROWS + 352, 100, 4)
     if arch is None:
         model = FIXTURES / "ede_net.json"
@@ -699,7 +750,7 @@ def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
                  "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
                  "--out", str(tmp_path / "score")]) == 0
     ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"))
-    expect = anomaly_score(net, ds.features)
+    expect = block_scores(net, ds.features)
     _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
     assert ((tmp_path / "score" / "scores.csv").read_bytes()
             == (tmp_path / "expect.csv").read_bytes())

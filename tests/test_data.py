@@ -16,6 +16,7 @@ from edenet.data import (
     SchemaColumn,
     ScalingStats,
     apply_scale,
+    expanded_meta,
     fit_scale,
     generate_synthetic,
     load_csv,
@@ -92,8 +93,8 @@ def test_schema_validation():
 
 
 def test_feature_width_counts_onehot_slots():
-    assert MIXED.feature_width == 4
-    assert NUM2.feature_width == 2
+    assert len(expanded_meta(MIXED)) == 4
+    assert len(expanded_meta(NUM2)) == 2
 
 
 def test_label_of_plain_and_inverted():
@@ -469,17 +470,6 @@ def test_split_pushes_sampled_anomalies_to_test():
     assert int(test.labels.sum()) == 20
 
 
-def test_without_labels_keeps_rows_and_metadata():
-    data = Dataset(features=np.arange(6.0).reshape(3, 2), labels=[0, 1, 0],
-                   column_meta=["p", "q"])
-    data = fit_scale(data)
-    plain = data.without_labels()
-    assert plain.labels is None
-    assert plain.features.tobytes() == data.features.tobytes()
-    assert plain.column_meta == data.column_meta
-    assert plain.scaling_stats is data.scaling_stats
-
-
 def test_split_same_seed_reproduces():
     data = tagged_dataset()
     a_train, _ = split_normal_train(data, 0.6, seed=9)
@@ -587,7 +577,7 @@ def test_dataset_copies_a_writeable_caller_array():
 
 def test_dataset_keeps_a_read_only_array_without_copying():
     ds = Dataset(features=np.arange(6.0).reshape(3, 2), labels=np.array([0, 1, 0]))
-    bare = ds.without_labels()
+    bare = Dataset(rows=ds.rows)
     assert np.shares_memory(bare.features, ds.features)
     assert bare.labels is None
     assert not bare.features.flags.writeable
@@ -661,7 +651,7 @@ def test_training_rows_equal_the_split_of_the_full_load(tmp_path, name, scale):
     full = load_csv(path, TRAIN_SCHEMA)
     normal = full if full.labels is None else full.take(
         np.flatnonzero(full.labels == NORMAL))
-    oracle = normal.without_labels()
+    oracle = normal
     if scale:
         oracle = fit_scale(oracle)
 
@@ -728,7 +718,7 @@ def one_block_peak(path, schema):
 def store_row_bytes(schema):
     """8 bytes a row per numeric column and 1 per one-hot column."""
     n_numeric = sum(c.type == "numeric" for c in schema.columns)
-    return 8 * n_numeric + (schema.feature_width - n_numeric)
+    return 8 * n_numeric + (len(expanded_meta(schema)) - n_numeric)
 
 
 def test_training_rows_hold_one_matrix_plus_one_block(tmp_path):
@@ -758,7 +748,7 @@ def test_csv_load_holds_one_hot_columns_as_bytes(tmp_path):
     assert store_row_bytes(schema) == 359
     bound = (20_000 + 2) * (359 + 1) + 3 * block_peak
     assert ds.n_rows == 20_000 and ds.labels.shape == (20_000,)
-    assert 20_000 * schema.feature_width * 8 > bound
+    assert 20_000 * len(expanded_meta(schema)) * 8 > bound
     assert peak < bound
 
 
@@ -775,7 +765,7 @@ def test_training_peaks_below_the_dense_matrix(tmp_path):
         "train", "--data", str(path), "--schema", str(KDD_SCHEMA), "--members", "1",
         "--epochs", "1", "--out", str(tmp_path / "run")])
     assert rc == 0 and n_train > 19_000
-    assert peak < n_train * schema.feature_width * 8
+    assert peak < n_train * len(expanded_meta(schema)) * 8
 
 
 def hand_expanded(path, schema):
@@ -960,7 +950,6 @@ def test_a_dataset_with_one_hot_rows_expands_its_features_matrix(kdd_pair):
     assert store.features.tobytes() == store.rows.take(slice(None)).tobytes()
     assert store.features.shape == (store.n_rows, 121)
     assert store.n_features == 121 and store.n_rows == store.rows.n_rows
-    assert store.without_labels().rows.numeric is store.rows.numeric
     sub = store.take(np.array([4, 1]))
     assert sub.rows.take(slice(None)).tobytes() == store.rows.take(np.array([4, 1])).tobytes()
     assert not sub.rows.numeric.flags.writeable and not sub.rows.onehot.flags.writeable

@@ -32,11 +32,11 @@ from edenet.model import (
     make_arch,
     row_chunks,
     sample_coefficients,
-    stacked_loss_and_grads,
 )
 from edenet.optim import make_optimizer
 from edenet.rng import make_rng
 from kdd_shaped import write_kdd_rows
+from oracles import block_scores, lone_loss_and_grads
 
 SMALL = {"hidden_sizes": (8, 5), "latent_dim": 2}
 LSTM_SMALL = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2}
@@ -182,7 +182,7 @@ def test_ensemble_model_rejects_mixed_specs():
 def test_ensemble_score_is_member_mean():
     ens = small_ensemble(3, seed=2)
     x = make_rng(3).standard_normal((7, 6))
-    member_scores = np.stack([anomaly_score(m, x) for m in ens.members])
+    member_scores = np.stack([block_scores(m, x) for m in ens.members])
     assert np.allclose(ensemble_score(ens, x), member_scores.mean(axis=0),
                        atol=1e-12)
 
@@ -216,7 +216,7 @@ def test_scores_are_training_forward_per_block(n, arch):
             z, _, z_prime, _ = member._forward_cached(x[lo:hi], Workspace())
             expect[lo:hi] = encoding_loss(z, z_prime)
             lo = hi
-        assert np.array_equal(anomaly_score(member, x), expect)
+        assert np.array_equal(block_scores(member, x), expect)
         total += expect
     assert np.array_equal(ensemble_score(ens, x), total / 3)
 
@@ -236,13 +236,13 @@ def test_ensemble_score_carries_nothing_between_blocks_or_calls(arch):
         expect = np.zeros(n)
         for rows in row_chunks(n):
             for member in ens.members:
-                expect[rows] += anomaly_score(member, x[rows])
+                expect[rows] += anomaly_score(member, x[rows], Workspace())
         assert np.array_equal(ensemble_score(ens, x), expect / 3)
 
 
 @pytest.mark.parametrize("arch", sorted(SCORE_ARCHS))
 def test_returned_arrays_survive_a_second_call(arch):
-    """No array that forward, anomaly_score or ensemble_score returns is a
+    """No array that infer, anomaly_score or ensemble_score returns is a
     view of a buffer that a later call writes into, also where the calls
     share a workspace."""
     ens = init_ensemble(make_arch(10, SCORE_ARCHS[arch]), 2, seed=8)
@@ -251,12 +251,13 @@ def test_returned_arrays_survive_a_second_call(arch):
     # one would replace it
     x1, x2 = rng.standard_normal((90, 10)), 3.0 * rng.standard_normal((40, 10))
     work = Workspace()
-    first = [*net.forward(x1), *net.infer(x1, work), anomaly_score(net, x1),
-             anomaly_score(net, x1, work), ensemble_score(ens, x1)]
+    first = [*net.infer(x1, Workspace()), *net.infer(x1, work),
+             anomaly_score(net, x1, Workspace()), anomaly_score(net, x1, work),
+             ensemble_score(ens, x1)]
     kept = [a.copy() for a in first]
-    net.forward(x2)
+    net.infer(x2, Workspace())
     net.infer(x2, work)
-    anomaly_score(net, x2)
+    anomaly_score(net, x2, Workspace())
     anomaly_score(net, x2, work)
     ensemble_score(ens, x2)
     for a, b in zip(first, kept):
@@ -275,8 +276,8 @@ def test_scoring_into_a_training_workspace_matches_a_fresh_call(arch):
     block = np.stack([m.flat for m in ens.members])
     nets, grads = ens.members[0].bind(block), ens.members[0].bind(np.empty_like(block))
     work = Workspace()
-    stacked_loss_and_grads(nets, rng.standard_normal((3, 16, 10)),
-                           sample_coefficients(16, None), work, grads)
+    loss_and_grads(nets, rng.standard_normal((3, 16, 10)), sample_coefficients(16, None),
+                   work, grads)
     ensemble_score(ens, 3.0 * rng.standard_normal((2 * CHUNK, 10)), work)
     for buf in work._buffers.values():
         buf.fill(np.nan)
@@ -465,7 +466,7 @@ def test_training_an_ensemble_that_records_scaling_raises_and_changes_nothing():
 def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
     """One iteration at a time, as a plain oracle for train_ensemble: each
     iteration picks a member from training_streams, draws its batch, runs
-    one loss_and_grads and steps that member's own optimizer state, array
+    one lone_loss_and_grads and steps that member's own optimizer state, array
     by array. Works on copies; returns (members, trace, picks), picks[e]
     being epoch e's member index per iteration."""
     members = [copy.deepcopy(m) for m in ens.members]
@@ -485,7 +486,7 @@ def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
         for it in range(iters):
             j = int(member_rng.integers(len(members)))
             idx = draw_batch_indices(batch_rng, n, cfg.batch_size, weights)
-            combined, mean_lr, mean_le, grads = loss_and_grads(members[j], x[idx])
+            combined, mean_lr, mean_le, grads = lone_loss_and_grads(members[j], x[idx])
             if not math.isfinite(combined):
                 raise TrainingDivergedError(epoch, it, combined)
             state, step = optim[j]
@@ -508,7 +509,7 @@ def test_single_member_ensemble_matches_direct_loop(reweight):
     train_ensemble(ens, x, cfg)
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.max(np.abs(pa - pb)) <= 1e-12
-    assert np.max(np.abs(ensemble_score(ens, x) - anomaly_score(oracle, x))) <= 1e-12
+    assert np.max(np.abs(ensemble_score(ens, x) - block_scores(oracle, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -106,7 +107,9 @@ def test_dense_backward_matches_finite_differences(activation):
         return float(np.sum(dense_forward(layer, x) * r))
 
     out = dense_forward(layer, x)
-    grad_in, grad_w, grad_b = dense_backward(layer, x, out, r)
+    grads = copy.deepcopy(layer)  # receives the parameter gradients
+    grad_in = dense_backward(layer, x, out, r, grads)
+    grad_w, grad_b = grads.weights, grads.bias
 
     for arr, grad in [(layer.weights, grad_w), (layer.bias, grad_b)]:
         it = np.nditer(arr, flags=["multi_index"])
@@ -136,7 +139,9 @@ def test_dense_stack_chains_and_backward_aligns(rng):
     out, cache = stack.forward(x)
     assert out.shape == (4, 2)
     r = rng.standard_normal((4, 2))
-    grad_in, grads = stack.backward(cache, r)
+    out_stack = copy.deepcopy(stack)  # receives the gradients
+    grad_in = stack.backward(cache, r, out_stack)
+    grads = out_stack.params()
     assert grad_in.shape == x.shape
     assert len(grads) == len(stack.params()) == 4
     for g, p in zip(grads, stack.params()):
@@ -288,7 +293,9 @@ def test_lstm_backward_matches_finite_differences():
         return float(np.sum(hs * r))
 
     _, cache = lstm_forward(cell, x_seq, Workspace())
-    gx, gw, gb = lstm_backward(cell, cache, r, Workspace())
+    grads = copy.deepcopy(cell)  # receives the parameter gradients
+    gx = lstm_backward(cell, cache, r, Workspace(), grads)
+    gw, gb = grads.weights, grads.bias
 
     for arr, grad in [(cell.weights, gw), (cell.bias, gb)]:
         it = np.nditer(arr, flags=["multi_index"])
@@ -308,7 +315,7 @@ def test_lstm_backward_rejects_foreign_cache(rng):
     cell_b = init_lstm(rng, 3, 5)
     _, cache = lstm_forward(cell_a, rng.standard_normal((2, 2, 3)), Workspace())
     with pytest.raises(ValueError):
-        lstm_backward(cell_b, cache, np.zeros((2, 2, 5)), Workspace())
+        lstm_backward(cell_b, cache, np.zeros((2, 2, 5)), Workspace(), copy.deepcopy(cell_b))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -10,28 +10,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edenet.data import ScalingStats
-from edenet.ensemble import EnsembleModel, init_ensemble
+from edenet.ensemble import EnsembleModel, ensemble_score, init_ensemble
 from edenet.errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
 from edenet.layers import Workspace
 from edenet.model import (
     ArchSpec,
     EdeNet,
     anomaly_score,
-    combined_loss,
     default_latent_dim,
     encoding_loss,
     loss_and_grads,
     make_arch,
     net_from_payload,
-    net_to_payload,
     normalize_scores,
     reconstruction_loss,
     sample_coefficients,
-    stacked_loss_and_grads,
 )
 from edenet.modelfile import load_model, save_model
 from edenet.rng import make_rng
 from edenet.svr import fit_svr, svr_to_dict
+from oracles import block_scores, lone_loss, lone_loss_and_grads, net_payload
 
 FF = {"hidden_sizes": (10, 6), "latent_dim": 3}
 LSTM = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 5, "seq_len": 2}
@@ -95,7 +93,7 @@ def test_zero_params_feedforward_all_outputs_zero():
     net = small_net("ff")
     for p in net.params():
         p[...] = 0.0
-    z, xr, zp = net.forward(np.ones((4, 7)))
+    z, xr, zp = net.infer(np.ones((4, 7)), Workspace())
     assert not z.any() and not xr.any() and not zp.any()
 
 
@@ -103,16 +101,17 @@ def test_zero_params_feedforward_all_outputs_zero():
 def test_forward_keeps_batch_rows(kind, d):
     net = small_net(kind)
     x = make_rng(3).standard_normal((9, d))
-    z, xr, zp = net.forward(x)
+    z, xr, zp = net.infer(x, Workspace())
     assert z.shape[0] == xr.shape[0] == zp.shape[0] == 9
     assert xr.shape == x.shape
     assert z.shape == zp.shape == (9, net.spec.latent_dim)
 
 
 def test_forward_rejects_wrong_width():
+    # scoring checks its input once, then runs the nets unchecked
     net = small_net("ff")
-    with pytest.raises(ShapeError):
-        net.forward(np.zeros((2, 6)))
+    with pytest.raises(ShapeError, match="input has 6 columns, model expects 7"):
+        ensemble_score(alone(net), np.zeros((2, 6)))
 
 
 INFER_ARCHS = {
@@ -159,10 +158,9 @@ def test_reused_workspace_gives_what_fresh_stacks_give(arch):
         x = scale * rng.standard_normal((a, 6, 8))
         if a not in stacks:
             stacks[a] = (nets[0].bind(block[:a]), nets[0].bind(grad_block[:a]))
-        got = stacked_loss_and_grads(stacks[a][0], x, coeff, work, stacks[a][1])
+        got = loss_and_grads(stacks[a][0], x, coeff, work, stacks[a][1])
         fresh = nets[0].bind(np.empty((a, block.shape[1])))
-        expect = stacked_loss_and_grads(nets[0].bind(block[:a].copy()), x, coeff,
-                                        Workspace(), fresh)
+        expect = loss_and_grads(nets[0].bind(block[:a].copy()), x, coeff, Workspace(), fresh)
         assert got == expect
         assert np.array_equal(grad_block[:a], fresh.flat)
 
@@ -190,17 +188,17 @@ def assert_params_tile_flat(net):
 def test_params_are_views_into_flat(kind):
     spec = small_net(kind).spec
     member = init_ensemble(spec, 2, seed=3).members[1]
-    loaded = net_from_payload(spec, net_to_payload(member))
+    loaded = net_from_payload(spec, net_payload(member))
     dup = copy.deepcopy(member)
     for net in (member, loaded, dup):
         assert_params_tile_flat(net)
         assert np.array_equal(net.flat, member.flat)
 
     x = make_rng(4).standard_normal((5, spec.input_dim))
-    before = anomaly_score(member, x)
+    before = block_scores(member, x)
     dup.flat *= 0.5  # a write to the copy's flat reaches its forward pass
-    assert not np.array_equal(anomaly_score(dup, x), before)
-    assert np.array_equal(anomaly_score(member, x), before)
+    assert not np.array_equal(block_scores(dup, x), before)
+    assert np.array_equal(block_scores(member, x), before)
     assert np.array_equal(dup.flat, member.flat * 0.5)
 
 
@@ -236,8 +234,8 @@ def test_losses_reject_shape_mismatch():
 def test_uniform_weights_reproduce_plain_mean():
     net = small_net("ff")
     x = make_rng(4).standard_normal((6, 7))
-    plain = combined_loss(net, x)
-    uniform = combined_loss(net, x, np.full(6, 0.25))
+    plain = lone_loss(net, x)
+    uniform = lone_loss(net, x, np.full(6, 0.25))
     assert abs(plain - uniform) < 1e-12
 
 
@@ -245,25 +243,25 @@ def test_weighted_loss_is_weighted_mean():
     net = small_net("ff")
     x = make_rng(4).standard_normal((4, 7))
     w = np.array([1.0, 2.0, 3.0, 4.0])
-    z, xr, zp = net.forward(x)
+    z, xr, zp = net.infer(x, Workspace())
     per = (net.spec.alpha * reconstruction_loss(x, xr)
            + net.spec.beta * encoding_loss(z, zp))
-    assert abs(combined_loss(net, x, w) - per @ (w / w.sum())) < 1e-12
+    assert abs(lone_loss(net, x, w) - per @ (w / w.sum())) < 1e-12
 
 
 def test_zero_mass_weights_rejected():
     net = small_net("ff")
     x = np.zeros((3, 7))
     with pytest.raises(DegenerateWeightsError):
-        combined_loss(net, x, np.zeros(3))
+        lone_loss(net, x, np.zeros(3))
     with pytest.raises(ValueError):
-        combined_loss(net, x, np.array([1.0, -1.0, 1.0]))
+        lone_loss(net, x, np.array([1.0, -1.0, 1.0]))
 
 
 def test_loss_reports_consistent_parts():
     net = small_net("lstm")
     x = make_rng(9).standard_normal((5, 8))
-    c, mlr, mle, _ = loss_and_grads(net, x, need_grads=False)
+    c, mlr, mle, _ = lone_loss_and_grads(net, x)
     assert abs(c - (net.spec.alpha * mlr + net.spec.beta * mle)) < 1e-12
 
 
@@ -272,16 +270,16 @@ def test_loss_reports_consistent_parts():
 
 
 def sampled_gradcheck(net, x, weights=None, per_param=6, h=1e-5):
-    _, _, _, grads = loss_and_grads(net, x, weights)
+    _, _, _, grads = lone_loss_and_grads(net, x, weights)
     for p, g in zip(net.params(), grads):
         count = min(p.size, per_param)
         for k in range(count):
             idx = np.unravel_index((k * 7919) % p.size, p.shape)
             orig = p[idx]
             p[idx] = orig + h
-            up = combined_loss(net, x, weights)
+            up = lone_loss(net, x, weights)
             p[idx] = orig - h
-            down = combined_loss(net, x, weights)
+            down = lone_loss(net, x, weights)
             p[idx] = orig
             fd = (up - down) / (2 * h)
             assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), abs(g[idx])) + 1e-8
@@ -305,7 +303,7 @@ def test_beta_zero_gives_second_encoder_no_gradient():
     spec = make_arch(7, {**FF, "alpha": 1.0, "beta": 0.0})
     net = EdeNet.initialize(spec, make_rng(1))
     x = make_rng(2).standard_normal((5, 7))
-    _, _, _, grads = loss_and_grads(net, x)
+    _, _, _, grads = lone_loss_and_grads(net, x)
     names = net.param_names()
     e2_grads = [g for n, g in zip(names, grads) if n.startswith("e2.")]
     other = [g for n, g in zip(names, grads) if not n.startswith("e2.")]
@@ -318,7 +316,7 @@ def test_alpha_zero_still_reaches_all_stages():
     spec = make_arch(7, {**FF, "alpha": 0.0, "beta": 1.0})
     net = EdeNet.initialize(spec, make_rng(1))
     x = make_rng(2).standard_normal((5, 7))
-    _, _, _, grads = loss_and_grads(net, x)
+    _, _, _, grads = lone_loss_and_grads(net, x)
     for prefix in ("e1.", "dec.", "e2."):
         part = [g for n, g in zip(net.param_names(), grads) if n.startswith(prefix)]
         assert any(g.any() for g in part)
@@ -327,9 +325,9 @@ def test_alpha_zero_still_reaches_all_stages():
 def test_perturbing_e2_only_moves_encoding_loss():
     net = small_net("ff", seed=3)
     x = make_rng(4).standard_normal((5, 7))
-    z0, xr0, zp0 = net.forward(x)
+    z0, xr0, zp0 = net.infer(x, Workspace())
     net.e2.params()[0][...] += 0.1
-    z1, xr1, zp1 = net.forward(x)
+    z1, xr1, zp1 = net.infer(x, Workspace())
     assert np.array_equal(reconstruction_loss(x, xr0), reconstruction_loss(x, xr1))
     assert not np.allclose(encoding_loss(z0, zp0), encoding_loss(z1, zp1))
 
@@ -341,8 +339,8 @@ def test_perturbing_e2_only_moves_encoding_loss():
 def test_anomaly_score_equals_encoding_gap():
     net = small_net("ff")
     x = make_rng(5).standard_normal((6, 7))
-    z, _, zp = net.forward(x)
-    assert np.allclose(anomaly_score(net, x), encoding_loss(z, zp), atol=1e-15)
+    z, _, zp = net.infer(x, Workspace())
+    assert np.array_equal(anomaly_score(net, x, Workspace()), encoding_loss(z, zp))
 
 
 def test_normalize_scores_examples():
@@ -583,7 +581,7 @@ def test_an_ede_file_loads_as_a_one_member_ensemble():
 
 def test_payload_shape_mismatch_rejected():
     net = small_net("ff")
-    payload = net_to_payload(net)
+    payload = net_payload(net)
     name = next(iter(payload))
     payload[name] = [[0.0]]
     with pytest.raises(FormatError):
@@ -592,7 +590,7 @@ def test_payload_shape_mismatch_rejected():
 
 def test_payload_non_finite_value_rejected():
     net = small_net("ff")
-    payload = net_to_payload(net)
+    payload = net_payload(net)
     name = next(iter(payload))
     payload[name][0][0] = float("nan")
     with pytest.raises(FormatError, match="non-finite"):
@@ -602,7 +600,7 @@ def test_payload_non_finite_value_rejected():
 @pytest.mark.parametrize("value", ["0.12", True, None])
 def test_payload_values_are_checked_never_coerced(value):
     net = small_net("ff")
-    payload = net_to_payload(net)
+    payload = net_payload(net)
     name = next(iter(payload))
     payload[name][0][0] = value
     with pytest.raises(FormatError, match=f"parameter {name} must hold numbers"):
@@ -611,7 +609,7 @@ def test_payload_values_are_checked_never_coerced(value):
 
 def test_payload_name_mismatch_rejected():
     net = small_net("ff")
-    payload = net_to_payload(net)
+    payload = net_payload(net)
     payload["bogus.w"] = payload.pop(next(iter(payload)))
     with pytest.raises(FormatError):
         net_from_payload(net.spec, payload)
@@ -625,7 +623,7 @@ def _whole_document(obj) -> dict:
                    "scaling": None if obj.scaling is None else {
                        "col_min": obj.scaling.col_min.tolist(),
                        "col_max": obj.scaling.col_max.tolist()},
-                   "members": [net_to_payload(m) for m in obj.members]}
+                   "members": [net_payload(m) for m in obj.members]}
         kind = "ensemble"
     else:
         payload, kind = svr_to_dict(obj), "svr"

@@ -3,7 +3,9 @@
 perfbench/spans.py wraps each (module, function) of its TARGETS when a run
 is traced. A renamed or removed function would only show as an
 AttributeError inside a `run.py --trace 1` run; this checks the names
-against the package, importing spans.py by path without running it.
+against the package, importing spans.py by path. A function that the
+commands no longer call would only show as a span that reads 0 calls on
+every workload; this runs each command once under spans.py's Tracer.
 
 perfbench/gen.py and perfbench/worker.py call edenet with argument lists.
 A flag the parser no longer takes would only show as a drop in a
@@ -15,24 +17,26 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from edenet.cli import build_parser
+from edenet.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TARGETS
+    return spans
 
 
-TARGETS = _targets()
+spans = _spans()
+TARGETS = spans.TARGETS
 
 
 @pytest.mark.parametrize("span, module, function", TARGETS, ids=[t[0] for t in TARGETS])
@@ -96,3 +100,48 @@ def test_the_checked_calls_include_scores_scaling_flag():
 def test_each_flag_perfbench_passes_is_taken_by_its_subcommand(command, flag):
     _, unknown = build_parser().parse_known_args([*command.split(), flag, "1"])
     assert flag not in unknown
+
+
+# traced, but entered by no command: training files are scaled as they are
+# loaded (data.load_training_rows), and a model scales each block it scores
+UNRUN = {"data.fit_scale": "only scripts/run_kdd99.py fits scaling on a Dataset",
+         "data.apply_scale": "no command scales a copy of its rows"}
+
+
+def _synth(out: Path, n_normal: int, n_anomaly: int, seed: int) -> Path:
+    assert main(["synth", "--out", str(out), "--d", "4", "--n-normal", str(n_normal),
+                 "--n-anomaly", str(n_anomaly), "--seed", str(seed)]) == 0
+    return out
+
+
+def test_every_traced_function_runs_under_a_command(tmp_path):
+    """Tiny synth, train (feed-forward and LSTM), score, eval and meta
+    build/fit/select runs enter every span of TARGETS but those in UNRUN."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train, test = _synth(tmp_path / "train", 40, 0, 1), _synth(tmp_path / "test", 16, 8, 2)
+        schema = ["--schema", str(train / "schema.json")]
+        for encoder in ("feedforward", "lstm"):
+            assert main(["train", "--data", str(train / "data.csv"), *schema, "--encoder", encoder,
+                         "--epochs", "2", "--members", "2", "--out", str(tmp_path / "run")]) == 0
+        assert main(["score", "--model", str(tmp_path / "run" / "model.json"),
+                     "--data", str(test / "data.csv"), *schema,
+                     "--out", str(tmp_path / "score")]) == 0
+        assert main(["eval", "--scores", str(tmp_path / "score" / "scores.csv"),
+                     "--data", str(test / "data.csv"), *schema,
+                     "--out", str(tmp_path / "eval")]) == 0
+        cfg = tmp_path / "meta.json"
+        cfg.write_text(json.dumps({
+            "schema": schema[1], "candidates": [1, 2], "train": {"epochs": 1},
+            "tasks": [{"train": str(train / "data.csv"), "test": str(test / "data.csv")}] * 2}))
+        meta = tmp_path / "meta"
+        assert main(["meta", "build", "--config", str(cfg), "--out", str(meta)]) == 0
+        assert main(["meta", "fit", "--meta", str(meta / "meta.csv"), "--out", str(meta)]) == 0
+        assert main(["meta", "select", "--model", str(meta / "meta_model.json"),
+                     "--data", str(train / "data.csv"), *schema, "--candidates", "1,2",
+                     "--out", str(meta)]) == 0
+    finally:
+        tracer.uninstall()
+    entered = set(tracer.names)
+    assert sorted(span for span, _, _ in TARGETS if span not in entered) == sorted(UNRUN)
