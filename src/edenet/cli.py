@@ -42,6 +42,7 @@ from .data import (
 from .ensemble import (
     EnsembleModel,
     TrainConfig,
+    check_input_names,
     ensemble_score,
     init_ensemble,
     train_ensemble,
@@ -208,7 +209,6 @@ def cmd_score(cfg: RunConfig) -> int:
     if not isinstance(ens, EnsembleModel):
         raise ConfigError("model file does not hold an ensemble")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     stats = None if cfg.scaling is None else load_scaling(
         _require(cfg.scaling, "scaling stats path"))
     if stats is not None and ens.columns is None and ens.scaling is None:
@@ -219,7 +219,9 @@ def cmd_score(cfg: RunConfig) -> int:
     elif stats is not None and stats != ens.scaling:
         raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
                           + ("" if ens.scaling else ", which is none (trained unscaled)"))
+    check_input_names(ens, expanded_meta(schema), "input")  # the names load_csv will give
 
+    ds = load_csv(_require(cfg.data, "data path"), schema, require_labels=False)
     path = out / "scores.csv"
     raw = ensemble_score(ens, ds)  # checks ds against the model's record and scales it
     _write_scores(path, raw, normalize_scores(raw) if raw.size else raw)

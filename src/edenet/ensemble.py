@@ -173,15 +173,32 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
     return EnsembleModel(spec=spec, members=members, seed=seed)
 
 
+def _check_width(ensemble: EnsembleModel, width: int, what: str) -> None:
+    if width != ensemble.spec.input_dim:
+        raise ShapeError(f"{what} has {width} columns, model expects {ensemble.spec.input_dim}")
+
+
+def check_input_names(ensemble: EnsembleModel, names: list[str], what: str) -> None:
+    """Hold an input's expanded column names (a Dataset's feature_names(),
+    or data.expanded_meta of the schema it will be read with) to the
+    ensemble's record: one name per model input, and the names it records,
+    if any, in order. ShapeError names the first mismatch. edenet score
+    runs this on the schema before it reads a row."""
+    _check_width(ensemble, len(names), what)
+    for j, (got, want) in enumerate(zip(names, ensemble.columns or ())):
+        if got != want:
+            raise ShapeError(f"{what} column {j} is {got!r}, model expects {want!r}")
+
+
 def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: str) -> Rows:
     """x as Rows of the ensemble's input width. A matrix goes through
     as_matrix and is wrapped with no one-hot part; Rows get the same
     finiteness check on their numeric part alone, since a one-hot byte is
     0 or 1. Either way the expanded matrix is never built. A Dataset is
-    checked as its rows, then its names against the columns the ensemble
-    records, if any; a matrix or Rows carries no names. An ensemble that
-    records scaling refuses a scaled Dataset (scaling_stats set), and stats
-    that move a one-hot column of x off {0, 1} (Rows name it by position)."""
+    checked as its rows, then its names (check_input_names); a matrix or
+    Rows carries no names. An ensemble that records scaling refuses a
+    scaled Dataset (scaling_stats set), and stats that move a one-hot
+    column of x off {0, 1} (Rows name it by position)."""
     rows, names = (x.rows, x.feature_names()) if isinstance(x, Dataset) else (x, None)
     if ensemble.scaling is not None and isinstance(x, Dataset) and x.scaling_stats is not None:
         raise ValueError(f"{what} is already scaled; the model scales raw rows by its own stats")
@@ -189,13 +206,9 @@ def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: s
         as_matrix(rows.numeric)
     else:
         rows = Rows.dense(as_matrix(rows))
-    if rows.width != ensemble.spec.input_dim:
-        raise ShapeError(
-            f"{what} has {rows.width} columns, model expects {ensemble.spec.input_dim}")
-    if names is not None and ensemble.columns is not None:
-        for j, (got, want) in enumerate(zip(names, ensemble.columns)):
-            if got != want:
-                raise ShapeError(f"{what} column {j} is {got!r}, model expects {want!r}")
+    _check_width(ensemble, rows.width, what)
+    if names is not None:
+        check_input_names(ensemble, names, what)
     if ensemble.scaling is not None:
         _check_one_hot(ensemble.scaling, rows, names or range(rows.width))
     return rows
@@ -312,7 +325,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
     one-iteration-at-a-time loop in the same order, so every bit matches
     that loop: the per-iteration losses are summed in iteration order,
     and divergence reports the first failing iteration of that order.
-    One workspace holds every round's LSTM caches and temporaries: a
+    One workspace holds every round's caches and temporaries: a
     round over a rows writes into the leading part of the buffers that
     the widest round sized, and each reweight pass scores into the same
     workspace. The members' flat vectors are written back before each

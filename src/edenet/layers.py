@@ -6,8 +6,9 @@ by the forward calls, never hidden state. Gradients are verified against
 central finite differences in the test suite.
 
 Scoring needs no backward pass, so it runs forward-only: DenseStack.infer
-and lstm_infer return what forward and lstm_forward return, bit for bit,
-but keep no cache (the LSTM paths share one per-step helper, lstm_step).
+and lstm_infer return what DenseStack.forward and lstm_forward return, bit
+for bit, but keep no cache (the LSTM paths share one per-step helper,
+lstm_step).
 ensemble.ensemble_score feeds them fixed-size blocks of rows, so its memory
 does not grow with the row count. A product over a block can round
 differently in the last bits from the same rows inside a larger matrix,
@@ -20,22 +21,27 @@ every activation carries the member axis first, (I, B, width). np.matmul
 runs one product per member, the same BLAS call a lone net makes, so a
 member's results are bit-identical either way. A backward pass writes
 its parameter gradients into the arrays of a given layer or cell (out)
-and returns the input gradient.
+and returns the input gradient, unless its caller reads none
+(input_grad false).
 
-The LSTM functions write their working arrays into the buffers of a given
-Workspace rather than into fresh arrays: lstm_forward its cache (hidden
-and cell states, gates, tanh of the cell state, each step's [x_t, h]
-input), lstm_backward its temporaries and input gradient, lstm_infer its
-block's states and gates. A fresh array of a few hundred KB gets fresh
-pages from the allocator, and in LSTM training faulting those pages in
-cost more than the math. A caller that keeps one Workspace across calls
-(training across its rounds, ensemble_score across its blocks) writes into
-the same pages every time. Each product and elementwise step runs in the
-same order on the same values as it would into a fresh array, so no number
-changes. What these functions return may be a view of the workspace,
-valid until the workspace is written again. lstm_infer uses lstm_forward's
-buffer names, so scoring into a training run's workspace between rounds
-reuses the pages of training's cache.
+Training writes its working arrays into the buffers of a given
+Workspace rather than into fresh arrays. DenseStack.forward writes each
+layer's output (its cache), dense_backward its temporary and input
+gradient; lstm_forward writes its cache (hidden and cell states, gates,
+tanh of the cell state, each step's [x_t, h] input), lstm_backward its
+temporaries and input gradient. A fresh array of a few hundred KB gets
+fresh pages from the allocator, and faulting those pages in every round
+cost more than the math in LSTM training and a large share of it in the
+short feed-forward trainings of meta build. A caller that keeps one
+Workspace across calls (training across its rounds, ensemble_score across
+its blocks) writes into the same pages every time. Each product and
+elementwise step runs in the same order on the same values as it would
+into a fresh array, so no number changes. What these functions return may
+be a view of the workspace, valid until the workspace is written again.
+Of the scoring paths, lstm_infer writes its block's states and gates into
+a workspace, under lstm_forward's buffer names, so scoring into a training
+run's workspace between rounds reuses the pages of training's cache;
+DenseStack.infer allocates each layer's output.
 
 The LSTM gates use sigmoid(x) = 1 / (1 + exp(-x)), the formula
 scipy.special.expit evaluates, through numpy's exp instead of the C
@@ -139,13 +145,16 @@ def init_dense(rng: np.random.Generator, in_dim: int, out_dim: int,
     return DenseLayer(w, b, activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+def dense_forward(layer: DenseLayer, x: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """act(x @ weights + bias), written into out, of the result's shape,
+    when given, else into a fresh array."""
     if x.ndim < 2 or x.shape[-1] != layer.in_dim:
         raise ShapeError(
             f"input has shape {x.shape}, layer expects (*, {layer.in_dim})"
         )
-    # in place: one (B, out_dim) temporary instead of three
-    pre = x @ layer.weights
+    # in place: one (B, out_dim) array instead of three
+    pre = np.matmul(x, layer.weights, out=out)
     pre += layer.bias[..., None, :]
     if layer.activation == "tanh":
         np.tanh(pre, out=pre)
@@ -154,13 +163,21 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
                    cached_output: np.ndarray, grad_out: np.ndarray,
-                   out: DenseLayer) -> np.ndarray:
+                   out: DenseLayer, work: Workspace,
+                   input_grad: bool = True) -> np.ndarray | None:
     """Gradients for one dense layer: the parameter gradients are written
-    into out.weights and out.bias, and the input gradient is returned.
+    into out.weights and out.bias, and the input gradient is returned, or
+    None with input_grad false, when no caller reads it.
 
     cached_input and cached_output are the forward call's input and
     result; a tanh layer takes its derivative from the output, so nothing
-    is recomputed.
+    is recomputed. A tanh layer's gradient before the activation goes
+    into work's buffer "grad_pre" and the input gradient into "grad_in",
+    so the input gradient returned is a view of work. grad_out may be a
+    view of "grad_in", the input gradient of the tanh layer above: a tanh
+    layer reads it into "grad_pre" before "grad_in" is written (an
+    identity layer's product would read and write "grad_in", which
+    np.matmul resolves with a copy).
     """
     if cached_input.shape[-1] != layer.in_dim:
         raise ShapeError(f"cached input shape {cached_input.shape} mismatches layer")
@@ -170,12 +187,18 @@ def dense_backward(layer: DenseLayer, cached_input: np.ndarray,
     if grad_out.shape != expect:
         raise ShapeError(f"grad_out shape {grad_out.shape} != {expect}")
     if layer.activation == "tanh":
-        grad_pre = grad_out * (1.0 - cached_output * cached_output)
+        # grad_out * (1 - y * y), one step at a time into one buffer
+        grad_pre = np.multiply(cached_output, cached_output, out=work.take("grad_pre", expect))
+        np.subtract(1.0, grad_pre, out=grad_pre)
+        np.multiply(grad_out, grad_pre, out=grad_pre)
     else:
         grad_pre = grad_out
     np.matmul(cached_input.swapaxes(-1, -2), grad_pre, out=out.weights)
     np.sum(grad_pre, axis=-2, out=out.bias)
-    return grad_pre @ layer.weights.swapaxes(-1, -2)
+    if not input_grad:
+        return None
+    return np.matmul(grad_pre, layer.weights.swapaxes(-1, -2),
+                     out=work.take("grad_in", cached_input.shape))
 
 
 class Stack:
@@ -212,31 +235,35 @@ class DenseStack(Stack):
                 )
         self.layers = layers
 
-    def forward(self, x: np.ndarray, work: Workspace | None = None):
+    def forward(self, x: np.ndarray, work: Workspace):
         """Returns (output, cache); cache[k] is layer k's input and
-        cache[k + 1] its output. Each output is a fresh array, so work,
-        there for the LSTM stacks' signature, goes unused."""
+        cache[k + 1] its output. Layer k writes its output into work's
+        buffer "y{k}", so the output and the cache are views of work,
+        valid until work's buffers are written again."""
         cache = [x]
-        for layer in self.layers:
-            x = dense_forward(layer, x)
+        for k, layer in enumerate(self.layers):
+            x = dense_forward(layer, x, work.take(f"y{k}", x.shape[:-1] + (layer.out_dim,)))
             cache.append(x)
         return x, cache
 
     def infer(self, x: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """forward's output alone; each layer's output is freed once the
-        next layer has run. work goes unused, as in forward."""
+        """forward's output alone, a fresh array; each layer's output is
+        freed once the next layer has run. work, there for the LSTM
+        stacks' signature, goes unused."""
         for layer in self.layers:
             x = dense_forward(layer, x)
         return x
 
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray, out: "DenseStack",
-                 work: Workspace | None = None) -> np.ndarray:
+                 work: Workspace, input_grad: bool = True) -> np.ndarray | None:
         """Writes the gradients into out, a stack of the same layout (see
-        model.EdeNet.bind), and returns the gradient on the input. work
-        goes unused, as in forward."""
+        model.EdeNet.bind), and returns the gradient on the input, or None
+        with input_grad false. Every layer writes its temporaries into
+        the same two buffers of work (dense_backward), which must not
+        hold the cache; the gradient returned is a view of work."""
         for k in range(len(self.layers) - 1, -1, -1):
             grad_out = dense_backward(self.layers[k], cache[k], cache[k + 1], grad_out,
-                                      out.layers[k])
+                                      out.layers[k], work, input_grad or k > 0)
         return grad_out
 
     def named_units(self) -> list[tuple[str, DenseLayer]]:

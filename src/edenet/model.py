@@ -185,10 +185,10 @@ class LstmEncoder(Stack):
         return top_last @ self.proj.weights + self.proj.bias[..., None, :]
 
     def backward(self, cache: dict, grad_out: np.ndarray, out: "LstmEncoder",
-                 work: Workspace):
+                 work: Workspace, input_grad: bool = True):
         """Writes the gradients into out, a stack of the same layout, and
-        returns the gradient on the input. The temporaries go into work,
-        which must not hold the cache."""
+        returns the gradient on the input, or None with input_grad false.
+        The temporaries go into work, which must not hold the cache."""
         np.matmul(cache["top_last"].swapaxes(-1, -2), grad_out, out=out.proj.weights)
         np.sum(grad_out, axis=-2, out=out.proj.bias)
         *lead, B, _ = grad_out.shape
@@ -196,7 +196,7 @@ class LstmEncoder(Stack):
         dh[..., :-1, :, :] = 0.0
         np.matmul(grad_out, self.proj.weights.swapaxes(-1, -2), out=dh[..., -1, :, :])
         dx_seq = _cells_backward(self.cells, cache["cell_caches"], dh, out.cells, work)
-        return _sequence_to_row(dx_seq, self.input_dim)
+        return _sequence_to_row(dx_seq, self.input_dim) if input_grad else None
 
     def named_units(self) -> list[tuple[str, object]]:
         return [*((f"cell{k}", c) for k, c in enumerate(self.cells)), ("proj", self.proj)]
@@ -369,8 +369,9 @@ class EdeNet(Stack):
 
     def _forward_cached(self, x: np.ndarray, work: Workspace):
         """(z, x_recon, z_prime, caches) through e1, dec, e2, with each
-        stack's cache for _backward. Each stack writes into its own scope
-        of work, since all three caches are live until _backward ends."""
+        stack's cache for _backward. Each stack writes its activations
+        into its own scope of work, since all three caches are live until
+        _backward ends; the outputs are views of work."""
         outputs, caches = [], []
         for part, stack in (("e1", self.e1), ("dec", self.dec), ("e2", self.e2)):
             x, cache = stack.forward(x, work.scope(part))
@@ -385,15 +386,17 @@ class EdeNet(Stack):
 
         The second encoder only ever sees grad_zp; the decoder and first
         encoder accumulate both the reconstruction-path and the
-        encoding-path contributions. The stacks run one after another and
-        each returns a fresh input gradient, so they share one scope of
-        work for their temporaries, apart from the forward caches.
+        encoding-path contributions. The stacks run one after another, and
+        each input gradient is added into a fresh array before the next
+        stack runs, so they share one scope of work for their temporaries,
+        apart from the forward caches. Nothing reads the first encoder's
+        input gradient, so it is not computed.
         """
         c1, cd, c2 = caches
         work = work.scope("backward")
         grad_xr_from_e2 = self.e2.backward(c2, grad_zp, out.e2, work)
         grad_z_from_dec = self.dec.backward(cd, grad_xr_from_e2 + grad_xr_direct, out.dec, work)
-        self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1, work)
+        self.e1.backward(c1, grad_z_from_dec + grad_z_direct, out.e1, work, input_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +445,10 @@ def loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray, work: Workspa
     beta*mean_le always holds. out is a stack bound to an (I, P) gradient
     buffer and receives each member's gradients in its row; the Euclidean
     norm's gradient is taken as 0 at exactly-zero error. Every member's
-    numbers are bit-identical to a run on that member alone. The LSTM
-    stacks write their caches and temporaries into work; a training loop
-    passes the same one to every call, so each round reuses the pages of
-    the last.
+    numbers are bit-identical to a run on that member alone. Every stack
+    writes its caches and temporaries into work; a training loop passes
+    the same one to every call, so each round reuses the pages of the
+    last.
     """
     alpha, beta = nets.spec.alpha, nets.spec.beta
     z, x_recon, z_prime, caches = nets._forward_cached(x, work)

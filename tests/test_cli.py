@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
-from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, fit_scale, load_csv,
-                         load_schema, load_training_rows, scaling_to_dict)
+from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, expanded_meta, fit_scale,
+                         load_csv, load_schema, load_training_rows, scaling_to_dict,
+                         schema_from_dict)
 from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
                              train_ensemble)
 from edenet.errors import ShapeError
@@ -878,6 +879,37 @@ def test_scaling_given_to_an_unscaled_model_is_exit_2(kdd_runs, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"scaling file {scaling} does not hold" in err and "(trained unscaled)" in err
     assert _kdd_score(kdd_runs, tmp_path / "bare", model="raw") == 0
+
+
+def _other_scaling(ws, tmp_path):
+    scaling = ws / "other" / "scaling.json"
+    return {"scaling": scaling}, f"scaling file {scaling} does not hold the model's own scaling"
+
+
+def _swapped_schema(ws, tmp_path):
+    doc = json.loads(KDD_SCHEMA.read_text())
+    _swap_numeric(doc)
+    got = expanded_meta(schema_from_dict(doc))
+    want = load_model(ws / "run" / "model.json").columns
+    j = next(j for j, (a, b) in enumerate(zip(got, want)) if a != b)
+    return ({"schema": write_json(tmp_path / "schema.json", doc)},
+            f"input column {j} is {got[j]!r}, model expects {want[j]!r}")
+
+
+@pytest.mark.parametrize("mismatch", [_other_scaling, _swapped_schema],
+                         ids=["scaling", "column-names"])
+def test_score_checks_the_model_before_it_reads_a_row(kdd_runs, tmp_path, capsys,
+                                                      monkeypatch, mismatch):
+    """A --scaling or a schema that does not fit the model exits 2 with its
+    message before load_csv reads the data file."""
+    def no_load(*args, **kwargs):
+        raise AssertionError("load_csv ran before the model was checked")
+
+    flags, message = mismatch(kdd_runs, tmp_path)
+    monkeypatch.setattr("edenet.cli.load_csv", no_load)
+    assert _kdd_score(kdd_runs, tmp_path / "out", **flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.csv").exists()
 
 
 def test_score_rejects_a_meta_model_with_exit_2(tmp_path, workspace, capsys):

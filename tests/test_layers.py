@@ -108,7 +108,7 @@ def test_dense_backward_matches_finite_differences(activation):
 
     out = dense_forward(layer, x)
     grads = copy.deepcopy(layer)  # receives the parameter gradients
-    grad_in = dense_backward(layer, x, out, r, grads)
+    grad_in = dense_backward(layer, x, out, r, grads, Workspace())
     grad_w, grad_b = grads.weights, grads.bias
 
     for arr, grad in [(layer.weights, grad_w), (layer.bias, grad_b)]:
@@ -136,11 +136,11 @@ def test_dense_stack_chains_and_backward_aligns(rng):
     stack = DenseStack([init_dense(rng, 6, 5, "tanh"),
                         init_dense(rng, 5, 2, "identity")])
     x = rng.standard_normal((4, 6))
-    out, cache = stack.forward(x)
+    out, cache = stack.forward(x, Workspace())
     assert out.shape == (4, 2)
     r = rng.standard_normal((4, 2))
     out_stack = copy.deepcopy(stack)  # receives the gradients
-    grad_in = stack.backward(cache, r, out_stack)
+    grad_in = stack.backward(cache, r, out_stack, Workspace())
     grads = out_stack.params()
     assert grad_in.shape == x.shape
     assert len(grads) == len(stack.params()) == 4
@@ -149,7 +149,7 @@ def test_dense_stack_chains_and_backward_aligns(rng):
     assert stack.param_names() == ["layer0.w", "layer0.b", "layer1.w", "layer1.b"]
 
     def loss():
-        return float(np.sum(stack.forward(x)[0] * r))
+        return float(np.sum(stack.forward(x, Workspace())[0] * r))
 
     fd = central_diff(loss, stack.layers[0].weights, (2, 1))
     assert close(fd, grads[0][2, 1])

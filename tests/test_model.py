@@ -165,6 +165,48 @@ def test_reused_workspace_gives_what_fresh_stacks_give(arch):
         assert np.array_equal(grad_block[:a], fresh.flat)
 
 
+def _feedforward_round(a=3, batch=64):
+    """A three-member feed-forward stack over d=8 (hidden widths 64 and
+    32), its gradient stack, a batch per member and the coefficients."""
+    nets = init_ensemble(make_arch(8), a, seed=3).members
+    block = np.stack([m.flat for m in nets])
+    grads = nets[0].bind(np.empty_like(block))
+    x = make_rng(4).standard_normal((a, batch, 8))
+    return nets[0].bind(block), grads, x, sample_coefficients(batch, None)
+
+
+def test_a_warmed_training_round_allocates_less_than_one_activation():
+    """The dense layers write their activations and temporaries into the
+    workspace, so a second round on a warmed one allocates less than one
+    (a, B, 64) activation of the widest layer."""
+    nets, grads, x, coeff = _feedforward_round()
+    work, x2 = Workspace(), 2.0 * x
+    loss_and_grads(nets, x, coeff, work, grads)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss_and_grads(nets, x2, coeff, work, grads)
+        grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < x.shape[0] * x.shape[1] * 64 * 8
+
+
+def test_training_into_a_nan_filled_workspace_matches_a_fresh_one():
+    """Every buffer a feed-forward round reads, it writes first: on a
+    workspace whose buffers all hold NaN, the losses and the gradient
+    block equal a fresh workspace's bit for bit."""
+    nets, grads, x, coeff = _feedforward_round()
+    work = Workspace()
+    loss_and_grads(nets, 3.0 * x, coeff, work, grads)
+    for buf in work._buffers.values():
+        buf.fill(np.nan)
+    got = loss_and_grads(nets, x, coeff, work, grads)
+    got_grads = grads.flat.copy()
+    assert got == loss_and_grads(nets, x, coeff, Workspace(), grads)
+    assert got_grads.tobytes() == grads.flat.tobytes()
+
+
 def test_e1_and_e2_never_share_arrays():
     net = small_net("ff")
     ids_e1 = {id(p) for p in net.e1.params()}
