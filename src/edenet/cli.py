@@ -13,8 +13,6 @@ failure (divergence, fit failure), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -24,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open, atomic_write_json
+from .atomic import atomic_write_json
 from .data import (
+    Schema,
     expanded_meta,
     generate_synthetic,
     load_csv,
@@ -33,11 +32,13 @@ from .data import (
     load_schema,
     load_training_rows,
     numeric_schema_for,
-    read_csv_blocks,
+    read_number_table,
+    save_scaling,
     save_schema,
-    scaling_to_dict,
     training_split,
     write_csv,
+    write_number_table,
+    write_table,
 )
 from .ensemble import (
     EnsembleModel,
@@ -67,7 +68,7 @@ from .metalearn import (
     svr_fit,
 )
 from .metrics import evaluate, save_report_csv, save_report_json
-from .model import ArchSpec, make_arch, normalize_scores, row_chunks
+from .model import ArchSpec, make_arch, normalize_scores
 from .modelfile import load_model, save_model
 from .rng import derived_seed
 from .svr import SvrModel, SvrSettings
@@ -170,14 +171,13 @@ def cmd_train(cfg: RunConfig) -> int:
     spec = make_arch(len(expanded_meta(schema)), cfg.arch)
     train_ds = load_training_rows(_require(cfg.data, "training data path"), schema,
                                   cfg.scale)
-    if cfg.scale:
-        with atomic_open(out / "scaling.json") as fh:
-            fh.write(json.dumps(scaling_to_dict(train_ds.scaling_stats)) + "\n")
-
     ens, trace = train_ensemble(init_ensemble(spec, cfg.n_members, seed=tc.seed),
                                 train_ds, tc)
+    # written once training succeeded, so a diverged run leaves no --out
     save_model(ens, out / "model.json")
     write_trace_csv(out / "trace.csv", trace)
+    if cfg.scale:
+        save_scaling(train_ds.scaling_stats, out / "scaling.json")
     _echo_config(out, "train", cfg)
 
     print(f"trained ensemble: I={ens.size}, d={spec.input_dim}, "
@@ -194,13 +194,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _write_scores(path, raw: np.ndarray, norm: np.ndarray) -> None:
-    """Write the bytes csv.writer writes for these rows, one block of
-    BLOCK_ROWS rows per call."""
-    with atomic_open(path) as fh:
-        csv.writer(fh).writerow(["row_index", "raw_score", "normalized_score"])
-        for rows in row_chunks(raw.size):
-            fh.write("".join(f"{i},{r!r},{s!r}\r\n" for i, (r, s) in enumerate(
-                zip(raw[rows].tolist(), norm[rows].tolist()), rows.start)))
+    write_number_table(path, ["row_index", "raw_score", "normalized_score"],
+                       [np.arange(raw.size), raw, norm])
 
 
 def cmd_score(cfg: RunConfig) -> int:
@@ -231,17 +226,8 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and normalized scores from a score CSV. Every row must carry as
-    many fields as the header, and both score fields must be finite
-    numbers (load_csv's grammar); otherwise CsvParseError names the line."""
-    need = ("row_index", "raw_score", "normalized_score")
-    with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or not set(need) <= set(header):
-            raise ValueError(f"score CSV must carry columns {sorted(need)}")
-        scores = [header.index("raw_score"), header.index("normalized_score")]
-        blocks = list(read_csv_blocks(fh, header, scores, [], has_header=True))
-    raw, norm = (np.concatenate([b[i] for b in blocks]) for i in scores)
+    """Raw and normalized scores from a score CSV, read by column name."""
+    raw, norm = read_number_table(path, ["raw_score", "normalized_score"], "score CSV")
     return raw, norm
 
 
@@ -251,8 +237,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "eval")
-    raw, _ = read_scores_csv(_require(cfg.scores, "score CSV path"))
     schema = load_schema(_require(cfg.schema, "schema path"))
+    raw, _ = read_scores_csv(_require(cfg.scores, "score CSV path"))
     ds = load_csv(_require(cfg.data, "labeled data path"), schema,
                   require_labels=True)
     if ds.n_rows != raw.size:
@@ -292,11 +278,10 @@ class TaskEntry:
         check_fields(self, "task")
 
 
-def _load_task(cfg: RunConfig, train: str | None, test: str | None,
-               schema: str | None = None, name: str = "", where: str = "") -> MetaTask:
+def _load_task(cfg: RunConfig, schema: Schema, train: str | None, test: str | None,
+               name: str = "", where: str = "") -> MetaTask:
     """A task from CSV paths: the training file's normal rows and the test
     file's labeled rows. Error messages name the task by `where`."""
-    schema = load_schema(_require(schema or cfg.schema, f"{where}schema path"))
     train = load_training_rows(_require(train, f"{where}train path"), schema, cfg.scale)
     return MetaTask(train, load_csv(_require(test, f"{where}test path"), schema,
                                     require_labels=True), name)
@@ -308,7 +293,12 @@ def cmd_meta_build(cfg: RunConfig) -> int:
     if not entries:
         raise ConfigError("meta build needs a nonempty tasks list")
     tc = TrainConfig.from_dict(cfg.train)
-    tasks = [_load_task(cfg, **asdict(e), where=f"task {i} ") for i, e in enumerate(entries)]
+    schemas = [load_schema(_require(e.schema or cfg.schema, f"task {i} schema path"))
+               for i, e in enumerate(entries)]
+    for schema in schemas:  # every task's arch is checked before a row is read
+        make_arch(len(expanded_meta(schema)), cfg.arch)
+    tasks = [_load_task(cfg, schema, e.train, e.test, e.name, f"task {i} ")
+             for i, (e, schema) in enumerate(zip(entries, schemas))]
     records = build_meta_dataset(tasks, cfg.candidates, tc,
                                  arch_template=cfg.arch or None)
     path = out / "meta.csv"
@@ -454,11 +444,12 @@ def cmd_bench(cfg: RunConfig) -> int:
 
     spec = None if cfg.synthetic is None else from_fields(
         SyntheticTask, cfg.synthetic, "synthetic")
-    file_task = _load_task(cfg, cfg.data, cfg.test_data) if spec is None else None
-    # every method's settings are built before the first cell runs, so a
-    # bad value fails with no cell trained or written
-    width = spec.d if file_task is None else file_task.train.n_features
+    schema = load_schema(_require(cfg.schema, "schema path")) if spec is None else None
+    # every method's settings are built before a row is read, so a bad
+    # value fails with no row read and no cell trained or written
+    width = spec.d if schema is None else len(expanded_meta(schema))
     settings = [_bench_settings(cfg, m, width) for m in methods]
+    file_task = None if schema is None else _load_task(cfg, schema, cfg.data, cfg.test_data)
     reports: dict[str, list] = {name: [] for name in names}
     for seed in cfg.seeds:
         task = file_task or _bench_task(cfg, spec, seed)  # shared by every method
@@ -481,19 +472,14 @@ def cmd_bench(cfg: RunConfig) -> int:
 
 
 def _write_bench_table(path, summary: list[tuple]) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", *(f"{name}_{stat}" for name in METRIC_NAMES
-                                     for stat in ("mean", "std"))])
-        for method, rows in groupby(summary, key=itemgetter(0)):
-            writer.writerow([method, *(v for row in rows for v in row[2:])])
+    write_table(path, ["method", *(f"{name}_{stat}" for name in METRIC_NAMES
+                                   for stat in ("mean", "std"))],
+                ([method, *(v for row in rows for v in row[2:])]
+                 for method, rows in groupby(summary, key=itemgetter(0))))
 
 
 def _write_plot_data(path, summary: list[tuple]) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "metric", "mean", "stddev"])
-        writer.writerows(summary)
+    write_table(path, ["method", "metric", "mean", "stddev"], summary)
 
 
 def _print_bench_table(summary: list[tuple], n_seeds: int) -> None:

@@ -18,14 +18,12 @@ step at once, on one (I, P) parameter block.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_open
-from .data import Dataset, Rows, ScalingStats, _check_one_hot, _scale_rows
+from .data import Dataset, Rows, ScalingStats, _check_one_hot, _scale_rows, write_table
 from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
 from .layers import Workspace, as_matrix
 from .model import (
@@ -414,8 +412,4 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
 
 
 def write_trace_csv(path, trace: list[EpochTrace]) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_Lr", "mean_Le", "combined"])
-        for row in trace:
-            writer.writerow([row.epoch, row.mean_lr, row.mean_le, row.combined])
+    write_table(path, ["epoch", "mean_Lr", "mean_Le", "combined"], map(astuple, trace))

@@ -13,14 +13,12 @@ measure.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_open
-from .data import Dataset, read_csv_blocks
+from .data import Dataset, read_number_table, write_table
 from .ensemble import EpochTrace, TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
 from .metrics import auroc
@@ -227,30 +225,17 @@ META_CSV_FIELDS = ["n_instances", "n_sparse", "n_pos_skew", "n_neg_skew",
 
 
 def save_meta_csv(records: list[MetaRecord], path) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(META_CSV_FIELDS)
-        for r in records:
-            writer.writerow([
-                r.features.n_instances, r.features.n_sparse,
-                r.features.n_pos_skew, r.features.n_neg_skew,
-                r.n_members, r.performance,
-            ])
+    write_table(path, META_CSV_FIELDS, ([
+        r.features.n_instances, r.features.n_sparse, r.features.n_pos_skew,
+        r.features.n_neg_skew, r.n_members, r.performance] for r in records))
 
 
 def load_meta_csv(path) -> list[MetaRecord]:
-    """The records of a save_meta_csv file: finite numbers in load_csv's
-    grammar (else CsvParseError names the line), integers below 2**53 in
-    the five count columns."""
-    with open(path, encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header != META_CSV_FIELDS:
-            raise ValueError(
-                f"meta CSV must have header {META_CSV_FIELDS}, found {header}")
-        columns = range(len(header))
-        blocks = list(read_csv_blocks(fh, header, list(columns), [], has_header=True))
-    *counts, performance = (np.concatenate([b[i] for b in blocks]) for i in columns)
-    for name, col in zip(header, counts):
+    """The records of a meta CSV, its META_CSV_FIELDS columns read by name:
+    finite numbers in load_csv's grammar (else CsvParseError names the
+    line), integers below 2**53 in the five count columns."""
+    *counts, performance = read_number_table(path, META_CSV_FIELDS, "meta CSV")
+    for name, col in zip(META_CSV_FIELDS, counts):
         bad = np.flatnonzero((col != np.round(col)) | (np.abs(col) >= 2**53))
         if bad.size:
             raise ValueError(f"meta CSV column {name!r} must hold integers, "

@@ -3,15 +3,14 @@ metrics, and tie-aware AUROC."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .atomic import atomic_open, atomic_write_json
-from .data import ANOMALY, NORMAL
+from .atomic import atomic_write_json
+from .data import ANOMALY, NORMAL, write_table
 from .errors import ShapeError, UndefinedAurocError
 
 
@@ -174,9 +173,5 @@ def save_report_json(report: EvalReport, path) -> None:
 
 
 def save_report_csv(report: EvalReport, path) -> None:
-    """One-row CSV for table assembly; csv.writer writes floats as repr and
-    an undefined auroc as an empty field."""
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_FIELDS)
-        writer.writerow([getattr(report, field) for field in REPORT_FIELDS])
+    """One-row CSV for table assembly; an undefined auroc is an empty field."""
+    write_table(path, REPORT_FIELDS, [[getattr(report, field) for field in REPORT_FIELDS]])

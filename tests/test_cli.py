@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edenet.cli import RunConfig, _write_scores, build_parser, main, read_scores_csv
+from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot_data,
+                        _write_scores, build_parser, main, read_scores_csv)
 from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, expanded_meta, fit_scale,
                          load_csv, load_schema, load_training_rows, scaling_to_dict,
                          schema_from_dict)
@@ -184,6 +185,66 @@ def test_score_csv_bytes_match_csv_writer(tmp_path):
     back_raw, back_norm = read_scores_csv(path)
     assert back_raw.tobytes() == raw.tobytes()
     assert back_norm.tobytes() == norm.tobytes()
+
+    # the bench tables: a method name with a comma and a quote is quoted
+    odd = 'odd "m", x'
+    summary = [(method, name, 0.25 * k, None if k % 3 else 1e-17)
+               for method in (odd, "b") for k, name in enumerate(METRIC_NAMES)]
+    _write_plot_data(path, summary)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["method", "metric", "mean", "stddev"])
+    for method, name, mean, std in summary:
+        writer.writerow([method, name, repr(mean), "" if std is None else repr(std)])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert path.read_text().splitlines()[1].startswith('"odd ""m"", x",precision,')
+
+    _write_bench_table(path, summary)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["method", *(f"{name}_{stat}" for name in METRIC_NAMES
+                                 for stat in ("mean", "std"))])
+    for method in (odd, "b"):
+        writer.writerow([method, *(repr(v) if v is not None else ""
+                                   for m, _, mean, std in summary if m == method
+                                   for v in (mean, std))])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+
+def test_score_csv_is_read_by_column_name(tmp_path):
+    """Reordered columns plus an extra one give the same scores, with no
+    row_index column needed."""
+    raw, norm = np.array([0.5, -2.0, 3e-9]), np.array([0.25, 0.0, 1.0])
+    _write_scores(tmp_path / "scores.csv", raw, norm)
+    moved = tmp_path / "moved.csv"
+    moved.write_text('normalized_score,note,raw_score\n0.25,"a, b",0.5\n'
+                     "0.0,x,-2.0\n1.0,,3e-9\n")
+    for path in (tmp_path / "scores.csv", moved):
+        back_raw, back_norm = read_scores_csv(path)
+        assert back_raw.tobytes() == raw.tobytes()
+        assert back_norm.tobytes() == norm.tobytes()
+
+
+@pytest.mark.parametrize("command, text, name", [
+    ("eval", "row_index,normalized_score\n0,0.5\n", "raw_score"),
+    ("eval", "raw_score,normalized_score,raw_score\n0.1,0.5,0.2\n", "raw_score"),
+    ("eval", "", "raw_score"),
+    ("meta fit", "n_instances,n_sparse,n_pos_skew,n_neg_skew,I\n60,0,2,1,1\n", "auroc"),
+    ("meta fit", "n_instances,n_sparse,n_pos_skew,n_neg_skew,I,auroc,I\n"
+                 "60,0,2,1,1,0.7,1\n", "I"),
+    ("meta fit", "", "n_instances"),
+], ids=["eval-missing", "eval-twice", "eval-empty", "meta-missing", "meta-twice",
+        "meta-empty"])
+def test_a_table_without_its_column_once_is_exit_2(tmp_path, workspace, capsys,
+                                                   command, text, name):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    args = (["eval", "--scores", str(table), "--data", str(workspace / "synth" / "data.csv"),
+             "--schema", str(workspace / "synth" / "schema.json")]
+            if command == "eval" else ["meta", "fit", "--meta", str(table)])
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert f"header must name column {name!r} once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -480,6 +541,35 @@ def test_train_checks_arch_before_it_reads_a_row(tmp_path, workspace, capsys, mo
                  "--schema", str(workspace / "synth" / "schema.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "error: latent_dim must lie in [1, input_dim], got 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["meta build", "bench", "eval"])
+def test_a_bad_setting_fails_before_a_row_is_read(tmp_path, workspace, capsys, monkeypatch,
+                                                  command):
+    """meta build and bench check arch at each schema's expanded width, and
+    eval loads its schema, before any training rows or scores are read."""
+    import edenet.cli as cli_mod
+    reads = []
+    for name in ("load_training_rows", "read_scores_csv"):
+        real = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *a, real=real, **k: reads.append(a) or real(*a, **k))
+    synth, missing = workspace / "synth", str(tmp_path / "missing.json")
+    data, schema = str(synth / "data.csv"), str(synth / "schema.json")
+    wide = {"arch": {"latent_dim": 9}}
+    config = {
+        "meta build": {**wide, "tasks": [{"train": data, "test": data, "schema": schema}] * 2},
+        "bench": {**wide, "data": data, "test_data": data, "schema": schema,
+                  "methods": [{"name": "ede"}]},
+        "eval": {"scores": str(workspace / "score" / "scores.csv"), "data": data,
+                 "schema": missing},
+    }[command]
+    cfg = write_json(tmp_path / "cfg.json", config)
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: schema path not found: {missing}" if command == "eval"
+            else "error: latent_dim must lie in [1, input_dim], got 9") in capsys.readouterr().err
+    assert reads == []
     assert not (tmp_path / "out").exists()
 
 
@@ -1274,6 +1364,7 @@ def test_divergence_is_exit_3(tmp_path, workspace, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "non-finite loss" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # no stray scaling.json either
 
 
 def test_unwritable_output_dir_is_exit_4(tmp_path):

@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from edenet.data import (
     write_csv,
 )
 import edenet.data as data_mod
+from edenet.ensemble import EpochTrace, write_trace_csv
 from edenet.errors import (
     CsvParseError,
     FormatError,
@@ -41,6 +44,8 @@ from edenet.errors import (
     SchemaError,
     ShapeError,
 )
+from edenet.metalearn import MetaFeatures, MetaRecord, save_meta_csv
+from edenet.metrics import evaluate, save_report_csv
 from kdd_shaped import KDD_SCHEMA, write_kdd_rows
 
 NUM2 = Schema((SchemaColumn("a", "numeric"), SchemaColumn("b", "numeric")))
@@ -355,6 +360,32 @@ def test_write_csv_bytes_match_csv_writer(tmp_path):
             rows = [r + [str(int(y))] for r, y in zip(rows, labels)]
             header = header + ["label"]
         assert p.read_bytes() == _csv_writer_bytes(header, rows)
+
+    # the package's other tables, one input each
+    p = tmp_path / "trace.csv"
+    trace = [EpochTrace(k, *x[k].tolist()) for k in range(4)]
+    write_trace_csv(p, trace)
+    assert p.read_bytes() == _csv_writer_bytes(
+        ["epoch", "mean_Lr", "mean_Le", "combined"],
+        [[str(t.epoch), repr(t.mean_lr), repr(t.mean_le), repr(t.combined)] for t in trace])
+
+    p = tmp_path / "meta.csv"
+    records = [MetaRecord(MetaFeatures(60 + k, k, 2, 1), 2 * k + 1, 1 / (k + 3))
+               for k in range(3)]
+    save_meta_csv(records, p)
+    assert p.read_bytes() == _csv_writer_bytes(
+        ["n_instances", "n_sparse", "n_pos_skew", "n_neg_skew", "I", "auroc"],
+        [[str(60 + k), str(k), "2", "1", str(2 * k + 1), repr(1 / (k + 3))]
+         for k in range(3)])
+
+    p = tmp_path / "report.csv"
+    report = evaluate([0.1, 0.7, 0.3, 0.9], [0, 0, 0, 0], q=0.5)
+    assert report.auroc is None
+    save_report_csv(report, p)
+    assert p.read_bytes() == _csv_writer_bytes(
+        ["precision", "recall", "f1", "accuracy", "auroc", "threshold_used",
+         "tp", "fp", "tn", "fn"],
+        [["0.0", "0.0", "0.0", "0.5", "", "0.7", "0", "2", "2", "0"]])
 
 
 def test_write_then_load_round_trip_is_exact(tmp_path):
@@ -1164,3 +1195,20 @@ def test_scaling_writes_one_matrix_and_leaves_its_input(scale):
     assert ds.features.tobytes() == before
     assert not ds.features.flags.writeable and not out.features.flags.writeable
     assert out.labels is ds.labels
+
+
+def test_only_data_formats_csv_tables():
+    """data is the one module that imports csv, and atomic_open is imported
+    only by data and modelfile (and defined in atomic)."""
+    src = Path(data_mod.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names |= {node.module or ""} | {alias.name for alias in node.names}
+        if path.stem != "data":
+            assert "csv" not in names, f"{path.name} imports csv"
+        if path.stem not in ("atomic", "data", "modelfile"):
+            assert "atomic_open" not in names, f"{path.name} imports atomic_open"

@@ -339,6 +339,18 @@ def test_meta_csv_fields_are_checked_never_coerced(tmp_path, row, error, message
         load_meta_csv(p)
 
 
+def test_meta_csv_is_read_by_column_name(tmp_path):
+    """Reordered columns plus a task column give the same records."""
+    records = synthetic_records()[:4]
+    save_meta_csv(records, tmp_path / "meta.csv")
+    moved = tmp_path / "moved.csv"
+    moved.write_text("task,auroc,I,n_neg_skew,n_pos_skew,n_sparse,n_instances\n" + "".join(
+        f"t{k},{r.performance!r},{r.n_members},{r.features.n_neg_skew},"
+        f"{r.features.n_pos_skew},{r.features.n_sparse},{r.features.n_instances}\n"
+        for k, r in enumerate(records)))
+    assert load_meta_csv(moved) == load_meta_csv(tmp_path / "meta.csv") == records
+
+
 def test_meta_csv_header_is_checked(tmp_path):
     p = tmp_path / "meta.csv"
     p.write_text("a,b,c\n1,2,3\n")
