@@ -121,6 +121,9 @@ class RunConfig:
         for cand in self.candidates:
             if cand < 1:
                 raise ConfigError(f"each candidate must be >= 1, got {cand}")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ConfigError(f"seeds[{i}] must be >= 0, got {seed}")
 
 
 def _load_config_file(path: str | None) -> RunConfig:
@@ -225,10 +228,9 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
-def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and normalized scores from a score CSV, read by column name."""
-    raw, norm = read_number_table(path, ["raw_score", "normalized_score"], "score CSV")
-    return raw, norm
+def read_scores_csv(path) -> np.ndarray:
+    """The raw scores of a score CSV, read by column name."""
+    return read_number_table(path, ["raw_score"], "score CSV")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +240,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def cmd_eval(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "eval")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    raw, _ = read_scores_csv(_require(cfg.scores, "score CSV path"))
+    raw = read_scores_csv(_require(cfg.scores, "score CSV path"))
     ds = load_csv(_require(cfg.data, "labeled data path"), schema,
                   require_labels=True)
     if ds.n_rows != raw.size:
@@ -507,6 +509,8 @@ class SynthSpec:
 
     def __post_init__(self):
         check_fields(self, "synthetic")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic seed must be >= 0, got {self.seed}")
 
 
 def cmd_synth(cfg: RunConfig) -> int:

@@ -33,7 +33,6 @@ from .model import (
     loss_and_grads,
     normalize_scores,
     row_chunks,
-    sample_coefficients,
 )
 from .optim import make_optimizer
 from .rng import make_rng, spawn_seeds
@@ -107,8 +106,15 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
         if self.reweight_eps <= 0:
             raise ConfigError("reweight_eps must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_iters(self, n_samples: int, n_members: int) -> int:
         if self.iters_per_epoch is not None:
@@ -340,13 +346,12 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
     size = ensemble.size
     member_rng, batch_rng = training_streams(cfg.seed)
     iters = cfg.resolved_iters(n, size)
-    coeff = sample_coefficients(cfg.batch_size, None)
     # row r of block holds member row_member[r]'s flat vector
     row_member = np.arange(size)
     block = np.stack([m.flat for m in ensemble.members])
     grad_block = np.empty_like(block)
-    state, step = make_optimizer(cfg.optimizer, [block], lr=cfg.lr, beta1=cfg.beta1,
-                                 beta2=cfg.beta2, eps=cfg.eps, per_row=True)
+    state, step = make_optimizer(cfg.optimizer, block, lr=cfg.lr, beta1=cfg.beta1,
+                                 beta2=cfg.beta2, eps=cfg.eps)
     stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
     work = Workspace()
 
@@ -389,8 +394,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
                 stacks[a] = (member0.bind(block[:a]), member0.bind(grad_block[:a]))
             nets, grads = stacks[a]
             its = sched[:a, k]
-            combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), coeff,
-                                                        work, grads)
+            combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), work, grads)
             per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
             for it, c in zip(its.tolist(), combined):
                 if not math.isfinite(c) and (first_bad is None or it < first_bad):
@@ -400,7 +404,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
                 if k + 1 == len(active) or sched[:active[k + 1], k + 1].min() > first_bad:
                     raise TrainingDivergedError(epoch, first_bad,
                                                 float(per_iter[first_bad, 2]))
-            step(state, [block[:a]], [grad_block[:a]])
+            step(state, block[:a], grad_block[:a])
 
         # a sequential scan adds in iteration order; np.sum would pair terms
         trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))

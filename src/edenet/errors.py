@@ -120,10 +120,6 @@ class FormatError(ValueError):
     """Persisted artifact (model/report file) unreadable or inconsistent."""
 
 
-class DegenerateWeightsError(ValueError):
-    """A sample-weight vector with zero total mass."""
-
-
 class UndefinedAurocError(ValueError):
     """AUROC requested with only one class present in the labels."""
 

@@ -21,8 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BLOCK_ROWS
-from .errors import (DegenerateWeightsError, FormatError, ShapeError, check_fields,
-                     expect_numbers, from_fields)
+from .errors import FormatError, ShapeError, check_fields, expect_numbers, from_fields
 from .layers import (
     DenseLayer,
     DenseStack,
@@ -417,40 +416,24 @@ def encoding_loss(z: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
     return np.linalg.norm(z - z_prime, axis=-1)
 
 
-def sample_coefficients(n: int, weights) -> np.ndarray:
-    """Per-sample mixing coefficients; uniform weights give the batch mean."""
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ShapeError(f"weights length {w.shape} != batch size {n}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    total = w.sum()
-    if total <= 0:
-        raise DegenerateWeightsError("weight vector sums to zero")
-    return w / total
-
-
-def loss_and_grads(nets: EdeNet, x: np.ndarray, coeff: np.ndarray, work: Workspace,
-                   out: EdeNet):
+def loss_and_grads(nets: EdeNet, x: np.ndarray, work: Workspace, out: EdeNet):
     """The combined loss alpha*L_r + beta*L_e of I members at once, with
     its gradients w.r.t. every member's parameters.
 
     nets is a member stack (EdeNet.bind over an (I, P) block), or one net
-    when I=1, and x holds one (B, d) batch per member, (I, B, d); coeff
-    mixes the B per-sample losses (sample_coefficients). Returns
-    (combined, mean_lr, mean_le) as lists of I floats, mean_lr / mean_le
-    being the mixes used in combined, so combined == alpha*mean_lr +
-    beta*mean_le always holds. out is a stack bound to an (I, P) gradient
-    buffer and receives each member's gradients in its row; the Euclidean
-    norm's gradient is taken as 0 at exactly-zero error. Every member's
-    numbers are bit-identical to a run on that member alone. Every stack
-    writes its caches and temporaries into work; a training loop passes
-    the same one to every call, so each round reuses the pages of the
-    last.
+    when I=1, and x holds one (B, d) batch per member, (I, B, d). Returns
+    (combined, mean_lr, mean_le) as lists of I floats: each member's batch
+    means, taken as dot products with a vector of 1/B, and combined ==
+    alpha*mean_lr + beta*mean_le always. out is a stack bound to an (I, P)
+    gradient buffer and receives each member's gradients in its row; the
+    Euclidean norm's gradient is taken as 0 at exactly-zero error. Every
+    member's numbers are bit-identical to a run on that member alone.
+    Every stack writes its caches and temporaries into work; a training
+    loop passes the same one to every call, so each round reuses the pages
+    of the last.
     """
     alpha, beta = nets.spec.alpha, nets.spec.beta
+    coeff = np.full(x.shape[-2], 1.0 / x.shape[-2])
     z, x_recon, z_prime, caches = nets._forward_cached(x, work)
     lr = reconstruction_loss(x, x_recon)
     le = encoding_loss(z, z_prime)

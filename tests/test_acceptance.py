@@ -46,9 +46,8 @@ from edenet.metalearn import (
 )
 from edenet.metrics import auroc, confusion_metrics, threshold_top_q
 from edenet.model import EdeNet, make_arch
-from edenet.optim import make_optimizer
 from edenet.rng import make_rng
-from oracles import block_scores, lone_loss, lone_loss_and_grads
+from oracles import block_scores, lone_loss, lone_loss_and_grads, textbook_optimizer
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,7 +65,7 @@ def _report(k: int, ok: bool, detail: str) -> None:
 # 1. gradient correctness
 
 
-def _full_gradcheck(net: EdeNet, x: np.ndarray, weights) -> tuple[int, int, float]:
+def _full_gradcheck(net: EdeNet, x: np.ndarray) -> tuple[int, int, float]:
     """Check every parameter entry against central differences.
 
     Returns (entries checked, failures, worst tolerance fraction). An
@@ -75,7 +74,7 @@ def _full_gradcheck(net: EdeNet, x: np.ndarray, weights) -> tuple[int, int, floa
     finite difference noise into spurious relative errors. The fraction
     is gap/tolerance, so anything below 1.0 is a pass.
     """
-    _, _, _, grads = lone_loss_and_grads(net, x, weights)
+    _, _, _, grads = lone_loss_and_grads(net, x)
     checked = failures = 0
     worst = 0.0
     for p, g in zip(net.params(), grads):
@@ -83,9 +82,9 @@ def _full_gradcheck(net: EdeNet, x: np.ndarray, weights) -> tuple[int, int, floa
         for k in range(flat_p.size):
             orig = flat_p[k]
             flat_p[k] = orig + FD_STEP
-            up = lone_loss(net, x, weights)
+            up = lone_loss(net, x)
             flat_p[k] = orig - FD_STEP
-            down = lone_loss(net, x, weights)
+            down = lone_loss(net, x)
             flat_p[k] = orig
             fd = (up - down) / (2 * FD_STEP)
             a = flat_g[k]
@@ -113,11 +112,7 @@ def test_criterion_1_gradients_match_finite_differences():
             rng = make_rng((7100, c_idx, seed))
             net = EdeNet.initialize(spec, rng)
             x = rng.standard_normal((6, spec.input_dim))
-            weights = None
-            if seed % 2:  # alternate uniform and non-uniform sample weights
-                raw = rng.uniform(0.1, 1.0, 6)
-                weights = raw / raw.sum()
-            n, f, w = _full_gradcheck(net, x, weights)
+            n, f, w = _full_gradcheck(net, x)
             total += n
             failures += f
             worst = max(worst, w)
@@ -166,15 +161,14 @@ def test_criterion_3_single_member_ensemble_equals_direct_loop():
 
     # plain loop over the same batch stream, uniform weights throughout
     _, batch_rng = training_streams(cfg.seed)
-    state, step = make_optimizer(cfg.optimizer, oracle.params(), lr=cfg.lr,
-                                 beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    step = textbook_optimizer(cfg, oracle.params())
     weights = SampleWeights.uniform(x.shape[0])
     for _ in range(cfg.epochs):
         for _ in range(cfg.resolved_iters(x.shape[0], 1)):
             idx = draw_batch_indices(batch_rng, x.shape[0], cfg.batch_size,
                                      weights)
             _, _, _, grads = lone_loss_and_grads(oracle, x[idx])
-            step(state, oracle.params(), grads)
+            step(grads)
 
     param_gap = max(
         float(np.max(np.abs(pa - pb)))

@@ -15,8 +15,8 @@ import pytest
 from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot_data,
                         _write_scores, build_parser, main, read_scores_csv)
 from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, expanded_meta, fit_scale,
-                         load_csv, load_schema, load_training_rows, scaling_to_dict,
-                         schema_from_dict)
+                         load_csv, load_schema, load_training_rows, read_number_table,
+                         scaling_to_dict, schema_from_dict)
 from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
                              train_ensemble)
 from edenet.errors import ShapeError
@@ -108,7 +108,8 @@ def test_score_csv_layout(workspace):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "row_index,raw_score,normalized_score"
     assert len(lines) == 1 + 72
-    raw, norm = read_scores_csv(path)
+    raw = read_scores_csv(path)
+    norm, = read_number_table(path, ["normalized_score"], "score CSV")
     assert raw.size == 72
     assert norm.min() >= 0.0 and norm.max() <= 1.0
 
@@ -182,8 +183,8 @@ def test_score_csv_bytes_match_csv_writer(tmp_path):
     for i, (r, s) in enumerate(zip(raw, norm)):
         writer.writerow([i, repr(float(r)), repr(float(s))])
     assert path.read_bytes() == buf.getvalue().encode("utf-8")
-    back_raw, back_norm = read_scores_csv(path)
-    assert back_raw.tobytes() == raw.tobytes()
+    assert read_scores_csv(path).tobytes() == raw.tobytes()
+    back_norm, = read_number_table(path, ["normalized_score"], "score CSV")
     assert back_norm.tobytes() == norm.tobytes()
 
     # the bench tables: a method name with a comma and a quote is quoted
@@ -213,15 +214,19 @@ def test_score_csv_bytes_match_csv_writer(tmp_path):
 
 def test_score_csv_is_read_by_column_name(tmp_path):
     """Reordered columns plus an extra one give the same scores, with no
-    row_index column needed."""
+    row_index column needed; eval reads raw_score alone, so no
+    normalized_score column is needed either."""
     raw, norm = np.array([0.5, -2.0, 3e-9]), np.array([0.25, 0.0, 1.0])
     _write_scores(tmp_path / "scores.csv", raw, norm)
     moved = tmp_path / "moved.csv"
     moved.write_text('normalized_score,note,raw_score\n0.25,"a, b",0.5\n'
                      "0.0,x,-2.0\n1.0,,3e-9\n")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("raw_score\n0.5\n-2.0\n3e-9\n")
+    for path in (tmp_path / "scores.csv", moved, bare):
+        assert read_scores_csv(path).tobytes() == raw.tobytes()
     for path in (tmp_path / "scores.csv", moved):
-        back_raw, back_norm = read_scores_csv(path)
-        assert back_raw.tobytes() == raw.tobytes()
+        back_norm, = read_number_table(path, ["normalized_score"], "score CSV")
         assert back_norm.tobytes() == norm.tobytes()
 
 
@@ -251,7 +256,7 @@ def test_a_table_without_its_column_once_is_exit_2(tmp_path, workspace, capsys,
     ("1,0.7", "line 3: expected 3 fields, found 2"),
     ("1,0.7,0.5,9", "line 3: expected 3 fields, found 4"),
     ("1,high,0.5", "line 3: non-numeric value 'high' in column 'raw_score'"),
-    ("1,0.7,nan", "line 3: non-finite value nan in column 'normalized_score'"),
+    ("1,nan,0.5", "line 3: non-finite value nan in column 'raw_score'"),
 ])
 def test_eval_malformed_score_row_is_exit_2(workspace, tmp_path, capsys,
                                              bad_row, message):
@@ -573,6 +578,31 @@ def test_a_bad_setting_fails_before_a_row_is_read(tmp_path, workspace, capsys, m
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("train", "error: seed must be >= 0, got -1"),
+    ("synth", "error: synthetic seed must be >= 0, got -1"),
+    ("bench", "error: seeds[1] must be >= 0, got -3"),
+    ("meta build", "error: seed must be >= 0, got -2"),
+])
+def test_a_negative_seed_is_exit_2_before_a_row_is_read(tmp_path, workspace, capsys,
+                                                        monkeypatch, command, message):
+    import edenet.cli as cli_mod
+    reads = []
+    monkeypatch.setattr(cli_mod, "load_training_rows", lambda *a, **k: reads.append(a))
+    data = str(workspace / "synth" / "data.csv")
+    files = {"data": data, "test_data": data, "schema": str(workspace / "synth" / "schema.json")}
+    cfg = {"bench": {**files, "methods": [{"name": "ede"}]},
+           "meta build": {**files, "tasks": [{"train": data, "test": data}],
+                          "train": {"seed": -2}}}.get(command, files)
+    flags = {"train": ["--seed", "-1"], "synth": ["--seed", "-1"],
+             "bench": ["--seeds", "0,-3"], "meta build": []}[command]
+    args = [*command.split(), "--config", write_json(tmp_path / "cfg.json", cfg), *flags]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_of_another_width_names_its_file(tmp_path, workspace, capsys):
     """--scaling that completes the record of a 4-input file that records
     no input, with stats for 5 columns."""
@@ -881,7 +911,7 @@ def test_a_loaded_model_scores_raw_rows_as_edenet_score_does(kdd_runs, tmp_path)
     """ensemble_score on a model file from edenet train and the raw rows
     load_csv reads gives the raw_score column edenet score writes."""
     assert _kdd_score(kdd_runs, tmp_path / "out") == 0
-    raw, _ = read_scores_csv(tmp_path / "out" / "scores.csv")
+    raw = read_scores_csv(tmp_path / "out" / "scores.csv")
     rows = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA)).rows
     assert ensemble_score(load_model(kdd_runs / "run" / "model.json"), rows).tobytes() \
         == raw.tobytes()
@@ -935,7 +965,7 @@ def test_library_scoring_holds_a_dataset_to_the_model_columns(kdd_runs, tmp_path
 
 def test_library_scoring_of_a_dataset_gives_the_edenet_score_bytes(kdd_runs, tmp_path):
     assert _kdd_score(kdd_runs, tmp_path / "out") == 0
-    raw, _ = read_scores_csv(tmp_path / "out" / "scores.csv")
+    raw = read_scores_csv(tmp_path / "out" / "scores.csv")
     ds = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA))
     assert ensemble_score(load_model(kdd_runs / "run" / "model.json"), ds).tobytes() \
         == raw.tobytes()

@@ -31,12 +31,10 @@ from edenet.model import (
     loss_and_grads,
     make_arch,
     row_chunks,
-    sample_coefficients,
 )
-from edenet.optim import make_optimizer
 from edenet.rng import make_rng
 from kdd_shaped import write_kdd_rows
-from oracles import block_scores, lone_loss_and_grads
+from oracles import block_scores, lone_loss_and_grads, textbook_optimizer
 
 SMALL = {"hidden_sizes": (8, 5), "latent_dim": 2}
 LSTM_SMALL = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4, "seq_len": 2}
@@ -63,9 +61,18 @@ def test_train_config_defaults_resolve_iters():
     {"optimizer": "momentum"},
     {"lr": 0.0},
     {"reweight_eps": 0.0},
+    {"beta1": 1.0},
+    {"beta2": 1.0},
+    {"beta1": -0.5},
+    {"beta2": 1.5},
+    {"eps": -1.0},
+    {"eps": 0.0},
+    {"seed": -1},
 ])
 def test_train_config_validation(bad):
-    with pytest.raises(ConfigError):
+    """Each refusal names the field it refuses."""
+    [name] = bad
+    with pytest.raises(ConfigError, match=name):
         TrainConfig(**bad)
 
 
@@ -276,8 +283,7 @@ def test_scoring_into_a_training_workspace_matches_a_fresh_call(arch):
     block = np.stack([m.flat for m in ens.members])
     nets, grads = ens.members[0].bind(block), ens.members[0].bind(np.empty_like(block))
     work = Workspace()
-    loss_and_grads(nets, rng.standard_normal((3, 16, 10)), sample_coefficients(16, None),
-                   work, grads)
+    loss_and_grads(nets, rng.standard_normal((3, 16, 10)), work, grads)
     ensemble_score(ens, 3.0 * rng.standard_normal((2 * CHUNK, 10)), work)
     for buf in work._buffers.values():
         buf.fill(np.nan)
@@ -466,14 +472,13 @@ def test_training_an_ensemble_that_records_scaling_raises_and_changes_nothing():
 def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
     """One iteration at a time, as a plain oracle for train_ensemble: each
     iteration picks a member from training_streams, draws its batch, runs
-    one lone_loss_and_grads and steps that member's own optimizer state, array
-    by array. Works on copies; returns (members, trace, picks), picks[e]
+    one lone_loss_and_grads and steps that member's own textbook_optimizer,
+    array by array. Works on copies; returns (members, trace, picks), picks[e]
     being epoch e's member index per iteration."""
     members = [copy.deepcopy(m) for m in ens.members]
     alone = EnsembleModel(ens.spec, members)
     member_rng, batch_rng = training_streams(cfg.seed)
-    optim = [make_optimizer(cfg.optimizer, m.params(), lr=cfg.lr, beta1=cfg.beta1,
-                            beta2=cfg.beta2, eps=cfg.eps) for m in members]
+    optim = [textbook_optimizer(cfg, m.params()) for m in members]
     n = x.shape[0]
     iters = cfg.resolved_iters(n, len(members))
     weights = SampleWeights.uniform(n)
@@ -489,8 +494,7 @@ def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
             combined, mean_lr, mean_le, grads = lone_loss_and_grads(members[j], x[idx])
             if not math.isfinite(combined):
                 raise TrainingDivergedError(epoch, it, combined)
-            state, step = optim[j]
-            step(state, members[j].params(), grads)
+            optim[j](grads)
             picks[-1].append(j)
             sum_lr += mean_lr
             sum_le += mean_le

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from edenet.data import ScalingStats
 from edenet.ensemble import EnsembleModel, ensemble_score, init_ensemble
-from edenet.errors import ConfigError, DegenerateWeightsError, FormatError, ShapeError
+from edenet.errors import ConfigError, FormatError, ShapeError
 from edenet.layers import Workspace
 from edenet.model import (
     ArchSpec,
@@ -24,7 +24,6 @@ from edenet.model import (
     net_from_payload,
     normalize_scores,
     reconstruction_loss,
-    sample_coefficients,
 )
 from edenet.modelfile import load_model, save_model
 from edenet.rng import make_rng
@@ -151,41 +150,40 @@ def test_reused_workspace_gives_what_fresh_stacks_give(arch):
     nets = init_ensemble(make_arch(8, INFER_ARCHS[arch]), 3, seed=11).members
     block = np.stack([m.flat for m in nets])
     grad_block = np.empty_like(block)
-    coeff = sample_coefficients(6, None)
     rng = make_rng(12)
     work, stacks = Workspace(), {}
     for a, scale in [(3, 1.0), (3, 4.0), (2, 0.5), (1, 3.0), (3, 2.0)]:
         x = scale * rng.standard_normal((a, 6, 8))
         if a not in stacks:
             stacks[a] = (nets[0].bind(block[:a]), nets[0].bind(grad_block[:a]))
-        got = loss_and_grads(stacks[a][0], x, coeff, work, stacks[a][1])
+        got = loss_and_grads(stacks[a][0], x, work, stacks[a][1])
         fresh = nets[0].bind(np.empty((a, block.shape[1])))
-        expect = loss_and_grads(nets[0].bind(block[:a].copy()), x, coeff, Workspace(), fresh)
+        expect = loss_and_grads(nets[0].bind(block[:a].copy()), x, Workspace(), fresh)
         assert got == expect
         assert np.array_equal(grad_block[:a], fresh.flat)
 
 
 def _feedforward_round(a=3, batch=64):
     """A three-member feed-forward stack over d=8 (hidden widths 64 and
-    32), its gradient stack, a batch per member and the coefficients."""
+    32), its gradient stack and a batch per member."""
     nets = init_ensemble(make_arch(8), a, seed=3).members
     block = np.stack([m.flat for m in nets])
     grads = nets[0].bind(np.empty_like(block))
     x = make_rng(4).standard_normal((a, batch, 8))
-    return nets[0].bind(block), grads, x, sample_coefficients(batch, None)
+    return nets[0].bind(block), grads, x
 
 
 def test_a_warmed_training_round_allocates_less_than_one_activation():
     """The dense layers write their activations and temporaries into the
     workspace, so a second round on a warmed one allocates less than one
     (a, B, 64) activation of the widest layer."""
-    nets, grads, x, coeff = _feedforward_round()
+    nets, grads, x = _feedforward_round()
     work, x2 = Workspace(), 2.0 * x
-    loss_and_grads(nets, x, coeff, work, grads)
+    loss_and_grads(nets, x, work, grads)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss_and_grads(nets, x2, coeff, work, grads)
+        loss_and_grads(nets, x2, work, grads)
         grown = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -196,14 +194,14 @@ def test_training_into_a_nan_filled_workspace_matches_a_fresh_one():
     """Every buffer a feed-forward round reads, it writes first: on a
     workspace whose buffers all hold NaN, the losses and the gradient
     block equal a fresh workspace's bit for bit."""
-    nets, grads, x, coeff = _feedforward_round()
+    nets, grads, x = _feedforward_round()
     work = Workspace()
-    loss_and_grads(nets, 3.0 * x, coeff, work, grads)
+    loss_and_grads(nets, 3.0 * x, work, grads)
     for buf in work._buffers.values():
         buf.fill(np.nan)
-    got = loss_and_grads(nets, x, coeff, work, grads)
+    got = loss_and_grads(nets, x, work, grads)
     got_grads = grads.flat.copy()
-    assert got == loss_and_grads(nets, x, coeff, Workspace(), grads)
+    assert got == loss_and_grads(nets, x, Workspace(), grads)
     assert got_grads.tobytes() == grads.flat.tobytes()
 
 
@@ -273,31 +271,13 @@ def test_losses_reject_shape_mismatch():
         encoding_loss(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
-def test_uniform_weights_reproduce_plain_mean():
-    net = small_net("ff")
-    x = make_rng(4).standard_normal((6, 7))
-    plain = lone_loss(net, x)
-    uniform = lone_loss(net, x, np.full(6, 0.25))
-    assert abs(plain - uniform) < 1e-12
-
-
-def test_weighted_loss_is_weighted_mean():
+def test_loss_is_the_batch_mean():
     net = small_net("ff")
     x = make_rng(4).standard_normal((4, 7))
-    w = np.array([1.0, 2.0, 3.0, 4.0])
     z, xr, zp = net.infer(x, Workspace())
     per = (net.spec.alpha * reconstruction_loss(x, xr)
            + net.spec.beta * encoding_loss(z, zp))
-    assert abs(lone_loss(net, x, w) - per @ (w / w.sum())) < 1e-12
-
-
-def test_zero_mass_weights_rejected():
-    net = small_net("ff")
-    x = np.zeros((3, 7))
-    with pytest.raises(DegenerateWeightsError):
-        lone_loss(net, x, np.zeros(3))
-    with pytest.raises(ValueError):
-        lone_loss(net, x, np.array([1.0, -1.0, 1.0]))
+    assert abs(lone_loss_and_grads(net, x)[0] - per.mean()) < 1e-12
 
 
 def test_loss_reports_consistent_parts():
@@ -311,17 +291,17 @@ def test_loss_reports_consistent_parts():
 # gradient structure
 
 
-def sampled_gradcheck(net, x, weights=None, per_param=6, h=1e-5):
-    _, _, _, grads = lone_loss_and_grads(net, x, weights)
+def sampled_gradcheck(net, x, per_param=6, h=1e-5):
+    _, _, _, grads = lone_loss_and_grads(net, x)
     for p, g in zip(net.params(), grads):
         count = min(p.size, per_param)
         for k in range(count):
             idx = np.unravel_index((k * 7919) % p.size, p.shape)
             orig = p[idx]
             p[idx] = orig + h
-            up = lone_loss(net, x, weights)
+            up = lone_loss(net, x)
             p[idx] = orig - h
-            down = lone_loss(net, x, weights)
+            down = lone_loss(net, x)
             p[idx] = orig
             fd = (up - down) / (2 * h)
             assert abs(fd - g[idx]) <= 1e-4 * max(abs(fd), abs(g[idx])) + 1e-8
@@ -332,13 +312,6 @@ def test_gradients_match_finite_differences(kind, d):
     net = small_net(kind, seed=11)
     x = make_rng(12).standard_normal((5, d))
     sampled_gradcheck(net, x)
-
-
-def test_weighted_gradients_match_finite_differences():
-    net = small_net("ff", seed=13)
-    x = make_rng(14).standard_normal((5, 7))
-    w = make_rng(15).uniform(0.2, 2.0, 5)
-    sampled_gradcheck(net, x, w)
 
 
 def test_beta_zero_gives_second_encoder_no_gradient():

@@ -3,54 +3,65 @@ import pytest
 
 from edenet.errors import ShapeError
 from edenet.optim import AdamState, SgdState, adam_step, make_optimizer, sgd_step
+from oracles import textbook_adam
 
 
 def test_sgd_step_is_exact():
-    p = np.array([1.0, -2.0])
-    sgd_step(SgdState(lr=0.1), [p], [np.array([0.5, -1.0])])
-    assert np.allclose(p, [0.95, -1.9])
+    p = np.array([[1.0, -2.0], [0.5, 4.0]])
+    state, _ = make_optimizer("sgd", p, lr=0.1)
+    sgd_step(state, p[:1], np.array([[0.5, -1.0]]))
+    assert np.allclose(p, [[0.95, -1.9], [0.5, 4.0]])
 
 
 def test_sgd_shape_mismatch():
+    p = np.zeros((1, 2))
+    state, _ = make_optimizer("sgd", p, lr=0.1)
     with pytest.raises(ShapeError):
-        sgd_step(SgdState(), [np.zeros(2)], [np.zeros(3)])
+        sgd_step(state, p, np.zeros((1, 3)))
 
 
 def test_adam_first_step_is_signed_lr():
     # with zero state, m-hat = g and v-hat = g^2, so the update is
     # lr * g / (|g| + eps) which is lr * sign(g) up to eps
-    p = np.array([1.0, 1.0, 1.0])
-    g = np.array([3.0, -0.01, 1e-6])
-    state = AdamState.for_params([p], lr=0.5)
-    adam_step(state, [p], [g])
+    p = np.ones((1, 3))
+    g = np.array([[3.0, -0.01, 1e-6]])
+    state, _ = make_optimizer("adam", p, lr=0.5)
+    adam_step(state, p, g)
     expected = 1.0 - 0.5 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p, expected, atol=1e-12)
-    assert state.step == 1
+    assert state.step == [1]
 
 
 def test_adam_minimizes_quadratic():
     # w^2 from w=1: a few hundred steps at lr 0.01 must cross |w| < 0.5
-    w = np.array([1.0])
-    state = AdamState.for_params([w], lr=0.01)
+    w = np.ones((1, 1))
+    state, _ = make_optimizer("adam", w, lr=0.01)
     for _ in range(200):
-        adam_step(state, [w], [2.0 * w])
-    assert abs(w[0]) < 0.5
-    assert state.step == 200
+        adam_step(state, w, 2.0 * w)
+    assert abs(w[0, 0]) < 0.5
+    assert state.step == [200]
 
 
 def test_adam_state_counts_steps_and_checks_shapes():
-    p = np.zeros((2, 2))
-    state = AdamState.for_params([p])
-    with pytest.raises(ShapeError):
-        adam_step(state, [p], [np.zeros(3)])
-    with pytest.raises(ShapeError):
-        adam_step(state, [p, p], [np.zeros((2, 2))])
+    """A step takes leading rows of the state's block and gradients of
+    their shape; anything else is refused and counts no step."""
+    p = np.zeros((2, 3))
+    state, _ = make_optimizer("adam", p, lr=0.1)
+    for params, grads in [(p, np.zeros((2, 4))), (p[0], np.zeros(3)),
+                          (np.zeros((3, 3)), np.zeros((3, 3))),
+                          (np.zeros((2, 4)), np.zeros((2, 4)))]:
+        with pytest.raises(ShapeError):
+            adam_step(state, params, grads)
+    assert state.step == [0, 0]
+    adam_step(state, p[:1], np.ones((1, 3)))
+    assert state.step == [1, 0]
 
 
 def test_make_optimizer_dispatch():
-    p = [np.zeros(2)]
+    p = np.zeros((2, 2))
     state, step = make_optimizer("adam", p, lr=0.1)
     assert isinstance(state, AdamState) and step is adam_step
+    assert state.m.shape == state.v.shape == p.shape and state.step == [0, 0]
     state, step = make_optimizer("sgd", p, lr=0.1)
     assert isinstance(state, SgdState) and step is sgd_step
     with pytest.raises(ValueError):
@@ -59,30 +70,30 @@ def test_make_optimizer_dispatch():
 
 def test_adam_deterministic_across_runs():
     def run():
-        w = np.array([0.3, -0.7])
-        state = AdamState.for_params([w], lr=0.05)
+        w = np.array([[0.3, -0.7]])
+        state, _ = make_optimizer("adam", w, lr=0.05)
         for k in range(50):
-            adam_step(state, [w], [np.sin(w) + k * 0.01])
+            adam_step(state, w, np.sin(w) + k * 0.01)
         return w
 
     assert np.array_equal(run(), run())
 
 
 def test_per_row_adam_matches_one_state_per_row():
-    """A per-row state over a block steps each row as its own Adam would,
+    """Each row of a block steps as a (1, P) block with its own state would,
     also when a step covers only the leading rows and after the rows are
     reordered."""
     rng = np.random.default_rng(5)
     block = rng.standard_normal((3, 4))
-    rows = [block[r].copy() for r in range(3)]
-    state = AdamState.for_params([block], lr=0.1, per_row=True)
-    alone = [AdamState.for_params([row], lr=0.1) for row in rows]
+    rows = [block[r:r + 1].copy() for r in range(3)]
+    state, _ = make_optimizer("adam", block, lr=0.1)
+    alone = [make_optimizer("adam", row, lr=0.1)[0] for row in rows]
 
     def step(n):
         g = rng.standard_normal((3, 4))
-        adam_step(state, [block[:n]], [g[:n]])
+        adam_step(state, block[:n], g[:n])
         for r in range(n):
-            adam_step(alone[r], [rows[r]], [g[r]])
+            adam_step(alone[r], rows[r], g[r:r + 1])
 
     for n in (3, 3, 2, 1):
         step(n)
@@ -95,17 +106,7 @@ def test_per_row_adam_matches_one_state_per_row():
         step(n)
     assert state.step == [4, 5, 4]
     for r in range(3):
-        assert np.array_equal(block[r], rows[r])
-
-
-def textbook_adam(p, g, m, v, step, lr, beta1, beta2, eps):
-    """One Adam update as the paper writes it, each term a fresh array:
-    returns (p, m, v) after step number step."""
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** step)
-    v_hat = v / (1.0 - beta2 ** step)
-    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+        assert np.array_equal(block[r:r + 1], rows[r])
 
 
 HYPER = {"lr": 0.03, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7}
@@ -113,16 +114,15 @@ HYPER = {"lr": 0.03, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7}
 
 def test_adam_step_is_the_textbook_update_bit_for_bit():
     rng = np.random.default_rng(7)
-    params = [rng.standard_normal((3, 4)), rng.standard_normal(5)]
-    state = AdamState.for_params(params, **HYPER)
-    ref = [(p.copy(), np.zeros_like(p), np.zeros_like(p)) for p in params]
+    block = rng.standard_normal((3, 5))
+    state, _ = make_optimizer("adam", block, **HYPER)
+    p, m, v = block.copy(), np.zeros_like(block), np.zeros_like(block)
     for step in range(1, 7):
-        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for p in params]
-        adam_step(state, params, grads)
-        ref = [textbook_adam(p, g, m, v, step, **HYPER) for (p, m, v), g in zip(ref, grads)]
-        for k, (p, m, v) in enumerate(ref):
-            assert np.array_equal(params[k], p)
-            assert np.array_equal(state.m[k], m) and np.array_equal(state.v[k], v)
+        g = rng.standard_normal(block.shape) * 10.0 ** rng.integers(-3, 3)
+        adam_step(state, block, g)
+        p, m, v = textbook_adam(p, g, m, v, step, **HYPER)
+        assert np.array_equal(block, p)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_per_row_adam_step_is_the_textbook_update_bit_for_bit():
@@ -130,12 +130,12 @@ def test_per_row_adam_step_is_the_textbook_update_bit_for_bit():
     when a step covers only the leading rows."""
     rng = np.random.default_rng(8)
     block = rng.standard_normal((3, 6))
-    state = AdamState.for_params([block], per_row=True, **HYPER)
+    state, _ = make_optimizer("adam", block, **HYPER)
     ref = [(block[r].copy(), np.zeros(6), np.zeros(6)) for r in range(3)]
     counts = [0, 0, 0]
     for n in (3, 3, 2, 1, 3, 2):
         g = rng.standard_normal((3, 6))
-        adam_step(state, [block[:n]], [g[:n]])
+        adam_step(state, block[:n], g[:n])
         for r in range(n):
             counts[r] += 1
             p, m, v = ref[r]
@@ -143,4 +143,4 @@ def test_per_row_adam_step_is_the_textbook_update_bit_for_bit():
         assert state.step == counts
         for r, (p, m, v) in enumerate(ref):
             assert np.array_equal(block[r], p)
-            assert np.array_equal(state.m[0][r], m) and np.array_equal(state.v[0][r], v)
+            assert np.array_equal(state.m[r], m) and np.array_equal(state.v[r], v)
