@@ -124,6 +124,11 @@ class RunConfig:
         for i, seed in enumerate(self.seeds):
             if seed < 0:
                 raise ConfigError(f"seeds[{i}] must be >= 0, got {seed}")
+        for name in ("candidates", "seeds"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"{name} lists {v} more than once")
 
 
 def _load_config_file(path: str | None) -> RunConfig:

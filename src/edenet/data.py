@@ -650,7 +650,7 @@ def apply_scale(data: Dataset, stats: ScalingStats | None) -> Dataset:
     return _scaled(data, stats)
 
 
-def _check_one_hot(stats: ScalingStats, rows: Rows, names: list[str] | range) -> None:
+def _check_one_hot(stats: ScalingStats, rows: Rows, names: list[str]) -> None:
     """Refuse stats that map a one-hot column of rows off {0, 1}, naming the
     first by names; stats fitted on rows of the same schema never do."""
     lo, hi, hot = stats.col_min, stats.col_max, rows.hot_cols

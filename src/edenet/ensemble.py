@@ -40,12 +40,12 @@ from .rng import make_rng, spawn_seeds
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """I nets of one arch and the input they were trained on: expanded
-    column names that ensemble_score holds a Dataset's names to, and
-    min-max stats (None if unscaled) that it applies. train_ensemble
-    records both when it trains on a Dataset. None records none (trained
-    on a matrix or Rows, or an older file, which edenet score gives the
-    stats of --scaling). Frozen, so the fields keep the checks below."""
+    """I nets of one arch and the Dataset they were trained on: its
+    expanded column names, which ensemble_score holds its input's names
+    to, and its min-max stats (None if unscaled), which it applies.
+    train_ensemble records both. columns None means an ensemble built in
+    code and not yet trained, or an older file, which edenet score gives
+    the stats of --scaling. Frozen, so the fields keep the checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -177,53 +177,44 @@ def init_ensemble(spec: ArchSpec, n_members: int, seed: int = 0) -> EnsembleMode
     return EnsembleModel(spec=spec, members=members, seed=seed)
 
 
-def _check_width(ensemble: EnsembleModel, width: int, what: str) -> None:
-    if width != ensemble.spec.input_dim:
-        raise ShapeError(f"{what} has {width} columns, model expects {ensemble.spec.input_dim}")
-
-
 def check_input_names(ensemble: EnsembleModel, names: list[str], what: str) -> None:
     """Hold an input's expanded column names (a Dataset's feature_names(),
     or data.expanded_meta of the schema it will be read with) to the
     ensemble's record: one name per model input, and the names it records,
     if any, in order. ShapeError names the first mismatch. edenet score
     runs this on the schema before it reads a row."""
-    _check_width(ensemble, len(names), what)
+    if len(names) != ensemble.spec.input_dim:
+        raise ShapeError(f"{what} has {len(names)} columns, "
+                         f"model expects {ensemble.spec.input_dim}")
     for j, (got, want) in enumerate(zip(names, ensemble.columns or ())):
         if got != want:
             raise ShapeError(f"{what} column {j} is {got!r}, model expects {want!r}")
 
 
-def _input_rows(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset, what: str) -> Rows:
-    """x as Rows of the ensemble's input width. A matrix goes through
-    as_matrix and is wrapped with no one-hot part; Rows get the same
-    finiteness check on their numeric part alone, since a one-hot byte is
-    0 or 1. Either way the expanded matrix is never built. A Dataset is
-    checked as its rows, then its names (check_input_names); a matrix or
-    Rows carries no names. An ensemble that records scaling refuses a
+def _input_rows(ensemble: EnsembleModel, x: Dataset, what: str) -> Rows:
+    """The rows of x, a Dataset, after the checks both ensemble functions
+    run: finite numeric entries (a one-hot byte is 0 or 1), then its
+    names (check_input_names). An ensemble that records scaling refuses a
     scaled Dataset (scaling_stats set), and stats that move a one-hot
-    column of x off {0, 1} (Rows name it by position)."""
-    rows, names = (x.rows, x.feature_names()) if isinstance(x, Dataset) else (x, None)
-    if ensemble.scaling is not None and isinstance(x, Dataset) and x.scaling_stats is not None:
+    column of x off {0, 1}. Anything but a Dataset raises TypeError."""
+    if not isinstance(x, Dataset):
+        raise TypeError(f"{what} must be a Dataset, got {type(x).__name__}")
+    if ensemble.scaling is not None and x.scaling_stats is not None:
         raise ValueError(f"{what} is already scaled; the model scales raw rows by its own stats")
-    if isinstance(rows, Rows):
-        as_matrix(rows.numeric)
-    else:
-        rows = Rows.dense(as_matrix(rows))
-    _check_width(ensemble, rows.width, what)
-    if names is not None:
-        check_input_names(ensemble, names, what)
+    as_matrix(x.rows.numeric)
+    names = x.feature_names()
+    check_input_names(ensemble, names, what)
     if ensemble.scaling is not None:
-        _check_one_hot(ensemble.scaling, rows, names or range(rows.width))
-    return rows
+        _check_one_hot(ensemble.scaling, x.rows, names)
+    return x.rows
 
 
-def ensemble_score(ensemble: EnsembleModel, x: np.ndarray | Rows | Dataset,
+def ensemble_score(ensemble: EnsembleModel, x: Dataset,
                    work: Workspace | None = None) -> np.ndarray:
-    """Mean of member anomaly scores, one value per row of x, a matrix,
-    Rows or Dataset of raw features: the scoring call of edenet score,
-    Phase I cells and the reweight pass. A lone net scores as a one-member
-    ensemble, to the bit.
+    """Mean of member anomaly scores, one value per row of x, a Dataset
+    of raw features: the scoring call of edenet score, Phase I cells and
+    the reweight pass. A lone net scores as a one-member ensemble, to the
+    bit.
 
     x is checked once (_input_rows), then scored forward-only in blocks
     of rows (model.row_chunks). Each block is expanded once (Rows.take),
@@ -306,13 +297,12 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
     return who, rows.reshape(iters, batch_size)
 
 
-def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset,
+def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
-    """Train the ensemble's members in place on x_train, a matrix, Rows or
-    Dataset already scaled; returns the ensemble with one trace row per
-    epoch. Trained on a Dataset, the ensemble returned records its input,
-    feature_names() and scaling_stats, for ensemble_score to check and
-    apply. An ensemble that records scaling raises ValueError: its
+    """Train the ensemble's members in place on x_train, a Dataset already
+    scaled; returns the ensemble, recording x_train's feature_names() and
+    scaling_stats for ensemble_score to check and apply, with one trace
+    row per epoch. An ensemble that records scaling raises ValueError: its
     reweight pass would scale the rows again. A round's batches and the
     reweight pass's blocks are expanded from the rows as they are read
     (Rows.take), so the expanded matrix is never built.
@@ -364,7 +354,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
     for epoch in range(cfg.epochs):
         if cfg.reweight:
             write_back()
-            scores = ensemble_score(ensemble, rows, work)
+            scores = ensemble_score(ensemble, x_train, work)
             if not np.isfinite(scores).all():
                 # per-sample scores are encoding losses, so treat this as
                 # divergence at the epoch boundary, not a weight error
@@ -409,10 +399,8 @@ def train_ensemble(ensemble: EnsembleModel, x_train: np.ndarray | Rows | Dataset
         # a sequential scan adds in iteration order; np.sum would pair terms
         trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))
     write_back()
-    if isinstance(x_train, Dataset):
-        ensemble = replace(ensemble, columns=x_train.feature_names(),
-                           scaling=x_train.scaling_stats)
-    return ensemble, trace
+    return replace(ensemble, columns=x_train.feature_names(),
+                   scaling=x_train.scaling_stats), trace
 
 
 def write_trace_csv(path, trace: list[EpochTrace]) -> None:

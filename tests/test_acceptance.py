@@ -20,7 +20,6 @@ import pytest
 from edenet.cli import main as cli_main
 from edenet.data import (
     Dataset,
-    apply_scale,
     fit_scale,
     generate_synthetic,
     load_csv,
@@ -130,14 +129,13 @@ def test_criterion_2_training_halves_loss_and_separates_classes():
     train_raw = generate_synthetic(10, 2000, 0, 4.0, seed=100)
     test_raw = generate_synthetic(10, 400, 100, 4.0, seed=101)
     train = fit_scale(Dataset(features=train_raw.features))
-    test = apply_scale(test_raw, train.scaling_stats)
 
     spec = make_arch(10, {"hidden_sizes": (32, 16), "latent_dim": 2})
-    ens = init_ensemble(spec, 3, seed=13)
-    _, trace = train_ensemble(ens, train.features,
-                              TrainConfig(epochs=20, batch_size=64, seed=13))
+    ens, trace = train_ensemble(init_ensemble(spec, 3, seed=13), train,
+                                TrainConfig(epochs=20, batch_size=64, seed=13))
     ratio = trace[-1].combined / trace[0].combined
-    score_auroc = auroc(ensemble_score(ens, test.features), test.labels)
+    # the ensemble records train's scaling and applies it to the raw rows
+    score_auroc = auroc(ensemble_score(ens, test_raw), test_raw.labels)
     ok = ratio <= 0.5 and score_auroc >= 0.95
     _report(2, ok,
             f"I=3 E=20 on 2000 normals: final/first combined loss "
@@ -157,7 +155,7 @@ def test_criterion_3_single_member_ensemble_equals_direct_loop():
 
     ens = init_ensemble(spec, 1, seed=cfg.seed)
     oracle = copy.deepcopy(ens.members[0])
-    train_ensemble(ens, x, cfg)
+    train_ensemble(ens, Dataset(features=x), cfg)
 
     # plain loop over the same batch stream, uniform weights throughout
     _, batch_rng = training_streams(cfg.seed)
@@ -175,7 +173,7 @@ def test_criterion_3_single_member_ensemble_equals_direct_loop():
         for pa, pb in zip(ens.members[0].params(), oracle.params())
     )
     score_gap = float(np.max(np.abs(
-        ensemble_score(ens, x) - block_scores(oracle, x))))
+        ensemble_score(ens, Dataset(features=x)) - block_scores(oracle, x))))
     ok = param_gap <= 1e-12 and score_gap <= 1e-12
     _report(3, ok,
             f"I=1 ensemble vs direct loop: max param gap {param_gap:.2e}, "
@@ -197,7 +195,7 @@ def test_criterion_4_ensemble_score_is_member_mean():
         ens = init_ensemble(spec, int(rng.integers(2, 5)), seed=group)
         for _ in range(10):
             x = rng.standard_normal((int(rng.integers(2, 12)), d))
-            combined = ensemble_score(ens, x)
+            combined = ensemble_score(ens, Dataset(features=x))
             member_mean = np.mean(
                 [block_scores(m, x) for m in ens.members], axis=0)
             worst_mean = max(worst_mean,
@@ -205,7 +203,7 @@ def test_criterion_4_ensemble_score_is_member_mean():
             perm = type(ens)(spec=ens.spec, members=ens.members[::-1],
                              seed=ens.seed)
             worst_perm = max(worst_perm, float(np.max(np.abs(
-                ensemble_score(perm, x) - combined))))
+                ensemble_score(perm, Dataset(features=x)) - combined))))
             instances += 1
     ok = worst_mean <= 1e-12 and worst_perm <= 1e-12
     _report(4, ok,
@@ -457,12 +455,9 @@ def test_criterion_10_kdd99_stretch():
     aurocs = []
     for seed in (0, 1, 2):
         train, test = split_normal_train(ds, 0.8, seed=seed)
-        train = fit_scale(train)
-        test = apply_scale(test, train.scaling_stats)
-        ens = init_ensemble(make_arch(121), 3, seed=seed)
-        train_ensemble(ens, train.rows,
-                       TrainConfig(epochs=10, batch_size=256, seed=seed))
-        aurocs.append(auroc(ensemble_score(ens, test.rows), test.labels))
+        ens, _ = train_ensemble(init_ensemble(make_arch(121), 3, seed=seed), fit_scale(train),
+                                TrainConfig(epochs=10, batch_size=256, seed=seed))
+        aurocs.append(auroc(ensemble_score(ens, test), test.labels))
     mean_auroc = float(np.mean(aurocs))
     ok = mean_auroc >= 0.97
     _report(10, ok,

@@ -603,6 +603,34 @@ def test_a_negative_seed_is_exit_2_before_a_row_is_read(tmp_path, workspace, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("bench", ["--seeds", "0,0"], "error: seeds lists 0 more than once"),
+    ("meta build", [], "error: candidates lists 1 more than once"),
+    ("meta select", ["--candidates", "1,1"], "error: candidates lists 1 more than once"),
+], ids=["bench", "meta-build", "meta-select"])
+def test_a_repeated_seed_or_candidate_is_exit_2_before_a_file_is_read(
+        tmp_path, workspace, capsys, monkeypatch, command, flags, message):
+    import edenet.cli as cli_mod
+    reads = []
+    for name in ("load_schema", "load_model", "load_training_rows"):
+        real = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *a, real=real, **k: reads.append(a) or real(*a, **k))
+    x = np.arange(10.0).reshape(2, 5)
+    save_model(fit_svr(x, x[:, 0]), tmp_path / "meta_model.json")
+    data = str(workspace / "synth" / "data.csv")
+    cfg = {"data": data, "test_data": data, "schema": str(workspace / "synth" / "schema.json"),
+           "model": str(tmp_path / "meta_model.json"), "train": {"epochs": 1},
+           "methods": [{"name": "ede"}], "tasks": [{"train": data, "test": data}]}
+    if command == "meta build":
+        cfg["candidates"] = [1, 1]
+    args = [*command.split(), "--config", write_json(tmp_path / "cfg.json", cfg), *flags]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_of_another_width_names_its_file(tmp_path, workspace, capsys):
     """--scaling that completes the record of a 4-input file that records
     no input, with stats for 5 columns."""
@@ -907,16 +935,6 @@ def test_score_applies_the_scaling_the_model_records(kdd_runs, tmp_path):
             == (tmp_path / "flag" / "scores.csv").read_bytes())
 
 
-def test_a_loaded_model_scores_raw_rows_as_edenet_score_does(kdd_runs, tmp_path):
-    """ensemble_score on a model file from edenet train and the raw rows
-    load_csv reads gives the raw_score column edenet score writes."""
-    assert _kdd_score(kdd_runs, tmp_path / "out") == 0
-    raw = read_scores_csv(tmp_path / "out" / "scores.csv")
-    rows = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA)).rows
-    assert ensemble_score(load_model(kdd_runs / "run" / "model.json"), rows).tobytes() \
-        == raw.tobytes()
-
-
 def _swap_numeric(doc):
     cols = doc["columns"]
     i, j = (k for k, c in enumerate(cols) if c["name"] in ("src_bytes", "dst_bytes"))
@@ -950,7 +968,7 @@ def test_score_with_other_columns_of_the_same_width_is_exit_2(kdd_runs, tmp_path
 def test_library_scoring_holds_a_dataset_to_the_model_columns(kdd_runs, tmp_path, edit):
     """ensemble_score on a loaded model and a Dataset read in another
     column order of the same width raises, naming the column, as edenet
-    score does; the Dataset's Rows carry no names and score on width."""
+    score does; its bare Rows, which carry no names, are refused."""
     doc = json.loads(KDD_SCHEMA.read_text())
     edit(doc)
     ds = load_csv(kdd_runs / "rows.csv", load_schema(write_json(tmp_path / "schema.json", doc)))
@@ -960,10 +978,13 @@ def test_library_scoring_holds_a_dataset_to_the_model_columns(kdd_runs, tmp_path
     with pytest.raises(ShapeError) as exc:
         ensemble_score(ens, ds)
     assert str(exc.value) == f"input column {j} is {got[j]!r}, model expects {ens.columns[j]!r}"
-    assert ensemble_score(ens, ds.rows).shape == (300,)
+    with pytest.raises(TypeError, match="input must be a Dataset, got Rows"):
+        ensemble_score(ens, ds.rows)
 
 
 def test_library_scoring_of_a_dataset_gives_the_edenet_score_bytes(kdd_runs, tmp_path):
+    """ensemble_score on a model file from edenet train and the raw rows
+    load_csv reads gives the raw_score column edenet score writes."""
     assert _kdd_score(kdd_runs, tmp_path / "out") == 0
     raw = read_scores_csv(tmp_path / "out" / "scores.csv")
     ds = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA))
@@ -1272,7 +1293,7 @@ def test_scaling_for_a_file_that_records_no_input_makes_no_scaled_copy(tmp_path)
         tracemalloc.stop()
     store = ds.rows.numeric.nbytes  # the rows loaded, plus one block's forward pass
     assert peak < 1.7 * store
-    expect = ensemble_score(ens, apply_scale(ds, stats).rows)
+    expect = ensemble_score(ens, apply_scale(ds, stats))
     _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
     assert ((tmp_path / "out" / "scores.csv").read_bytes()
             == (tmp_path / "expect.csv").read_bytes())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edenet.data import (BLOCK_ROWS as CHUNK, Dataset, Rows, ScalingStats, apply_scale,
-                         fit_scale, load_csv, load_training_rows)
+                         fit_scale, generate_synthetic, load_csv, load_training_rows)
 from edenet.ensemble import (
     EnsembleModel,
     EpochTrace,
@@ -190,13 +190,13 @@ def test_ensemble_score_is_member_mean():
     ens = small_ensemble(3, seed=2)
     x = make_rng(3).standard_normal((7, 6))
     member_scores = np.stack([block_scores(m, x) for m in ens.members])
-    assert np.allclose(ensemble_score(ens, x), member_scores.mean(axis=0),
+    assert np.allclose(ensemble_score(ens, Dataset(features=x)), member_scores.mean(axis=0),
                        atol=1e-12)
 
 
 def test_ensemble_score_member_permutation_invariant():
     ens = small_ensemble(4, seed=5)
-    x = make_rng(6).standard_normal((5, 6))
+    x = Dataset(features=make_rng(6).standard_normal((5, 6)))
     base = ensemble_score(ens, x)
     perm = EnsembleModel(spec=ens.spec, members=ens.members[::-1], seed=ens.seed)
     assert np.allclose(ensemble_score(perm, x), base, atol=1e-12)
@@ -225,7 +225,7 @@ def test_scores_are_training_forward_per_block(n, arch):
             lo = hi
         assert np.array_equal(block_scores(member, x), expect)
         total += expect
-    assert np.array_equal(ensemble_score(ens, x), total / 3)
+    assert np.array_equal(ensemble_score(ens, Dataset(features=x)), total / 3)
 
 
 SCORE_ARCHS = {"ff": {}, "lstm": {"encoder_kind": "lstm", "recurrent_layers": 2, "seq_len": 3}}
@@ -244,7 +244,7 @@ def test_ensemble_score_carries_nothing_between_blocks_or_calls(arch):
         for rows in row_chunks(n):
             for member in ens.members:
                 expect[rows] += anomaly_score(member, x[rows], Workspace())
-        assert np.array_equal(ensemble_score(ens, x), expect / 3)
+        assert np.array_equal(ensemble_score(ens, Dataset(features=x)), expect / 3)
 
 
 @pytest.mark.parametrize("arch", sorted(SCORE_ARCHS))
@@ -260,13 +260,13 @@ def test_returned_arrays_survive_a_second_call(arch):
     work = Workspace()
     first = [*net.infer(x1, Workspace()), *net.infer(x1, work),
              anomaly_score(net, x1, Workspace()), anomaly_score(net, x1, work),
-             ensemble_score(ens, x1)]
+             ensemble_score(ens, Dataset(features=x1))]
     kept = [a.copy() for a in first]
     net.infer(x2, Workspace())
     net.infer(x2, work)
     anomaly_score(net, x2, Workspace())
     anomaly_score(net, x2, work)
-    ensemble_score(ens, x2)
+    ensemble_score(ens, Dataset(features=x2))
     for a, b in zip(first, kept):
         assert np.array_equal(a, b)
 
@@ -279,12 +279,12 @@ def test_scoring_into_a_training_workspace_matches_a_fresh_call(arch):
     with NaN, the scores equal a fresh call's bit for bit."""
     ens = init_ensemble(make_arch(10, SCORE_ARCHS[arch]), 3, seed=10)
     rng = make_rng(11)
-    x = rng.standard_normal((CHUNK + 5, 10))
+    x = Dataset(features=rng.standard_normal((CHUNK + 5, 10)))
     block = np.stack([m.flat for m in ens.members])
     nets, grads = ens.members[0].bind(block), ens.members[0].bind(np.empty_like(block))
     work = Workspace()
     loss_and_grads(nets, rng.standard_normal((3, 16, 10)), work, grads)
-    ensemble_score(ens, 3.0 * rng.standard_normal((2 * CHUNK, 10)), work)
+    ensemble_score(ens, Dataset(features=3.0 * rng.standard_normal((2 * CHUNK, 10))), work)
     for buf in work._buffers.values():
         buf.fill(np.nan)
     assert np.array_equal(ensemble_score(ens, x, work), ensemble_score(ens, x))
@@ -300,7 +300,7 @@ def test_ensemble_score_memory_is_bounded_by_the_block(arch, widest):
     forward with its caches peaked at 101 MB (ff) and 1368 MB (lstm)."""
     n = 50_000
     ens = init_ensemble(make_arch(40, arch), 3, seed=1)
-    x = make_rng(2).standard_normal((n, 40))
+    x = Dataset(features=make_rng(2).standard_normal((n, 40)))
     # the running sum and its mean, plus at most 16 floats per row for
     # each unit of the widest layer (default hidden sizes: 64 wide for ff,
     # four 32-wide gates for lstm)
@@ -351,16 +351,13 @@ def test_ensemble_score_applies_the_scaling_the_ensemble_records(case, tmp_path)
         assert stats.span[land1] == 0 and raw.rows.column(land1).any()
     ens = init_ensemble(make_arch(raw.n_features, SMALL), 2, seed=15)
     recorded = dataclasses.replace(ens, columns=raw.feature_names(), scaling=stats)
-    raw_input = raw.rows if case.startswith("kdd") else raw.features
-    assert (ensemble_score(recorded, raw_input).tobytes()
-            == ensemble_score(ens, scaled.rows).tobytes())
+    assert ensemble_score(recorded, raw).tobytes() == ensemble_score(ens, scaled).tobytes()
 
 
 def test_an_ensemble_that_records_scaling_refuses_a_scaled_dataset():
     """ensemble_score scales a Dataset's rows by the stats the ensemble
     records, so a Dataset that carries scaling_stats would be scaled twice:
-    it is refused. Its rows, which carry no stats, pass, as does a raw
-    Dataset to an ensemble that records no scaling."""
+    it is refused. An ensemble that records no scaling takes it."""
     train, raw = _dense_pair(0.5)
     stats = fit_scale(train).scaling_stats
     ens = init_ensemble(make_arch(raw.n_features, SMALL), 2, seed=15)
@@ -368,24 +365,20 @@ def test_an_ensemble_that_records_scaling_refuses_a_scaled_dataset():
     scaled = apply_scale(raw, stats)
     with pytest.raises(ValueError, match="input is already scaled"):
         ensemble_score(recorded, scaled)
-    assert (ensemble_score(ens, scaled).tobytes() == ensemble_score(ens, scaled.rows).tobytes()
-            == ensemble_score(recorded, raw).tobytes())
+    assert ensemble_score(ens, scaled).tobytes() == ensemble_score(recorded, raw).tobytes()
 
 
 def test_recorded_scaling_that_moves_a_one_hot_column_is_refused(tmp_path):
     """The one-hot check apply_scale makes holds for the stats an ensemble
-    records: a Dataset's column is named, a column of Rows given by its
-    position."""
+    records, naming the Dataset's column."""
     train, raw = _kdd_pair(tmp_path)
     stats = fit_scale(train).scaling_stats
     j = raw.column_meta.index("land=1")
     stats.col_min[j], stats.col_max[j] = 0.0, 2.0
     ens = dataclasses.replace(init_ensemble(make_arch(raw.n_features, SMALL), 1),
                               columns=raw.feature_names(), scaling=stats)
-    for x, name in ((raw, "'land=1'"), (raw.rows, str(j))):
-        with pytest.raises(ValueError, match=f"one-hot column {name} off {{0, 1}}: "
-                                             "min 0.0, max 2.0"):
-            ensemble_score(ens, x)
+    with pytest.raises(ValueError, match="one-hot column 'land=1' off {0, 1}: min 0.0, max 2.0"):
+        ensemble_score(ens, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +388,7 @@ def test_recorded_scaling_that_moves_a_one_hot_column_is_refused(tmp_path):
 def test_zero_epochs_leaves_model_unchanged():
     ens = small_ensemble(2, seed=7)
     before = [p.copy() for p in ens.members[0].params()]
-    _, trace = train_ensemble(ens, make_rng(8).standard_normal((30, 6)),
+    _, trace = train_ensemble(ens, Dataset(features=make_rng(8).standard_normal((30, 6))),
                               TrainConfig(epochs=0, seed=7))
     assert trace == []
     for old, new in zip(before, ens.members[0].params()):
@@ -404,7 +397,7 @@ def test_zero_epochs_leaves_model_unchanged():
 
 def test_trace_has_one_row_per_epoch_with_consistent_parts():
     ens = small_ensemble(2, seed=9)
-    x = make_rng(10).standard_normal((40, 6))
+    x = Dataset(features=make_rng(10).standard_normal((40, 6)))
     cfg = TrainConfig(epochs=4, batch_size=8, seed=9)
     _, trace = train_ensemble(ens, x, cfg)
     assert [row.epoch for row in trace] == [0, 1, 2, 3]
@@ -418,7 +411,7 @@ def test_each_iteration_updates_exactly_one_member():
     before = [[p.copy() for p in m.params()] for m in ens.members]
     cfg = TrainConfig(epochs=1, iters_per_epoch=1, batch_size=4,
                       reweight=False, seed=11)
-    train_ensemble(ens, make_rng(12).standard_normal((20, 6)), cfg)
+    train_ensemble(ens, Dataset(features=make_rng(12).standard_normal((20, 6))), cfg)
     changed = sum(
         any(not np.array_equal(o, n) for o, n in zip(old, member.params()))
         for old, member in zip(before, ens.members)
@@ -427,7 +420,7 @@ def test_each_iteration_updates_exactly_one_member():
 
 
 def test_training_is_seed_deterministic():
-    x = make_rng(13).standard_normal((50, 6))
+    x = Dataset(features=make_rng(13).standard_normal((50, 6)))
     cfg = TrainConfig(epochs=2, batch_size=16, seed=21)
     a = small_ensemble(2, seed=21)
     b = small_ensemble(2, seed=21)
@@ -442,7 +435,7 @@ def test_non_finite_loss_raises_with_location():
     ens = small_ensemble(1, seed=14)
     ens.members[0].params()[0][...] = np.nan
     with pytest.raises(TrainingDivergedError) as exc:
-        train_ensemble(ens, make_rng(15).standard_normal((20, 6)),
+        train_ensemble(ens, Dataset(features=make_rng(15).standard_normal((20, 6))),
                        TrainConfig(epochs=1, seed=14))
     assert exc.value.epoch == 0 and exc.value.iteration == 0
     assert "epoch 0" in str(exc.value)
@@ -451,9 +444,9 @@ def test_non_finite_loss_raises_with_location():
 def test_training_rejects_width_mismatch_and_empty_data():
     ens = small_ensemble(1)
     with pytest.raises(ShapeError):
-        train_ensemble(ens, np.zeros((10, 5)), TrainConfig(epochs=1))
+        train_ensemble(ens, Dataset(features=np.zeros((10, 5))), TrainConfig(epochs=1))
     with pytest.raises(ValueError):
-        train_ensemble(ens, np.zeros((0, 6)), TrainConfig(epochs=1))
+        train_ensemble(ens, Dataset(features=np.zeros((0, 6))), TrainConfig(epochs=1))
 
 
 def test_training_an_ensemble_that_records_scaling_raises_and_changes_nothing():
@@ -464,7 +457,7 @@ def test_training_an_ensemble_that_records_scaling_raises_and_changes_nothing():
                                    scaling=ScalingStats(np.zeros(6), np.ones(6)))
     before = [m.flat.copy() for m in recorded.members]
     with pytest.raises(ValueError, match="records scaling would scale"):
-        train_ensemble(recorded, make_rng(17).random((40, 6)),
+        train_ensemble(recorded, Dataset(features=make_rng(17).random((40, 6))),
                        TrainConfig(epochs=1, batch_size=8))
     assert all(m.flat.tobytes() == b.tobytes() for m, b in zip(recorded.members, before))
 
@@ -485,7 +478,8 @@ def reference_training(ens: EnsembleModel, x: np.ndarray, cfg: TrainConfig):
     trace, picks = [], []
     for epoch in range(cfg.epochs):
         if cfg.reweight:
-            weights = update_sample_weights(ensemble_score(alone, x), cfg.reweight_eps)
+            weights = update_sample_weights(ensemble_score(alone, Dataset(features=x)),
+                                            cfg.reweight_eps)
         sum_lr = sum_le = sum_combined = 0.0
         picks.append([])
         for it in range(iters):
@@ -510,10 +504,11 @@ def test_single_member_ensemble_matches_direct_loop(reweight):
                       reweight=reweight, seed=31)
     ens = init_ensemble(make_arch(6, SMALL), 1, seed=cfg.seed)
     [oracle], _, _ = reference_training(ens, x, cfg)
-    train_ensemble(ens, x, cfg)
+    train_ensemble(ens, Dataset(features=x), cfg)
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.max(np.abs(pa - pb)) <= 1e-12
-    assert np.max(np.abs(ensemble_score(ens, x) - block_scores(oracle, x))) <= 1e-12
+    assert np.max(np.abs(ensemble_score(ens, Dataset(features=x))
+                         - block_scores(oracle, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -527,7 +522,7 @@ def test_flat_training_is_bit_exact_against_per_array_loop(arch, optimizer):
                       optimizer=optimizer, lr=0.01, reweight=True, seed=33)
     ens = init_ensemble(make_arch(6, arch), 1, seed=cfg.seed)
     [oracle], _, _ = reference_training(ens, x, cfg)
-    train_ensemble(ens, x, cfg)
+    train_ensemble(ens, Dataset(features=x), cfg)
     assert np.array_equal(ens.members[0].flat, oracle.flat)
     for pa, pb in zip(ens.members[0].params(), oracle.params()):
         assert np.array_equal(pa, pb)
@@ -551,7 +546,7 @@ def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch,
                       lr=0.01, reweight=reweight, seed=35 + n_members)
     ens = init_ensemble(make_arch(6, arch), n_members, seed=cfg.seed)
     oracle, oracle_trace, picks = reference_training(ens, x, cfg)
-    _, trace = train_ensemble(ens, x, cfg)
+    _, trace = train_ensemble(ens, Dataset(features=x), cfg)
     # 7 iterations over 2, 3 or 5 members: some member steps more often
     for epoch_picks in picks:
         counts = np.bincount(epoch_picks, minlength=n_members)
@@ -572,7 +567,7 @@ def test_divergence_reports_the_first_iteration_in_iteration_order():
     for member in ens.members:
         member.flat[...] = np.nan
     with pytest.raises(TrainingDivergedError) as exc:
-        train_ensemble(ens, make_rng(16).standard_normal((20, 6)), cfg)
+        train_ensemble(ens, Dataset(features=make_rng(16).standard_normal((20, 6))), cfg)
     assert exc.value.epoch == 0 and exc.value.iteration == 0
 
 
@@ -588,7 +583,7 @@ def test_one_diverging_member_fails_where_the_direct_loop_fails(bad_member):
     with pytest.raises(TrainingDivergedError) as expected:
         reference_training(ens, x, cfg)
     with pytest.raises(TrainingDivergedError) as exc:
-        train_ensemble(ens, x, cfg)
+        train_ensemble(ens, Dataset(features=x), cfg)
     assert (exc.value.epoch, exc.value.iteration) == (expected.value.epoch,
                                                       expected.value.iteration)
 
@@ -604,7 +599,7 @@ def test_divergence_in_a_later_round_can_come_first():
     ens = small_ensemble(3, seed=cfg.seed)
     ens.members[0].flat[...] = np.nan
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
-        train_ensemble(ens, x, cfg)
+        train_ensemble(ens, Dataset(features=x), cfg)
     assert exc.value.iteration == 1
 
 
@@ -638,25 +633,43 @@ def test_one_hot_rows_train_and_score_like_their_matrix(arch):
     x = rng.standard_normal((CHUNK + 300, 7))
     hot = [1, 4, 5]
     x[:, hot] = rng.random((x.shape[0], 3)) < 0.3
-    rows = split_rows(x, hot)
+    dense, rows = Dataset(features=x), Dataset(rows=split_rows(x, hot))
     cfg = TrainConfig(epochs=2, batch_size=64, seed=5)
-    dense, dense_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1), x, cfg)
-    store, store_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1), rows, cfg)
-    for a, b in zip(dense.members, store.members):
+    dense_ens, dense_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1),
+                                            dense, cfg)
+    store_ens, store_trace = train_ensemble(init_ensemble(make_arch(7, arch), 3, seed=1),
+                                            rows, cfg)
+    for a, b in zip(dense_ens.members, store_ens.members):
         assert a.flat.tobytes() == b.flat.tobytes()
     assert store_trace == dense_trace
-    assert ensemble_score(store, rows).tobytes() == ensemble_score(dense, x).tobytes()
+    assert ensemble_score(store_ens, rows).tobytes() == ensemble_score(dense_ens, dense).tobytes()
 
 
-def test_rows_are_checked_like_a_matrix():
+def test_only_a_dataset_is_taken_and_its_rows_are_checked():
+    """A matrix or a bare Rows carries no column names and no
+    scaling_stats, so it cannot be held to the ensemble's record: both
+    functions refuse it. That covers the matrix of an apply_scale copy,
+    which an ensemble that records scaling would scale a second time. A
+    Dataset's numeric part must be finite, and its width the model's."""
+    train = fit_scale(generate_synthetic(4, 50, 0, anomaly_shift=4.0, seed=0))
+    test = generate_synthetic(4, 8, 2, anomaly_shift=4.0, seed=1)
+    ens, _ = train_ensemble(init_ensemble(make_arch(4, SMALL), 2, seed=7), train,
+                            TrainConfig(epochs=1, seed=7))
+    for given in (test.features, test.rows, apply_scale(test, ens.scaling).features):
+        with pytest.raises(TypeError, match="input must be a Dataset"):
+            ensemble_score(ens, given)
+    for given in (train.features, train.rows):
+        with pytest.raises(TypeError, match="training data must be a Dataset"):
+            train_ensemble(init_ensemble(make_arch(4, SMALL), 1), given, TrainConfig(epochs=1))
+
     ens = init_ensemble(make_arch(3, SMALL), 1)
     x = np.array([[0.5, 1.0, 0.0], [np.nan, 0.0, 1.0]])
-    for given in (x, split_rows(x, [1, 2])):
+    for given in (Dataset(features=x), Dataset(rows=split_rows(x, [1, 2]))):
         with pytest.raises(ValueError, match="non-finite"):
             train_ensemble(ens, given, TrainConfig(epochs=1))
         with pytest.raises(ValueError, match="non-finite"):
             ensemble_score(ens, given)
-    wide = split_rows(np.zeros((2, 4)), [3])
+    wide = Dataset(rows=split_rows(np.zeros((2, 4)), [3]))
     with pytest.raises(ShapeError, match="training data has 4 columns, model expects 3"):
         train_ensemble(ens, wide, TrainConfig(epochs=1))
     with pytest.raises(ShapeError, match="input has 4 columns, model expects 3"):

@@ -196,9 +196,9 @@ def test_build_validates_arguments():
 def test_run_cell_is_init_train_score_under_one_seed():
     task = make_task(3)
     ens = init_ensemble(make_arch(4, TINY_ARCH), 2, seed=TINY_TRAIN.seed)
-    ens, trace = train_ensemble(ens, task.train.features, TINY_TRAIN)
+    ens, trace = train_ensemble(ens, task.train, TINY_TRAIN)
     scores, cell_trace = run_cell(task, make_arch(4, TINY_ARCH), 2, TINY_TRAIN)
-    assert scores.tobytes() == ensemble_score(ens, task.test.features).tobytes()
+    assert scores.tobytes() == ensemble_score(ens, task.test).tobytes()
     assert [t.combined for t in cell_trace] == [t.combined for t in trace]
 
 
@@ -214,9 +214,9 @@ def test_run_cell_scales_raw_test_rows_with_the_training_stats():
     assert (np.abs(scaled.features - 0.5) == 1.0).any()
     spec = make_arch(4, TINY_ARCH)
     ens = init_ensemble(spec, 2, seed=TINY_TRAIN.seed)
-    train_ensemble(ens, task.train.rows, TINY_TRAIN)
+    train_ensemble(ens, task.train, TINY_TRAIN)  # ens, unlike what it returns, records no scaling
     scores, _ = run_cell(task, spec, 2, TINY_TRAIN)
-    assert scores.tobytes() == ensemble_score(ens, scaled.rows).tobytes()
+    assert scores.tobytes() == ensemble_score(ens, scaled).tobytes()
 
 
 def test_run_cell_holds_the_test_rows_to_the_training_columns():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edenet.data import ScalingStats
+from edenet.data import Dataset, ScalingStats
 from edenet.ensemble import EnsembleModel, ensemble_score, init_ensemble
 from edenet.errors import ConfigError, FormatError, ShapeError
 from edenet.layers import Workspace
@@ -110,7 +110,7 @@ def test_forward_rejects_wrong_width():
     # scoring checks its input once, then runs the nets unchecked
     net = small_net("ff")
     with pytest.raises(ShapeError, match="input has 6 columns, model expects 7"):
-        ensemble_score(alone(net), np.zeros((2, 6)))
+        ensemble_score(alone(net), Dataset(features=np.zeros((2, 6))))
 
 
 INFER_ARCHS = {

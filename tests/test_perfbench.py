@@ -145,3 +145,20 @@ def test_every_traced_function_runs_under_a_command(tmp_path):
         tracer.uninstall()
     entered = set(tracer.names)
     assert sorted(span for span, _, _ in TARGETS if span not in entered) == sorted(UNRUN)
+
+
+def test_a_traced_train_counts_one_reweight_pass_per_epoch(tmp_path):
+    """layer_metrics counts an ensemble_score call as a reweight pass only
+    when train_ensemble makes it itself; a train that reweights (the
+    default) over 3 epochs makes 3."""
+    train = _synth(tmp_path / "train", 40, 0, 1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["train", "--data", str(train / "data.csv"),
+                     "--schema", str(train / "schema.json"), "--epochs", "3",
+                     "--members", "2", "--out", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    values, _ = tracer.layer_metrics(1, 0.0)
+    assert values["ensemble.ensemble_score.reweight.calls"] == 3
