@@ -14,9 +14,9 @@ import pytest
 
 from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot_data,
                         _write_scores, build_parser, main, read_scores_csv)
-from edenet.data import (BLOCK_ROWS, ScalingStats, apply_scale, expanded_meta, fit_scale,
-                         load_csv, load_schema, load_training_rows, read_number_table,
-                         scaling_to_dict, schema_from_dict)
+from edenet.data import (BLOCK_ROWS, Dataset, ScalingStats, apply_scale, expanded_meta,
+                         fit_scale, load_csv, load_schema, load_training_rows,
+                         read_number_table, scaling_to_dict, schema_from_dict)
 from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
                              train_ensemble)
 from edenet.errors import ShapeError
@@ -982,9 +982,19 @@ def test_library_scoring_holds_a_dataset_to_the_model_columns(kdd_runs, tmp_path
         ensemble_score(ens, ds.rows)
 
 
-def test_library_scoring_of_a_dataset_gives_the_edenet_score_bytes(kdd_runs, tmp_path):
+def test_a_loaded_model_scores_raw_rows_as_edenet_score_does(kdd_runs, tmp_path):
     """ensemble_score on a model file from edenet train and the raw rows
-    load_csv reads gives the raw_score column edenet score writes."""
+    load_csv reads, as a Dataset of those rows under the model's column
+    names, gives the raw_score column edenet score writes."""
+    assert _kdd_score(kdd_runs, tmp_path / "out") == 0
+    raw = read_scores_csv(tmp_path / "out" / "scores.csv")
+    rows = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA)).rows
+    model = load_model(kdd_runs / "run" / "model.json")
+    x = Dataset(rows=rows, column_meta=list(model.columns))
+    assert ensemble_score(model, x).tobytes() == raw.tobytes()
+
+
+def test_library_scoring_of_a_dataset_gives_the_edenet_score_bytes(kdd_runs, tmp_path):
     assert _kdd_score(kdd_runs, tmp_path / "out") == 0
     raw = read_scores_csv(tmp_path / "out" / "scores.csv")
     ds = load_csv(kdd_runs / "rows.csv", load_schema(KDD_SCHEMA))
