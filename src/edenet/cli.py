@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from itertools import groupby
 from operator import itemgetter
@@ -42,6 +43,7 @@ from .data import (
 )
 from .ensemble import (
     EnsembleModel,
+    EpochTrace,
     TrainConfig,
     check_input_names,
     ensemble_score,
@@ -62,7 +64,7 @@ from .metalearn import (
     MetaTask,
     build_meta_dataset,
     load_meta_csv,
-    run_cell,
+    run_cells,
     save_meta_csv,
     select_hyperparams,
     svr_fit,
@@ -409,11 +411,9 @@ def _bench_settings(cfg: RunConfig, method: BenchMethod, width: int
             TrainConfig.from_dict({**cfg.train, **method.train, "seed": cfg.seeds[0]}))
 
 
-def _run_bench_cell(cfg: RunConfig, settings: tuple[ArchSpec, int, TrainConfig],
-                    seed: int, task: MetaTask, cell_dir: Path):
-    spec, n_members, tc = settings
-    raw, trace = run_cell(task, spec, n_members, replace(tc, seed=seed))
-    report = evaluate(raw, task.test.labels, q=cfg.q)
+def _write_bench_cell(cfg: RunConfig, raw: np.ndarray, trace: list[EpochTrace],
+                      labels: np.ndarray, cell_dir: Path):
+    report = evaluate(raw, labels, q=cfg.q)
 
     _write_scores(cell_dir / "scores.csv", raw, normalize_scores(raw))
     save_report_json(report, cell_dir / "report.json")
@@ -457,17 +457,22 @@ def cmd_bench(cfg: RunConfig) -> int:
     width = spec.d if schema is None else len(expanded_meta(schema))
     settings = [_bench_settings(cfg, m, width) for m in methods]
     file_task = None if schema is None else _load_task(cfg, schema, cfg.data, cfg.test_data)
+    # one task per seed, shared by every method
+    tasks = [file_task or _bench_task(cfg, spec, seed) for seed in cfg.seeds]
+    cells = [(task, arch, n_members, replace(tc, seed=seed))
+             for seed, task in zip(cfg.seeds, tasks) for arch, n_members, tc in settings]
     reports: dict[str, list] = {name: [] for name in names}
-    for seed in cfg.seeds:
-        task = file_task or _bench_task(cfg, spec, seed)  # shared by every method
-        for name, method_settings in zip(names, settings):
-            try:
-                reports[name].append(_run_bench_cell(
-                    cfg, method_settings, seed, task, out / name / f"seed{seed}"))
-            except Exception:
-                print(f"bench aborted: method {name!r} failed on seed {seed}",
-                      file=sys.stderr)
-                raise
+    with closing(run_cells(cells)) as results:
+        for seed, task in zip(cfg.seeds, tasks):
+            for name in names:
+                try:
+                    raw, trace = next(results)
+                    reports[name].append(_write_bench_cell(
+                        cfg, raw, trace, task.test.labels, out / name / f"seed{seed}"))
+                except Exception:
+                    print(f"bench aborted: method {name!r} failed on seed {seed}",
+                          file=sys.stderr)
+                    raise
 
     summary = _bench_summary(reports)
     _write_bench_table(out / "bench_table.csv", summary)

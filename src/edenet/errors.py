@@ -113,7 +113,11 @@ class CsvParseError(ValueError):
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+
+    def __reduce__(self):  # the default unpickles as cls(str(self)), a TypeError
+        return type(self), (self.message, self.line)
 
 
 class FormatError(ValueError):
@@ -141,3 +145,7 @@ class TrainingDivergedError(RuntimeError):
         )
         self.epoch = epoch
         self.iteration = iteration
+        self.loss = loss
+
+    def __reduce__(self):  # the default unpickles as cls(str(self)), a TypeError
+        return type(self), (self.epoch, self.iteration, self.loss)

@@ -13,7 +13,11 @@ measure.
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections import deque
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,37 +129,98 @@ def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
     return ensemble_score(ens, task.test), trace
 
 
+Cell = tuple[MetaTask, ArchSpec, int, TrainConfig]
+
+
+def cell_workers(n_cells: int) -> int:
+    """How many processes run n_cells cells: one per CPU this process may
+    run on, at most one per cell, and one off Linux."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_cells)
+
+
+_worker_cells: list[Cell] = []  # a pool worker's copy of the cell list
+
+
+def _take_cells(cells: list[Cell]) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _run_cell_at(index: int) -> tuple[np.ndarray, list[EpochTrace]]:
+    return run_cell(*_worker_cells[index])
+
+
+def run_cells(cells: list[Cell]) -> Iterator[tuple[np.ndarray, list[EpochTrace]]]:
+    """run_cell's (scores, trace) for each (task, spec, n_members, cfg)
+    cell, yielded in cell order. Cells share nothing, so they run in
+    cell_workers(len(cells)) processes, in this one when that is 1. Pool
+    workers are forked, so they inherit the cells and no task is pickled;
+    each gets a cell index and sends back its result. The first cell to
+    fail, in cell order, raises its own exception here. Then, or when the
+    caller closes the iterator early, the workers are stopped and joined,
+    and no further cell runs."""
+    workers = cell_workers(len(cells))
+    if workers <= 1:
+        for cell in cells:
+            yield run_cell(*cell)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork is safe while no thread runs: edenet starts none, and a fork
+    # pool starts every worker before its own thread (CPython gh-90622)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_take_cells, initargs=(cells,))
+    try:
+        pending = deque(pool.submit(_run_cell_at, i) for i in range(len(cells)))
+        while pending:  # a result is dropped here once it is yielded
+            yield pending.popleft().result()
+    except BaseException:  # a failed cell, or GeneratorExit from an early close
+        # stop the cells already handed to a worker, which shutdown would
+        # wait for; ProcessPoolExecutor has no public call for it before 3.14
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],
                        cfg: TrainConfig, arch_template: dict | None = None
                        ) -> list[MetaRecord]:
     """Phase I: one record per (task, candidate) with a defined AUROC.
 
-    Each pair trains under its own derived seed, so records do not depend
-    on evaluation order. Pairs whose test split is single-class are
-    skipped with a warning instead of failing the whole build. Every
-    task's arch (arch_template at the task's width) is built before the
-    first cell trains, so a bad override trains nothing.
+    Each pair is a cell that trains under its own derived seed, so records
+    do not depend on evaluation order, and the cells run in run_cells'
+    workers. Pairs whose test split is single-class are skipped with a
+    warning instead of failing the whole build. Every task's arch
+    (arch_template at the task's width) is built before the first cell
+    trains, so a bad override trains nothing.
     """
     if not tasks:
         raise ValueError("need at least one task")
     if not candidates:
         raise ValueError("need at least one candidate")
     specs = [make_arch(task.train.n_features, arch_template) for task in tasks]
+    cells = [(task, spec, cand, replace(cfg, seed=derived_seed(cfg.seed, t_idx, cand)))
+             for t_idx, (task, spec) in enumerate(zip(tasks, specs)) for cand in candidates]
     records: list[MetaRecord] = []
-    for t_idx, (task, spec) in enumerate(zip(tasks, specs)):
-        feats = extract_meta_features(task.train)
-        for cand in candidates:
-            seed = derived_seed(cfg.seed, t_idx, cand)
-            scores, _ = run_cell(task, spec, cand, replace(cfg, seed=seed))
-            try:
-                perf = auroc(scores, task.test.labels)
-            except UndefinedAurocError:
-                label = task.name or f"task {t_idx}"
-                warnings.warn(f"skipping {label}, I={cand}: "
-                              "test split has a single class")
-                continue
-            records.append(MetaRecord(features=feats, n_members=cand,
-                                      performance=perf))
+    with closing(run_cells(cells)) as results:
+        for t_idx, task in enumerate(tasks):
+            feats = extract_meta_features(task.train)
+            for cand in candidates:
+                scores, _ = next(results)
+                try:
+                    perf = auroc(scores, task.test.labels)
+                except UndefinedAurocError:
+                    label = task.name or f"task {t_idx}"
+                    warnings.warn(f"skipping {label}, I={cand}: "
+                                  "test split has a single class")
+                    continue
+                records.append(MetaRecord(features=feats, n_members=cand,
+                                          performance=perf))
     return records
 
 

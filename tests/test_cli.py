@@ -445,6 +445,67 @@ def test_bench_rejects_duplicate_method_names(tmp_path):
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def _phase_one_configs(tmp_path, train: dict, b_train: dict) -> tuple[str, str]:
+    """A meta build config (2 tasks x I in {1, 2}) and a bench config
+    (methods a, b, c x seeds 0, 1), both trained under `train`, and method
+    b under b_train over it."""
+    tasks = [{"train": str(tiny_synth(tmp_path, f"t{i}", 30, 0, 20 + i) / "data.csv"),
+              "test": str(tiny_synth(tmp_path, f"t{i}test", 12, 6, 30 + i) / "data.csv")}
+             for i in (1, 2)]
+    meta = write_json(tmp_path / "meta.json", {
+        "schema": str(tmp_path / "t1" / "schema.json"), "tasks": tasks,
+        "candidates": [1, 2], "arch": SMALL_CFG["arch"], "train": train})
+    bench = write_json(tmp_path / "bench.json", {
+        "synthetic": {"d": 3, "n_train": 60, "n_test_normal": 20, "n_test_anomaly": 8},
+        "methods": [{"name": "a", "n_members": 1},
+                    {"name": "b", "n_members": 2, "train": b_train},
+                    {"name": "c", "n_members": 1}],
+        "seeds": [0, 1], "arch": SMALL_CFG["arch"], "train": train})
+    return meta, bench
+
+
+def test_phase_one_outputs_are_the_same_bytes_serial_and_pooled(tmp_path, cpus):
+    """One CPU runs every cell in-process, two run them in a pool of two
+    workers: meta.csv, the bench tables and every cell's files match."""
+    meta, bench = _phase_one_configs(tmp_path, {"epochs": 2, "batch_size": 16}, {})
+    cells = [f"{m}/seed{s}/{f}" for m in "abc" for s in (0, 1)
+             for f in ("scores.csv", "report.json", "trace.csv")]
+    written = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert main(["meta", "build", "--config", meta, "--out", str(out / "meta")]) == 0
+        assert main(["bench", "--config", bench, "--out", str(out / "bench")]) == 0
+        written[n_cpus] = {name: (out / name).read_bytes() for name in [
+            "meta/meta.csv", "bench/bench_table.csv", "bench/plot_data.csv",
+            *(f"bench/{cell}" for cell in cells)]}
+    assert written[1] == written[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failing_cell_in_the_pool_is_exit_3_and_leaves_no_worker(tmp_path, capsys, cpus):
+    """A diverging cell fails its command as it does in-process; bench
+    writes the cells before it and names the method and seed."""
+    import multiprocessing
+    diverge = {"optimizer": "sgd", "lr": 1e200}
+    meta, _ = _phase_one_configs(tmp_path, {"epochs": 2, **diverge}, {})
+    (tmp_path / "b").mkdir()
+    _, bench = _phase_one_configs(tmp_path / "b", {"epochs": 2}, diverge)
+    cpus(2)
+    capsys.readouterr()
+    assert main(["meta", "build", "--config", meta, "--out", str(tmp_path / "meta")]) == 3
+    assert "non-finite loss" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert main(["bench", "--config", bench, "--out", str(tmp_path / "bench")]) == 3
+    err = capsys.readouterr().err
+    assert "bench aborted: method 'b' failed on seed 0" in err
+    assert "non-finite loss" in err
+    assert multiprocessing.active_children() == []
+    assert sorted(p.relative_to(tmp_path / "bench").as_posix()
+                  for p in (tmp_path / "bench").rglob("*.*")) == [
+        "a/seed0/report.json", "a/seed0/scores.csv", "a/seed0/trace.csv"]
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -763,8 +824,8 @@ def test_bench_checks_every_method_before_the_first_cell(tmp_path, capsys, monke
     method's cell trains or writes a file."""
     import edenet.cli as cli_mod
     cells = []
-    run_cell = cli_mod.run_cell
-    monkeypatch.setattr(cli_mod, "run_cell", lambda *a: cells.append(a) or run_cell(*a))
+    run_cells = cli_mod.run_cells
+    monkeypatch.setattr(cli_mod, "run_cells", lambda c: cells.extend(c) or run_cells(c))
     if source == "csv":
         train = tiny_synth(tmp_path, "train", 30, 6, 7)
         test = tiny_synth(tmp_path, "test", 12, 4, 8)
@@ -789,9 +850,9 @@ def test_meta_build_checks_the_arch_at_every_task_width_before_training(
     the build fails before the first task's cells train."""
     import edenet.metalearn as metalearn_mod
     trained = []
-    train = metalearn_mod.train_ensemble
-    monkeypatch.setattr(metalearn_mod, "train_ensemble",
-                        lambda *a: trained.append(a) or train(*a))
+    run_cells = metalearn_mod.run_cells
+    monkeypatch.setattr(metalearn_mod, "run_cells",
+                        lambda c: trained.extend(c) or run_cells(c))
     tasks = []
     for d in (5, 2):
         data = tmp_path / f"d{d}"
@@ -1437,14 +1498,17 @@ def test_unwritable_output_dir_is_exit_4(tmp_path):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    """The runtime needs numpy alone; scipy serves only as a test oracle."""
+    """The runtime needs numpy alone; scipy serves only as a test oracle.
+    The Phase I cell runner imports its process pool only when it starts
+    one, so no command pays for it at startup."""
     import edenet
 
     src = str(Path(edenet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in [src, os.environ.get("PYTHONPATH")] if p)}
     probe = ("import sys, edenet.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0]"
+             " in ('scipy', 'multiprocessing', 'concurrent')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import multiprocessing
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,18 +8,20 @@ from hypothesis import given, strategies as st
 
 from edenet.data import Dataset, apply_scale, fit_scale
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
-from edenet.errors import CsvParseError, ShapeError
+from edenet.errors import CsvParseError, ShapeError, TrainingDivergedError
 from edenet.metalearn import (
     MetaFeatures,
     MetaRecord,
     MetaTask,
     build_meta_dataset,
+    cell_workers,
     extract_meta_features,
     load_meta_csv,
     pearson_skewness,
     pick_best,
     predict_candidates,
     run_cell,
+    run_cells,
     save_meta_csv,
     select_hyperparams,
     svr_fit,
@@ -227,6 +231,50 @@ def test_run_cell_holds_the_test_rows_to_the_training_columns():
                       column_meta=["x0", "x1", "x3", "x2"])
     with pytest.raises(ShapeError, match="input column 2 is 'x3', model expects 'x2'"):
         run_cell(MetaTask(task.train, renamed), make_arch(4, TINY_ARCH), 2, TINY_TRAIN)
+
+
+def test_worker_count_is_the_affinity_capped_at_the_cell_count(cpus):
+    for n_cpus, expected in ((10_000, 9), (2, 2), (1, 1)):
+        cpus(n_cpus)
+        assert cell_workers(9) == expected
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [TrainingDivergedError(2, 7, float("inf")),
+                                   CsvParseError("bad value 'x'", 3)],
+                         ids=["diverged", "csv-parse"])
+def test_errors_a_cell_can_raise_survive_pickling(error):
+    """A pool worker's exception reaches the parent pickled, and the CLI
+    maps its type onto the exit code."""
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)
+
+
+def test_closing_the_cell_runner_early_stops_the_cells_in_flight(cpus, monkeypatch,
+                                                                tmp_path):
+    """The cells a worker has begun are stopped, not waited for: after the
+    quick first cell, none of the long ones ever finishes."""
+    import edenet.metalearn as metalearn_mod
+    run = metalearn_mod.run_cell
+
+    def marking(task, spec, n_members, cfg):
+        result = run(task, spec, n_members, cfg)
+        (tmp_path / f"done-{cfg.seed}").touch()
+        return result
+
+    monkeypatch.setattr(metalearn_mod, "run_cell", marking)
+    cpus(2)
+    spec = make_arch(4, TINY_ARCH)
+    cells = [(make_task(0), spec, 1, TINY_TRAIN)] + [
+        (make_task(1), spec, 1, replace(TINY_TRAIN, epochs=1000, seed=seed))
+        for seed in range(10, 14)]
+    results = run_cells(cells)
+    next(results)
+    results.close()
+    assert multiprocessing.active_children() == []
+    assert [p.name for p in tmp_path.iterdir()] == [f"done-{TINY_TRAIN.seed}"]
 
 
 def test_build_records_the_auroc_of_each_cell_under_its_derived_seed():
