@@ -175,7 +175,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg, "train")
-    tc = TrainConfig.from_dict(cfg.train)
+    tc = from_fields(TrainConfig, cfg.train, "train")
     schema = load_schema(_require(cfg.schema, "schema path"))
     # the arch is checked at the schema's expanded width before a row is read
     spec = make_arch(len(expanded_meta(schema)), cfg.arch)
@@ -301,7 +301,7 @@ def cmd_meta_build(cfg: RunConfig) -> int:
     entries = [from_fields(TaskEntry, e, f"task {i}") for i, e in enumerate(cfg.tasks)]
     if not entries:
         raise ConfigError("meta build needs a nonempty tasks list")
-    tc = TrainConfig.from_dict(cfg.train)
+    tc = from_fields(TrainConfig, cfg.train, "train")
     schemas = [load_schema(_require(e.schema or cfg.schema, f"task {i} schema path"))
                for i, e in enumerate(entries)]
     for schema in schemas:  # every task's arch is checked before a row is read
@@ -404,11 +404,16 @@ def _bench_task(cfg: RunConfig, spec: SyntheticTask, seed: int) -> MetaTask:
 
 def _bench_settings(cfg: RunConfig, method: BenchMethod, width: int
                     ) -> tuple[ArchSpec, int, TrainConfig]:
-    """A method's arch at the task width, ensemble size and training config
-    (seeded for the first seed), merged over the run's."""
+    """A method's arch at the task width, ensemble size and training config,
+    merged over the run's. Each cell trains under its seed from seeds, so a
+    train seed, which no cell would use, is refused."""
+    train = {**cfg.train, **method.train}
+    if "seed" in train:
+        raise ConfigError("bench trains each cell under its seed from seeds; "
+                          "set seeds, not train seed")
     return (make_arch(width, {**cfg.arch, **method.arch}),
             cfg.n_members if method.n_members is None else method.n_members,
-            TrainConfig.from_dict({**cfg.train, **method.train, "seed": cfg.seeds[0]}))
+            from_fields(TrainConfig, train, "train"))
 
 
 def _write_bench_cell(cfg: RunConfig, raw: np.ndarray, trace: list[EpochTrace],

@@ -4,8 +4,8 @@ Training keeps I independent nets. Each epoch starts by scoring the whole
 training set with the current ensemble and turning those scores into
 sampling weights, so samples the ensemble already finds surprising are
 seen more often. Every iteration picks one member uniformly at random,
-draws one weighted minibatch (with replacement), and updates only that
-member.
+draws one weighted minibatch (with replacement), and takes one Adam step
+on that member only.
 
 The members run in lockstep. Within an epoch the weights are fixed and
 the draws read no parameter, so the epoch's whole schedule (each
@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, Rows, ScalingStats, _check_one_hot, _scale_rows, write_table
-from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields, from_fields
+from .errors import ConfigError, ShapeError, TrainingDivergedError, check_fields
 from .layers import Workspace, as_matrix
 from .model import (
     ArchSpec,
@@ -34,7 +34,7 @@ from .model import (
     normalize_scores,
     row_chunks,
 )
-from .optim import make_optimizer
+from .optim import AdamState, adam_step
 from .rng import make_rng, spawn_seeds
 
 
@@ -75,7 +75,8 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the ensemble training loop.
+    """Knobs for the ensemble training loop, whose optimizer is Adam at
+    lr, beta1, beta2 and eps.
 
     iters_per_epoch defaults to I * ceil(N / batch_size) so each member
     sees roughly one pass over the data per epoch in expectation. epochs
@@ -85,7 +86,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 64
     iters_per_epoch: int | None = None
-    optimizer: str = "adam"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -102,8 +102,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.iters_per_epoch is not None and self.iters_per_epoch < 1:
             raise ConfigError("iters_per_epoch must be >= 1 when given")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         for name in ("beta1", "beta2"):
@@ -120,10 +118,6 @@ class TrainConfig:
         if self.iters_per_epoch is not None:
             return self.iters_per_epoch
         return n_members * math.ceil(n_samples / self.batch_size)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return from_fields(cls, d, "train")
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     Each epoch draws its schedule first, then runs in rounds: round k
     takes the k-th step of every member that has one, as one member
     stack (model.loss_and_grads) over the rows of one (I, P)
-    parameter block, and one optimizer step over those rows. The rows are
+    parameter block, and one Adam step over those rows. The rows are
     sorted by step count at each epoch start, so a round's members are a
     leading run of rows. Each member sees the batches and steps of the
     one-iteration-at-a-time loop in the same order, so every bit matches
@@ -340,8 +334,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     row_member = np.arange(size)
     block = np.stack([m.flat for m in ensemble.members])
     grad_block = np.empty_like(block)
-    state, step = make_optimizer(cfg.optimizer, block, lr=cfg.lr, beta1=cfg.beta1,
-                                 beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState(block, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
     work = Workspace()
 
@@ -394,7 +387,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
                 if k + 1 == len(active) or sched[:active[k + 1], k + 1].min() > first_bad:
                     raise TrainingDivergedError(epoch, first_bad,
                                                 float(per_iter[first_bad, 2]))
-            step(state, block[:a], grad_block[:a])
+            adam_step(state, block[:a], grad_block[:a])
 
         # a sequential scan adds in iteration order; np.sum would pair terms
         trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BLOCK_ROWS
-from .errors import FormatError, ShapeError, check_fields, expect_numbers, from_fields
+from .errors import (ConfigError, FormatError, ShapeError, check_fields, expect_numbers,
+                     from_fields)
 from .layers import (
     DenseLayer,
     DenseStack,
@@ -43,8 +44,12 @@ def default_latent_dim(input_dim: int) -> int:
 
 
 def make_arch(input_dim: int, overrides: dict | None = None) -> "ArchSpec":
-    """ArchSpec for a known feature width, with optional field overrides;
-    latent_dim defaults to default_latent_dim(input_dim)."""
+    """ArchSpec for a known feature width, with optional field overrides
+    (the config's arch section); latent_dim defaults to
+    default_latent_dim(input_dim). The width is the data's, so an
+    override of input_dim raises ConfigError."""
+    if "input_dim" in (overrides or {}):
+        raise ConfigError("arch input_dim is not a config key: the width is the data's")
     return from_fields(ArchSpec, {"input_dim": input_dim,
                                   "latent_dim": default_latent_dim(input_dim),
                                   **(overrides or {})}, "arch")
@@ -98,10 +103,6 @@ class ArchSpec:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden_sizes": list(self.hidden_sizes)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchSpec":
-        return from_fields(cls, d, "arch")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ class _EnsemblePayload:
 
 def _ede_from_dict(doc: dict) -> EnsembleModel:
     p = from_fields(_EdePayload, doc, "ede")
-    spec = ArchSpec.from_dict(p.arch)
+    spec = from_fields(ArchSpec, p.arch, "arch")
     return EnsembleModel(spec, [net_from_payload(spec, p.params)])
 
 
@@ -58,7 +58,7 @@ def _ensemble_to_dict(ens: EnsembleModel) -> dict:
 
 def _ensemble_from_dict(doc: dict) -> EnsembleModel:
     p = from_fields(_EnsemblePayload, doc, "ensemble")
-    spec = ArchSpec.from_dict(p.arch)
+    spec = from_fields(ArchSpec, p.arch, "arch")
     scaling = None if p.scaling is None else scaling_from_dict(p.scaling, "ensemble scaling")
     return EnsembleModel(spec, [net_from_payload(spec, m) for m in p.members], p.seed,
                          p.columns, scaling)

@@ -1,18 +1,17 @@
-"""Optimizers for the training loop: Adam (default) and plain SGD.
+"""Adam, the optimizer of the training loop.
 
-Both step one (I, P) parameter block in place, row i being member i's
-flat parameter vector. Each row is an independent optimizer: Adam keeps
-one step count per row, and a step may cover only the first n rows (the
-members that still have a step in that round). The updates are
-elementwise, so a row gets the bits that stepping its member's parameter
-arrays one by one would give. Adam's temporaries go into two scratch
-blocks made with the state, so a step allocates nothing of the block's
-size.
+adam_step steps one (I, P) parameter block in place, row i being member
+i's flat parameter vector. Each row is an independent optimizer with its
+own step count, and a step may cover only the first n rows (the members
+that still have a step in that round). The update is elementwise, so a
+row gets the bits that stepping its member's parameter arrays one by one
+would give. Its temporaries go into two scratch blocks made with the
+state, so a step allocates nothing of the block's size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -21,17 +20,24 @@ from .errors import ShapeError
 
 @dataclass
 class AdamState:
-    """Adam accumulators for one (I, P) block: one update count per row
-    in step, and two blocks for adam_step's temporaries in scratch."""
+    """Adam accumulators for the (I, P) block it is made for, all zero:
+    one update count per row in step, and two blocks for adam_step's
+    temporaries in scratch."""
 
+    block: InitVar[np.ndarray]
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    step: list[int]
-    m: np.ndarray
-    v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: list[int] = field(init=False)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False)
+
+    def __post_init__(self, block: np.ndarray):
+        self.step = [0] * len(block)
+        self.m, self.v = np.zeros_like(block), np.zeros_like(block)
+        self.scratch = (np.empty_like(block), np.empty_like(block))
 
     def reorder_rows(self, order: np.ndarray) -> None:
         """Row r takes what row order[r] held."""
@@ -71,33 +77,3 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     u += state.eps
     t /= u
     params -= t
-
-
-@dataclass
-class SgdState:
-    """Bare gradient descent over one (I, P) block: p <- p - lr * grad."""
-
-    lr: float
-
-    def reorder_rows(self, order: np.ndarray) -> None:
-        """Nothing to reorder: SGD keeps no per-row state."""
-
-
-def sgd_step(state: SgdState, params: np.ndarray, grads: np.ndarray) -> None:
-    """One SGD update applied in place to params, leading rows of the block."""
-    if params.shape != grads.shape:
-        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
-    params -= state.lr * grads
-
-
-def make_optimizer(kind: str, block: np.ndarray, lr: float, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8):
-    """Build (state, step_fn) for 'adam' or 'sgd' over block, an (I, P)
-    parameter block; each of its rows is an independent optimizer."""
-    if kind == "adam":
-        return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=[0] * len(block),
-                         m=np.zeros_like(block), v=np.zeros_like(block),
-                         scratch=(np.empty_like(block), np.empty_like(block))), adam_step
-    if kind == "sgd":
-        return SgdState(lr=lr), sgd_step
-    raise ValueError(f"unknown optimizer {kind!r}")

@@ -37,8 +37,8 @@ def textbook_adam(p, g, m, v, step, lr, beta1, beta2, eps):
 
 def textbook_optimizer(cfg, params: list[np.ndarray]):
     """A step(grads) that updates one member's params, array by array, as
-    cfg's optimizer is written on paper: textbook_adam with one step count,
-    or p - lr * g for SGD. It shares no code with edenet.optim."""
+    Adam is written on paper: textbook_adam at cfg's settings with one step
+    count. It shares no code with edenet.optim."""
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     count = 0
@@ -47,11 +47,8 @@ def textbook_optimizer(cfg, params: list[np.ndarray]):
         nonlocal count
         count += 1
         for k, (p, g) in enumerate(zip(params, grads)):
-            if cfg.optimizer == "sgd":
-                p[...] = p - cfg.lr * g
-            else:
-                p[...], m[k], v[k] = textbook_adam(p, g, m[k], v[k], count, cfg.lr,
-                                                   cfg.beta1, cfg.beta2, cfg.eps)
+            p[...], m[k], v[k] = textbook_adam(p, g, m[k], v[k], count, cfg.lr,
+                                               cfg.beta1, cfg.beta2, cfg.eps)
 
     return step
 

@@ -487,7 +487,7 @@ def test_a_failing_cell_in_the_pool_is_exit_3_and_leaves_no_worker(tmp_path, cap
     """A diverging cell fails its command as it does in-process; bench
     writes the cells before it and names the method and seed."""
     import multiprocessing
-    diverge = {"optimizer": "sgd", "lr": 1e200}
+    diverge = {"lr": 1e200}
     meta, _ = _phase_one_configs(tmp_path, {"epochs": 2, **diverge}, {})
     (tmp_path / "b").mkdir()
     _, bench = _phase_one_configs(tmp_path / "b", {"epochs": 2}, diverge)
@@ -721,13 +721,67 @@ def test_json_file_that_is_not_utf_8_names_its_path(tmp_path, workspace, capsys,
     assert not (tmp_path / "out" / "scores.csv").exists()
 
 
-def test_unknown_optimizer_is_exit_2(tmp_path, workspace):
-    cfg = write_json(tmp_path / "cfg.json", {"train": {"optimizer": "momentum"}})
+@pytest.fixture
+def blocks_read(monkeypatch):
+    """The CSV blocks read from here on, through a spy on data.read_csv_blocks."""
+    import edenet.data
+    blocks, real = [], edenet.data.read_csv_blocks
+
+    def spy(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(edenet.data, "read_csv_blocks", spy)
+    return blocks
+
+
+def test_unknown_optimizer_is_exit_2(tmp_path, workspace, capsys, blocks_read):
+    """Adam is the one optimizer, so optimizer is not a train key."""
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"optimizer": "adam"}})
     rc = main(["train", "--config", cfg,
                "--data", str(workspace / "synth" / "data.csv"),
                "--schema", str(workspace / "synth" / "schema.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 2
+    assert "error: train has unknown keys: ['optimizer']" in capsys.readouterr().err
+    assert blocks_read == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "meta build", "bench"])
+def test_arch_input_dim_is_refused_before_a_row_is_read(tmp_path, workspace, capsys,
+                                                        blocks_read, command):
+    """The width is the schema's, so input_dim is no arch key: not in the
+    run's arch, nor in a bench method's."""
+    data, schema = str(workspace / "synth" / "data.csv"), str(workspace / "synth" / "schema.json")
+    wide = {"arch": {"input_dim": 5}}
+    cfg = {"train": {"data": data, "schema": schema, **wide},
+           "meta build": {"schema": schema, "tasks": [{"train": data, "test": data}], **wide},
+           "bench": {"data": data, "test_data": data, "schema": schema,
+                     "methods": [{"name": "ede", **wide}]}}[command]
+    args = [*command.split(), "--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert "error: arch input_dim is not a config key" in capsys.readouterr().err
+    assert blocks_read == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["run", "method"])
+def test_bench_refuses_a_train_seed_before_a_row_is_read(tmp_path, workspace, capsys,
+                                                         blocks_read, where):
+    """Each bench cell trains under its seed from seeds, so a train seed,
+    the run's or a method's, would be ignored: it exits 2 instead."""
+    data = str(workspace / "synth" / "data.csv")
+    seeded = {"train": {"epochs": 1, "seed": 5}}
+    cfg = {"data": data, "test_data": data, "schema": str(workspace / "synth" / "schema.json"),
+           "methods": [{"name": "ede", **(seeded if where == "method" else {})}],
+           **(seeded if where == "run" else {})}
+    assert main(["bench", "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "set seeds, not train seed" in capsys.readouterr().err
+    assert blocks_read == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -1476,8 +1530,7 @@ def test_bench_loads_its_csv_pair_once_for_every_seed(tmp_path, monkeypatch):
 def test_divergence_is_exit_3(tmp_path, workspace, capsys):
     cfg = write_json(tmp_path / "cfg.json", {
         "arch": SMALL_CFG["arch"],
-        "train": {"epochs": 2, "batch_size": 16, "optimizer": "sgd",
-                  "lr": 1e200, "seed": 0},
+        "train": {"epochs": 2, "batch_size": 16, "lr": 1e200, "seed": 0},
         "n_members": 1,
     })
     rc = main(["train", "--config", cfg,

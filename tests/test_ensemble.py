@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from edenet.ensemble import (
     update_sample_weights,
     write_trace_csv,
 )
-from edenet.errors import ConfigError, ShapeError, TrainingDivergedError
+from edenet.errors import ConfigError, ShapeError, TrainingDivergedError, from_fields
 from edenet.layers import Workspace
 from edenet.model import (
     EdeNet,
@@ -58,7 +59,6 @@ def test_train_config_defaults_resolve_iters():
     {"epochs": -1},
     {"batch_size": 0},
     {"iters_per_epoch": 0},
-    {"optimizer": "momentum"},
     {"lr": 0.0},
     {"reweight_eps": 0.0},
     {"beta1": 1.0},
@@ -81,10 +81,11 @@ def test_train_config_zero_epochs_allowed():
 
 
 def test_train_config_dict_round_trip():
-    cfg = TrainConfig(epochs=3, optimizer="sgd", reweight=False, seed=9)
-    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
-    with pytest.raises(ConfigError):
-        TrainConfig.from_dict({"momentum": 0.9})
+    cfg = TrainConfig(epochs=3, lr=0.01, reweight=False, seed=9)
+    assert from_fields(TrainConfig, dataclasses.asdict(cfg), "train") == cfg
+    for unknown in ({"momentum": 0.9}, {"optimizer": "adam"}):
+        with pytest.raises(ConfigError, match=re.escape(f"train has unknown keys: {list(unknown)}")):
+            from_fields(TrainConfig, unknown, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +512,14 @@ def test_single_member_ensemble_matches_direct_loop(reweight):
                          - block_scores(oracle, x))) <= 1e-12
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL], ids=["ff", "lstm"])
-def test_flat_training_is_bit_exact_against_per_array_loop(arch, optimizer):
+def test_flat_training_is_bit_exact_against_per_array_loop(arch):
     """train_ensemble steps one flat vector per member; the oracle steps
     each parameter array on its own. The update is elementwise, so the two
     must agree to the last bit."""
     x = make_rng(32).standard_normal((60, 6))
-    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=5,
-                      optimizer=optimizer, lr=0.01, reweight=True, seed=33)
+    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=5, lr=0.01, reweight=True,
+                      seed=33)
     ens = init_ensemble(make_arch(6, arch), 1, seed=cfg.seed)
     [oracle], _, _ = reference_training(ens, x, cfg)
     train_ensemble(ens, Dataset(features=x), cfg)
@@ -532,18 +532,16 @@ LSTM_TWO_LAYERS = {**LSTM_SMALL, "recurrent_layers": 2}
 
 
 @pytest.mark.parametrize("reweight", [False, True], ids=["plain", "reweight"])
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL, LSTM_TWO_LAYERS],
                          ids=["ff", "lstm1", "lstm2"])
 @pytest.mark.parametrize("n_members", [2, 3, 5])
-def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch,
-                                                               optimizer, reweight):
+def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch, reweight):
     """The members step in lockstep rounds; the oracle steps one member per
     iteration. Every member's parameters and every trace row must agree to
     the last bit, also when the members take uneven numbers of steps."""
     x = make_rng(34).standard_normal((40, 6))
-    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=7, optimizer=optimizer,
-                      lr=0.01, reweight=reweight, seed=35 + n_members)
+    cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=7, lr=0.01,
+                      reweight=reweight, seed=35 + n_members)
     ens = init_ensemble(make_arch(6, arch), n_members, seed=cfg.seed)
     oracle, oracle_trace, picks = reference_training(ens, x, cfg)
     _, trace = train_ensemble(ens, Dataset(features=x), cfg)
@@ -590,12 +588,12 @@ def test_one_diverging_member_fails_where_the_direct_loop_fails(bad_member):
 
 def test_divergence_in_a_later_round_can_come_first():
     """Member 0 is NaN from the start; its first step is iteration 2. An
-    SGD step of lr 1e300 overflows the other members, so member 2, picked
+    Adam step of lr 1e300 overflows the other members, so member 2, picked
     at iterations 0 and 1, diverges at its second step: round 1, but
     iteration 1. The error must name iteration 1."""
     x = make_rng(17).standard_normal((20, 6))
-    cfg = TrainConfig(epochs=1, batch_size=4, iters_per_epoch=9, optimizer="sgd",
-                      lr=1e300, reweight=False, seed=4)
+    cfg = TrainConfig(epochs=1, batch_size=4, iters_per_epoch=9, lr=1e300, reweight=False,
+                      seed=4)
     ens = small_ensemble(3, seed=cfg.seed)
     ens.members[0].flat[...] = np.nan
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:

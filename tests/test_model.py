@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from edenet.data import Dataset, ScalingStats
 from edenet.ensemble import EnsembleModel, ensemble_score, init_ensemble
-from edenet.errors import ConfigError, FormatError, ShapeError
+from edenet.errors import ConfigError, FormatError, ShapeError, from_fields
 from edenet.layers import Workspace
 from edenet.model import (
     ArchSpec,
@@ -71,12 +71,20 @@ def test_arch_spec_validation(bad):
 
 def test_arch_spec_round_trips_through_dict():
     spec = make_arch(9, {"encoder_kind": "lstm", "seq_len": 3, "alpha": 2.0})
-    assert ArchSpec.from_dict(spec.to_dict()) == spec
+    assert from_fields(ArchSpec, spec.to_dict(), "arch") == spec
 
 
 def test_make_arch_rejects_unknown_fields():
     with pytest.raises(ValueError):
         make_arch(5, {"depth": 4})
+
+
+@pytest.mark.parametrize("input_dim", [4, 5])
+def test_make_arch_refuses_an_input_dim_override(input_dim):
+    """The width is make_arch's first argument; an override may not
+    replace it, not even with the same value."""
+    with pytest.raises(ConfigError, match="arch input_dim is not a config key"):
+        make_arch(4, {"input_dim": input_dim})
 
 
 def test_lstm_chunking_covers_input():

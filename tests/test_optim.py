@@ -2,22 +2,8 @@ import numpy as np
 import pytest
 
 from edenet.errors import ShapeError
-from edenet.optim import AdamState, SgdState, adam_step, make_optimizer, sgd_step
+from edenet.optim import AdamState, adam_step
 from oracles import textbook_adam
-
-
-def test_sgd_step_is_exact():
-    p = np.array([[1.0, -2.0], [0.5, 4.0]])
-    state, _ = make_optimizer("sgd", p, lr=0.1)
-    sgd_step(state, p[:1], np.array([[0.5, -1.0]]))
-    assert np.allclose(p, [[0.95, -1.9], [0.5, 4.0]])
-
-
-def test_sgd_shape_mismatch():
-    p = np.zeros((1, 2))
-    state, _ = make_optimizer("sgd", p, lr=0.1)
-    with pytest.raises(ShapeError):
-        sgd_step(state, p, np.zeros((1, 3)))
 
 
 def test_adam_first_step_is_signed_lr():
@@ -25,7 +11,7 @@ def test_adam_first_step_is_signed_lr():
     # lr * g / (|g| + eps) which is lr * sign(g) up to eps
     p = np.ones((1, 3))
     g = np.array([[3.0, -0.01, 1e-6]])
-    state, _ = make_optimizer("adam", p, lr=0.5)
+    state = AdamState(p, lr=0.5)
     adam_step(state, p, g)
     expected = 1.0 - 0.5 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p, expected, atol=1e-12)
@@ -35,7 +21,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_minimizes_quadratic():
     # w^2 from w=1: a few hundred steps at lr 0.01 must cross |w| < 0.5
     w = np.ones((1, 1))
-    state, _ = make_optimizer("adam", w, lr=0.01)
+    state = AdamState(w, lr=0.01)
     for _ in range(200):
         adam_step(state, w, 2.0 * w)
     assert abs(w[0, 0]) < 0.5
@@ -46,7 +32,7 @@ def test_adam_state_counts_steps_and_checks_shapes():
     """A step takes leading rows of the state's block and gradients of
     their shape; anything else is refused and counts no step."""
     p = np.zeros((2, 3))
-    state, _ = make_optimizer("adam", p, lr=0.1)
+    state = AdamState(p, lr=0.1)
     for params, grads in [(p, np.zeros((2, 4))), (p[0], np.zeros(3)),
                           (np.zeros((3, 3)), np.zeros((3, 3))),
                           (np.zeros((2, 4)), np.zeros((2, 4)))]:
@@ -57,21 +43,20 @@ def test_adam_state_counts_steps_and_checks_shapes():
     assert state.step == [1, 0]
 
 
-def test_make_optimizer_dispatch():
-    p = np.zeros((2, 2))
-    state, step = make_optimizer("adam", p, lr=0.1)
-    assert isinstance(state, AdamState) and step is adam_step
-    assert state.m.shape == state.v.shape == p.shape and state.step == [0, 0]
-    state, step = make_optimizer("sgd", p, lr=0.1)
-    assert isinstance(state, SgdState) and step is sgd_step
-    with pytest.raises(ValueError):
-        make_optimizer("lbfgs", p, lr=0.1)
+def test_adam_state_starts_at_zero_for_its_block():
+    p = np.ones((2, 3))
+    state = AdamState(p, lr=0.1)
+    assert (state.lr, state.beta1, state.beta2, state.eps) == (0.1, 0.9, 0.999, 1e-8)
+    assert state.step == [0, 0]
+    for arr in (state.m, state.v, *state.scratch):
+        assert arr.shape == p.shape and not np.shares_memory(arr, p)
+    assert not state.m.any() and not state.v.any()
 
 
 def test_adam_deterministic_across_runs():
     def run():
         w = np.array([[0.3, -0.7]])
-        state, _ = make_optimizer("adam", w, lr=0.05)
+        state = AdamState(w, lr=0.05)
         for k in range(50):
             adam_step(state, w, np.sin(w) + k * 0.01)
         return w
@@ -86,8 +71,8 @@ def test_per_row_adam_matches_one_state_per_row():
     rng = np.random.default_rng(5)
     block = rng.standard_normal((3, 4))
     rows = [block[r:r + 1].copy() for r in range(3)]
-    state, _ = make_optimizer("adam", block, lr=0.1)
-    alone = [make_optimizer("adam", row, lr=0.1)[0] for row in rows]
+    state = AdamState(block, lr=0.1)
+    alone = [AdamState(row, lr=0.1) for row in rows]
 
     def step(n):
         g = rng.standard_normal((3, 4))
@@ -115,7 +100,7 @@ HYPER = {"lr": 0.03, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7}
 def test_adam_step_is_the_textbook_update_bit_for_bit():
     rng = np.random.default_rng(7)
     block = rng.standard_normal((3, 5))
-    state, _ = make_optimizer("adam", block, **HYPER)
+    state = AdamState(block, **HYPER)
     p, m, v = block.copy(), np.zeros_like(block), np.zeros_like(block)
     for step in range(1, 7):
         g = rng.standard_normal(block.shape) * 10.0 ** rng.integers(-3, 3)
@@ -130,7 +115,7 @@ def test_per_row_adam_step_is_the_textbook_update_bit_for_bit():
     when a step covers only the leading rows."""
     rng = np.random.default_rng(8)
     block = rng.standard_normal((3, 6))
-    state, _ = make_optimizer("adam", block, **HYPER)
+    state = AdamState(block, **HYPER)
     ref = [(block[r].copy(), np.zeros(6), np.zeros(6)) for r in range(3)]
     counts = [0, 0, 0]
     for n in (3, 3, 2, 1, 3, 2):
