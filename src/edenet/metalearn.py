@@ -13,15 +13,14 @@ measure.
 
 from __future__ import annotations
 
-import os
 import warnings
-from collections import deque
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import forkpool
 from .data import Dataset, read_number_table, write_table
 from .ensemble import EpochTrace, TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from .errors import UndefinedAurocError
@@ -132,59 +131,16 @@ def run_cell(task: MetaTask, spec: ArchSpec, n_members: int, cfg: TrainConfig
 Cell = tuple[MetaTask, ArchSpec, int, TrainConfig]
 
 
-def cell_workers(n_cells: int) -> int:
-    """How many processes run n_cells cells: one per CPU this process may
-    run on, at most one per cell, and one off Linux."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_cells)
-
-
-_worker_cells: list[Cell] = []  # a pool worker's copy of the cell list
-
-
-def _take_cells(cells: list[Cell]) -> None:
-    global _worker_cells
-    _worker_cells = cells
-
-
-def _run_cell_at(index: int) -> tuple[np.ndarray, list[EpochTrace]]:
-    return run_cell(*_worker_cells[index])
-
-
 def run_cells(cells: list[Cell]) -> Iterator[tuple[np.ndarray, list[EpochTrace]]]:
     """run_cell's (scores, trace) for each (task, spec, n_members, cfg)
     cell, yielded in cell order. Cells share nothing, so they run in
-    cell_workers(len(cells)) processes, in this one when that is 1. Pool
-    workers are forked, so they inherit the cells and no task is pickled;
-    each gets a cell index and sends back its result. The first cell to
-    fail, in cell order, raises its own exception here. Then, or when the
-    caller closes the iterator early, the workers are stopped and joined,
-    and no further cell runs."""
-    workers = cell_workers(len(cells))
-    if workers <= 1:
-        for cell in cells:
-            yield run_cell(*cell)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork is safe while no thread runs: edenet starts none, and a fork
-    # pool starts every worker before its own thread (CPython gh-90622)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_take_cells, initargs=(cells,))
-    try:
-        pending = deque(pool.submit(_run_cell_at, i) for i in range(len(cells)))
-        while pending:  # a result is dropped here once it is yielded
-            yield pending.popleft().result()
-    except BaseException:  # a failed cell, or GeneratorExit from an early close
-        # stop the cells already handed to a worker, which shutdown would
-        # wait for; ProcessPoolExecutor has no public call for it before 3.14
-        for proc in list(pool._processes.values()):
-            proc.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    forkpool.workers(len(cells)) forked processes, in this one when that
+    is 1 (forkpool.ordered_map): the workers inherit the cells, so no task
+    is pickled. The first cell to fail, in cell order, raises its own
+    exception here. Then, or when the caller closes the iterator early,
+    the workers are stopped and joined, and no further cell runs. A cell's
+    ensemble_score runs in its worker, which starts no pool of its own."""
+    return forkpool.ordered_map(lambda cell: run_cell(*cell), cells)
 
 
 def build_meta_dataset(tasks: list[MetaTask], candidates: list[int],

@@ -17,8 +17,8 @@ from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot
 from edenet.data import (BLOCK_ROWS, Dataset, ScalingStats, apply_scale, expanded_meta,
                          fit_scale, load_csv, load_schema, load_training_rows,
                          read_number_table, scaling_to_dict, schema_from_dict)
-from edenet.ensemble import (EnsembleModel, TrainConfig, ensemble_score, init_ensemble,
-                             train_ensemble)
+from edenet.ensemble import (POOL_MIN_BLOCKS, EnsembleModel, TrainConfig, ensemble_score,
+                             init_ensemble, train_ensemble)
 from edenet.errors import ShapeError
 from edenet.model import ArchSpec, EdeNet, make_arch, normalize_scores
 from edenet.modelfile import load_model, save_model
@@ -480,6 +480,25 @@ def test_phase_one_outputs_are_the_same_bytes_serial_and_pooled(tmp_path, cpus):
             "meta/meta.csv", "bench/bench_table.csv", "bench/plot_data.csv",
             *(f"bench/{cell}" for cell in cells)]}
     assert written[1] == written[2]
+
+
+def test_score_is_the_same_bytes_serial_and_pooled(workspace, tmp_path, cpus, pools):
+    """An input of more than 2 * POOL_MIN_BLOCKS blocks, the last one
+    partial, scores in two forked workers to the bytes of one process."""
+    n_rows = 2 * POOL_MIN_BLOCKS * BLOCK_ROWS + 500
+    assert main(["synth", "--out", str(tmp_path / "big"), "--d", "4",
+                 "--n-normal", str(n_rows - 50), "--n-anomaly", "50", "--seed", "2"]) == 0
+    written = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert main(["score", "--model", str(workspace / "train" / "model.json"),
+                     "--data", str(tmp_path / "big" / "data.csv"),
+                     "--schema", str(tmp_path / "big" / "schema.json"), "--out", str(out)]) == 0
+        written[n_cpus] = (out / "scores.csv").read_bytes()
+    assert pools() == [(os.getpid(), 2)]
+    assert written[1] == written[2]
+    assert written[1].count(b"\n") == n_rows + 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1552,8 +1571,9 @@ def test_unwritable_output_dir_is_exit_4(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy():
     """The runtime needs numpy alone; scipy serves only as a test oracle.
-    The Phase I cell runner imports its process pool only when it starts
-    one, so no command pays for it at startup."""
+    forkpool, which runs Phase I cells and scoring blocks, imports its
+    process pool only when it starts one, so no command pays for it at
+    startup."""
     import edenet
 
     src = str(Path(edenet.__file__).resolve().parents[1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edenet import forkpool
 from edenet.data import Dataset, apply_scale, fit_scale
 from edenet.ensemble import TrainConfig, ensemble_score, init_ensemble, train_ensemble
 from edenet.errors import CsvParseError, ShapeError, TrainingDivergedError
@@ -14,7 +15,6 @@ from edenet.metalearn import (
     MetaRecord,
     MetaTask,
     build_meta_dataset,
-    cell_workers,
     extract_meta_features,
     load_meta_csv,
     pearson_skewness,
@@ -234,9 +234,13 @@ def test_run_cell_holds_the_test_rows_to_the_training_columns():
 
 
 def test_worker_count_is_the_affinity_capped_at_the_cell_count(cpus):
+    """Cells run in forkpool.workers(cells); with min_units, each worker
+    gets at least that many units, and there is always one worker."""
     for n_cpus, expected in ((10_000, 9), (2, 2), (1, 1)):
         cpus(n_cpus)
-        assert cell_workers(9) == expected
+        assert forkpool.workers(9) == expected
+    cpus(10_000)
+    assert [forkpool.workers(n, 4) for n in (0, 3, 4, 8, 9, 40)] == [1, 1, 1, 2, 2, 10]
     assert multiprocessing.active_children() == []
 
 
