@@ -20,13 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from edenet.atomic import atomic_write_json
+from edenet.cli import RunConfig
 from edenet.data import fit_scale, load_csv, load_schema, split_normal_train
 from edenet.ensemble import TrainConfig
+from edenet.errors import ConfigError
 from edenet.metalearn import MetaTask, run_cell
 from edenet.metrics import evaluate, save_report_json
 from edenet.model import make_arch
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def seed_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def parse_args() -> argparse.Namespace:
@@ -39,14 +45,23 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--batch-size", type=int, default=256)
     ap.add_argument("--train-fraction", type=float, default=0.8)
-    ap.add_argument("--seeds", default="0,1,2")
+    ap.add_argument("--seeds", type=seed_list, default="0,1,2",
+                    help="comma-separated seeds: nonempty, each >= 0, none repeated")
     ap.add_argument("--max-rows", type=int, default=None,
-                    help="optional cap on parsed rows for quick smoke runs")
+                    help="keep only the first N rows for quick smoke runs; "
+                         "the whole file is still parsed")
     return ap.parse_args()
 
 
 def main() -> int:
     args = parse_args()
+    try:
+        if not args.seeds:
+            raise ConfigError("--seeds needs at least one seed")
+        RunConfig(seeds=args.seeds)  # the CLI's rule: each >= 0, none repeated
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     data_path = Path(args.data)
     if not data_path.exists():
         print(f"error: dataset not found at {data_path}; download "
@@ -64,7 +79,7 @@ def main() -> int:
           f"({int(ds.labels.sum())} anomalies) in {time.time() - t0:.1f}s")
 
     aurocs = []
-    for seed in [int(v) for v in args.seeds.split(",") if v.strip()]:
+    for seed in args.seeds:
         t0 = time.time()
         train, test = split_normal_train(ds, args.train_fraction, seed=seed)
         task = MetaTask(fit_scale(train), test)

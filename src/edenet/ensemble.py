@@ -38,6 +38,10 @@ from .model import (
 from .optim import AdamState, adam_step
 from .rng import make_rng, spawn_seeds
 
+# added to the min-max normalized scores before they become sampling
+# weights, so every training row keeps a floor probability
+REWEIGHT_EPS = 0.05
+
 
 @dataclass(frozen=True)
 class EnsembleModel:
@@ -76,8 +80,9 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the ensemble training loop, whose optimizer is Adam at
-    lr, beta1, beta2 and eps.
+    """Knobs for the ensemble training loop. Its optimizer is Adam at lr
+    and optim's fixed BETA1, BETA2 and EPS; its reweight pass floors the
+    weights with REWEIGHT_EPS.
 
     iters_per_epoch defaults to I * ceil(N / batch_size) so each member
     sees roughly one pass over the data per epoch in expectation. epochs
@@ -88,11 +93,7 @@ class TrainConfig:
     batch_size: int = 64
     iters_per_epoch: int | None = None
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     reweight: bool = True
-    reweight_eps: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -105,13 +106,6 @@ class TrainConfig:
             raise ConfigError("iters_per_epoch must be >= 1 when given")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if self.reweight_eps <= 0:
-            raise ConfigError("reweight_eps must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -268,7 +262,7 @@ def ensemble_score(ensemble: EnsembleModel, x: Dataset,
     return total / ensemble.size
 
 
-def update_sample_weights(scores: np.ndarray, eps: float = 0.05) -> SampleWeights:
+def update_sample_weights(scores: np.ndarray, eps: float = REWEIGHT_EPS) -> SampleWeights:
     """Turn raw ensemble scores into a sampling distribution.
 
     Scores are min-max normalized, shifted by eps so every sample keeps a
@@ -367,7 +361,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     row_member = np.arange(size)
     block = np.stack([m.flat for m in ensemble.members])
     grad_block = np.empty_like(block)
-    state = AdamState(block, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState(block, lr=cfg.lr)
     stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
     work = Workspace()
 
@@ -385,7 +379,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
                 # per-sample scores are encoding losses, so treat this as
                 # divergence at the epoch boundary, not a weight error
                 raise TrainingDivergedError(epoch, 0, float(np.mean(scores)))
-            weights = update_sample_weights(scores, cfg.reweight_eps)
+            weights = update_sample_weights(scores)
 
         who, batches = _epoch_schedule(member_rng, batch_rng, size, iters, n,
                                        cfg.batch_size, weights)

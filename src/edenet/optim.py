@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ShapeError
 
+# Adam's moment decays and denominator term: Kingma & Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -26,9 +29,6 @@ class AdamState:
 
     block: InitVar[np.ndarray]
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: list[int] = field(init=False)
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -50,13 +50,14 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     """One Adam update applied in place to params, the first n rows of the
     block the state was made for; only those rows' counts advance by 1.
 
-    The update is the textbook one, m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*g*g, p -= lr * (m / bias1) / (sqrt(v / bias2) + eps),
-    computed in that operation order into the state's scratch blocks.
+    The update is the textbook one at b1, b2, eps = BETA1, BETA2, EPS:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), computed in that
+    operation order into the state's scratch blocks.
     """
     if params.shape != grads.shape or params.shape != state.m[:len(params)].shape:
         raise ShapeError(f"{params.shape}/{grads.shape} are not leading rows of {state.m.shape}")
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     n = len(params)
     state.step[:n] = [s + 1 for s in state.step[:n]]
     # one Python float per row, the bits of the textbook 1 - beta ** step
@@ -74,6 +75,6 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     t *= state.lr
     np.divide(v, bias2, out=u)
     np.sqrt(u, out=u)
-    u += state.eps
+    u += EPS
     t /= u
     params -= t

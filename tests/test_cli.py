@@ -768,6 +768,29 @@ def test_unknown_optimizer_is_exit_2(tmp_path, workspace, capsys, blocks_read):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "beta1", 0.9),
+    ("train", "beta2", 0.999),
+    ("train", "eps", 1e-8),
+    ("train", "reweight_eps", 0.05),
+    ("bench", "beta1", 0.9),
+])
+def test_deleted_train_key_is_exit_2(tmp_path, workspace, capsys, blocks_read,
+                                    command, key, value):
+    """Adam's decays, its denominator term and the reweighting floor are
+    constants, so none of them is a train key: not in the run's train, nor
+    in a bench method's."""
+    data, schema = str(workspace / "synth" / "data.csv"), str(workspace / "synth" / "schema.json")
+    cfg = {"train": {"data": data, "schema": schema, "train": {key: value}},
+           "bench": {"data": data, "test_data": data, "schema": schema,
+                     "methods": [{"name": "ede", "train": {key: value}}]}}[command]
+    args = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: train has unknown keys: ['{key}']" in capsys.readouterr().err
+    assert blocks_read == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "meta build", "bench"])
 def test_arch_input_dim_is_refused_before_a_row_is_read(tmp_path, workspace, capsys,
                                                         blocks_read, command):

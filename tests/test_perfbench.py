@@ -7,14 +7,17 @@ against the package, importing spans.py by path. A function that the
 commands no longer call would only show as a span that reads 0 calls on
 every workload; this runs each command once under spans.py's Tracer.
 
-perfbench/gen.py and perfbench/worker.py call edenet with argument lists.
-A flag the parser no longer takes would only show as a drop in a
-workload's ok_frac; this checks each flag against the parser, reading the
-two files with ast without running them.
+perfbench/gen.py and perfbench/worker.py call edenet with argument lists,
+and gen.py writes config files. A flag the parser no longer takes, or a
+config key it no longer reads, would only show as a drop in a workload's
+ok_frac; this checks each flag against the parser and each top-level,
+train and arch key against the fields of RunConfig, TrainConfig and
+ArchSpec, reading the two files with ast without running them.
 """
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -22,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from edenet.cli import build_parser, main
+from edenet.cli import RunConfig, build_parser, main
+from edenet.ensemble import TrainConfig
+from edenet.model import ArchSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -100,6 +105,46 @@ def test_the_checked_calls_include_scores_scaling_flag():
 def test_each_flag_perfbench_passes_is_taken_by_its_subcommand(command, flag):
     _, unknown = build_parser().parse_known_args([*command.split(), flag, "1"])
     assert flag not in unknown
+
+
+def _config_keys(path: Path) -> set[tuple[str, str, str]]:
+    """(function, section, key) for each key of every dict literal that a
+    function writes with write_json to a "...config.json" path: section ""
+    for the top level, and "train" or "arch" for the keys of the dict
+    literal under that top-level key."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "write_json" and isinstance(call.args[1], ast.Dict)
+                    and any(s.endswith("config.json") for s in _strings(ast.walk(call.args[0])))):
+                continue
+            for key, value in zip(call.args[1].keys, call.args[1].values):
+                found.add((func.name, "", key.value))
+                if key.value in ("train", "arch") and isinstance(value, ast.Dict):
+                    found |= {(func.name, key.value, k.value) for k in value.keys}
+    return found
+
+
+CONFIG_KEYS = sorted(_config_keys(PERFBENCH / "gen.py"))
+# the keys each section takes; the width is the data's, so input_dim is none
+SECTION_KEYS = {"": {f.name for f in dataclasses.fields(RunConfig)},
+                "train": {f.name for f in dataclasses.fields(TrainConfig)},
+                "arch": {f.name for f in dataclasses.fields(ArchSpec)} - {"input_dim"}}
+
+
+def test_the_checked_configs_cover_each_section_and_workload():
+    assert {section for _, section, _ in CONFIG_KEYS} == set(SECTION_KEYS)
+    assert {func for func, _, _ in CONFIG_KEYS} == {"gen_train_lstm", "gen_train_kdd",
+                                                     "gen_meta_loop"}
+
+
+@pytest.mark.parametrize("func, section, key", CONFIG_KEYS,
+                         ids=[f"{f} {s or 'top'}.{k}" for f, s, k in CONFIG_KEYS])
+def test_each_config_key_perfbench_writes_is_read(func, section, key):
+    assert key in SECTION_KEYS[section]
 
 
 # traced, but entered by no command: training files are scaled as they are

@@ -6,20 +6,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import edenet
 from kdd_shaped import write_kdd_rows
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, returncode=0):
     src = str(Path(edenet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in [src, os.environ.get("PYTHONPATH")] if p)}
     done = subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    assert done.returncode == returncode, done.stderr
+    return done
 
 
 def test_run_synthetic_benchmark(tmp_path):
@@ -36,7 +38,7 @@ def test_run_meta_selection(tmp_path):
     out = tmp_path / "meta"
     stdout = run_script("run_meta_selection.py", "--out", str(out),
                         "--task-sizes", "30,40", "--candidates", "1,2",
-                        "--epochs", "1", "--d", "3", cwd=tmp_path)
+                        "--epochs", "1", "--d", "3", cwd=tmp_path).stdout
     assert len((out / "build" / "meta.csv").read_text().splitlines()) == 1 + 4
     assert (out / "fit" / "meta_model.json").exists()
     selection = json.loads((out / "select" / "selection.json").read_text())
@@ -54,3 +56,21 @@ def test_run_kdd99(tmp_path):
     report = json.loads((out / "report_seed0.json").read_text())
     assert summary["per_seed_auroc"] == [report["auroc"]]
     assert 0.0 <= report["auroc"] <= 1.0
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("0,0", "seeds lists 0 more than once"),
+    ("", "--seeds needs at least one seed"),
+    ("-1", "seeds[0] must be >= 0, got -1"),
+], ids=["repeated", "empty", "negative"])
+def test_run_kdd99_refuses_bad_seeds_before_reading_data(tmp_path, seeds, message):
+    """--seeds follows the CLI's rule for seeds, checked before the data
+    file is parsed."""
+    data = tmp_path / "kdd.data"
+    write_kdd_rows(data, 150, seed=0, header=False)
+    out = tmp_path / "kdd"
+    done = run_script("run_kdd99.py", "--data", str(data), "--out", str(out),
+                      "--epochs", "1", "--seeds", seeds, cwd=tmp_path, returncode=2)
+    assert f"error: {message}" in done.stderr
+    assert "parsing" not in done.stdout
+    assert not out.exists()
