@@ -15,12 +15,13 @@ held-out remainder.
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from edenet.atomic import atomic_write_json
-from edenet.cli import RunConfig
+from edenet.cli import RunConfig, _int_list
 from edenet.data import fit_scale, load_csv, load_schema, split_normal_train
 from edenet.ensemble import TrainConfig
 from edenet.errors import ConfigError
@@ -29,10 +30,6 @@ from edenet.metrics import evaluate, save_report_json
 from edenet.model import make_arch
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def seed_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def parse_args() -> argparse.Namespace:
@@ -45,7 +42,7 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--batch-size", type=int, default=256)
     ap.add_argument("--train-fraction", type=float, default=0.8)
-    ap.add_argument("--seeds", type=seed_list, default="0,1,2",
+    ap.add_argument("--seeds", type=_int_list, default="0,1,2",
                     help="comma-separated seeds: nonempty, each >= 0, none repeated")
     ap.add_argument("--max-rows", type=int, default=None,
                     help="keep only the first N rows for quick smoke runs; "
@@ -53,12 +50,24 @@ def parse_args() -> argparse.Namespace:
     return ap.parse_args()
 
 
+def check_settings(args: argparse.Namespace) -> TrainConfig:
+    """The training settings, once every flag is checked; ConfigError
+    names the first bad one."""
+    if not args.seeds:
+        raise ConfigError("--seeds needs at least one seed")
+    # the CLI's rules: each seed >= 0, none repeated, and I >= 1
+    RunConfig(seeds=args.seeds, n_members=args.members)
+    if not 0 < args.train_fraction < 1:
+        raise ConfigError("--train-fraction must lie in (0, 1)")
+    if args.max_rows is not None and args.max_rows < 1:
+        raise ConfigError("--max-rows must be >= 1")
+    return TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
+
+
 def main() -> int:
     args = parse_args()
     try:
-        if not args.seeds:
-            raise ConfigError("--seeds needs at least one seed")
-        RunConfig(seeds=args.seeds)  # the CLI's rule: each >= 0, none repeated
+        tc = check_settings(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -84,8 +93,7 @@ def main() -> int:
         train, test = split_normal_train(ds, args.train_fraction, seed=seed)
         task = MetaTask(fit_scale(train), test)
         scores, _ = run_cell(task, make_arch(task.train.n_features), args.members,
-                             TrainConfig(epochs=args.epochs,
-                                         batch_size=args.batch_size, seed=seed))
+                             replace(tc, seed=seed))
         report = evaluate(scores, task.test.labels, q=0.2)
         save_report_json(report, out / f"report_seed{seed}.json")
         aurocs.append(report.auroc)

@@ -17,15 +17,15 @@ import sys
 from pathlib import Path
 
 from edenet.atomic import atomic_write_json
-from edenet.cli import main as edenet_main
+from edenet.cli import _int_list, main as edenet_main
 
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/meta_selection")
-    ap.add_argument("--task-sizes", default="200,400,600,800",
+    ap.add_argument("--task-sizes", type=_int_list, default="200,400,600,800",
                     help="training rows per generated task")
-    ap.add_argument("--candidates", default="1,3,5,7,10,15")
+    ap.add_argument("--candidates", type=_int_list, default="1,3,5,7,10,15")
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--d", type=int, default=8, help="feature dimension")
     ap.add_argument("--shift", type=float, default=3.0)
@@ -47,10 +47,9 @@ def synth(out_dir: Path, n_normal: int, n_anomaly: int, args, seed: int) -> Path
 def main() -> int:
     args = parse_args()
     out = Path(args.out)
-    sizes = [int(v) for v in args.task_sizes.split(",") if v.strip()]
 
     tasks = []
-    for idx, n in enumerate(sizes):
+    for idx, n in enumerate(args.task_sizes):
         train_dir = synth(out / f"task{idx}_train", n, 0, args,
                           seed=args.seed * 1000 + 2 * idx)
         test_dir = synth(out / f"task{idx}_test", 200, 50, args,
@@ -63,7 +62,7 @@ def main() -> int:
     atomic_write_json(build_cfg, {
         "schema": str(out / "task0_train" / "schema.json"),
         "tasks": tasks,
-        "candidates": [int(v) for v in args.candidates.split(",") if v.strip()],
+        "candidates": args.candidates,
         "train": {"epochs": args.epochs, "batch_size": 64, "seed": args.seed},
         "out": str(out / "build"),
     })
@@ -83,7 +82,7 @@ def main() -> int:
         "--model", str(out / "fit" / "meta_model.json"),
         "--data", str(held_out / "data.csv"),
         "--schema", str(held_out / "schema.json"),
-        "--candidates", args.candidates,
+        "--candidates", ",".join(map(str, args.candidates)),
         "--out", str(out / "select"),
     ])
 

@@ -12,16 +12,16 @@ import sys
 from pathlib import Path
 
 from edenet.atomic import atomic_write_json
-from edenet.cli import main as edenet_main
+from edenet.cli import _int_list, main as edenet_main
 
 
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/synthetic_benchmark",
                     help="output directory (default %(default)s)")
-    ap.add_argument("--members", default="1,3,5", metavar="I1,I2,...",
+    ap.add_argument("--members", type=_int_list, default="1,3,5", metavar="I1,I2,...",
                     help="ensemble sizes to compare (default %(default)s)")
-    ap.add_argument("--seeds", default="0,1,2,3,4",
+    ap.add_argument("--seeds", type=_int_list, default="0,1,2,3,4",
                     help="replication seeds (default %(default)s)")
     ap.add_argument("--epochs", type=int, default=20)
     ap.add_argument("--d", type=int, default=10, help="feature dimension")
@@ -33,14 +33,13 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> int:
     args = parse_args()
-    members = [int(v) for v in args.members.split(",") if v.strip()]
     config = {
         "synthetic": {"d": args.d, "n_train": args.n_train,
                       "n_test_normal": 400, "n_test_anomaly": 100,
                       "shift": args.shift},
-        "methods": [{"name": f"ede_I{i}", "n_members": i} for i in members],
+        "methods": [{"name": f"ede_I{i}", "n_members": i} for i in args.members],
         "train": {"epochs": args.epochs, "batch_size": 64},
-        "seeds": [int(v) for v in args.seeds.split(",") if v.strip()],
+        "seeds": args.seeds,
         "out": args.out,
     }
     cfg_path = Path(args.out) / "benchmark_config.json"

@@ -214,14 +214,8 @@ def cmd_score(cfg: RunConfig) -> int:
     if not isinstance(ens, EnsembleModel):
         raise ConfigError("model file does not hold an ensemble")
     schema = load_schema(_require(cfg.schema, "schema path"))
-    stats = None if cfg.scaling is None else load_scaling(
-        _require(cfg.scaling, "scaling stats path"))
-    if stats is not None and ens.columns is None and ens.scaling is None:
-        if stats.col_min.size != ens.spec.input_dim:  # checked here to name the file
-            raise ConfigError(f"scaling file {cfg.scaling} holds {stats.col_min.size} columns, "
-                              f"model expects {ens.spec.input_dim}")
-        ens = replace(ens, scaling=stats)  # a file that records no input: complete its record
-    elif stats is not None and stats != ens.scaling:
+    if cfg.scaling is not None and load_scaling(  # only checked: the model scales
+            _require(cfg.scaling, "scaling stats path")) != ens.scaling:
         raise ConfigError(f"scaling file {cfg.scaling} does not hold the model's own scaling"
                           + ("" if ens.scaling else ", which is none (trained unscaled)"))
     check_input_names(ens, expanded_meta(schema), "input")  # the names load_csv will give
@@ -583,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file from train")
     p.add_argument("--data", help="CSV to score")
     p.add_argument("--schema", help="schema JSON")
-    p.add_argument("--scaling", help="scaling.json, for a model file that records none")
+    p.add_argument("--scaling", help="scaling.json; must hold the stats the model records")
 
     p = command(sub, "eval", cmd_eval, "metrics from a score CSV and labels")
     p.add_argument("--scores", help="score CSV from score")

@@ -49,8 +49,8 @@ class EnsembleModel:
     expanded column names, which ensemble_score holds its input's names
     to, and its min-max stats (None if unscaled), which it applies.
     train_ensemble records both. columns None means an ensemble built in
-    code and not yet trained, or an older file, which edenet score gives
-    the stats of --scaling. Frozen, so the fields keep the checks below."""
+    code and not yet trained, which records no scaling either and which
+    save_model refuses. Frozen, so the fields keep the checks below."""
 
     spec: ArchSpec
     members: list[EdeNet]
@@ -67,6 +67,8 @@ class EnsembleModel:
                 raise ValueError("all members must share the ensemble arch")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
+        elif self.scaling is not None:
+            raise ValueError("ensemble scaling needs the columns it scales")
         d = self.spec.input_dim
         for what, n in (("column names", self.columns),
                         ("scaling stats", self.scaling and self.scaling.col_min)):

@@ -2,12 +2,12 @@
 
 One tagged-JSON format covers ensembles and the Phase II kernel regressor
 (the meta-learner). A document is the header {"format", "format_version",
-"kind"} followed by that kind's payload; an ensemble's records its input
-(columns, scaling) before its members. The "ede" kind, one net, is only
-read, as a one-member ensemble. Floats go through Python's shortest-roundtrip
-repr, so a save/load/save cycle is byte-identical and parameters reload
-bit-exact. An ensemble's parameter arrays are encoded and written one at
-a time, into the bytes json.dumps gives for the whole document.
+"kind"} followed by that kind's payload; an ensemble's must record its
+input (columns, and scaling or null) before its members. Floats go through
+Python's shortest-roundtrip repr, so a save/load/save cycle is
+byte-identical and parameters reload bit-exact. An ensemble's parameter
+arrays are encoded and written one at a time, into the bytes json.dumps
+gives for the whole document.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .atomic import atomic_open
 from .data import scaling_from_dict, scaling_to_dict
 from .ensemble import EnsembleModel
-from .errors import FormatError, from_fields, read_json
+from .errors import FormatError, check_fields, from_fields, read_json
 from .model import ArchSpec, net_from_payload
 from .svr import SvrModel, svr_from_dict, svr_to_dict
 
@@ -27,29 +27,22 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class _EdePayload:
-    arch: dict
-    params: dict
-
-
-@dataclass(frozen=True)
 class _EnsemblePayload:
+    seed: int
     arch: dict
+    columns: list[str]
+    scaling: dict | None
     members: list
-    seed: int = 0  # these three are absent from files that predate them
-    columns: list | None = None
-    scaling: dict | None = None
 
-
-def _ede_from_dict(doc: dict) -> EnsembleModel:
-    p = from_fields(_EdePayload, doc, "ede")
-    spec = from_fields(ArchSpec, p.arch, "arch")
-    return EnsembleModel(spec, [net_from_payload(spec, p.params)])
+    def __post_init__(self):
+        check_fields(self, "ensemble")
 
 
 def _ensemble_to_dict(ens: EnsembleModel) -> dict:
     """The payload; its last key, members, holds the nets themselves, for
     save_model to encode one parameter array at a time."""
+    if ens.columns is None:
+        raise ValueError("cannot save an ensemble that records no columns (not yet trained)")
     return {"seed": ens.seed, "arch": ens.spec.to_dict(),
             "columns": ens.columns,
             "scaling": None if ens.scaling is None else scaling_to_dict(ens.scaling),
@@ -65,7 +58,7 @@ def _ensemble_from_dict(doc: dict) -> EnsembleModel:
 
 
 # kind -> payload decoder, and written kind -> (class, payload encoder)
-_READERS = {"ede": _ede_from_dict, "ensemble": _ensemble_from_dict, "svr": svr_from_dict}
+_READERS = {"ensemble": _ensemble_from_dict, "svr": svr_from_dict}
 _WRITERS = {"ensemble": (EnsembleModel, _ensemble_to_dict), "svr": (SvrModel, svr_to_dict)}
 
 

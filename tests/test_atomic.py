@@ -1,4 +1,5 @@
 import builtins
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def disk_full(monkeypatch):
 
 
 def _model(seed):
-    return init_ensemble(make_arch(3, {"hidden_sizes": [4, 3], "latent_dim": 2}),
-                         2, seed=seed)
+    ens = init_ensemble(make_arch(3, {"hidden_sizes": [4, 3], "latent_dim": 2}), 2, seed=seed)
+    return replace(ens, columns=["x0", "x1", "x2"])
 
 
 def _meta_records(auroc):

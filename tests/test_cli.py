@@ -712,15 +712,15 @@ def test_a_repeated_seed_or_candidate_is_exit_2_before_a_file_is_read(
 
 
 def test_scaling_of_another_width_names_its_file(tmp_path, workspace, capsys):
-    """--scaling that completes the record of a 4-input file that records
-    no input, with stats for 5 columns."""
+    """--scaling with stats for 5 columns, given with a 4-input model file:
+    --scaling only checks the stats the model records."""
     scaling = write_json(tmp_path / "scaling.json",
                          scaling_to_dict(ScalingStats(np.zeros(5), np.ones(5))))
     assert main(["score", "--model", str(FIXTURES / "ede_net.json"),
                  "--data", str(workspace / "synth" / "data.csv"),
                  "--schema", str(workspace / "synth" / "schema.json"), "--scaling", scaling,
                  "--out", str(tmp_path / "out")]) == 2
-    assert (f"error: scaling file {scaling} holds 5 columns, model expects 4"
+    assert (f"error: scaling file {scaling} does not hold the model's own scaling"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
@@ -1042,20 +1042,24 @@ def _score(workspace, tmp_path, model, scaling=None):
 def test_score_of_a_lone_net_is_its_anomaly_score(tmp_path, arch):
     """A model file holding one net scores to the bytes its block-by-block
     anomaly_score gives, over two full blocks of rows and a partial one:
-    the committed "ede" file (a feed-forward net, arch None) or a
-    one-member ensemble."""
+    the committed feed-forward file, which records scaling (arch None), or
+    an unscaled one-member ensemble."""
     rows = tiny_synth(tmp_path, "rows", 2 * BLOCK_ROWS + 352, 100, 4)
     if arch is None:
         model = FIXTURES / "ede_net.json"
-        net, = load_model(model).members
+        ens = load_model(model)
     else:
         model = tmp_path / "net.json"
         net = EdeNet.initialize(make_arch(4, arch), np.random.default_rng(6))
-        save_model(EnsembleModel(net.spec, [net]), model)
+        ens = EnsembleModel(net.spec, [net], columns=[f"x{i}" for i in range(4)])
+        save_model(ens, model)
     assert main(["score", "--model", str(model),
                  "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
                  "--out", str(tmp_path / "score")]) == 0
     ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"))
+    if ens.scaling is not None:
+        ds = apply_scale(ds, ens.scaling)
+    net, = ens.members
     expect = block_scores(net, ds.features)
     _write_scores(tmp_path / "expect.csv", expect, normalize_scores(expect))
     assert ((tmp_path / "score" / "scores.csv").read_bytes()
@@ -1252,6 +1256,36 @@ def test_malformed_model_file_is_exit_2(tmp_path, workspace, capsys, changes):
     assert "error:" in capsys.readouterr().err
 
 
+def _ede_file(doc):
+    head = {key: doc[key] for key in ("format", "format_version", "arch")}
+    return {**head, "kind": "ede", "params": doc["members"][0]}, "unknown model kind 'ede'"
+
+
+def _without_columns(doc):
+    del doc["columns"]
+    return doc, "ensemble is missing keys: ['columns']"
+
+
+def _null_columns(doc):
+    return {**doc, "columns": None, "scaling": None}, "ensemble columns must be list, got None"
+
+
+def _scaling_without_columns(doc):
+    return {**doc, "columns": None}, "ensemble columns must be list, got None"
+
+
+@pytest.mark.parametrize("edit", [_ede_file, _without_columns, _null_columns,
+                                  _scaling_without_columns],
+                         ids=["ede", "no-columns", "null-columns", "scaling-without-columns"])
+def test_model_file_that_records_no_input_is_exit_2(tmp_path, workspace, capsys, edit):
+    """A model file must record the columns it was trained on. Such a file
+    used to score any columns of its width, under any names."""
+    doc, message = edit(json.loads((workspace / "train" / "model.json").read_text()))
+    assert _score(workspace, tmp_path, write_json(tmp_path / "model.json", doc)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _first_parameter_row(doc: dict) -> tuple[str, list]:
     """The first member's first parameter's name and its first row of numbers."""
     name, values = next(iter(doc["members"][0].items()))
@@ -1384,28 +1418,6 @@ def test_ensemble_file_with_a_renamed_seed_is_exit_2(tmp_path, workspace, capsys
     assert not (tmp_path / "out" / "scores.csv").exists()
 
 
-def test_scaling_that_moves_a_one_hot_column_off_0_and_1_is_exit_2(tmp_path, capsys):
-    """A one-hot column is 0 or 1 after scaling: stats with another span
-    are refused, naming the column, before anything is scored."""
-    schema = {"columns": [{"name": "size"},
-                          {"name": "color", "type": "categorical",
-                           "values": ["red", "green", "blue"]}]}
-    (tmp_path / "data.csv").write_text("size,color\n1,red\n2,green\n3,blue\n")
-    save_model(init_ensemble(make_arch(4), 1), tmp_path / "model.json")
-    args = ["score", "--model", str(tmp_path / "model.json"),
-            "--data", str(tmp_path / "data.csv"),
-            "--schema", write_json(tmp_path / "schema.json", schema),
-            "--out", str(tmp_path / "out")]
-    scaling = {"col_min": [1, 0, 0, 0], "col_max": [3, 1, 2, 1]}
-    assert main(args + ["--scaling", write_json(tmp_path / "bad.json", scaling)]) == 2
-    assert ("scaling stats map one-hot column 'color=green' off {0, 1}: min 0.0, max 2.0"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out" / "scores.csv").exists()
-    # a zero span zeroes the column, whatever its bounds
-    scaling["col_min"][2] = scaling["col_max"][2] = 5
-    assert main(args + ["--scaling", write_json(tmp_path / "ok.json", scaling)]) == 0
-
-
 def test_scaling_file_with_max_below_min_is_exit_2(tmp_path, workspace, capsys):
     """Such a column used to pass unscaled: its span fell back to 1 and
     the constant-column rule missed it."""
@@ -1418,28 +1430,35 @@ def test_scaling_file_with_max_below_min_is_exit_2(tmp_path, workspace, capsys):
 
 
 def test_model_stats_that_move_a_one_hot_column_off_0_and_1_are_exit_2(tmp_path, capsys):
-    """The refusal of --scaling stats holds for the stats a model file
-    records: a hand-edited model.json is refused, naming the column."""
+    """A one-hot column is 0 or 1 after scaling: a hand-edited model.json
+    whose stats give it another span is refused, naming the column,
+    before anything is scored."""
     schema = {"columns": [{"name": "size"},
                           {"name": "color", "type": "categorical",
                            "values": ["red", "green", "blue"]}]}
     (tmp_path / "data.csv").write_text("size,color\n1,red\n2,green\n3,blue\n")
+    col_min, col_max = np.array([1.0, 0, 0, 0]), np.array([3.0, 1, 2, 1])
     ens = dataclasses.replace(
         init_ensemble(make_arch(4), 1), columns=["size", "color=red", "color=green", "color=blue"],
-        scaling=ScalingStats(np.array([1.0, 0, 0, 0]), np.array([3.0, 1, 2, 1])))
+        scaling=ScalingStats(col_min, col_max))
     save_model(ens, tmp_path / "model.json")
-    assert main(["score", "--model", str(tmp_path / "model.json"),
-                 "--data", str(tmp_path / "data.csv"),
-                 "--schema", write_json(tmp_path / "schema.json", schema),
-                 "--out", str(tmp_path / "out")]) == 2
+    args = ["score", "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / "data.csv"),
+            "--schema", write_json(tmp_path / "schema.json", schema),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
     assert ("scaling stats map one-hot column 'color=green' off {0, 1}: min 0.0, max 2.0"
             in capsys.readouterr().err)
     assert not (tmp_path / "out" / "scores.csv").exists()
+    # a zero span zeroes the column, whatever its bounds
+    col_min[2] = col_max[2] = 5
+    save_model(dataclasses.replace(ens, scaling=ScalingStats(col_min, col_max)),
+               tmp_path / "model.json")
+    assert main(args) == 0
 
 
-def test_scaling_for_a_file_that_records_no_input_makes_no_scaled_copy(tmp_path):
-    """--scaling completes the record of a model file that records no input,
-    and the model scales each block as it scores it: the bytes are those of
+def test_a_model_that_records_scaling_makes_no_scaled_copy(tmp_path):
+    """The model scales each block as it scores it: the bytes are those of
     scoring apply_scale's copy of the rows, but the call holds no such copy
     (it held one, as large as the rows loaded, next to them)."""
     rows = tmp_path / "rows"
@@ -1448,12 +1467,12 @@ def test_scaling_for_a_file_that_records_no_input_makes_no_scaled_copy(tmp_path)
     ds = load_csv(rows / "data.csv", load_schema(rows / "schema.json"), require_labels=False)
     stats = fit_scale(ds.take(np.arange(0, ds.n_rows, 2))).scaling_stats
     ens = init_ensemble(make_arch(16), 1)
-    save_model(ens, tmp_path / "model.json")
+    save_model(dataclasses.replace(ens, columns=ds.feature_names(), scaling=stats),
+               tmp_path / "model.json")
     tracemalloc.start()
     try:
         assert main(["score", "--model", str(tmp_path / "model.json"),
                      "--data", str(rows / "data.csv"), "--schema", str(rows / "schema.json"),
-                     "--scaling", write_json(tmp_path / "scaling.json", scaling_to_dict(stats)),
                      "--out", str(tmp_path / "out")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -57,6 +57,8 @@ SCORE_MODEL = {"train": {"epochs": 2, "batch_size": 16, "seed": 7}, "n_members":
 SCORE_ROWS = 2 * BLOCK_ROWS + 300
 # with or without --scaling: the model applies the scaling it records
 SCORE_SHA = "4c0e8b185f4961411e274af3d62e73bc28296689129fe7732217d64b9d393e30"
+# the same model trained with --no-scale, which scores the raw rows
+RAW_SCORE_SHA = "fac401953eaa96fba92278239e87aa5f434ecec64da2b33f76d06b4c600fe127"
 # the recurrent variant, so the cache-free LSTM loop is pinned too
 LSTM_SCORE_MODEL = {
     "arch": {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 4,
@@ -66,23 +68,22 @@ LSTM_SCORE_MODEL = {
 }
 LSTM_SCORE_SHA = "15b45fd91f7acf8a23a85442448abf113278a4deb13d7bfca9e9c3f689c3052f"
 
-# model files kept as an earlier save_model wrote them, scored over two
-# full blocks and 352 rows. Both were trained 2 epochs on the 90 rows of
-# `edenet synth --d 4 --n-normal 90 --n-anomaly 0 --shift 3.0 --seed 31`,
-# so one scaling.json serves both: ede_net.json is the lone member of a
-# feed-forward I=1 run, written as an "ede" net, and lstm_ensemble.json a
-# two-layer LSTM I=2 run's model.json, with no recorded columns or scaling
+# committed model files, scored over two full blocks and 352 rows. Both
+# were trained 2 epochs on the 90 rows of
+# `edenet synth --d 4 --n-normal 90 --n-anomaly 0 --shift 3.0 --seed 31`
+# and record its columns x0..x3 and the stats of scaling.json:
+# ede_net.json is a feed-forward I=1 ensemble, lstm_ensemble.json a
+# two-layer LSTM I=2 one. With or without --scaling, each scores to the
+# same bytes
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FIXTURE_ROWS = 2 * BLOCK_ROWS + 352
+_EDE_FIXTURE_SHA = "68c2a4319e578124743346b6bed59774a299e5a10aa5e6a5f05a45c289b6d8f2"
+_LSTM_FIXTURE_SHA = "16428e821eb9ea5916826cc4f137a53d31195b4b372cce72d2223e63aa5d4929"
 FIXTURE_SCORE_SHAS = {
-    ("ede_net.json", False):
-        "251a7ef026fe7451b608975880ea6246a0cbde17ed2a61621c919ee0f4de2034",
-    ("ede_net.json", True):
-        "68c2a4319e578124743346b6bed59774a299e5a10aa5e6a5f05a45c289b6d8f2",
-    ("lstm_ensemble.json", False):
-        "15e6d87b8627e83a0881501ee8a31b060d28816bbf5f8e68a47815a18a557405",
-    ("lstm_ensemble.json", True):
-        "16428e821eb9ea5916826cc4f137a53d31195b4b372cce72d2223e63aa5d4929",
+    ("ede_net.json", False): _EDE_FIXTURE_SHA,
+    ("ede_net.json", True): _EDE_FIXTURE_SHA,
+    ("lstm_ensemble.json", False): _LSTM_FIXTURE_SHA,
+    ("lstm_ensemble.json", True): _LSTM_FIXTURE_SHA,
 }
 
 
@@ -118,20 +119,20 @@ def _synth(out, d: int, n_normal: int, n_anomaly: int, seed: int):
     return out
 
 
-def _train(doc: dict, data, out) -> None:
+def _train(doc: dict, data, out, *flags: str) -> None:
     cfg = out.parent / f"{out.name}-cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main(["train", "--config", str(cfg), "--data", str(data / "data.csv"),
-                 "--schema", str(data / "schema.json"), "--out", str(out)]) == 0
+                 "--schema", str(data / "schema.json"), "--out", str(out), *flags]) == 0
 
 
-def _score_sha(doc: dict, tmp_path, scaling: bool) -> str:
-    """sha256 of scores.csv from a model trained on doc, scored over
-    SCORE_ROWS rows: two full blocks and a partial one; with the run's
-    scaling.json given as --scaling when `scaling` is set."""
+def _score_sha(doc: dict, tmp_path, scaling: bool, *train_flags: str) -> str:
+    """sha256 of scores.csv from a model trained on doc with train_flags,
+    scored over SCORE_ROWS rows: two full blocks and a partial one; with
+    the run's scaling.json given as --scaling when `scaling` is set."""
     train = _synth(tmp_path / "train", SCORE_D, 90, 0, seed=2)
     run = tmp_path / "run"
-    _train(doc, train, run)
+    _train(doc, train, run, *train_flags)
     rows = _synth(tmp_path / "rows", SCORE_D, SCORE_ROWS - 100, 100, seed=3)
     flag = ["--scaling", str(run / "scaling.json")] if scaling else []
     assert main(["score", "--model", str(run / "model.json"), *flag,
@@ -162,6 +163,12 @@ def test_score_bytes_match_recorded_hash(tmp_path):
 
 def test_scaled_score_bytes_match_recorded_hash(tmp_path):
     assert _score_sha(SCORE_MODEL, tmp_path, scaling=True) == SCORE_SHA
+
+
+def test_unscaled_score_bytes_match_recorded_hash(tmp_path):
+    """edenet train --no-scale, then score: the model records no scaling
+    and scores the raw rows, over more than two blocks."""
+    assert _score_sha(SCORE_MODEL, tmp_path, False, "--no-scale") == RAW_SCORE_SHA
 
 
 def test_lstm_score_bytes_match_recorded_hash(tmp_path):

@@ -1,9 +1,7 @@
 import copy
 import json
-import shutil
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +30,6 @@ from oracles import block_scores, lone_loss, lone_loss_and_grads, net_payload
 
 FF = {"hidden_sizes": (10, 6), "latent_dim": 3}
 LSTM = {"encoder_kind": "lstm", "latent_dim": 2, "hidden_dim": 5, "seq_len": 2}
-EDE_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "ede_net.json"
 
 
 def small_net(kind="ff", seed=0):
@@ -392,8 +389,14 @@ def test_normalize_scores_range_and_order(values):
 # persistence
 
 
+def recorded(ens: EnsembleModel) -> EnsembleModel:
+    """ens recording the input names x0, x1, ..., as a trained ensemble
+    records its Dataset's: save_model refuses one that records none."""
+    return replace(ens, columns=[f"x{i}" for i in range(ens.spec.input_dim)])
+
+
 def alone(net: EdeNet) -> EnsembleModel:
-    return EnsembleModel(net.spec, [net])
+    return recorded(EnsembleModel(net.spec, [net]))
 
 
 @pytest.mark.parametrize("kind", ["ff", "lstm"])
@@ -419,7 +422,7 @@ def test_model_file_resave_is_byte_identical(tmp_path):
 def test_int_valued_arch_fields_resave_byte_identical(tmp_path):
     """A config may give a float field as an int; the reloaded spec keeps
     the value as written instead of turning 1 into 1.0."""
-    ens = init_ensemble(make_arch(7, {**FF, "alpha": 1, "beta": 2}), 2, seed=3)
+    ens = recorded(init_ensemble(make_arch(7, {**FF, "alpha": 1, "beta": 2}), 2, seed=3))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_model(ens, p1)
     assert json.loads(p1.read_text())["arch"]["alpha"] == 1
@@ -492,7 +495,7 @@ HEADER = ["format", "format_version", "kind"]
 def saved_kinds():
     x = np.arange(12.0).reshape(6, 2)
     return {
-        "ensemble": (init_ensemble(make_arch(7, FF), 2, seed=3),
+        "ensemble": (recorded(init_ensemble(make_arch(7, FF), 2, seed=3)),
                      ["seed", "arch", "columns", "scaling", "members"]),
         "svr": (fit_svr(x, np.sin(x[:, 0])),
                 ["kernel", "gamma", "C", "epsilon", "bias", "beta", "x_mean",
@@ -501,10 +504,13 @@ def saved_kinds():
 
 
 def write_kind(kind: str, path) -> None:
-    """A model file of the kind; an "ede" file is the committed one that
-    an earlier writer wrote, since nothing writes that kind now."""
+    """A model file of the kind. An "ede" file holds one net and records
+    no input, as an earlier writer wrote it; load_model refuses the kind."""
     if kind == "ede":
-        shutil.copyfile(EDE_FIXTURE, path)
+        net = small_net("ff")
+        path.write_text(json.dumps({"format": "edenet-model", "format_version": 1,
+                                    "kind": "ede", "arch": net.spec.to_dict(),
+                                    "params": net_payload(net)}))
     else:
         save_model(saved_kinds()[kind][0], path)
 
@@ -536,7 +542,7 @@ def test_model_file_top_level_key_order_is_pinned(tmp_path, kind):
     ("ensemble", {"seed": True}),
     ("ensemble", {"columns": "abcdefg"}),
     ("ensemble", {"columns": list(range(7))}),
-    ("ensemble", {"scaling": {"col_min": [0] * 6, "col_max": [1] * 6}}),  # no columns: width only
+    ("ensemble", {"scaling": {"col_min": [0] * 6, "col_max": [1] * 6}}),
     ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [0], "col_max": [1]}}),
     ("ensemble", {"columns": list("abcdefg"), "scaling": {"col_min": [1] * 7,
                                                           "col_max": [0] * 7}}),
@@ -554,12 +560,13 @@ def test_load_model_turns_malformed_payload_into_format_error(tmp_path, kind,
 
 @pytest.mark.parametrize("kind, rename", [
     ("ensemble", ("seed", "sead")),
-    ("ede", ("params", "parms")),
+    ("ensemble", ("columns", "colums")),
     ("svr", ("gamma", "gama")),
 ])
 def test_payload_keys_are_the_kinds_fields(tmp_path, kind, rename):
-    """A renamed key is refused, never ignored: an ensemble whose seed is
-    renamed sead used to load with seed 0."""
+    """A renamed key is refused, never ignored, and so is a missing one:
+    an ensemble whose seed is renamed sead used to load with seed 0, and
+    one without columns used to score any names."""
     path = tmp_path / "m.json"
     write_kind(kind, path)
     doc = json.loads(path.read_text())
@@ -568,13 +575,10 @@ def test_payload_keys_are_the_kinds_fields(tmp_path, kind, rename):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match=rf"unknown keys: \['{new}'\]"):
         load_model(path)
-    doc.pop(new)  # an ensemble may lack its seed, as files that predate it do
+    doc.pop(new)
     path.write_text(json.dumps(doc))
-    if kind == "ensemble":
-        assert load_model(path).seed == 0
-    else:
-        with pytest.raises(FormatError, match=rf"missing keys: \['{old}'\]"):
-            load_model(path)
+    with pytest.raises(FormatError, match=rf"missing keys: \['{old}'\]"):
+        load_model(path)
 
 
 def test_ensemble_with_3_names_for_4_inputs_is_a_format_error(tmp_path):
@@ -595,11 +599,26 @@ def test_ensemble_fields_cannot_be_reassigned_past_their_checks():
         ens.columns = ["a"]
 
 
-def test_an_ede_file_loads_as_a_one_member_ensemble():
-    ens = load_model(EDE_FIXTURE)
-    assert type(ens) is EnsembleModel
-    assert ens.size == 1 and ens.seed == 0
-    assert ens.columns is None and ens.scaling is None
+def test_an_ede_file_is_a_format_error(tmp_path):
+    """The "ede" kind, one net that records no input, used to load as a
+    one-member ensemble that scored any columns of its width."""
+    write_kind("ede", tmp_path / "m.json")
+    with pytest.raises(FormatError, match="unknown model kind 'ede'"):
+        load_model(tmp_path / "m.json")
+
+
+def test_save_model_refuses_an_ensemble_that_records_no_columns(tmp_path):
+    """An ensemble not yet trained records no input; saving it used to
+    write a file that scored any columns of its width."""
+    with pytest.raises(ValueError, match="cannot save an ensemble that records no columns"):
+        save_model(init_ensemble(make_arch(4, FF), 1, seed=3), tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_ensemble_scaling_needs_its_columns():
+    stats = ScalingStats(np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="ensemble scaling needs the columns it scales"):
+        replace(init_ensemble(make_arch(4, FF), 1, seed=3), scaling=stats)
 
 
 def test_payload_shape_mismatch_rejected():
@@ -642,7 +661,7 @@ def _whole_document(obj) -> dict:
     """The document save_model writes, built whole."""
     if isinstance(obj, EnsembleModel):
         payload = {"seed": obj.seed, "arch": obj.spec.to_dict(),
-                   "columns": None if obj.columns is None else list(obj.columns),
+                   "columns": list(obj.columns),
                    "scaling": None if obj.scaling is None else {
                        "col_min": obj.scaling.col_min.tolist(),
                        "col_max": obj.scaling.col_max.tolist()},
@@ -667,7 +686,7 @@ def test_saved_bytes_are_json_dumps_of_the_whole_document(tmp_path, kind):
 def test_an_ensemble_is_written_one_member_at_a_time(tmp_path):
     """The 3-member d=121 model: encoding the whole document at once holds
     every member's floats and text together."""
-    ens = init_ensemble(make_arch(121), 3, seed=1)
+    ens = recorded(init_ensemble(make_arch(121), 3, seed=1))
 
     def one_shot():
         (tmp_path / "whole.json").write_text(json.dumps(_whole_document(ens)))
@@ -687,7 +706,7 @@ def test_an_ensemble_is_written_one_member_at_a_time(tmp_path):
 def test_an_ensemble_is_written_one_parameter_array_at_a_time(tmp_path):
     """The 3-member d=121 model: the traced peak of save_model is bounded
     by its largest array's floats and text, not by a member's (4.4 MB)."""
-    ens = init_ensemble(make_arch(121), 3, seed=1)
+    ens = recorded(init_ensemble(make_arch(121), 3, seed=1))
     tracemalloc.start()
     try:
         save_model(ens, tmp_path / "m.json")

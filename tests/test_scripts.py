@@ -58,19 +58,43 @@ def test_run_kdd99(tmp_path):
     assert 0.0 <= report["auroc"] <= 1.0
 
 
-@pytest.mark.parametrize("seeds, message", [
-    ("0,0", "seeds lists 0 more than once"),
-    ("", "--seeds needs at least one seed"),
-    ("-1", "seeds[0] must be >= 0, got -1"),
-], ids=["repeated", "empty", "negative"])
-def test_run_kdd99_refuses_bad_seeds_before_reading_data(tmp_path, seeds, message):
-    """--seeds follows the CLI's rule for seeds, checked before the data
-    file is parsed."""
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0,0"], "seeds lists 0 more than once"),
+    (["--seeds", ""], "--seeds needs at least one seed"),
+    (["--seeds", "-1"], "seeds[0] must be >= 0, got -1"),
+    (["--members", "0"], "n_members must be >= 1"),
+    (["--train-fraction", "1.5"], "--train-fraction must lie in (0, 1)"),
+    (["--epochs", "-1"], "epochs must be >= 0"),
+    (["--batch-size", "0"], "batch_size must be >= 1"),
+    (["--max-rows", "0"], "--max-rows must be >= 1"),
+], ids=["repeated", "empty", "negative", "members", "train-fraction", "epochs",
+        "batch-size", "max-rows"])
+def test_run_kdd99_refuses_bad_seeds_before_reading_data(tmp_path, flags, message):
+    """--seeds follows the CLI's rule for seeds, and every other setting
+    is checked too, before the data file is parsed: each bad one used to
+    end in a traceback after the whole file was read."""
     data = tmp_path / "kdd.data"
     write_kdd_rows(data, 150, seed=0, header=False)
     out = tmp_path / "kdd"
     done = run_script("run_kdd99.py", "--data", str(data), "--out", str(out),
-                      "--epochs", "1", "--seeds", seeds, cwd=tmp_path, returncode=2)
+                      "--epochs", "1", *flags, cwd=tmp_path, returncode=2)
     assert f"error: {message}" in done.stderr
     assert "parsing" not in done.stdout
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("script, flag, value", [
+    ("run_synthetic_benchmark.py", "--members", "1,x"),
+    ("run_synthetic_benchmark.py", "--seeds", "a"),
+    ("run_meta_selection.py", "--task-sizes", "a"),
+    ("run_meta_selection.py", "--candidates", "1,x"),
+    ("run_kdd99.py", "--seeds", "0,a"),
+])
+def test_scripts_refuse_a_bad_int_list_before_writing(tmp_path, script, flag, value):
+    """A list that is not comma-separated ints is an argparse error, not
+    a traceback after files were written (run_meta_selection.py read
+    --candidates only once every task had been synthesised)."""
+    out = tmp_path / "out"
+    done = run_script(script, "--out", str(out), flag, value, cwd=tmp_path, returncode=2)
+    assert f"not a comma-separated int list: {value!r}" in done.stderr
     assert not out.exists()
