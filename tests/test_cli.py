@@ -15,7 +15,7 @@ import pytest
 from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot_data,
                         _write_scores, build_parser, main, read_scores_csv)
 from edenet.data import (BLOCK_ROWS, Dataset, ScalingStats, apply_scale, expanded_meta,
-                         fit_scale, load_csv, load_schema, load_training_rows,
+                         fit_scale, load_csv, load_scaling, load_schema, load_training_rows,
                          read_number_table, scaling_to_dict, schema_from_dict)
 from edenet.ensemble import (POOL_MIN_BLOCKS, EnsembleModel, TrainConfig, ensemble_score,
                              init_ensemble, train_ensemble)
@@ -1455,6 +1455,37 @@ def test_model_stats_that_move_a_one_hot_column_off_0_and_1_are_exit_2(tmp_path,
     save_model(dataclasses.replace(ens, scaling=ScalingStats(col_min, col_max)),
                tmp_path / "model.json")
     assert main(args) == 0
+
+
+def test_scaling_that_moves_a_one_hot_column_off_0_and_1_is_exit_2(tmp_path, capsys):
+    """A --scaling file that holds the model's own stats passes its check,
+    but the one-hot check still runs: stats that give a one-hot column
+    another span are refused, naming the column, before anything is scored."""
+    schema = {"columns": [{"name": "size"},
+                          {"name": "color", "type": "categorical",
+                           "values": ["red", "green", "blue"]}]}
+    (tmp_path / "data.csv").write_text("size,color\n1,red\n2,green\n3,blue\n")
+    scaling = {"col_min": [1, 0, 0, 0], "col_max": [3, 1, 2, 1]}
+    args = ["score", "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / "data.csv"),
+            "--schema", write_json(tmp_path / "schema.json", schema),
+            "--out", str(tmp_path / "out")]
+
+    def run(name):
+        stats = write_json(tmp_path / name, scaling)
+        save_model(dataclasses.replace(
+            init_ensemble(make_arch(4), 1),
+            columns=["size", "color=red", "color=green", "color=blue"],
+            scaling=load_scaling(stats)), tmp_path / "model.json")
+        return main(args + ["--scaling", stats])
+
+    assert run("bad.json") == 2
+    assert ("scaling stats map one-hot column 'color=green' off {0, 1}: min 0.0, max 2.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "scores.csv").exists()
+    # a zero span zeroes the column, whatever its bounds
+    scaling["col_min"][2] = scaling["col_max"][2] = 5
+    assert run("ok.json") == 0
 
 
 def test_a_model_that_records_scaling_makes_no_scaled_copy(tmp_path):
