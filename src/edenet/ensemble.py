@@ -13,7 +13,10 @@ iteration's member and batch) is drawn first, from the same streams in
 the same order. A member's update reads only its own parameters and its
 own batch, so its k-th step of the epoch gives the same bits whether the
 other members have stepped or not: round k runs every member's k-th
-step at once, on one (I, P) parameter block.
+step at once, on one (I, P) parameter block. For the same reason a long
+epoch deals its members to forked workers (forkpool), each running the
+rounds of its own rows; this process draws the schedule and keeps the
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -206,6 +209,18 @@ def _input_rows(ensemble: EnsembleModel, x: Dataset, what: str) -> Rows:
 # I=1); at 4 blocks each, a worker scores for about twice the pool's cost.
 POOL_MIN_BLOCKS = 4
 
+# Iterations each training worker gets at least in an epoch. On a 2-vCPU
+# Xeon, BLAS threads 1, the 3-member feed-forward net at d=121 ran
+# 0.8-0.95 ms of rounds per iteration in-process. Dealt 2+1 to two forked
+# workers, an epoch took about 0.65 of that in its slower worker, plus a
+# fixed 12-220 ms (median about 70): two forks of a 65 MB process, their
+# fresh workspaces, and the two new workers sharing one CPU until the
+# kernel moves one. So the pool pays off past about 200 ms of rounds,
+# some 210 iterations. At 256 a worker, epochs of 512 iterations or more
+# pool, as train-kdd's 2346 do; train-lstm's 96 (32 a member, and one
+# such epoch pooled took 1.24x the serial time) stay in-process.
+POOL_MIN_STEPS = 256
+
 
 def _add_scores(ensemble: EnsembleModel, rows: Rows, blocks: list[slice],
                 work: Workspace, total: np.ndarray) -> None:
@@ -234,28 +249,26 @@ def ensemble_score(ensemble: EnsembleModel, x: Dataset,
     (data._scale_rows: elementwise, and a checked one-hot column has min 0
     and span 1 or span 0, so a block gets the bits of apply_scale's
     whole-input copy). A row's score can still differ in the last bits
-    from a whole-matrix forward. Rows share nothing, so without work the
-    blocks are split into forkpool.workers(blocks, POOL_MIN_BLOCKS)
-    contiguous runs, each scored in its own forked worker with a fresh
-    workspace (forkpool.ordered_map), which adds its rows' scores into a
-    shared anonymous mapping instead of sending them back. Each row's sum
-    is formed in the same order as in one process, so the scores are the
-    same bytes. With work (train_ensemble passes the one training has
-    faulted in) every block and member scores here into that workspace,
-    so the LSTM layers write each block into the same pages. What work
-    held before does not change the scores.
+    from a whole-matrix forward. Rows share nothing, so the blocks are
+    split into forkpool.workers(blocks, POOL_MIN_BLOCKS) contiguous runs,
+    each scored in its own forked worker with a fresh workspace
+    (forkpool.ordered_map), which adds its rows' scores into a shared
+    anonymous mapping (forkpool.shared_zeros) instead of sending them
+    back. Each row's sum is formed in the same order as in one process,
+    so the scores are the same bytes. With one run every block and member
+    scores here, into work when given (train_ensemble's reweight pass
+    passes the one training has faulted in, so the LSTM layers write each
+    block into the same pages). What work held before does not change
+    the scores.
     """
     rows = _input_rows(ensemble, x, "input")
     blocks = row_chunks(rows.n_rows)
-    n_runs = 1 if work is not None else forkpool.workers(len(blocks), POOL_MIN_BLOCKS)
+    n_runs = forkpool.workers(len(blocks), POOL_MIN_BLOCKS)
     if n_runs == 1:
         total = np.zeros(rows.n_rows)
         _add_scores(ensemble, rows, blocks, Workspace() if work is None else work, total)
     else:
-        import mmap  # here, not at startup: no command pays for it unless it forks
-
-        # zero-filled and MAP_SHARED, so the forked workers' sums land here
-        total = np.frombuffer(mmap.mmap(-1, 8 * rows.n_rows), dtype=np.float64)
+        total = forkpool.shared_zeros(rows.n_rows)  # the forked workers' sums land here
         runs = [blocks[i * len(blocks) // n_runs:(i + 1) * len(blocks) // n_runs]
                 for i in range(n_runs)]
         for _ in forkpool.ordered_map(
@@ -320,6 +333,43 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
     return who, rows.reshape(iters, batch_size)
 
 
+def _run_rounds(member0: EdeNet, rows: Rows, batches: np.ndarray, sched: np.ndarray,
+                n_steps: np.ndarray, params: np.ndarray, grads: np.ndarray,
+                state: AdamState, stacks: dict, work: Workspace,
+                per_iter: np.ndarray) -> int | None:
+    """The lockstep rounds of one epoch over a contiguous run of block
+    rows sorted by step count, most first: round k takes the k-th step of
+    every row that has one, a leading run of rows, as one member stack
+    (model.loss_and_grads) and one Adam step over those rows.
+
+    sched[r, k] is the iteration of row r's k-th step and n_steps[r] its
+    step count. params, grads and state are the run's rows of the
+    parameter block, the gradient block and the Adam state
+    (AdamState.rows); stacks caches the member stacks bound to their
+    leading rows, by row count. Each iteration's (mean_lr, mean_le,
+    combined) goes to its row of per_iter. Returns the run's first
+    iteration with a non-finite loss, in iteration order, or None: the
+    rounds stop once no later round holds an earlier iteration.
+    """
+    active = [int((n_steps > k).sum()) for k in range(n_steps[0])]
+    first_bad = None
+    for k, a in enumerate(active):
+        if a not in stacks:
+            stacks[a] = (member0.bind(params[:a]), member0.bind(grads[:a]))
+        nets, out = stacks[a]
+        its = sched[:a, k]
+        combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), work, out)
+        per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
+        for it, c in zip(its.tolist(), combined):
+            if not math.isfinite(c) and (first_bad is None or it < first_bad):
+                first_bad = it
+        if first_bad is not None and (k + 1 == len(active)
+                                      or sched[:active[k + 1], k + 1].min() > first_bad):
+            return first_bad
+        adam_step(state, params[:a], grads[:a])
+    return None
+
+
 def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
                    cfg: TrainConfig) -> tuple[EnsembleModel, list[EpochTrace]]:
     """Train the ensemble's members in place on x_train, a Dataset already
@@ -333,21 +383,26 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     Trace rows hold the mean over the epoch's minibatch losses. A
     non-finite loss aborts with the failing epoch and iteration attached.
 
-    Each epoch draws its schedule first, then runs in rounds: round k
-    takes the k-th step of every member that has one, as one member
-    stack (model.loss_and_grads) over the rows of one (I, P)
-    parameter block, and one Adam step over those rows. The rows are
-    sorted by step count at each epoch start, so a round's members are a
-    leading run of rows. Each member sees the batches and steps of the
-    one-iteration-at-a-time loop in the same order, so every bit matches
-    that loop: the per-iteration losses are summed in iteration order,
-    and divergence reports the first failing iteration of that order.
-    One workspace holds every round's caches and temporaries: a
-    round over a rows writes into the leading part of the buffers that
-    the widest round sized, and each reweight pass scores into the same
-    workspace. The members' flat vectors are written back before each
-    reweight pass and at return; after a TrainingDivergedError they hold
-    the last written-back values.
+    Each epoch draws its schedule first, then runs in lockstep rounds
+    (_run_rounds) over the rows of one (I, P) parameter block, sorted by
+    step count at each epoch start. Each member sees the batches and steps
+    of the one-iteration-at-a-time loop in the same order, so every bit
+    matches that loop: the per-iteration losses are summed in iteration
+    order, and divergence reports the first failing iteration of that
+    order. The block, Adam's m and v and the per-iteration losses live in
+    shared anonymous mappings (forkpool.shared_zeros). An epoch of at
+    least 2 * POOL_MIN_STEPS iterations deals its rows in contiguous runs
+    to min(I, forkpool.workers(iters, POOL_MIN_STEPS)) forked workers
+    (forkpool.ordered_map), each running its run's rounds with a fresh
+    workspace; this process keeps the bookkeeping: it advances the Adam
+    step counts and raises the smallest failing iteration any run
+    returns. Shorter epochs, and training inside a pool worker (a Phase I
+    cell), run every round here, into one workspace that also serves the
+    in-process reweight pass: a round over a rows writes into the leading
+    part of the buffers the widest round sized, as in a worker's. The
+    members' flat vectors are written back before each reweight pass and
+    at return; after a TrainingDivergedError they hold the last
+    written-back values.
     """
     if ensemble.scaling is not None:
         raise ValueError("an ensemble that records scaling would scale its training rows again")
@@ -359,12 +414,16 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     size = ensemble.size
     member_rng, batch_rng = training_streams(cfg.seed)
     iters = cfg.resolved_iters(n, size)
+    n_runs = min(size, forkpool.workers(iters, POOL_MIN_STEPS))
+    runs = [slice(i * size // n_runs, (i + 1) * size // n_runs) for i in range(n_runs)]
     # row r of block holds member row_member[r]'s flat vector
     row_member = np.arange(size)
-    block = np.stack([m.flat for m in ensemble.members])
+    member0 = ensemble.members[0]
+    block = forkpool.shared_zeros((size, member0.flat.size))
+    block[...] = [m.flat for m in ensemble.members]
     grad_block = np.empty_like(block)
     state = AdamState(block, lr=cfg.lr)
-    stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # active rows -> (params, grads) stacks
+    stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # the in-process rounds' member stacks
     work = Workspace()
 
     def write_back():
@@ -392,32 +451,25 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
         block[...] = block[moved]
         state.reorder_rows(moved)
         row_member = order
+        n_steps = counts[order]
         # sched[r, k]: the iteration of row r's k-th step
-        sched = np.zeros((size, counts.max()), dtype=np.int64)
+        sched = np.zeros((size, n_steps[0]), dtype=np.int64)
         for r, member in enumerate(row_member):
-            sched[r, :counts[member]] = np.flatnonzero(who == member)
-        active = [int((counts > k).sum()) for k in range(counts.max())]
+            sched[r, :n_steps[r]] = np.flatnonzero(who == member)
+        per_iter = forkpool.shared_zeros((iters, 3))  # EpochTrace's mean_lr, mean_le, combined
 
-        per_iter = np.empty((iters, 3))  # EpochTrace's mean_lr, mean_le, combined
-        first_bad = None
-        for k, a in enumerate(active):
-            if a not in stacks:
-                member0 = ensemble.members[0]
-                stacks[a] = (member0.bind(block[:a]), member0.bind(grad_block[:a]))
-            nets, grads = stacks[a]
-            its = sched[:a, k]
-            combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), work, grads)
-            per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
-            for it, c in zip(its.tolist(), combined):
-                if not math.isfinite(c) and (first_bad is None or it < first_bad):
-                    first_bad = it
-            if first_bad is not None:
-                # stop once no later round holds an earlier iteration
-                if k + 1 == len(active) or sched[:active[k + 1], k + 1].min() > first_bad:
-                    raise TrainingDivergedError(epoch, first_bad,
-                                                float(per_iter[first_bad, 2]))
-            adam_step(state, block[:a], grad_block[:a])
+        def rounds(run: slice, stacks: dict, work: Workspace) -> int | None:
+            return _run_rounds(member0, rows, batches, sched[run], n_steps[run], block[run],
+                               grad_block[run], state.rows(run), stacks, work, per_iter)
 
+        if n_runs == 1:
+            found = [rounds(runs[0], stacks, work)]
+        else:
+            found = forkpool.ordered_map(lambda run: rounds(run, {}, Workspace()), runs)
+        first_bad = min((it for it in found if it is not None), default=None)
+        if first_bad is not None:
+            raise TrainingDivergedError(epoch, first_bad, float(per_iter[first_bad, 2]))
+        state.step = [s + c for s, c in zip(state.step, n_steps.tolist())]
         # a sequential scan adds in iteration order; np.sum would pair terms
         trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))
     write_back()

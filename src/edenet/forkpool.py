@@ -1,12 +1,14 @@
 """The one process pool: independent units of work mapped over forked
 workers, results yielded in order.
 
-Phase I cells (metalearn.run_cells) and the row blocks of a
-workspace-less ensemble_score run through it. Workers are forked, so they
+Phase I cells (metalearn.run_cells), the row blocks of ensemble_score
+and the member rows of a long training epoch (ensemble.train_ensemble)
+run through it. Workers are forked, so they
 inherit the function and its inputs and nothing is pickled on the way
-in; each gets an index and sends back one result. multiprocessing and
-concurrent.futures are imported only when a pool starts, so no command
-pays for them at startup.
+in; each gets an index and sends back one result. Bulk results go into
+shared_zeros arrays instead. multiprocessing, concurrent.futures and
+mmap are imported only when they are first needed, so no command pays
+for them at startup.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import os
 import threading
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+
+import numpy as np
 
 _job: tuple[Callable, Sequence] | None = None  # set in a pool worker: its (fn, items)
 
@@ -28,6 +32,14 @@ def workers(n_units: int, min_units: int = 1) -> int:
     if _job is not None or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_units // min_units))
+
+
+def shared_zeros(shape) -> np.ndarray:
+    """A zero-filled float64 array of shape in an anonymous MAP_SHARED
+    mapping: what a forked worker writes there, its parent reads."""
+    import mmap  # here, not at startup: only training and pooled scoring use it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=np.float64).reshape(shape)
 
 
 def _take_job(fn: Callable, items: Sequence) -> None:

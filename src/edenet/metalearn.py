@@ -139,7 +139,8 @@ def run_cells(cells: list[Cell]) -> Iterator[tuple[np.ndarray, list[EpochTrace]]
     is pickled. The first cell to fail, in cell order, raises its own
     exception here. Then, or when the caller closes the iterator early,
     the workers are stopped and joined, and no further cell runs. A cell's
-    ensemble_score runs in its worker, which starts no pool of its own."""
+    training and ensemble_score run in its worker, which starts no pool of
+    its own."""
     return forkpool.ordered_map(lambda cell: run_cell(*cell), cells)
 
 

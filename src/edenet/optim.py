@@ -11,11 +11,13 @@ state, so a step allocates nothing of the block's size.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
+from .forkpool import shared_zeros
 
 # Adam's moment decays and denominator term: Kingma & Ba's defaults
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -25,7 +27,9 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam accumulators for the (I, P) block it is made for, all zero:
     one update count per row in step, and two blocks for adam_step's
-    temporaries in scratch."""
+    temporaries in scratch. m and v live in shared memory
+    (forkpool.shared_zeros), so a forked worker's steps update them in
+    this process too."""
 
     block: InitVar[np.ndarray]
     lr: float
@@ -36,7 +40,7 @@ class AdamState:
 
     def __post_init__(self, block: np.ndarray):
         self.step = [0] * len(block)
-        self.m, self.v = np.zeros_like(block), np.zeros_like(block)
+        self.m, self.v = shared_zeros(block.shape), shared_zeros(block.shape)
         self.scratch = (np.empty_like(block), np.empty_like(block))
 
     def reorder_rows(self, order: np.ndarray) -> None:
@@ -44,6 +48,16 @@ class AdamState:
         for arr in (self.m, self.v):
             arr[...] = arr[order]
         self.step = [self.step[r] for r in order]
+
+    def rows(self, run: slice) -> "AdamState":
+        """The state of rows run of the block: its m, v and scratch are
+        views of this state's, so a step over it updates m and v here, but
+        its step counts are a copy, which the caller advances here."""
+        sub = copy.copy(self)
+        sub.step = self.step[run]
+        sub.m, sub.v = self.m[run], self.v[run]
+        sub.scratch = (self.scratch[0][run], self.scratch[1][run])
+        return sub
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:

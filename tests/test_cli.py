@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import edenet.ensemble as ensemble_mod
 from edenet.cli import (METRIC_NAMES, RunConfig, _write_bench_table, _write_plot_data,
                         _write_scores, build_parser, main, read_scores_csv)
 from edenet.data import (BLOCK_ROWS, Dataset, ScalingStats, apply_scale, expanded_meta,
@@ -499,6 +500,42 @@ def test_score_is_the_same_bytes_serial_and_pooled(workspace, tmp_path, cpus, po
     assert pools() == [(os.getpid(), 2)]
     assert written[1] == written[2]
     assert written[1].count(b"\n") == n_rows + 1
+
+
+def test_a_phase_one_cell_trains_in_its_worker(tmp_path, cpus, pools, monkeypatch):
+    """With every epoch long enough to pool, meta build under two CPUs
+    still starts one pool, for its cells: a cell's training runs in its
+    worker, which starts no pool of its own."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    meta, _ = _phase_one_configs(tmp_path, {"epochs": 2, "batch_size": 16}, {})
+    written = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert main(["meta", "build", "--config", meta, "--out", str(out)]) == 0
+        written[n_cpus] = (out / "meta.csv").read_bytes()
+    assert written[1] == written[2]
+    assert pools() == [(os.getpid(), 2)]
+
+
+def test_train_is_the_same_bytes_serial_and_pooled(tmp_path, cpus, pools, monkeypatch):
+    """edenet train on 300 KDD-shaped rows (121 expanded features), I=2,
+    2 epochs: under one CPU every round runs here, under two each epoch's
+    members are dealt to two forked workers. model.json and trace.csv are
+    the same bytes."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    write_kdd_rows(tmp_path / "train.csv", 300, seed=21, anomaly_share=0.2,
+                   oov_service=True, constant_land=True)
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"epochs": 2, "seed": 9}, "n_members": 2})
+    written = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        out = tmp_path / f"cpus{n_cpus}"
+        assert main(["train", "--config", cfg, "--data", str(tmp_path / "train.csv"),
+                     "--schema", str(KDD_SCHEMA), "--out", str(out)]) == 0
+        written[n_cpus] = [(out / name).read_bytes() for name in ("model.json", "trace.csv")]
+    assert written[1] == written[2]
+    assert pools() == [(os.getpid(), 2)] * 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
 import tracemalloc
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import edenet.ensemble as ensemble_mod
 from edenet.data import (BLOCK_ROWS as CHUNK, Dataset, Rows, ScalingStats, apply_scale,
                          fit_scale, generate_synthetic, load_csv, load_training_rows)
 from edenet.ensemble import (
@@ -527,23 +530,32 @@ LSTM_TWO_LAYERS = {**LSTM_SMALL, "recurrent_layers": 2}
 @pytest.mark.parametrize("arch", [SMALL, LSTM_SMALL, LSTM_TWO_LAYERS],
                          ids=["ff", "lstm1", "lstm2"])
 @pytest.mark.parametrize("n_members", [2, 3, 5])
-def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch, reweight):
+def test_lockstep_training_is_bit_exact_against_one_at_a_time(n_members, arch, reweight,
+                                                              cpus, pools, monkeypatch):
     """The members step in lockstep rounds; the oracle steps one member per
     iteration. Every member's parameters and every trace row must agree to
-    the last bit, also when the members take uneven numbers of steps."""
+    the last bit, also when the members take uneven numbers of steps:
+    under one CPU, where every round runs here, and under two with every
+    epoch pooled, where two forked workers each run a run of the rows."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
     x = make_rng(34).standard_normal((40, 6))
     cfg = TrainConfig(epochs=3, batch_size=8, iters_per_epoch=7, lr=0.01,
                       reweight=reweight, seed=35 + n_members)
     ens = init_ensemble(make_arch(6, arch), n_members, seed=cfg.seed)
     oracle, oracle_trace, picks = reference_training(ens, x, cfg)
-    _, trace = train_ensemble(ens, Dataset(features=x), cfg)
     # 7 iterations over 2, 3 or 5 members: some member steps more often
     for epoch_picks in picks:
         counts = np.bincount(epoch_picks, minlength=n_members)
         assert counts.max() > counts.min()
-    for member, expected in zip(ens.members, oracle):
-        assert np.array_equal(member.flat, expected.flat)
-    assert trace == oracle_trace
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        ens = init_ensemble(make_arch(6, arch), n_members, seed=cfg.seed)
+        _, trace = train_ensemble(ens, Dataset(features=x), cfg)
+        for member, expected in zip(ens.members, oracle):
+            assert member.flat.tobytes() == expected.flat.tobytes()
+        assert trace == oracle_trace
+    assert pools() == [(os.getpid(), 2)] * cfg.epochs
+    assert multiprocessing.active_children() == []
 
 
 def test_divergence_reports_the_first_iteration_in_iteration_order():
@@ -559,6 +571,40 @@ def test_divergence_reports_the_first_iteration_in_iteration_order():
     with pytest.raises(TrainingDivergedError) as exc:
         train_ensemble(ens, Dataset(features=make_rng(16).standard_normal((20, 6))), cfg)
     assert exc.value.epoch == 0 and exc.value.iteration == 0
+
+
+def _diverging_run(nan_members, lr=1e-3, epochs=1):
+    """An ensemble of 3 whose nan_members are NaN, 9 iterations an epoch
+    under seed 4, and its training rows."""
+    cfg = TrainConfig(epochs=epochs, batch_size=4, iters_per_epoch=9, lr=lr, reweight=False,
+                      seed=4)
+    ens = small_ensemble(3, seed=cfg.seed)
+    for member in nan_members:
+        ens.members[member].flat[...] = np.nan
+    return ens, Dataset(features=make_rng(17).standard_normal((20, 6))), cfg
+
+
+@pytest.mark.parametrize("nan_members, lr, epochs", [
+    ([0, 1, 2], 1e-3, 1), ([0], 1e-3, 2), ([1], 1e-3, 2), ([2], 1e-3, 2), ([0], 1e300, 1),
+], ids=["every-member", "member0", "member1", "member2", "later-round-first"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pooled_divergence_reports_what_the_in_process_run_reports(
+        cpus, pools, monkeypatch, nan_members, lr, epochs):
+    """The two workers each return their run's first failing iteration and
+    this process raises the smallest: the epoch, iteration and loss of
+    the in-process run, with every worker gone. The runs are rows [0, 1)
+    and [1, 3), so the failing member is dealt to either worker."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    raised = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        with pytest.raises(TrainingDivergedError) as exc:
+            train_ensemble(*_diverging_run(nan_members, lr, epochs))
+        err = exc.value
+        raised[n_cpus] = (err.epoch, err.iteration, np.float64(err.loss).tobytes())
+    assert raised[2] == raised[1]
+    assert pools() and all(pool == (os.getpid(), 2) for pool in pools())
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("bad_member", [0, 1, 2])

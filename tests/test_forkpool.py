@@ -1,8 +1,8 @@
-"""The one process pool (edenet.forkpool) and its two callers: Phase I
-cells (metalearn.run_cells) and the row blocks of a workspace-less
-ensemble_score. Every pooled result must be the serial bytes, every
-check must fire before a fork, and no pool may start in a pool worker or
-next to a live thread."""
+"""The one process pool (edenet.forkpool) and its three callers: Phase I
+cells (metalearn.run_cells), the row blocks of ensemble_score and the
+rounds of a long training epoch. Every pooled result must be the serial
+bytes, every check must fire before a fork, and no pool may start in a
+pool worker or next to a live thread."""
 
 import multiprocessing
 import os
@@ -12,10 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import edenet.ensemble as ensemble_mod
 from edenet import forkpool
 from edenet.data import BLOCK_ROWS, Dataset, fit_scale
-from edenet.ensemble import (POOL_MIN_BLOCKS, TrainConfig, ensemble_score, init_ensemble,
-                             train_ensemble)
+from edenet.ensemble import (POOL_MIN_BLOCKS, POOL_MIN_STEPS, TrainConfig, ensemble_score,
+                             init_ensemble, train_ensemble)
 from edenet.errors import ShapeError
 from edenet.layers import Workspace
 from edenet.metalearn import MetaTask, run_cells
@@ -62,13 +63,19 @@ def test_pooled_scores_are_the_serial_bytes(cpus, pools, arch, n_members, scaled
     assert multiprocessing.active_children() == []
 
 
-def test_a_passed_workspace_keeps_scoring_in_process(cpus, pools):
-    """The reweight pass passes training's workspace: no pool starts."""
-    ens, x = trained({}, 2, False), raw_rows(POOLED_ROWS)
-    cpus(2)
-    with_work = ensemble_score(ens, x, Workspace())
+def test_a_passed_workspace_serves_only_the_in_process_path(cpus, pools):
+    """The reweight pass passes training's workspace, which serves the
+    blocks when they run here; a long enough input still pools, and its
+    workers take fresh workspaces. Both give the bytes of a run without
+    one."""
+    ens, x = trained(LSTM, 2, False), raw_rows(POOLED_ROWS)
+    cpus(1)
+    serial = ensemble_score(ens, x).tobytes()
+    assert ensemble_score(ens, x, Workspace()).tobytes() == serial
     assert pools() == []
-    assert with_work.tobytes() == ensemble_score(ens, x).tobytes()
+    cpus(2)
+    assert ensemble_score(ens, x, Workspace()).tobytes() == serial
+    assert pools() == [(os.getpid(), 2)]
 
 
 def _renamed(x: Dataset) -> Dataset:
@@ -164,3 +171,56 @@ def test_a_live_thread_keeps_every_pool_in_process(cpus, pools):
     assert threaded == serial
     assert pools() == []
     assert forkpool.workers(2) == 2  # the thread has ended
+
+
+# iterations of one train-kdd epoch (I=3 over 50k rows at batch 64) and of
+# one train-lstm epoch (I=3 over 2k rows)
+KDD_ITERS, LSTM_ITERS = 3 * 782, 3 * 32
+
+
+def test_a_long_epoch_trains_in_one_pool_per_epoch(cpus, pools):
+    """An epoch of train-kdd's length deals its members to two workers,
+    one pool each epoch, to the bytes of one process."""
+    assert KDD_ITERS >= 2 * POOL_MIN_STEPS
+    x = Dataset(features=make_rng(7).standard_normal((50, 4)))
+    cfg = TrainConfig(epochs=2, batch_size=4, iters_per_epoch=KDD_ITERS, seed=8)
+    flats = {}
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        ens, trace = train_ensemble(init_ensemble(make_arch(4, TINY_ARCH), 3, seed=8), x, cfg)
+        flats[n_cpus] = ([m.flat.tobytes() for m in ens.members], trace)
+    assert flats[2] == flats[1]
+    assert pools() == [(os.getpid(), 2)] * cfg.epochs
+    assert multiprocessing.active_children() == []
+
+
+def test_a_short_epoch_trains_in_process(cpus, pools):
+    """train-lstm's epochs, about 32 steps a member, stay in this process
+    under the real threshold: a fork and a fresh workspace would cost more
+    than a worker's share of the rounds saves."""
+    assert LSTM_ITERS < 2 * POOL_MIN_STEPS
+    x = Dataset(features=make_rng(7).standard_normal((2000, 5)))
+    cpus(2)
+    _, trace = train_ensemble(init_ensemble(make_arch(5, LSTM), 3, seed=8), x,
+                              TrainConfig(epochs=2))
+    assert TrainConfig().resolved_iters(2000, 3) == LSTM_ITERS
+    assert len(trace) == 2
+    assert pools() == []
+
+
+def test_more_workers_than_cores_keep_their_rows_apart(cpus, pools, monkeypatch):
+    """Four workers, more than this host may have cores, each write their
+    own rows of the shared parameter block and Adam moments, and their own
+    iterations' losses: a lost or crossed write would change the bytes of
+    the one-process run."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    x = Dataset(features=make_rng(9).standard_normal((30, 4)))
+    cfg = TrainConfig(epochs=2, batch_size=4, iters_per_epoch=40, seed=10)
+    runs = {}
+    for n_cpus in (1, 4):
+        cpus(n_cpus)
+        ens, trace = train_ensemble(init_ensemble(make_arch(4, TINY_ARCH), 5, seed=10), x, cfg)
+        runs[n_cpus] = ([m.flat.tobytes() for m in ens.members], trace)
+    assert runs[4] == runs[1]
+    assert pools() == [(os.getpid(), 4)] * cfg.epochs
+    assert multiprocessing.active_children() == []
