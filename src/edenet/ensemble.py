@@ -250,30 +250,20 @@ def ensemble_score(ensemble: EnsembleModel, x: Dataset,
     and span 1 or span 0, so a block gets the bits of apply_scale's
     whole-input copy). A row's score can still differ in the last bits
     from a whole-matrix forward. Rows share nothing, so the blocks are
-    split into forkpool.workers(blocks, POOL_MIN_BLOCKS) contiguous runs,
-    each scored in its own forked worker with a fresh workspace
-    (forkpool.ordered_map), which adds its rows' scores into a shared
-    anonymous mapping (forkpool.shared_zeros) instead of sending them
-    back. Each row's sum is formed in the same order as in one process,
-    so the scores are the same bytes. With one run every block and member
-    scores here, into work when given (train_ensemble's reweight pass
-    passes the one training has faulted in, so the LSTM layers write each
-    block into the same pages). What work held before does not change
-    the scores.
+    cut into forkpool.workers(blocks, POOL_MIN_BLOCKS) contiguous runs
+    (forkpool.map_runs: one run scores here, more each in a forked
+    worker), each adding its rows' scores into a shared anonymous mapping
+    (forkpool.shared_zeros), in the order one process would, so the
+    scores are the same bytes. Every run scores into work when given
+    (a forked worker into its copy-on-write copy), else into one new
+    Workspace; what work held before does not change the scores.
     """
     rows = _input_rows(ensemble, x, "input")
     blocks = row_chunks(rows.n_rows)
-    n_runs = forkpool.workers(len(blocks), POOL_MIN_BLOCKS)
-    if n_runs == 1:
-        total = np.zeros(rows.n_rows)
-        _add_scores(ensemble, rows, blocks, Workspace() if work is None else work, total)
-    else:
-        total = forkpool.shared_zeros(rows.n_rows)  # the forked workers' sums land here
-        runs = [blocks[i * len(blocks) // n_runs:(i + 1) * len(blocks) // n_runs]
-                for i in range(n_runs)]
-        for _ in forkpool.ordered_map(
-                lambda run: _add_scores(ensemble, rows, run, Workspace(), total), runs):
-            pass
+    work = Workspace() if work is None else work
+    total = forkpool.shared_zeros(rows.n_rows)  # each run's sums land here
+    forkpool.map_runs(lambda run: _add_scores(ensemble, rows, blocks[run], work, total),
+                      len(blocks), forkpool.workers(len(blocks), POOL_MIN_BLOCKS))
     return total / ensemble.size
 
 
@@ -333,30 +323,33 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
     return who, rows.reshape(iters, batch_size)
 
 
-def _run_rounds(member0: EdeNet, rows: Rows, batches: np.ndarray, sched: np.ndarray,
-                n_steps: np.ndarray, params: np.ndarray, grads: np.ndarray,
-                state: AdamState, stacks: dict, work: Workspace,
+def _run_rounds(run: slice, member0: EdeNet, rows: Rows, batches: np.ndarray,
+                sched: np.ndarray, n_steps: np.ndarray, block: np.ndarray,
+                grad_block: np.ndarray, state: AdamState, stacks: dict, work: Workspace,
                 per_iter: np.ndarray) -> int | None:
-    """The lockstep rounds of one epoch over a contiguous run of block
-    rows sorted by step count, most first: round k takes the k-th step of
-    every row that has one, a leading run of rows, as one member stack
-    (model.loss_and_grads) and one Adam step over those rows.
+    """The lockstep rounds of one epoch over run, a contiguous run of the
+    block's rows, which are sorted by step count, most first: round k
+    takes the k-th step of every row of run that has one, a leading part
+    of run, as one member stack (model.loss_and_grads) and one Adam step
+    over those rows.
 
-    sched[r, k] is the iteration of row r's k-th step and n_steps[r] its
-    step count. params, grads and state are the run's rows of the
-    parameter block, the gradient block and the Adam state
-    (AdamState.rows); stacks caches the member stacks bound to their
-    leading rows, by row count. Each iteration's (mean_lr, mean_le,
-    combined) goes to its row of per_iter. Returns the run's first
-    iteration with a non-finite loss, in iteration order, or None: the
-    rounds stop once no later round holds an earlier iteration.
+    sched[r, k] is the iteration of block row r's k-th step and n_steps[r]
+    its step count; the rounds touch run's rows of block, grad_block and
+    state (AdamState.rows). stacks caches member stacks by the rows they
+    bind, (run.start, row count): one process may take several runs.
+    Each iteration's (mean_lr, mean_le, combined) goes to its row of
+    per_iter. Returns the run's first iteration with a non-finite loss,
+    in iteration order, or None: the rounds stop once no later round
+    holds an earlier iteration.
     """
+    sched, n_steps, state = sched[run], n_steps[run], state.rows(run)
+    params, grads = block[run], grad_block[run]
     active = [int((n_steps > k).sum()) for k in range(n_steps[0])]
     first_bad = None
     for k, a in enumerate(active):
-        if a not in stacks:
-            stacks[a] = (member0.bind(params[:a]), member0.bind(grads[:a]))
-        nets, out = stacks[a]
+        if (run.start, a) not in stacks:
+            stacks[run.start, a] = (member0.bind(params[:a]), member0.bind(grads[:a]))
+        nets, out = stacks[run.start, a]
         its = sched[:a, k]
         combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), work, out)
         per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
@@ -390,16 +383,16 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     matches that loop: the per-iteration losses are summed in iteration
     order, and divergence reports the first failing iteration of that
     order. The block, Adam's m and v and the per-iteration losses live in
-    shared anonymous mappings (forkpool.shared_zeros). An epoch of at
-    least 2 * POOL_MIN_STEPS iterations deals its rows in contiguous runs
-    to min(I, forkpool.workers(iters, POOL_MIN_STEPS)) forked workers
-    (forkpool.ordered_map), each running its run's rounds with a fresh
-    workspace; this process keeps the bookkeeping: it advances the Adam
-    step counts and raises the smallest failing iteration any run
-    returns. Shorter epochs, and training inside a pool worker (a Phase I
-    cell), run every round here, into one workspace that also serves the
-    in-process reweight pass: a round over a rows writes into the leading
-    part of the buffers the widest round sized, as in a worker's. The
+    shared anonymous mappings (forkpool.shared_zeros). Each epoch cuts the
+    rows into min(I, forkpool.workers(iters, POOL_MIN_STEPS)) contiguous
+    runs (forkpool.map_runs): one run, as for epochs of fewer than
+    2 * POOL_MIN_STEPS iterations and training inside a pool worker (a
+    Phase I cell), runs here; more each run in a forked worker. Every run
+    gets training's one workspace, which the reweight pass shares (a
+    forked worker writes its copy-on-write copy): a round over a rows
+    writes into the leading part of the buffers the widest round sized.
+    This process keeps the bookkeeping: it advances the Adam step counts
+    and raises the smallest failing iteration any run returns. The
     members' flat vectors are written back before each reweight pass and
     at return; after a TrainingDivergedError they hold the last
     written-back values.
@@ -415,7 +408,6 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     member_rng, batch_rng = training_streams(cfg.seed)
     iters = cfg.resolved_iters(n, size)
     n_runs = min(size, forkpool.workers(iters, POOL_MIN_STEPS))
-    runs = [slice(i * size // n_runs, (i + 1) * size // n_runs) for i in range(n_runs)]
     # row r of block holds member row_member[r]'s flat vector
     row_member = np.arange(size)
     member0 = ensemble.members[0]
@@ -423,8 +415,9 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     block[...] = [m.flat for m in ensemble.members]
     grad_block = np.empty_like(block)
     state = AdamState(block, lr=cfg.lr)
-    stacks: dict[int, tuple[EdeNet, EdeNet]] = {}  # the in-process rounds' member stacks
+    stacks: dict[tuple[int, int], tuple[EdeNet, EdeNet]] = {}  # see _run_rounds
     work = Workspace()
+    per_iter = forkpool.shared_zeros((iters, 3))  # EpochTrace's mean_lr, mean_le, combined
 
     def write_back():
         for r, member in enumerate(row_member):
@@ -456,16 +449,9 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
         sched = np.zeros((size, n_steps[0]), dtype=np.int64)
         for r, member in enumerate(row_member):
             sched[r, :n_steps[r]] = np.flatnonzero(who == member)
-        per_iter = forkpool.shared_zeros((iters, 3))  # EpochTrace's mean_lr, mean_le, combined
-
-        def rounds(run: slice, stacks: dict, work: Workspace) -> int | None:
-            return _run_rounds(member0, rows, batches, sched[run], n_steps[run], block[run],
-                               grad_block[run], state.rows(run), stacks, work, per_iter)
-
-        if n_runs == 1:
-            found = [rounds(runs[0], stacks, work)]
-        else:
-            found = forkpool.ordered_map(lambda run: rounds(run, {}, Workspace()), runs)
+        found = forkpool.map_runs(
+            lambda run: _run_rounds(run, member0, rows, batches, sched, n_steps, block,
+                                    grad_block, state, stacks, work, per_iter), size, n_runs)
         first_bad = min((it for it in found if it is not None), default=None)
         if first_bad is not None:
             raise TrainingDivergedError(epoch, first_bad, float(per_iter[first_bad, 2]))

@@ -1,14 +1,14 @@
 """The one process pool: independent units of work mapped over forked
 workers, results yielded in order.
 
-Phase I cells (metalearn.run_cells), the row blocks of ensemble_score
-and the member rows of a long training epoch (ensemble.train_ensemble)
-run through it. Workers are forked, so they
-inherit the function and its inputs and nothing is pickled on the way
-in; each gets an index and sends back one result. Bulk results go into
-shared_zeros arrays instead. multiprocessing, concurrent.futures and
-mmap are imported only when they are first needed, so no command pays
-for them at startup.
+Phase I cells (metalearn.run_cells) run through ordered_map; the row
+blocks of ensemble_score and the member rows of a training epoch
+(ensemble.train_ensemble) through map_runs, which runs one run in this
+process. Workers are forked, so they inherit the function and its
+inputs and nothing is pickled on the way in; each gets an index and
+sends back one result. Bulk results go into shared_zeros arrays instead.
+multiprocessing, concurrent.futures and mmap are imported only when they
+are first needed, so no command pays for them at startup.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ def workers(n_units: int, min_units: int = 1) -> int:
 
 def shared_zeros(shape) -> np.ndarray:
     """A zero-filled float64 array of shape in an anonymous MAP_SHARED
-    mapping: what a forked worker writes there, its parent reads."""
-    import mmap  # here, not at startup: only training and pooled scoring use it
+    mapping: what a forked worker writes there, its parent reads. A
+    shape of size 0 gives an empty array (mmap refuses length 0)."""
+    import mmap  # here, not at startup: only training and scoring use it
 
-    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape))), dtype=np.float64).reshape(shape)
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=np.float64,
+                         count=size).reshape(shape)
 
 
 def _take_job(fn: Callable, items: Sequence) -> None:
@@ -82,3 +85,11 @@ def ordered_map(fn: Callable, items: Sequence) -> Iterator:
         raise
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def map_runs(fn: Callable, n_units: int, n_runs: int) -> list:
+    """[fn(run) for run in runs] through ordered_map, where runs cuts
+    range(n_units) into n_runs contiguous slices, in order, their lengths
+    differing by at most one. One run is called in this process."""
+    return list(ordered_map(fn, [slice(i * n_units // n_runs, (i + 1) * n_units // n_runs)
+                                 for i in range(n_runs)]))

@@ -21,11 +21,12 @@ def rng():
 @pytest.fixture
 def cpus(monkeypatch):
     """cpus(n) makes os.sched_getaffinity report n CPUs, the count
-    forkpool.workers sizes every pool by: Phase I cells, ensemble_score's
-    row blocks and the member rows of a training epoch of at least
-    2 * ensemble.POOL_MIN_STEPS iterations (tests that pool shorter
-    epochs patch that constant). Skips off Linux, where the call is
-    missing and no pool starts."""
+    forkpool.workers sizes every pool by: Phase I cells, and the runs
+    forkpool.map_runs cuts from ensemble_score's row blocks and from a
+    training epoch's member rows. An epoch of fewer than
+    2 * ensemble.POOL_MIN_STEPS iterations is one run, which starts no
+    pool (tests that pool shorter epochs patch that constant). Skips off
+    Linux, where the call is missing and no pool starts."""
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("os.sched_getaffinity is Linux-only")
     return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

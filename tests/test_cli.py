@@ -1681,9 +1681,10 @@ def test_unwritable_output_dir_is_exit_4(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy():
     """The runtime needs numpy alone; scipy serves only as a test oracle.
-    forkpool, which runs Phase I cells and scoring blocks, imports its
-    process pool only when it starts one, so no command pays for it at
-    startup."""
+    forkpool, which runs Phase I cells, scoring blocks and training
+    rounds, imports its process pool only when it starts one and mmap
+    only when it first maps a shared array, so no command pays for them
+    at startup."""
     import edenet
 
     src = str(Path(edenet.__file__).resolve().parents[1])
@@ -1691,7 +1692,7 @@ def test_importing_the_cli_loads_no_scipy():
         p for p in [src, os.environ.get("PYTHONPATH")] if p)}
     probe = ("import sys, edenet.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0]"
-             " in ('scipy', 'multiprocessing', 'concurrent')))")
+             " in ('scipy', 'multiprocessing', 'concurrent', 'mmap')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -1,13 +1,15 @@
 """The one process pool (edenet.forkpool) and its three callers: Phase I
 cells (metalearn.run_cells), the row blocks of ensemble_score and the
-rounds of a long training epoch. Every pooled result must be the serial
+rounds of a training epoch. Every pooled result must be the serial
 bytes, every check must fire before a fork, and no pool may start in a
 pool worker or next to a live thread."""
 
+import ast
 import multiprocessing
 import os
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,13 @@ import pytest
 import edenet.ensemble as ensemble_mod
 from edenet import forkpool
 from edenet.data import BLOCK_ROWS, Dataset, fit_scale
-from edenet.ensemble import (POOL_MIN_BLOCKS, POOL_MIN_STEPS, TrainConfig, ensemble_score,
-                             init_ensemble, train_ensemble)
+from edenet.ensemble import (POOL_MIN_BLOCKS, POOL_MIN_STEPS, TrainConfig, _run_rounds,
+                             ensemble_score, init_ensemble, train_ensemble)
 from edenet.errors import ShapeError
 from edenet.layers import Workspace
 from edenet.metalearn import MetaTask, run_cells
 from edenet.model import make_arch, row_chunks
+from edenet.optim import AdamState
 from edenet.rng import make_rng
 
 # the fewest rows whose blocks ensemble_score splits over two workers
@@ -39,6 +42,58 @@ def trained(arch: dict, n_members: int, scaled: bool):
 
 def raw_rows(n_rows: int, seed: int = 5) -> Dataset:
     return Dataset(features=2.0 * make_rng(seed).standard_normal((n_rows, 5)))
+
+
+@pytest.mark.parametrize("shape", [0, (0,), (0, 3), (3, 0)])
+def test_shared_zeros_of_size_zero_is_empty(shape):
+    """mmap refuses a mapping of length 0; an empty input's scores ask for
+    one, so shared_zeros gives an empty array instead of OSError."""
+    zeros = forkpool.shared_zeros(shape)
+    assert zeros.shape == np.zeros(shape).shape
+    assert zeros.dtype == np.float64
+
+
+@pytest.mark.parametrize("n_units, n_runs", [(0, 1), (7, 1), (7, 2), (7, 3), (8, 3)])
+def test_map_runs_cuts_every_unit_once_in_order(cpus, pools, n_units, n_runs):
+    """map_runs cuts range(n_units) into n_runs contiguous slices, in
+    order, their lengths at most one apart, and returns each run's result
+    in run order; one run is called here and starts no pool, even with
+    CPUs to spare."""
+    cpus(max(n_runs, 2))
+    results = forkpool.map_runs(lambda run: (run, os.getpid()), n_units, n_runs)
+    runs = [run for run, _ in results]
+    assert len(runs) == n_runs
+    assert [i for run in runs for i in range(n_units)[run]] == list(range(n_units))
+    lengths = [len(range(n_units)[run]) for run in runs]
+    assert max(lengths) - min(lengths) <= 1
+    pids = {pid for _, pid in results}
+    if n_runs == 1:
+        assert pids == {os.getpid()}
+        assert pools() == []
+    else:
+        assert os.getpid() not in pids
+        assert pools() == [(os.getpid(), n_runs)]
+    assert multiprocessing.active_children() == []
+
+
+def test_only_forkpool_imports_the_process_modules():
+    """forkpool imports multiprocessing, concurrent.futures and mmap only
+    when it first needs them, so no command pays for them at startup;
+    no other module imports them at all."""
+    src = Path(forkpool.__file__).parent
+    banned = {"multiprocessing", "concurrent", "mmap"}
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in banned for name in names):
+                importers.add(path.name)
+    assert importers == {"forkpool.py"}
 
 
 @pytest.mark.parametrize("arch, n_members, scaled, n_rows", [
@@ -63,11 +118,11 @@ def test_pooled_scores_are_the_serial_bytes(cpus, pools, arch, n_members, scaled
     assert multiprocessing.active_children() == []
 
 
-def test_a_passed_workspace_serves_only_the_in_process_path(cpus, pools):
-    """The reweight pass passes training's workspace, which serves the
-    blocks when they run here; a long enough input still pools, and its
-    workers take fresh workspaces. Both give the bytes of a run without
-    one."""
+def test_a_passed_workspace_serves_every_run(cpus, pools):
+    """The reweight pass passes training's workspace, which every run
+    scores into: here when there is one run, and a forked worker's
+    copy-on-write copy of it when a long enough input pools. Both give
+    the bytes of a run without one."""
     ens, x = trained(LSTM, 2, False), raw_rows(POOLED_ROWS)
     cpus(1)
     serial = ensemble_score(ens, x).tobytes()
@@ -224,3 +279,31 @@ def test_more_workers_than_cores_keep_their_rows_apart(cpus, pools, monkeypatch)
     assert runs[4] == runs[1]
     assert pools() == [(os.getpid(), 4)] * cfg.epochs
     assert multiprocessing.active_children() == []
+
+
+def test_one_stacks_dict_serves_two_runs_of_a_block():
+    """A pool worker may take two runs of the block, with one stacks
+    cache. The cache is keyed by the rows a stack binds, so each run steps
+    only its own rows: one dict over the runs [0, 2) and [2, 4) gives the
+    bytes of one run over the whole block (loss_and_grads gives each row
+    the bits it gets alone). A cache keyed by row count alone hands the
+    second run the first run's stacks."""
+    x = Dataset(features=make_rng(12).standard_normal((30, 4)))
+    ens = init_ensemble(make_arch(4, TINY_ARCH), 4, seed=12)
+    sched = np.array([[0, 4], [1, 5], [2, 6], [3, 7]])  # two steps a row
+    n_steps = np.array([2, 2, 2, 2])
+    batches = make_rng(13).integers(0, 30, (8, 4))
+
+    def train(runs: list[slice]):
+        block = np.array([m.flat for m in ens.members])
+        grad_block, state = np.zeros_like(block), AdamState(block, lr=1e-2)
+        per_iter, stacks, work = np.zeros((8, 3)), {}, Workspace()
+        for run in runs:
+            assert _run_rounds(run, ens.members[0], x.rows, batches, sched, n_steps, block,
+                               grad_block, state, stacks, work, per_iter) is None
+        return block, state.m, state.v, per_iter
+
+    whole = train([slice(0, 4)])
+    assert not (whole[0] == np.array([m.flat for m in ens.members])).all(axis=1).any()
+    assert [a.tobytes() for a in train([slice(0, 2), slice(2, 4)])] == \
+        [a.tobytes() for a in whole]
