@@ -15,8 +15,8 @@ own batch, so its k-th step of the epoch gives the same bits whether the
 other members have stepped or not: round k runs every member's k-th
 step at once, on one (I, P) parameter block. For the same reason a long
 epoch deals its members to forked workers (forkpool), each running the
-rounds of its own rows; this process draws the schedule and keeps the
-bookkeeping.
+rounds of its own rows; this process draws the schedule and reads the
+results from shared memory alone.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def _epoch_schedule(member_rng: np.random.Generator, batch_rng: np.random.Genera
 def _run_rounds(run: slice, member0: EdeNet, rows: Rows, batches: np.ndarray,
                 sched: np.ndarray, n_steps: np.ndarray, block: np.ndarray,
                 grad_block: np.ndarray, state: AdamState, stacks: dict, work: Workspace,
-                per_iter: np.ndarray) -> int | None:
+                per_iter: np.ndarray) -> None:
     """The lockstep rounds of one epoch over run, a contiguous run of the
     block's rows, which are sorted by step count, most first: round k
     takes the k-th step of every row of run that has one, a leading part
@@ -338,14 +338,11 @@ def _run_rounds(run: slice, member0: EdeNet, rows: Rows, batches: np.ndarray,
     state (AdamState.rows). stacks caches member stacks by the rows they
     bind, (run.start, row count): one process may take several runs.
     Each iteration's (mean_lr, mean_le, combined) goes to its row of
-    per_iter. Returns the run's first iteration with a non-finite loss,
-    in iteration order, or None: the rounds stop once no later round
-    holds an earlier iteration.
+    per_iter, non-finite or not: the caller reads divergence from there.
     """
     sched, n_steps, state = sched[run], n_steps[run], state.rows(run)
     params, grads = block[run], grad_block[run]
     active = [int((n_steps > k).sum()) for k in range(n_steps[0])]
-    first_bad = None
     for k, a in enumerate(active):
         if (run.start, a) not in stacks:
             stacks[run.start, a] = (member0.bind(params[:a]), member0.bind(grads[:a]))
@@ -353,14 +350,7 @@ def _run_rounds(run: slice, member0: EdeNet, rows: Rows, batches: np.ndarray,
         its = sched[:a, k]
         combined, mean_lr, mean_le = loss_and_grads(nets, rows.take(batches[its]), work, out)
         per_iter[its] = np.column_stack([mean_lr, mean_le, combined])
-        for it, c in zip(its.tolist(), combined):
-            if not math.isfinite(c) and (first_bad is None or it < first_bad):
-                first_bad = it
-        if first_bad is not None and (k + 1 == len(active)
-                                      or sched[:active[k + 1], k + 1].min() > first_bad):
-            return first_bad
         adam_step(state, params[:a], grads[:a])
-    return None
 
 
 def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
@@ -382,7 +372,7 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     of the one-iteration-at-a-time loop in the same order, so every bit
     matches that loop: the per-iteration losses are summed in iteration
     order, and divergence reports the first failing iteration of that
-    order. The block, Adam's m and v and the per-iteration losses live in
+    order. The block, Adam's state and the per-iteration losses live in
     shared anonymous mappings (forkpool.shared_zeros). Each epoch cuts the
     rows into min(I, forkpool.workers(iters, POOL_MIN_STEPS)) contiguous
     runs (forkpool.map_runs): one run, as for epochs of fewer than
@@ -391,11 +381,12 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
     gets training's one workspace, which the reweight pass shares (a
     forked worker writes its copy-on-write copy): a round over a rows
     writes into the leading part of the buffers the widest round sized.
-    This process keeps the bookkeeping: it advances the Adam step counts
-    and raises the smallest failing iteration any run returns. The
-    members' flat vectors are written back before each reweight pass and
-    at return; after a TrainingDivergedError they hold the last
-    written-back values.
+    Every run goes to the end of the epoch; then this process raises the
+    first iteration whose loss in per_iter is non-finite. Members share
+    nothing within an epoch, so the iterations before it hold the bits of
+    the one-at-a-time loop. The members' flat vectors are written back
+    before each reweight pass and at return; after a TrainingDivergedError
+    they hold the last written-back values.
     """
     if ensemble.scaling is not None:
         raise ValueError("an ensemble that records scaling would scale its training rows again")
@@ -449,13 +440,12 @@ def train_ensemble(ensemble: EnsembleModel, x_train: Dataset,
         sched = np.zeros((size, n_steps[0]), dtype=np.int64)
         for r, member in enumerate(row_member):
             sched[r, :n_steps[r]] = np.flatnonzero(who == member)
-        found = forkpool.map_runs(
+        forkpool.map_runs(
             lambda run: _run_rounds(run, member0, rows, batches, sched, n_steps, block,
                                     grad_block, state, stacks, work, per_iter), size, n_runs)
-        first_bad = min((it for it in found if it is not None), default=None)
-        if first_bad is not None:
-            raise TrainingDivergedError(epoch, first_bad, float(per_iter[first_bad, 2]))
-        state.step = [s + c for s, c in zip(state.step, n_steps.tolist())]
+        bad = np.flatnonzero(~np.isfinite(per_iter[:, 2]))
+        if bad.size:
+            raise TrainingDivergedError(epoch, int(bad[0]), float(per_iter[bad[0], 2]))
         # a sequential scan adds in iteration order; np.sum would pair terms
         trace.append(EpochTrace(epoch, *(np.add.accumulate(per_iter)[-1] / iters).tolist()))
     write_back()

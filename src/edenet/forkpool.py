@@ -6,7 +6,8 @@ blocks of ensemble_score and the member rows of a training epoch
 (ensemble.train_ensemble) through map_runs, which runs one run in this
 process. Workers are forked, so they inherit the function and its
 inputs and nothing is pickled on the way in; each gets an index and
-sends back one result. Bulk results go into shared_zeros arrays instead.
+sends back one result. The runs of scoring and training send back
+nothing: their results go into shared_zeros arrays instead.
 multiprocessing, concurrent.futures and mmap are imported only when they
 are first needed, so no command pays for them at startup.
 """

@@ -27,35 +27,32 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class AdamState:
     """Adam accumulators for the (I, P) block it is made for, all zero:
     one update count per row in step, and two blocks for adam_step's
-    temporaries in scratch. m and v live in shared memory
+    temporaries in scratch. step, m and v live in shared memory
     (forkpool.shared_zeros), so a forked worker's steps update them in
     this process too."""
 
     block: InitVar[np.ndarray]
     lr: float
-    step: list[int] = field(init=False)
+    step: np.ndarray = field(init=False)
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self, block: np.ndarray):
-        self.step = [0] * len(block)
+        self.step = shared_zeros(len(block))
         self.m, self.v = shared_zeros(block.shape), shared_zeros(block.shape)
         self.scratch = (np.empty_like(block), np.empty_like(block))
 
     def reorder_rows(self, order: np.ndarray) -> None:
         """Row r takes what row order[r] held."""
-        for arr in (self.m, self.v):
+        for arr in (self.step, self.m, self.v):
             arr[...] = arr[order]
-        self.step = [self.step[r] for r in order]
 
     def rows(self, run: slice) -> "AdamState":
-        """The state of rows run of the block: its m, v and scratch are
-        views of this state's, so a step over it updates m and v here, but
-        its step counts are a copy, which the caller advances here."""
+        """The state of rows run of the block, every array a view of this
+        state's, so a step over it updates this state."""
         sub = copy.copy(self)
-        sub.step = self.step[run]
-        sub.m, sub.v = self.m[run], self.v[run]
+        sub.step, sub.m, sub.v = self.step[run], self.m[run], self.v[run]
         sub.scratch = (self.scratch[0][run], self.scratch[1][run])
         return sub
 
@@ -73,10 +70,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
         raise ShapeError(f"{params.shape}/{grads.shape} are not leading rows of {state.m.shape}")
     b1, b2 = BETA1, BETA2
     n = len(params)
-    state.step[:n] = [s + 1 for s in state.step[:n]]
+    state.step[:n] += 1
     # one Python float per row, the bits of the textbook 1 - beta ** step
-    bias1 = np.array([1.0 - b1 ** s for s in state.step[:n]])[:, None]
-    bias2 = np.array([1.0 - b2 ** s for s in state.step[:n]])[:, None]
+    # (a whole-valued float exponent gives the bits of the int one)
+    steps = state.step[:n].tolist()
+    bias1 = np.array([1.0 - b1 ** s for s in steps])[:, None]
+    bias2 = np.array([1.0 - b2 ** s for s in steps])[:, None]
     m, v, t, u = state.m[:n], state.v[:n], state.scratch[0][:n], state.scratch[1][:n]
     m *= b1
     np.multiply(grads, 1.0 - b1, out=t)

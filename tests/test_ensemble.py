@@ -590,10 +590,11 @@ def _diverging_run(nan_members, lr=1e-3, epochs=1):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pooled_divergence_reports_what_the_in_process_run_reports(
         cpus, pools, monkeypatch, nan_members, lr, epochs):
-    """The two workers each return their run's first failing iteration and
-    this process raises the smallest: the epoch, iteration and loss of
-    the in-process run, with every worker gone. The runs are rows [0, 1)
-    and [1, 3), so the failing member is dealt to either worker."""
+    """The two workers each write their rows' losses into per_iter, and
+    this process raises its first non-finite entry: the epoch, iteration
+    and loss of the in-process run, with every worker gone. The runs are
+    rows [0, 1) and [1, 3), so the failing member is dealt to either
+    worker."""
     monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
     raised = {}
     for n_cpus in (1, 2):
@@ -622,6 +623,45 @@ def test_one_diverging_member_fails_where_the_direct_loop_fails(bad_member):
         train_ensemble(ens, Dataset(features=x), cfg)
     assert (exc.value.epoch, exc.value.iteration) == (expected.value.epoch,
                                                       expected.value.iteration)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_run_diverging_without_reweighting_leaves_the_members_as_they_were(
+        cpus, pools, monkeypatch, n_cpus):
+    """Without a reweight pass nothing is written back before the error,
+    though the rounds go on writing the block after the first non-finite
+    loss: every member keeps its initial bytes, the NaN one too."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    cpus(n_cpus)
+    ens, x, cfg = _diverging_run([1], epochs=2)
+    before = [m.flat.tobytes() for m in ens.members]
+    with pytest.raises(TrainingDivergedError):
+        train_ensemble(ens, x, cfg)
+    assert [m.flat.tobytes() for m in ens.members] == before
+    assert len(pools()) == (1 if n_cpus > 1 else 0)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_diverging_in_a_later_epoch_leaves_the_last_written_back_members(
+        cpus, pools, monkeypatch, n_cpus):
+    """An Adam step of lr 5e152 overflows the loss in epoch 3's rounds,
+    after epoch 3's reweight pass wrote the members back. The members then
+    hold the bytes of the same run trained 3 epochs, not the block that
+    the rounds went on writing."""
+    monkeypatch.setattr(ensemble_mod, "POOL_MIN_STEPS", 1)
+    cpus(n_cpus)
+    x = Dataset(features=make_rng(17).standard_normal((20, 6)))
+    cfg = TrainConfig(epochs=4, batch_size=4, iters_per_epoch=9, lr=5e152, seed=4)
+    shorter, _ = train_ensemble(small_ensemble(3, seed=cfg.seed), x,
+                                dataclasses.replace(cfg, epochs=3))
+    ens = small_ensemble(3, seed=cfg.seed)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_ensemble(ens, x, cfg)
+    assert (exc.value.epoch, exc.value.iteration) == (3, 3)
+    assert [m.flat.tobytes() for m in ens.members] == \
+        [m.flat.tobytes() for m in shorter.members]
+    assert len(pools()) == (7 if n_cpus > 1 else 0)
 
 
 def test_divergence_in_a_later_round_can_come_first():

@@ -301,9 +301,31 @@ def test_one_stacks_dict_serves_two_runs_of_a_block():
         for run in runs:
             assert _run_rounds(run, ens.members[0], x.rows, batches, sched, n_steps, block,
                                grad_block, state, stacks, work, per_iter) is None
-        return block, state.m, state.v, per_iter
+        return block, state.step, state.m, state.v, per_iter
 
     whole = train([slice(0, 4)])
     assert not (whole[0] == np.array([m.flat for m in ens.members])).all(axis=1).any()
     assert [a.tobytes() for a in train([slice(0, 2), slice(2, 4)])] == \
         [a.tobytes() for a in whole]
+
+
+def test_pooled_rounds_advance_the_step_counts_here(cpus, pools):
+    """Adam's step counts live in shared memory, as m and v do, so the
+    rounds that forked workers run advance them in this process: after an
+    epoch of uneven step counts dealt to two workers, each row's count is
+    its step count."""
+    x = Dataset(features=make_rng(14).standard_normal((30, 4)))
+    ens = init_ensemble(make_arch(4, TINY_ARCH), 3, seed=14)
+    sched = np.array([[0, 3, 5], [1, 4, 0], [2, 0, 0]])  # rows sorted by step count
+    n_steps = np.array([3, 2, 1])
+    batches = make_rng(15).integers(0, 30, (6, 4))
+    block = forkpool.shared_zeros((3, ens.members[0].flat.size))
+    block[...] = [m.flat for m in ens.members]
+    grad_block, state = np.zeros_like(block), AdamState(block, lr=1e-2)
+    per_iter = forkpool.shared_zeros((6, 3))
+    cpus(2)
+    forkpool.map_runs(lambda run: _run_rounds(run, ens.members[0], x.rows, batches, sched,
+                                              n_steps, block, grad_block, state, {},
+                                              Workspace(), per_iter), 3, 2)
+    assert pools() == [(os.getpid(), 2)]
+    assert list(state.step) == n_steps.tolist()
